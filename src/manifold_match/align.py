@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConditioningError, ValidationError
+from .errors import ConditioningError, FormatError, ValidationError
+from .formats import read_matrix, write_json, write_matrix
 from .numerics import eig_sym_generalized
 
 __all__ = [
@@ -216,18 +217,10 @@ def save_alignment(maps, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for k, u in enumerate(maps.projections, start=1):
-        with open(out / f"U_{k}.tsv", "w", encoding="utf-8") as fh:
-            for row in u:
-                fh.write("\t".join(repr(float(x)) for x in row))
-                fh.write("\n")
-    with open(out / "correlations.tsv", "w", encoding="utf-8") as fh:
-        for rho in maps.correlations:
-            fh.write(repr(float(rho)))
-            fh.write("\n")
+        write_matrix(u, out / f"U_{k}.tsv")
+    write_matrix(np.reshape(maps.correlations, (-1, 1)), out / "correlations.tsv")
     meta = {"method": maps.method, "d": maps.d, "K": maps.K, "ridge": maps.ridge}
-    with open(out / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta, out / "meta.json")
 
 
 def load_alignment(in_dir) -> AlignmentMaps:
@@ -235,17 +228,10 @@ def load_alignment(in_dir) -> AlignmentMaps:
     src = Path(in_dir)
     with open(src / "meta.json", "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    projections = []
-    for k in range(1, int(meta["K"]) + 1):
-        rows = []
-        with open(src / f"U_{k}.tsv", "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([float(tok) for tok in line.split("\t")])
-        projections.append(np.asarray(rows, dtype=float))
-    with open(src / "correlations.tsv", "r", encoding="utf-8") as fh:
-        correlations = np.asarray([float(line.strip()) for line in fh if line.strip()])
+    projections = tuple(read_matrix(src / f"U_{k}.tsv") for k in range(1, int(meta["K"]) + 1))
+    correlations = read_matrix(src / "correlations.tsv")
+    if correlations.shape[1] != 1:
+        raise FormatError(f"{src / 'correlations.tsv'}: expected one value per line")
     return AlignmentMaps(
-        tuple(projections), correlations, str(meta["method"]), float(meta["ridge"])
+        projections, correlations[:, 0], str(meta["method"]), float(meta["ridge"])
     )

@@ -8,16 +8,14 @@ shared. Exit codes: 0 success, 1 usage error, 2 data/validation error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .align import cca_fit, gcca_fit, load_alignment, project, save_alignment
 from .classify import LabeledEmbedding, loo_cross_view_accuracy
-from .corpus import load_corpus, save_corpus, synthesize_corpus
+from .corpus import load_corpus, register_dissimilarity, save_corpus, synthesize_corpus
 from .dissimilarity import (
     cosine_dissimilarity,
     graph_geodesic,
@@ -26,6 +24,7 @@ from .dissimilarity import (
 )
 from .errors import ConditioningError, FormatError, ManifoldMatchError
 from .experiment import ExperimentConfig, emit_curves, run_experiment
+from .formats import read_matrix, write_matrix
 from .mds import mds_fit, scree
 
 EXIT_OK = 0
@@ -41,27 +40,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _read_matrix_tsv(path):
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split("\t")])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-    return np.asarray(rows, dtype=float)
-
-
-def _write_matrix_tsv(matrix, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.atleast_2d(matrix):
-            fh.write("\t".join(repr(float(x)) for x in row))
-            fh.write("\n")
 
 
 def _read_labels(path):
@@ -107,31 +85,15 @@ def _cmd_dissim(args):
         save_dissimilarity_tsv(dm, args.out)
         print(f"wrote {args.out}")
     else:
-        # Register inside the corpus directory and record kind/cap in the
-        # manifest so later loads pick the matrix up.
-        rel = f"{args.domain}/dissim_{args.kind}.tsv"
-        root = Path(args.corpus)
-        save_dissimilarity_tsv(dm, root / rel)
-        manifest_path = root / "manifest.json"
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        for entry in manifest["domains"]:
-            if entry["name"] == args.domain:
-                entry.setdefault("dissimilarities", {})[args.kind] = {
-                    "file": rel,
-                    "cap": dm.cap,
-                }
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {root / rel} and updated manifest")
+        path = register_dissimilarity(args.corpus, args.domain, dm)
+        print(f"wrote {path} and updated manifest")
     return EXIT_OK
 
 
 def _cmd_mds(args):
     dm = load_dissimilarity_tsv(args.input, kind="external")
     model = mds_fit(dm, args.dim)
-    _write_matrix_tsv(model.embedding, args.out)
+    write_matrix(model.embedding, args.out)
     print(
         f"embedded {model.n} objects at effective dimension {model.effective_dim} "
         f"(requested {args.dim})"
@@ -146,7 +108,7 @@ def _cmd_mds(args):
 
 
 def _cmd_align(args):
-    views = [_read_matrix_tsv(p) for p in args.embeddings]
+    views = [read_matrix(p) for p in args.embeddings]
     if args.method == "cca":
         if len(views) != 2:
             print("error: cca takes exactly two embeddings", file=sys.stderr)
@@ -161,8 +123,8 @@ def _cmd_align(args):
 
 
 def _cmd_classify(args):
-    train = _read_matrix_tsv(args.train)
-    test = _read_matrix_tsv(args.test)
+    train = read_matrix(args.train)
+    test = read_matrix(args.test)
     labels = _read_labels(args.labels)
     if args.maps:
         maps = load_alignment(args.maps)
@@ -177,31 +139,8 @@ def _cmd_classify(args):
 
 def _cmd_experiment(args):
     config = ExperimentConfig.from_json(args.config)
-    out = Path(args.out)
-    log_state = {"fh": None}
-
-    def on_row(row, row_records):
-        # Flush raw records as each schedule row completes; the directory is
-        # only created once the run has survived validation.
-        if log_state["fh"] is None:
-            out.mkdir(parents=True, exist_ok=True)
-            log_state["fh"] = open(out / "replicates.log", "w", encoding="utf-8")
-            log_state["fh"].write(
-                "method\tcombination\tfeature\tfraction\treplicate\taccuracy\n"
-            )
-        for method, combo, feature, fraction, rep, acc in row_records:
-            log_state["fh"].write(
-                f"{method}\t{combo}\t{feature}\t{repr(float(fraction))}\t{rep}\t"
-                f"{repr(float(acc))}\n"
-            )
-        log_state["fh"].flush()
-
-    try:
-        report = run_experiment(config, on_row=on_row)
-    finally:
-        if log_state["fh"] is not None:
-            log_state["fh"].close()
-    emit_curves(report, out)
+    report = run_experiment(config)
+    emit_curves(report, args.out)
     for fraction in report.fractions:
         for combo in report.combinations:
             stats = report.cells[(combo, fraction)]

@@ -24,6 +24,7 @@ from .dissimilarity import (
     save_dissimilarity_tsv,
 )
 from .errors import FormatError, IntegrityError, ValidationError
+from .formats import read_matrix, write_json, write_matrix
 
 __all__ = [
     "ROLE_RELATION",
@@ -33,6 +34,7 @@ __all__ = [
     "ClassSplitSpec",
     "load_corpus",
     "save_corpus",
+    "register_dissimilarity",
     "apply_class_split",
     "synthesize_corpus",
 ]
@@ -246,32 +248,6 @@ def apply_class_split(corpus, split) -> LabeledCorpus:
 # ---------------------------------------------------------------------------
 
 
-def _write_features_tsv(features, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in features:
-            fh.write("\t".join(repr(float(x)) for x in row))
-            fh.write("\n")
-
-
-def _read_features_tsv(path):
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split("\t")])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        return np.zeros((0, 0))
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise FormatError(f"{path}: ragged feature rows (widths {sorted(widths)})")
-    return np.asarray(rows, dtype=float)
-
-
 def _write_edges_tsv(edges, object_ids, path):
     with open(path, "w", encoding="utf-8") as fh:
         for i, j in edges:
@@ -312,16 +288,14 @@ def save_corpus(corpus, path):
         entry = {"name": domain.name, "features": None, "edges": None, "dissimilarities": {}}
         if domain.features is not None:
             rel = f"{domain.name}/features.tsv"
-            _write_features_tsv(domain.features, root / rel)
+            write_matrix(domain.features, root / rel)
             entry["features"] = rel
         if domain.edges is not None:
             rel = f"{domain.name}/edges.tsv"
             _write_edges_tsv(domain.edges, corpus.object_ids, root / rel)
             entry["edges"] = rel
         for kind, dm in sorted(domain.dissimilarities.items()):
-            rel = f"{domain.name}/dissim_{kind}.tsv"
-            save_dissimilarity_tsv(dm, root / rel)
-            entry["dissimilarities"][kind] = {"file": rel, "cap": dm.cap}
+            entry["dissimilarities"][kind] = _save_dissimilarity(root, domain.name, kind, dm)
         domain_entries.append(entry)
     manifest = {
         "objects": {
@@ -331,19 +305,36 @@ def save_corpus(corpus, path):
         },
         "domains": domain_entries,
     }
-    with open(root / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest, root / "manifest.json")
 
 
-def load_corpus(path, format="dir") -> LabeledCorpus:
-    """Load and validate a corpus directory.
+def _save_dissimilarity(root, domain_name, kind, dm):
+    """Write ``<domain>/dissim_<kind>.tsv``; returns its manifest entry."""
+    rel = f"{domain_name}/dissim_{kind}.tsv"
+    save_dissimilarity_tsv(dm, root / rel)
+    return {"file": rel, "cap": dm.cap}
 
-    ``format`` names the on-disk layout; only ``"dir"`` (the manifest
-    directory described in the module docstring) is defined.
+
+def register_dissimilarity(path, domain_name, dm) -> Path:
+    """Add ``dm`` to a saved corpus as ``domain_name``'s ``dm.kind`` matrix.
+
+    Writes the matrix file, then replaces the manifest with one that records
+    it, so later loads pick the matrix up. Returns the matrix file's path.
     """
-    if format != "dir":
-        raise ValidationError(f"unknown corpus format {format!r}")
+    root = Path(path)
+    manifest_path = root / "manifest.json"
+    with open(manifest_path, "r", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    entry = _save_dissimilarity(root, domain_name, dm.kind, dm)
+    for domain in manifest["domains"]:
+        if domain["name"] == domain_name:
+            domain.setdefault("dissimilarities", {})[dm.kind] = entry
+    write_json(manifest, manifest_path)
+    return root / entry["file"]
+
+
+def load_corpus(path) -> LabeledCorpus:
+    """Load and validate a corpus directory (layout in the module docstring)."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
@@ -384,7 +375,7 @@ def load_corpus(path, format="dir") -> LabeledCorpus:
             raise FormatError(f"{manifest_path}: malformed domain entry: {exc}") from None
         features = None
         if entry.get("features"):
-            features = _read_features_tsv(root / entry["features"])
+            features = read_matrix(root / entry["features"])
         edges = None
         if entry.get("edges"):
             edges = _read_edges_tsv(root / entry["edges"], id_to_index)

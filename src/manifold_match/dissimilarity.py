@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import FormatError, ValidationError
+from .formats import read_matrix, write_matrix
 
 __all__ = [
     "DissimilarityMatrix",
@@ -189,32 +190,13 @@ def frobenius_prescale(target, reference):
 
 
 def save_dissimilarity_tsv(matrix, path):
-    """Write the full square matrix as tab-separated reals (round-trip exact)."""
-    values = matrix.values if isinstance(matrix, DissimilarityMatrix) else np.asarray(matrix)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in values:
-            fh.write("\t".join(repr(float(x)) for x in row))
-            fh.write("\n")
+    """Write the full square matrix as a matrix file (round-trip exact)."""
+    write_matrix(matrix.values if isinstance(matrix, DissimilarityMatrix) else matrix, path)
 
 
 def load_dissimilarity_tsv(path, kind, domain_name="", object_index=None, cap=None):
-    """Read a full square tab-separated matrix into a DissimilarityMatrix."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split("\t")])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-    if not rows:
-        raise FormatError(f"{path}: empty dissimilarity file")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise FormatError(f"{path}: ragged rows (widths {sorted(widths)})")
-    values = np.asarray(rows, dtype=float)
+    """Read a full square matrix file into a DissimilarityMatrix."""
+    values = read_matrix(path)
     if values.shape[0] != values.shape[1]:
         raise FormatError(
             f"{path}: expected a square matrix, got {values.shape[0]}x{values.shape[1]}"

@@ -20,13 +20,9 @@ import numpy as np
 from .align import cca_fit, gcca_fit, project
 from .classify import LabeledEmbedding, average_views, loo_cross_view_accuracy
 from .corpus import ClassSplitSpec, load_corpus
-from .dissimilarity import (
-    DissimilarityMatrix,
-    cosine_dissimilarity,
-    frobenius_prescale,
-    graph_geodesic,
-)
+from .dissimilarity import cosine_dissimilarity, graph_geodesic
 from .errors import ConfigError, ValidationError
+from .formats import write_json
 from .mds import mds_fit, mds_out_of_sample
 
 __all__ = [
@@ -412,7 +408,6 @@ def _run_single(prepared, row, replicate_seed):
     if prepared.ref_tag is not None:
         ref_train = prepared.full[prepared.ref_tag][np.ix_(sample, sample)]
 
-    view_by_tag = {v.tag: v for v in prepared.views}
     train_emb = {}
     clf_emb = {}
     min_effective = None
@@ -425,16 +420,13 @@ def _run_single(prepared, row, replicate_seed):
             and prepared.ref_tag is not None
             and view.tag != prepared.ref_tag
         ):
-            scaled = frobenius_prescale(
-                DissimilarityMatrix(train, view.kind, domain_name=view.domain),
-                DissimilarityMatrix(
-                    ref_train,
-                    view_by_tag[prepared.ref_tag].kind,
-                    domain_name=view_by_tag[prepared.ref_tag].domain,
-                ),
-            )
-            factor = float(np.linalg.norm(ref_train) / np.linalg.norm(train))
-            train = scaled.values
+            # Frobenius prescale onto the reference view's training block;
+            # the classifier rows share the training block's factor.
+            t_norm = np.linalg.norm(train)
+            if t_norm == 0.0:
+                raise ValidationError("cannot prescale a matrix with zero Frobenius norm")
+            factor = float(np.linalg.norm(ref_train) / t_norm)
+            train = train * factor
             oos = oos * factor
         model = mds_fit(train, d_mds)
         if min_effective is None or model.effective_dim < min_effective:
@@ -690,9 +682,7 @@ def emit_curves(report, out_dir):
         "bootstrap_samples": report.bootstrap_samples,
         "replicates": report.replicates,
     }
-    with open(out / "meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta, out / "meta.json")
 
 
 def reconstruct_report(out_dir) -> AccuracyReport:

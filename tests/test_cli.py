@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from manifold_match import formats
 from manifold_match.cli import main
 from manifold_match.corpus import (
     ROLE_RELATION,
@@ -104,6 +105,22 @@ class TestDissim:
         code = main(["dissim", str(corpus_dir), "--domain", "nope", "--kind", "graph"])
         assert code == 2
 
+    def test_failed_manifest_rewrite_keeps_previous_manifest(self, tmp_path, monkeypatch):
+        corpus_dir = path_graph_corpus(tmp_path)
+        before = (corpus_dir / "manifest.json").read_bytes()
+
+        def dump_then_fail(obj, fh, **kwargs):
+            fh.write('{"objects": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(formats.json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            main(["dissim", str(corpus_dir), "--domain", "eng", "--kind", "graph"])
+        monkeypatch.undo()
+        assert (corpus_dir / "manifest.json").read_bytes() == before
+        assert load_corpus(corpus_dir).domains[0].dissimilarities == {}
+        assert not any(p.name.endswith(".tmp") for p in corpus_dir.iterdir())
+
 
 class TestSynth:
     def test_writes_loadable_corpus(self, tmp_path):
@@ -182,6 +199,35 @@ class TestPipelineFlow:
         labels.write_text("\n".join("0" for _ in range(6)) + "\n")
         code = main(["classify", "--train", str(a), "--test", str(b), "--labels", str(labels)])
         assert code == 2
+
+    def test_ragged_embedding_is_data_error(self, tmp_path, capsys):
+        good = tmp_path / "good.tsv"
+        good.write_text("\n".join("0.0\t1.0" for _ in range(6)) + "\n")
+        ragged = tmp_path / "ragged.tsv"
+        ragged.write_text("0.0\t1.0\n1.0\t0.0\n2.0\n")
+        code = main([
+            "align", str(good), str(ragged), "--dim", "1", "--out", str(tmp_path / "maps"),
+        ])
+        assert code == 2
+        assert "ragged.tsv:3" in capsys.readouterr().err
+
+    def test_malformed_map_file_is_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        e0, e1 = tmp_path / "e0.tsv", tmp_path / "e1.tsv"
+        formats.write_matrix(rng.normal(size=(8, 2)), e0)
+        formats.write_matrix(rng.normal(size=(8, 2)), e1)
+        maps_dir = tmp_path / "maps"
+        assert main(["align", str(e0), str(e1), "--dim", "1", "--out", str(maps_dir)]) == 0
+        u1 = maps_dir / "U_1.tsv"
+        u1.write_text(u1.read_text().replace("\n", "\nnot-a-number\n", 1))
+        labels = tmp_path / "l.txt"
+        labels.write_text("\n".join(str(i % 2) for i in range(8)) + "\n")
+        code = main([
+            "classify", "--train", str(e1), "--test", str(e0), "--labels", str(labels),
+            "--kappa", "1", "--maps", str(maps_dir),
+        ])
+        assert code == 2
+        assert "U_1.tsv:2" in capsys.readouterr().err
 
     def test_mds_dim_error_is_data_error(self, tmp_path, capsys):
         corpus_dir = path_graph_corpus(tmp_path)

@@ -143,10 +143,6 @@ class TestRoundTrip:
 
 
 class TestLoaderErrors:
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValidationError, match="format"):
-            load_corpus(tmp_path, format="parquet")
-
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError, match="manifest"):
             load_corpus(tmp_path)
