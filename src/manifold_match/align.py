@@ -226,12 +226,18 @@ def save_alignment(maps, out_dir):
 def load_alignment(in_dir) -> AlignmentMaps:
     """Inverse of :func:`save_alignment`."""
     src = Path(in_dir)
-    with open(src / "meta.json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    projections = tuple(read_matrix(src / f"U_{k}.tsv") for k in range(1, int(meta["K"]) + 1))
+    meta_path = src / "meta.json"
+    with open(meta_path, "r", encoding="utf-8") as fh:
+        try:
+            meta = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{meta_path}: {exc}") from None
+    try:
+        K, method, ridge = int(meta["K"]), str(meta["method"]), float(meta["ridge"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{meta_path}: missing or malformed field {exc}") from None
+    projections = tuple(read_matrix(src / f"U_{k}.tsv") for k in range(1, K + 1))
     correlations = read_matrix(src / "correlations.tsv")
     if correlations.shape[1] != 1:
         raise FormatError(f"{src / 'correlations.tsv'}: expected one value per line")
-    return AlignmentMaps(
-        projections, correlations[:, 0], str(meta["method"]), float(meta["ridge"])
-    )
+    return AlignmentMaps(projections, correlations[:, 0], method, ridge)

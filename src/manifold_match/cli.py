@@ -1,8 +1,9 @@
 """Command-line front end.
 
 One binary with subcommands so corpus parsing and config handling are
-shared. Exit codes: 0 success, 1 usage error, 2 data/validation error,
-3 numerical/conditioning error. All randomness flows from explicit seeds.
+shared. Exit codes: 0 success, 1 usage error, 2 data/validation error or a
+file that cannot be read or written, 3 numerical/conditioning error. All
+randomness flows from explicit seeds.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ def main(argv=None) -> int:
     except ConditioningError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ManifoldMatchError as exc:
+    except (ManifoldMatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

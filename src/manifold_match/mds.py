@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from .dissimilarity import DissimilarityMatrix
 from .errors import ValidationError
@@ -143,10 +144,8 @@ def fidelity_error(embedding, delta) -> float:
         )
     if n < 2:
         return 0.0
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    iu = np.triu_indices(n, k=1)
-    gaps = dist[iu] - d[iu]
+    # pdist's condensed order is the row-major upper triangle.
+    gaps = pdist(x) - d[np.triu_indices(n, k=1)]
     return float(np.mean(gaps * gaps))
 
 

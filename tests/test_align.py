@@ -11,7 +11,7 @@ from manifold_match.align import (
     project,
     save_alignment,
 )
-from manifold_match.errors import ConditioningError, ValidationError
+from manifold_match.errors import ConditioningError, FormatError, ValidationError
 
 
 def centered(rng, n, p, scale=1.0):
@@ -296,6 +296,18 @@ class TestSerialization:
         assert np.array_equal(back.correlations, maps.correlations)
         for u1, u2 in zip(back.projections, maps.projections):
             assert np.array_equal(u1, u2)
+
+    @pytest.mark.parametrize(
+        "meta",
+        ["{", '{"method": "gcca", "d": 2, "ridge": 0.0}', '{"K": 3, "d": 2, "ridge": 0.0}'],
+        ids=["truncated", "missing_K", "missing_method"],
+    )
+    def test_malformed_meta_is_format_error(self, tmp_path, meta):
+        rng = np.random.default_rng(122)
+        save_alignment(gcca_fit([centered(rng, 12, 3) for _ in range(3)], 2), tmp_path)
+        (tmp_path / "meta.json").write_text(meta)
+        with pytest.raises(FormatError, match="meta.json"):
+            load_alignment(tmp_path)
 
     def test_correlation_order_validated(self):
         with pytest.raises(ValidationError):

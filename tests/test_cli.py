@@ -105,7 +105,9 @@ class TestDissim:
         code = main(["dissim", str(corpus_dir), "--domain", "nope", "--kind", "graph"])
         assert code == 2
 
-    def test_failed_manifest_rewrite_keeps_previous_manifest(self, tmp_path, monkeypatch):
+    def test_failed_manifest_rewrite_keeps_previous_manifest(
+        self, tmp_path, monkeypatch, capsys
+    ):
         corpus_dir = path_graph_corpus(tmp_path)
         before = (corpus_dir / "manifest.json").read_bytes()
 
@@ -114,9 +116,10 @@ class TestDissim:
             raise OSError("disk full")
 
         monkeypatch.setattr(formats.json, "dump", dump_then_fail)
-        with pytest.raises(OSError, match="disk full"):
-            main(["dissim", str(corpus_dir), "--domain", "eng", "--kind", "graph"])
+        code = main(["dissim", str(corpus_dir), "--domain", "eng", "--kind", "graph"])
         monkeypatch.undo()
+        assert code == 2
+        assert "error: disk full" in capsys.readouterr().err
         assert (corpus_dir / "manifest.json").read_bytes() == before
         assert load_corpus(corpus_dir).domains[0].dissimilarities == {}
         assert not any(p.name.endswith(".tmp") for p in corpus_dir.iterdir())
@@ -228,6 +231,32 @@ class TestPipelineFlow:
         ])
         assert code == 2
         assert "U_1.tsv:2" in capsys.readouterr().err
+
+    def test_malformed_map_meta_is_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        e0, e1 = tmp_path / "e0.tsv", tmp_path / "e1.tsv"
+        formats.write_matrix(rng.normal(size=(8, 2)), e0)
+        formats.write_matrix(rng.normal(size=(8, 2)), e1)
+        maps_dir = tmp_path / "maps"
+        assert main(["align", str(e0), str(e1), "--dim", "1", "--out", str(maps_dir)]) == 0
+        labels = tmp_path / "l.txt"
+        labels.write_text("\n".join(str(i % 2) for i in range(8)) + "\n")
+        for meta in ("{", '{"method": "cca", "d": 1, "K": 2}'):
+            (maps_dir / "meta.json").write_text(meta)
+            code = main([
+                "classify", "--train", str(e1), "--test", str(e0), "--labels", str(labels),
+                "--kappa", "1", "--maps", str(maps_dir),
+            ])
+            assert code == 2
+            assert "meta.json" in capsys.readouterr().err
+
+    def test_missing_input_file_is_data_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.tsv"
+        code = main(["mds", str(missing), "--dim", "2", "--out", str(tmp_path / "x.tsv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope.tsv" in err
+        assert not (tmp_path / "x.tsv").exists()
 
     def test_mds_dim_error_is_data_error(self, tmp_path, capsys):
         corpus_dir = path_graph_corpus(tmp_path)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manifold_match.dissimilarity import (
     DissimilarityMatrix,
@@ -81,6 +83,49 @@ class TestGraphGeodesic:
     def test_cap_must_exceed_max_hops(self):
         with pytest.raises(ValidationError):
             graph_geodesic([(0, 1)], 2, cap=4, max_hops=4)
+
+
+@st.composite
+def small_graphs(draw):
+    """Random graph as (edges, n, cap, max_hops) with self-loops, duplicates
+    and isolated vertices allowed and either orientation of each edge."""
+    n = draw(st.integers(1, 14))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    max_hops = draw(st.integers(1, n))
+    cap = max_hops + draw(st.integers(1, 3))
+    return np.array(edges, dtype=int).reshape(-1, 2), n, cap, max_hops
+
+
+class TestGraphGeodesicProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs())
+    def test_symmetric_zero_diagonal_and_entry_set(self, graph):
+        edges, n, cap, max_hops = graph
+        v = graph_geodesic(edges, n, cap=cap, max_hops=max_hops).values
+        assert np.array_equal(v, v.T)
+        assert np.all(np.diag(v) == 0.0)
+        assert set(np.unique(v)) <= set(range(max_hops + 1)) | {cap}
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs())
+    def test_matches_floyd_warshall_oracle(self, graph):
+        edges, n, cap, max_hops = graph
+        dm = graph_geodesic(edges, n, cap=cap, max_hops=max_hops)
+        assert np.array_equal(dm.values, floyd_warshall_capped(edges, n, cap, max_hops))
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(), st.randoms(use_true_random=False))
+    def test_invariant_to_edge_order_orientation_and_duplicates(self, graph, rnd):
+        edges, n, cap, max_hops = graph
+        expected = graph_geodesic(edges, n, cap=cap, max_hops=max_hops).values
+        rows = [tuple(e) if rnd.random() < 0.5 else tuple(e[::-1]) for e in edges]
+        rows = rows + rnd.sample(rows, len(rows) // 2)
+        rnd.shuffle(rows)
+        varied = np.array(rows, dtype=int).reshape(-1, 2)
+        assert np.array_equal(
+            graph_geodesic(varied, n, cap=cap, max_hops=max_hops).values, expected
+        )
 
 
 class TestCosineDissimilarity:

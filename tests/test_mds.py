@@ -192,6 +192,16 @@ class TestFidelityError:
             fidelity_oracle(embedding, delta), abs=1e-12
         )
 
+    def test_matches_difference_tensor_formula(self):
+        # The n x n x p difference-tensor formula the condensed pdist form replaced.
+        rng = np.random.default_rng(73)
+        embedding = rng.normal(size=(30, 7))
+        delta = euclidean_distances(rng.normal(size=(30, 4)))
+        iu = np.triu_indices(30, k=1)
+        gaps = euclidean_distances(embedding)[iu] - delta[iu]
+        expected = float(np.mean(gaps * gaps))
+        assert fidelity_error(embedding, delta) == pytest.approx(expected, rel=1e-12)
+
     def test_size_mismatch(self):
         with pytest.raises(ValidationError):
             fidelity_error(np.zeros((3, 2)), np.zeros((4, 4)))
