@@ -57,6 +57,6 @@ from .experiment import (
     run_replicate,
 )
 from .mds import MdsModel, fidelity_error, mds_fit, mds_out_of_sample, scree
-from .numerics import SpectralResult, eig_sym, eig_sym_generalized
+from .numerics import SpectralResult, eig_sym
 
 __version__ = "0.1.0"

@@ -1,13 +1,20 @@
 """Linear alignment of per-domain embeddings into a shared space.
 
-CCA for two views and its many-view generalization are both solved as one
-symmetric-definite generalized eigenproblem on the block cross-product
-matrices: ``R u = lambda D u`` with R holding the between-view blocks
-``X_g^T X_h`` (zero diagonal), D the block diagonal of ``X_g^T X_g`` plus a
-small ridge. Per-dimension maps are normalized so the averaged projected
-energy ``(1/K) sum_g |X_g u_g|^2`` is one, and the reported correlation of
-dimension l is the averaged pairwise cross-correlation of the projected
-views, which is exactly one when all views coincide.
+CCA for two views and its many-view generalization share one solver. The
+objective is the symmetric-definite pencil ``R u = lambda (D + ridge*I) u``
+with R holding the between-view blocks ``X_g^T X_h`` (zero diagonal) and D
+the block diagonal of ``X_g^T X_g``. Each centered view is whitened by its
+thin SVD ``X_g = U_g S_g V_g^T`` (singular values at rounding level
+dropped), which turns the pencil into one symmetric eigenproblem on the
+stacked shrunken bases ``T = [U_g S_g (S_g^2 + ridge)^(-1/2)]``:
+``T^T T - diag(S^2 / (S^2 + ridge))``. At ridge 0 this is Carroll's MAXVAR
+GCCA. Per-dimension maps are normalized so the averaged projected energy
+``(1/K) sum_g |X_g u_g|^2`` is one. GCCA reports for dimension l the
+averaged pairwise cross-correlation of the projected views, exactly one
+when all views coincide; CCA reports the cosine of its two projected
+views, which differs from the averaged value once ridge > 0 makes the two
+views' energies unequal. A dimension whose eigenvalue is not positive is
+a ConditioningError rather than a fitted dimension.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 
 from .errors import ConditioningError, FormatError, ValidationError
 from .formats import read_matrix, write_json, write_matrix
-from .numerics import eig_sym_generalized
+from .numerics import _fix_signs
 
 __all__ = [
     "AlignmentMaps",
@@ -33,7 +40,7 @@ __all__ = [
 ]
 
 # Ridge is purely numerical; embeddings can be rank-deficient after class
-# subsampling. Scaled by the mean diagonal of the block-diagonal matrix.
+# subsampling. Scaled by the mean squared column norm of the centered views.
 _DEFAULT_RIDGE_SCALE = 1e-8
 
 _DESCENDING_SLACK = 1e-9
@@ -100,56 +107,60 @@ def _fit(views, d, ridge, method):
         )
     if d > n - 1:
         raise ValidationError(f"shared dimension {d} needs at least {d + 1} rows, got {n}")
-
-    total = sum(widths)
-    offsets = np.cumsum([0] + widths)
-    cross = np.zeros((total, total))
-    diag = np.zeros((total, total))
-    for g in range(K):
-        sg = slice(offsets[g], offsets[g + 1])
-        diag[sg, sg] = xs[g].T @ xs[g]
-        for h in range(g + 1, K):
-            sh = slice(offsets[h], offsets[h + 1])
-            block = xs[g].T @ xs[h]
-            cross[sg, sh] = block
-            cross[sh, sg] = block.T
     if ridge is None:
-        ridge = _DEFAULT_RIDGE_SCALE * float(np.trace(diag)) / total
+        ridge = _DEFAULT_RIDGE_SCALE * sum(float(np.vdot(x, x)) for x in xs) / sum(widths)
+    elif not (np.isfinite(ridge) and ridge >= 0):
+        raise ValidationError(f"ridge must be finite and nonnegative, got {ridge}")
 
-    solution = eig_sym_generalized(cross, diag, ridge=ridge)
-    stacked = solution.eigenvectors[:, :d]
+    # Whiten each view by its thin SVD X = U S V^T, dropping singular values
+    # at rounding level: with w = (s^2 + ridge)^(1/2), the map u = V w^-1 a
+    # turns R u = lambda (D + ridge*I) u into an ordinary eigenproblem in a.
+    bases, back, shrink = [], [], []
+    for x in xs:
+        left, s, vt = np.linalg.svd(x, full_matrices=False)
+        keep = s > s[0] * max(x.shape) * np.finfo(float).eps
+        s = s[keep]
+        w = np.sqrt(s * s + ridge)
+        bases.append(left[:, keep] * (s / w))
+        back.append(vt[keep].T / w)
+        shrink.append((s / w) ** 2)
+    ranks = [len(s) for s in shrink]
+    t = np.hstack(bases)
+    values, vectors = np.linalg.eigh(t.T @ t - np.diag(np.concatenate(shrink)))
+    leading = np.argsort(-values, kind="stable")[:d]
+    # A dimension without positive cross-correlation is not shared; it
+    # appears once the views' ranks fall below d (all-zero views included).
+    if len(leading) < d or values[leading[-1]] <= 0:
+        raise ConditioningError(
+            f"the views share {int(np.count_nonzero(values > 0))} positively "
+            f"correlated dimensions, fewer than the shared dimension {d}; "
+            "reduce the shared dimension"
+        )
+    top = vectors[:, leading]
+    whitened = np.split(top, np.cumsum(ranks)[:-1])
+    stacked = _fix_signs(np.vstack([b @ a for b, a in zip(back, whitened)]))
 
-    maps = [stacked[offsets[g]:offsets[g + 1], :] for g in range(K)]
-    projected = [xs[g] @ maps[g] for g in range(K)]
+    maps = np.split(stacked, np.cumsum(widths)[:-1])
+    projected = [x @ u for x, u in zip(xs, maps)]
 
     # Normalize each dimension to unit averaged projected energy:
     # (1/K) sum_g |X_g u_g^l|^2 = 1.
-    energy = np.zeros(d)
-    for z in projected:
-        energy += (z * z).sum(axis=0)
-    energy /= K
-    if np.any(energy <= 0):
-        bad = int(np.flatnonzero(energy <= 0)[0])
-        raise ConditioningError(
-            f"alignment dimension {bad} has zero projected energy; "
-            "reduce the shared dimension or increase the ridge"
-        )
+    energy = sum((z * z).sum(axis=0) for z in projected) / K
     scale = 1.0 / np.sqrt(energy)
     maps = [u * scale for u in maps]
     projected = [z * scale for z in projected]
 
     if method == "cca":
+        # Cosine of the two projected views: with ridge > 0 their energies
+        # differ, so the averaged formula below would understate it.
         z1, z2 = projected
         norms1 = np.linalg.norm(z1, axis=0)
         norms2 = np.linalg.norm(z2, axis=0)
         rho = (z1 * z2).sum(axis=0) / (norms1 * norms2)
     else:
         # Averaged pairwise cross-correlation over ordered view pairs g != h.
-        total_z = np.zeros_like(projected[0])
-        sum_sq = np.zeros(d)
-        for z in projected:
-            total_z += z
-            sum_sq += (z * z).sum(axis=0)
+        total_z = sum(projected)
+        sum_sq = sum((z * z).sum(axis=0) for z in projected)
         rho = ((total_z * total_z).sum(axis=0) - sum_sq) / (K * (K - 1))
 
     # Stable descending sort; eigenvalue order already matches up to
@@ -166,7 +177,7 @@ def cca_fit(x1, x2, d, ridge=None) -> AlignmentMaps:
     Maximizes the per-dimension correlation of the projected views under
     unit projected energy, successive dimensions decorrelated. ``ridge``
     defaults to a small multiple of the mean auto-covariance diagonal;
-    pass 0 to disable.
+    pass 0 to disable. A negative or non-finite ridge is a ValidationError.
     """
     return _fit([x1, x2], d, ridge, "cca")
 

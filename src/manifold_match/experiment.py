@@ -198,6 +198,8 @@ class ExperimentConfig:
             raise ConfigError(f"replicates must be positive, got {self.replicates}")
         if self.bootstrap_samples < 1:
             raise ConfigError("bootstrap_samples must be positive")
+        if self.ridge is not None and not (np.isfinite(self.ridge) and self.ridge >= 0):
+            raise ConfigError(f"ridge must be finite and nonnegative, got {self.ridge}")
         if self.prescale_reference is not None and self.prescale_reference not in base:
             raise ConfigError(
                 f"prescale_reference {self.prescale_reference!r} is not a configured view"

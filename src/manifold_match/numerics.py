@@ -1,9 +1,9 @@
 """Deterministic spectral primitives.
 
-Symmetric eigendecomposition and the symmetric-definite generalized problem
-``A v = lambda (B + ridge*I) v``, both with a fixed eigenvalue ordering and a
-sign convention so that downstream embeddings are reproducible run to run on
-one platform.
+Symmetric eigendecomposition with a fixed eigenvalue ordering, and the sign
+convention it applies to eigenvector columns (also used by the alignment
+solver), so that downstream embeddings are reproducible run to run on one
+platform.
 """
 
 from __future__ import annotations
@@ -11,14 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .errors import ConditioningError, ValidationError
+from .errors import ValidationError
 
-__all__ = ["SpectralResult", "eig_sym", "eig_sym_generalized"]
-
-# Fallback ridge scale used when Cholesky fails on a nominally PSD matrix.
-_FALLBACK_RIDGE = 1e-10
+__all__ = ["SpectralResult", "eig_sym"]
 
 
 @dataclass(frozen=True)
@@ -70,55 +66,3 @@ def eig_sym(a) -> SpectralResult:
     values, vectors = np.linalg.eigh(s)
     order = np.argsort(-values, kind="stable")
     return SpectralResult(values[order], _fix_signs(vectors[:, order]))
-
-
-def eig_sym_generalized(a, b, ridge=0.0) -> SpectralResult:
-    """Solve ``A v = lambda (B + ridge*I) v`` with symmetric A and PD B.
-
-    B is whitened by Cholesky and the problem reduced to a symmetric
-    eigendecomposition, which keeps the returned eigenvectors exactly
-    ``(B + ridge*I)``-orthonormal. If the first Cholesky fails, a fallback
-    ridge of ``1e-10 * trace(B)/n`` is added once; a second failure raises
-    :class:`ConditioningError`.
-
-    Parameters
-    ----------
-    a, b : (n, n) array_like
-        Symmetric matrices; ``b + ridge*I`` must be positive-definite.
-    ridge : float, optional
-        Nonnegative diagonal loading added to ``b``.
-    """
-    a_sym = _as_symmetric(a, "A")
-    b_sym = _as_symmetric(b, "B")
-    if a_sym.shape != b_sym.shape:
-        raise ValidationError(
-            f"A and B must have equal shapes, got {a_sym.shape} and {b_sym.shape}"
-        )
-    if ridge < 0:
-        raise ValidationError(f"ridge must be nonnegative, got {ridge}")
-
-    n = a_sym.shape[0]
-    eye = np.eye(n)
-    b_ridged = b_sym + ridge * eye
-    try:
-        lower = np.linalg.cholesky(b_ridged)
-    except np.linalg.LinAlgError:
-        # MDS-derived Gram blocks can be numerically singular; bump once.
-        bump = _FALLBACK_RIDGE * np.trace(b_sym) / n
-        b_ridged = b_ridged + bump * eye
-        try:
-            lower = np.linalg.cholesky(b_ridged)
-        except np.linalg.LinAlgError:
-            pivot = float(np.linalg.eigvalsh(b_ridged).min())
-            raise ConditioningError(
-                "B + ridge*I is not positive-definite "
-                f"(smallest pivot {pivot:.3e})"
-            ) from None
-
-    half = solve_triangular(lower, a_sym, lower=True)
-    whitened = solve_triangular(lower, half.T, lower=True)
-    whitened = 0.5 * (whitened + whitened.T)
-    values, vectors = np.linalg.eigh(whitened)
-    order = np.argsort(-values, kind="stable")
-    vectors = solve_triangular(lower.T, vectors[:, order], lower=False)
-    return SpectralResult(values[order], _fix_signs(vectors))

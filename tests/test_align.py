@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from manifold_match.align import (
     AlignmentMaps,
@@ -122,6 +124,22 @@ class TestCcaFit:
             )
             assert rho == pytest.approx(maps.correlations[col], abs=1e-10)
 
+    @pytest.mark.parametrize("ridge", [1e-3, 1.0])
+    def test_training_correlation_replay_with_ridge(self, ridge):
+        # The ridge makes the two views' projected energies unequal; the
+        # reported value is still the cosine of the projected views.
+        rng = np.random.default_rng(87)
+        x1 = centered(rng, 12, 3)
+        x2 = centered(rng, 12, 3)
+        maps = cca_fit(x1, x2, 2, ridge=ridge)
+        z1 = project(maps, 0, x1)
+        z2 = project(maps, 1, x2)
+        norms1 = np.linalg.norm(z1, axis=0)
+        norms2 = np.linalg.norm(z2, axis=0)
+        assert not np.allclose(norms1, norms2, rtol=1e-6)
+        rho = (z1 * z2).sum(axis=0) / (norms1 * norms2)
+        assert np.allclose(rho, maps.correlations, atol=1e-10)
+
     def test_d_too_large(self):
         rng = np.random.default_rng(88)
         with pytest.raises(ValidationError):
@@ -182,6 +200,110 @@ class TestGccaFit:
         rng = np.random.default_rng(96)
         with pytest.raises(ValidationError):
             gcca_fit([centered(rng, 10, 3)], 2)
+
+
+@st.composite
+def latent_views_and_maps(draw):
+    # Two or three views of one latent signal, whose columns have distinct
+    # strengths so the canonical correlations are usually well separated,
+    # plus a well-conditioned invertible map per view (condition <= e^2).
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(12, 30))
+    widths = draw(st.lists(st.integers(3, 5), min_size=2, max_size=3))
+    latent = rng.normal(size=(n, 3)) * [3.0, 1.5, 0.7]
+    views, maps = [], []
+    for p in widths:
+        x = latent @ rng.normal(size=(3, p)) + 0.5 * rng.normal(size=(n, p))
+        views.append(x - x.mean(axis=0))
+        q1, _ = np.linalg.qr(rng.normal(size=(p, p)))
+        q2, _ = np.linalg.qr(rng.normal(size=(p, p)))
+        maps.append(q1 @ np.diag(np.exp(rng.uniform(-1.0, 1.0, size=p))) @ q2)
+    return views, maps
+
+
+class TestSharedSolver:
+    @pytest.mark.parametrize("ridge", [-1.0, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_ridge(self, ridge):
+        rng = np.random.default_rng(97)
+        x1, x2 = centered(rng, 10, 3), centered(rng, 10, 3)
+        with pytest.raises(ValidationError, match="ridge"):
+            cca_fit(x1, x2, 2, ridge=ridge)
+        with pytest.raises(ValidationError, match="ridge"):
+            gcca_fit([x1, x2, x1], 2, ridge=ridge)
+
+    def test_duplicated_column_leaves_correlations_unchanged(self):
+        # An exactly rank-deficient view at ridge 0: its zero singular value
+        # is dropped, so the fit equals the one on the full-rank view.
+        rng = np.random.default_rng(98)
+        for _ in range(10):
+            x1, x2, x3 = (centered(rng, 14, p) for p in (3, 4, 3))
+            dup = np.hstack([x2, x2[:, :1]])
+            assert np.allclose(
+                cca_fit(x1, dup, 3, ridge=0.0).correlations,
+                cca_fit(x1, x2, 3, ridge=0.0).correlations,
+                atol=1e-8,
+            )
+            assert np.allclose(
+                gcca_fit([x1, dup, x3], 3, ridge=0.0).correlations,
+                gcca_fit([x1, x2, x3], 3, ridge=0.0).correlations,
+                atol=1e-8,
+            )
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-3])
+    def test_rank_below_shared_dimension_is_conditioning_error(self, ridge):
+        # Two rank-1 views of width 3 share one correlated direction; the
+        # second of d = 2 dimensions would be anticorrelated.
+        rng = np.random.default_rng(100)
+        a = rng.standard_normal(12)
+        b = a + 0.5 * rng.standard_normal(12)
+        x1 = np.outer(a - a.mean(), rng.standard_normal(3))
+        x2 = np.outer(b - b.mean(), rng.standard_normal(3))
+        with pytest.raises(ConditioningError, match="shared dimension 2"):
+            cca_fit(x1, x2, 2, ridge=ridge)
+        with pytest.raises(ConditioningError, match="shared dimension 2"):
+            gcca_fit([x1, x2], 2, ridge=ridge)
+        assert cca_fit(x1, x2, 1, ridge=ridge).correlations[0] > 0.5
+
+    @pytest.mark.parametrize("ridge", [1e-3, 1.0])
+    def test_ridge_solves_loaded_pencil(self, ridge):
+        # Each stacked map column is an eigenvector of the dense pencil
+        # (cross, diag + ridge*I), for one of its d leading eigenvalues.
+        rng = np.random.default_rng(99)
+        for _ in range(10):
+            views = [centered(rng, 14, p) for p in (3, 4, 3)]
+            maps = gcca_fit(views, 3, ridge=ridge)
+            cross, loaded = pencil_blocks(views, ridge)
+            leading = np.sort(scipy.linalg.eigh(cross, loaded, eigvals_only=True))[::-1][:3]
+            quotients = []
+            for u in np.vstack(maps.projections).T:
+                quotient = (u @ cross @ u) / (u @ loaded @ u)
+                lam = leading[np.argmin(np.abs(leading - quotient))]
+                residual = np.linalg.norm(cross @ u - lam * (loaded @ u))
+                scale = np.linalg.norm(cross @ u) + abs(lam) * np.linalg.norm(loaded @ u)
+                assert residual <= 1e-8 * scale
+                quotients.append(quotient)
+            assert np.allclose(np.sort(quotients)[::-1], leading, atol=1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(latent_views_and_maps())
+    def test_invariant_to_invertible_linear_map_per_view(self, case):
+        views, maps = case
+        moved = [x @ m for x, m in zip(views, maps)]
+        fits = [
+            lambda vs, d: cca_fit(vs[0], vs[1], d, ridge=0.0),
+            lambda vs, d: gcca_fit(vs, d, ridge=0.0),
+        ]
+        for fit in fits:
+            # Coordinates are only determined where the spectrum is separated.
+            spectrum = fit(views, 3).correlations
+            assume(np.all(np.diff(-spectrum) > 1e-2))
+            before, after = fit(views, 2), fit(moved, 2)
+            assert np.allclose(before.correlations, after.correlations, atol=1e-8)
+            for g in range(after.K):
+                z = project(before, g, views[g])
+                z_moved = project(after, g, moved[g])
+                signs = np.sign((z * z_moved).sum(axis=0))
+                assert np.allclose(z_moved * signs, z, atol=1e-6)
 
 
 class TestProject:

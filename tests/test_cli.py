@@ -258,6 +258,21 @@ class TestPipelineFlow:
         assert err.startswith("error: ") and "nope.tsv" in err
         assert not (tmp_path / "x.tsv").exists()
 
+    @pytest.mark.parametrize("ridge", ["nan", "inf", "-1"])
+    def test_bad_ridge_is_data_error(self, tmp_path, capsys, ridge):
+        rng = np.random.default_rng(7)
+        e0, e1 = tmp_path / "e0.tsv", tmp_path / "e1.tsv"
+        formats.write_matrix(rng.normal(size=(8, 2)), e0)
+        formats.write_matrix(rng.normal(size=(8, 2)), e1)
+        out = tmp_path / "maps"
+        code = main([
+            "align", str(e0), str(e1), "--dim", "2", "--ridge", ridge, "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ridge" in err
+        assert not out.exists()
+
     def test_mds_dim_error_is_data_error(self, tmp_path, capsys):
         corpus_dir = path_graph_corpus(tmp_path)
         d = tmp_path / "d.tsv"

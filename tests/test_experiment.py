@@ -122,6 +122,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="method"):
             make_config(method="pls")
 
+    @pytest.mark.parametrize("ridge", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_ridge(self, ridge):
+        with pytest.raises(ConfigError, match="ridge"):
+            make_config(ridge=ridge)
+
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ConfigError, match="bogus"):
             ExperimentConfig.from_dict({"bogus": 1}, source="inline")

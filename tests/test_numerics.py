@@ -1,19 +1,13 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
-from manifold_match.errors import ConditioningError, ValidationError
-from manifold_match.numerics import eig_sym, eig_sym_generalized
+from manifold_match.errors import ValidationError
+from manifold_match.numerics import eig_sym
 
 
 def random_symmetric(rng, n, scale=1.0):
     a = rng.normal(size=(n, n))
     return scale * (a + a.T) / 2
-
-
-def random_spd(rng, n):
-    a = rng.normal(size=(n, n))
-    return a @ a.T + n * np.eye(n)
 
 
 class TestEigSym:
@@ -66,81 +60,3 @@ class TestEigSym:
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError):
             eig_sym(np.zeros((2, 3)))
-
-
-class TestEigSymGeneralized:
-    def test_reduces_to_eig_sym_for_identity_b(self):
-        rng = np.random.default_rng(9)
-        a = random_symmetric(rng, 5)
-        plain = eig_sym(a)
-        gen = eig_sym_generalized(a, np.eye(5), ridge=0.0)
-        assert np.allclose(gen.eigenvalues, plain.eigenvalues, atol=1e-12)
-        assert np.allclose(gen.eigenvectors, plain.eigenvectors, atol=1e-9)
-
-    def test_proportional_matrices(self):
-        rng = np.random.default_rng(10)
-        b = random_spd(rng, 4)
-        res = eig_sym_generalized(2.0 * b, b, ridge=0.0)
-        assert np.allclose(res.eigenvalues, 2.0, atol=1e-10)
-
-    def test_matches_scipy_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = random_symmetric(rng, 5)
-            b = random_spd(rng, 5)
-            res = eig_sym_generalized(a, b, ridge=0.0)
-            oracle = np.sort(scipy.linalg.eigh(a, b, eigvals_only=True))[::-1]
-            assert np.allclose(res.eigenvalues, oracle, atol=1e-8)
-
-    def test_eigen_residual_and_b_orthonormality(self):
-        rng = np.random.default_rng(12)
-        a = random_symmetric(rng, 6)
-        b = random_spd(rng, 6)
-        ridge = 1e-3
-        res = eig_sym_generalized(a, b, ridge=ridge)
-        b_r = b + ridge * np.eye(6)
-        scale = np.linalg.norm(a)
-        for lam, v in zip(res.eigenvalues, res.eigenvectors.T):
-            assert np.linalg.norm(a @ v - lam * (b_r @ v)) < scale * 1e-9
-        gram = res.eigenvectors.T @ b_r @ res.eigenvectors
-        assert np.allclose(gram, np.eye(6), atol=1e-8)
-
-    def test_congruence_invariance(self):
-        # Eigenvalues of (A, B) are invariant under A -> M^T A M, B -> M^T B M.
-        rng = np.random.default_rng(13)
-        for _ in range(5):
-            a = random_symmetric(rng, 5)
-            b = random_spd(rng, 5)
-            m = rng.normal(size=(5, 5)) + 5 * np.eye(5)
-            res1 = eig_sym_generalized(a, b, ridge=0.0)
-            res2 = eig_sym_generalized(m.T @ a @ m, m.T @ b @ m, ridge=0.0)
-            assert np.allclose(res1.eigenvalues, res2.eigenvalues, atol=1e-8)
-
-    def test_determinism(self):
-        rng = np.random.default_rng(14)
-        a = random_symmetric(rng, 5)
-        b = random_spd(rng, 5)
-        r1 = eig_sym_generalized(a, b, ridge=1e-6)
-        r2 = eig_sym_generalized(a.copy(), b.copy(), ridge=1e-6)
-        assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
-        assert np.array_equal(r1.eigenvectors, r2.eigenvectors)
-
-    def test_singular_psd_b_uses_fallback_ridge(self):
-        # Exactly singular but PSD: first Cholesky fails, the trace-scaled
-        # bump must rescue it.
-        a = np.diag([1.0, 2.0, 3.0])
-        b = np.diag([1.0, 1.0, 0.0])
-        res = eig_sym_generalized(a, b, ridge=0.0)
-        assert np.all(np.isfinite(res.eigenvalues))
-
-    def test_conditioning_error_reports_pivot(self):
-        with pytest.raises(ConditioningError, match="pivot"):
-            eig_sym_generalized(np.eye(3), np.zeros((3, 3)), ridge=0.0)
-
-    def test_rejects_negative_ridge(self):
-        with pytest.raises(ValidationError):
-            eig_sym_generalized(np.eye(2), np.eye(2), ridge=-1.0)
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            eig_sym_generalized(np.eye(2), np.eye(3))
