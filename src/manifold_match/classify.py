@@ -1,13 +1,17 @@
 """k-nearest-neighbor classification in the shared space.
 
-Supports the cross-view protocol: the classifier trains on one view's
-projections and is evaluated leave-one-out on another view's projections of
-the same objects, plus the averaged-view training variant.
+The cross-view protocol: for each object i the classifier sees every
+training-view row except i and predicts test-view row i (the training view
+may be the average of two views). The ``kappa`` nearest training rows by
+Euclidean distance vote. A distance tie at the kappa-th neighbor goes to the
+smallest training index; a vote tie goes to the class with the smallest mean
+neighbor distance, then to the smallest class id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -19,6 +23,9 @@ __all__ = [
     "loo_cross_view_accuracy",
     "average_views",
 ]
+
+# Floats per block of query-minus-training differences: no m^2 * p temporary.
+_BLOCK_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -52,45 +59,48 @@ class LabeledEmbedding:
         return self.points.shape[0]
 
 
-def _vote(labels, distances):
-    # Majority vote; ties broken by smallest mean distance among the tied
-    # classes, then by smallest class id. Depends only on label statistics,
-    # so it is invariant to training-row order.
-    classes, counts = np.unique(labels, return_counts=True)
-    top = counts.max()
-    tied = classes[counts == top]
-    if tied.size == 1:
-        return int(tied[0])
-    best = None
-    for cls in tied:
-        mean_dist = float(distances[labels == cls].mean())
-        key = (mean_dist, int(cls))
-        if best is None or key < best:
-            best = key
-    return best[1]
+def _knn(points, labels, queries, kappa, leave_one_out):
+    """Predicted class per query row; leave-one-out query i skips training row i."""
+    high = len(points) - leave_one_out
+    if not isinstance(kappa, Integral) or not 1 <= kappa <= high:
+        raise ValidationError(f"kappa must be an integer in [1, {high}], got {kappa!r}")
+    q = queries.shape[0]
+    rows = max(1, _BLOCK_FLOATS // max(1, points.size))
+    near = np.empty((q, kappa), dtype=np.intp)
+    near_dist = np.empty((q, kappa))
+    for start in range(0, q, rows):
+        block = slice(start, start + rows)
+        dist = np.linalg.norm(points - queries[block, None, :], axis=2)
+        if leave_one_out:
+            np.fill_diagonal(dist[:, start:], np.inf)
+        near[block] = np.argsort(dist, axis=1, kind="stable")[:, :kappa]
+        near_dist[block] = np.take_along_axis(dist, near[block], axis=1)
+    classes, codes = np.unique(labels, return_inverse=True)
+    near_codes = codes[near]
+    counts = np.zeros((q, classes.size), dtype=np.int64)
+    sums = np.zeros((q, classes.size))
+    row = np.arange(q)
+    # Column by column, so each class's distances add in distance order: the
+    # same sum np.mean takes over fewer than 8 values.
+    for j in range(kappa):
+        counts[row, near_codes[:, j]] += 1
+        sums[row, near_codes[:, j]] += near_dist[:, j]
+    tied = counts == counts.max(axis=1, keepdims=True)
+    mean = np.divide(sums, counts, out=np.full(sums.shape, np.inf), where=tied)
+    best = tied & (mean == mean.min(axis=1, keepdims=True))
+    return classes[np.argmax(best, axis=1)]
 
 
 def knn_predict(train, query, kappa) -> int:
-    """Majority label among the ``kappa`` nearest training rows.
-
-    Distance ties at the kappa-th neighbor are resolved toward the smallest
-    training index (stable sort), keeping exactly kappa votes and a
-    deterministic answer.
-    """
-    if len(train) == 0:
-        raise ValidationError("training set is empty")
-    if not 1 <= kappa <= len(train):
-        raise ValidationError(
-            f"kappa must satisfy 1 <= kappa <= {len(train)}, got {kappa}"
-        )
+    """Majority label among the ``kappa`` nearest training rows."""
     q = np.asarray(query, dtype=float)
     if q.shape != (train.points.shape[1],):
         raise ValidationError(
             f"query has shape {q.shape}, expected ({train.points.shape[1]},)"
         )
-    distances = np.linalg.norm(train.points - q, axis=1)
-    nearest = np.argsort(distances, kind="stable")[:kappa]
-    return _vote(train.labels[nearest], distances[nearest])
+    if not np.all(np.isfinite(q)):
+        raise ValidationError("query contains non-finite coordinates")
+    return int(_knn(train.points, train.labels, q[None, :], kappa, False)[0])
 
 
 def _check_matched(a, b):
@@ -103,27 +113,11 @@ def _check_matched(a, b):
 
 
 def loo_cross_view_accuracy(train_view, test_view, kappa) -> float:
-    """Leave-one-out accuracy training on one view, testing on another.
-
-    For each object i the classifier sees every training-view row except i
-    (the held-out object is removed from the *training* side) and predicts
-    test-view row i; accuracy is the fraction predicted correctly.
-    """
+    """Fraction of objects whose test-view row is predicted correctly from the
+    training view with the object itself left out."""
     _check_matched(train_view, test_view)
-    m = len(train_view)
-    if not 1 <= kappa <= m - 1:
-        raise ValidationError(
-            f"kappa must satisfy 1 <= kappa <= m-1 = {m - 1}, got {kappa}"
-        )
-    labels = train_view.labels
-    correct = 0
-    for i in range(m):
-        distances = np.linalg.norm(train_view.points - test_view.points[i], axis=1)
-        distances[i] = np.inf  # drop object i from the training side
-        nearest = np.argsort(distances, kind="stable")[:kappa]
-        if _vote(labels[nearest], distances[nearest]) == labels[i]:
-            correct += 1
-    return correct / m
+    predicted = _knn(train_view.points, train_view.labels, test_view.points, kappa, True)
+    return np.count_nonzero(predicted == train_view.labels) / len(train_view)
 
 
 def average_views(a, b, view_tag=None) -> LabeledEmbedding:

@@ -126,6 +126,21 @@ def _parse_combination(text):
     return parts[0].strip(), parts[1].strip()
 
 
+# Optional fields of a JSON config and their conversions; an absent field
+# takes the ExperimentConfig default.
+_OPTIONAL_FIELDS = {
+    "method": str, "shared_dim": int, "kappa": int, "replicates": int, "seed": int,
+    "feature": str, "cap": int, "max_hops": int, "bootstrap_samples": int,
+    "ridge": lambda r: r if r is None else float(r),
+    "averaged_views": lambda views: {
+        str(tag): (str(pair[0]), str(pair[1])) for tag, pair in (views or {}).items()
+    },
+    "schedule": lambda rows: rows if rows is None else tuple(
+        (float(r["fraction"]), int(r["mds_dim"])) for r in rows
+    ),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a reproducible efficiency run needs."""
@@ -159,6 +174,8 @@ class ExperimentConfig:
         )
         if self.method not in ("cca", "gcca"):
             raise ConfigError(f"method must be 'cca' or 'gcca', got {self.method!r}")
+        if not isinstance(self.regularized, bool):
+            raise ConfigError(f"regularized must be true or false, got {self.regularized!r}")
         if not self.views:
             raise ConfigError("no views configured")
         tags = [v.tag for v in self.views]
@@ -232,12 +249,9 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(raw, source="config") -> "ExperimentConfig":
         known = {
-            "corpus", "relation_classes", "classifier_classes", "views",
-            "combinations", "averaged_views", "method", "regularized",
-            "shared_dim", "kappa", "replicates", "seed", "schedule",
-            "feature", "ridge", "cap", "max_hops", "prescale_reference",
-            "bootstrap_samples",
-        }
+            "corpus", "relation_classes", "classifier_classes", "views", "combinations",
+            "regularized", "prescale_reference",
+        } | set(_OPTIONAL_FIELDS)
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"{source}: unknown fields {sorted(unknown)}")
@@ -251,39 +265,24 @@ class ExperimentConfig:
             classifier = tuple(int(c) for c in raw["classifier_classes"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{source}: missing or malformed field: {exc}") from None
-        averaged = {
-            str(tag): (str(pair[0]), str(pair[1]))
-            for tag, pair in (raw.get("averaged_views") or {}).items()
-        }
-        schedule = raw.get("schedule")
-        if schedule is not None:
-            try:
-                schedule = tuple(
-                    (float(r["fraction"]), int(r["mds_dim"])) for r in schedule
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{source}: malformed schedule row: {exc}") from None
-        ridge = raw.get("ridge")
+        optional = {}
+        for name, convert in _OPTIONAL_FIELDS.items():
+            if name in raw:
+                try:
+                    optional[name] = convert(raw[name])
+                except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
+                    raise ConfigError(
+                        f"{source}: malformed field {name!r}: {raw[name]!r}"
+                    ) from None
         return ExperimentConfig(
             views=views,
             combinations=combinations,
             relation_classes=relation,
             classifier_classes=classifier,
             corpus_path=raw.get("corpus"),
-            averaged_views=averaged,
-            method=str(raw.get("method", "gcca")),
-            regularized=bool(raw.get("regularized", False)),
-            shared_dim=int(raw.get("shared_dim", 15)),
-            kappa=int(raw.get("kappa", 5)),
-            replicates=int(raw.get("replicates", 200)),
-            seed=int(raw.get("seed", 0)),
-            schedule=schedule,
-            feature=str(raw.get("feature", "default")),
-            ridge=None if ridge is None else float(ridge),
-            cap=int(raw.get("cap", 6)),
-            max_hops=int(raw.get("max_hops", 4)),
+            regularized=raw.get("regularized", False),
             prescale_reference=raw.get("prescale_reference"),
-            bootstrap_samples=int(raw.get("bootstrap_samples", 1000)),
+            **optional,
         )
 
 

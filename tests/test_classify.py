@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from manifold_match import classify
 from manifold_match.classify import (
     LabeledEmbedding,
     average_views,
@@ -17,6 +20,32 @@ def oracle_predict(points, labels, query, kappa):
     values, counts = np.unique(nearest, return_counts=True)
     assert counts.max() > kappa // 2, "oracle needs a strict majority"
     return int(values[np.argmax(counts)])
+
+
+def vote_oracle(labels, distances):
+    # Majority vote; ties broken by smallest mean distance among the tied
+    # classes, then by smallest class id.
+    classes, counts = np.unique(labels, return_counts=True)
+    top = counts.max()
+    tied = classes[counts == top]
+    if tied.size == 1:
+        return int(tied[0])
+    best = None
+    for cls in tied:
+        mean_dist = float(distances[labels == cls].mean())
+        key = (mean_dist, int(cls))
+        if best is None or key < best:
+            best = key
+    return best[1]
+
+
+def knn_oracle(train, query, kappa, leave_out=None):
+    # One query at a time: full distance row, stable sort, per-query vote.
+    distances = np.linalg.norm(train.points - query, axis=1)
+    if leave_out is not None:
+        distances[leave_out] = np.inf
+    nearest = np.argsort(distances, kind="stable")[:kappa]
+    return vote_oracle(train.labels[nearest], distances[nearest])
 
 
 def two_blob_embedding(rng, per_class=20, spread=0.3, gap=10.0, d=3):
@@ -49,15 +78,6 @@ class TestKnnPredict:
                 train.points, train.labels, query, 5
             )
 
-    def test_invariant_under_training_permutation(self):
-        rng = np.random.default_rng(132)
-        train = two_blob_embedding(rng, per_class=10, spread=2.0, gap=1.0)
-        perm = rng.permutation(len(train))
-        shuffled = LabeledEmbedding(train.points[perm], train.labels[perm], "t")
-        for _ in range(50):
-            query = rng.normal(scale=2.0, size=3)
-            assert knn_predict(train, query, 5) == knn_predict(shuffled, query, 5)
-
     def test_invariant_under_rigid_motion(self):
         rng = np.random.default_rng(133)
         train = two_blob_embedding(rng, per_class=10)
@@ -85,6 +105,22 @@ class TestKnnPredict:
         )
         assert knn_predict(train, np.array([0.0]), 2) == 2
 
+    def test_vote_tie_means_add_in_distance_order(self):
+        # Both classes' distances sum to 4.6 when added in distance order;
+        # numpy's pairwise sum over a zero-padded row of 8 would not tie.
+        train = LabeledEmbedding(
+            np.array([[0.4], [0.5], [0.8], [1.0], [1.0], [1.8], [1.8], [1.9]]),
+            np.array([0, 0, 1, 1, 1, 1, 0, 0]),
+            "t",
+        )
+        query = np.array([0.0])
+        assert knn_predict(train, query, 8) == knn_oracle(train, query, 8) == 0
+
+    def test_majority_wins_when_distances_overflow(self):
+        train = LabeledEmbedding(np.array([[1e160], [1e160], [1e160]]), np.array([2, 7, 7]), "t")
+        with np.errstate(over="ignore"):
+            assert knn_predict(train, np.array([-1e160]), 3) == 7
+
     def test_kappa_validation(self):
         train = LabeledEmbedding(np.zeros((3, 2)), np.array([0, 1, 0]), "t")
         with pytest.raises(ValidationError):
@@ -96,6 +132,17 @@ class TestKnnPredict:
         train = LabeledEmbedding(np.zeros((3, 2)), np.array([0, 1, 0]), "t")
         with pytest.raises(ValidationError):
             knn_predict(train, np.zeros(3), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        train = LabeledEmbedding(np.eye(2), np.array([0, 1]), "t")
+        with pytest.raises(ValidationError, match="non-finite"):
+            knn_predict(train, np.array([bad, 0.0]), 1)
+
+    def test_non_integer_kappa_rejected(self):
+        train = LabeledEmbedding(np.zeros((3, 2)), np.array([0, 1, 0]), "t")
+        with pytest.raises(ValidationError, match="kappa"):
+            knn_predict(train, np.zeros(2), 1.5)
 
 
 class TestLooCrossViewAccuracy:
@@ -160,6 +207,97 @@ class TestLooCrossViewAccuracy:
         loo_cross_view_accuracy(view, view, 5)  # m-1 = 5 is allowed
         with pytest.raises(ValidationError):
             loo_cross_view_accuracy(view, view, 6)
+
+    def test_non_integer_kappa_rejected(self):
+        rng = np.random.default_rng(147)
+        view = two_blob_embedding(rng, per_class=3)
+        with pytest.raises(ValidationError, match="kappa"):
+            loo_cross_view_accuracy(view, view, 1.5)
+
+
+def grid_embedding(rng, m, p, tag):
+    # Integer and half-integer coordinates in a small box: duplicate points,
+    # many equal distances and many tied votes.
+    points = rng.integers(0, 4, size=(m, p)) / rng.choice([1.0, 2.0])
+    return LabeledEmbedding(points, rng.choice([0, 3, 7, 1000], size=m), tag)
+
+
+class TestKernelMatchesPerQueryOracle:
+    # The kernel must reproduce the per-query loop bit for bit, ties
+    # included, whatever the block size.
+    @pytest.mark.parametrize("block_floats", [1, 1000, classify._BLOCK_FLOATS])
+    def test_tie_heavy_grid(self, monkeypatch, block_floats):
+        monkeypatch.setattr(classify, "_BLOCK_FLOATS", block_floats)
+        rng = np.random.default_rng(161)
+        for p in (1, 2, 3, 9):
+            train = grid_embedding(rng, 40, p, "train")
+            other = grid_embedding(rng, 40, p, "other")
+            test = LabeledEmbedding(other.points, train.labels, "test")
+            for kappa in range(1, 16):
+                for view in (train, test):
+                    expected = [
+                        knn_oracle(train, view.points[i], kappa, leave_out=i)
+                        for i in range(len(train))
+                    ]
+                    predicted = classify._knn(
+                        train.points, train.labels, view.points, kappa, True
+                    )
+                    assert predicted.tolist() == expected
+                    assert loo_cross_view_accuracy(train, view, kappa) == (
+                        np.count_nonzero(np.array(expected) == train.labels) / len(train)
+                    )
+                for query in other.points:
+                    assert knn_predict(train, query, kappa) == knn_oracle(
+                        train, query, kappa
+                    )
+
+
+@st.composite
+def labeled_points(draw):
+    # Continuous coordinates, a few classes and any kappa up to m - 1; even
+    # kappa gives tied votes.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(3, 40))
+    p = draw(st.integers(1, 4))
+    kappa = draw(st.integers(1, min(12, m - 1)))
+    labels = rng.integers(0, draw(st.integers(1, 4)), size=m)
+    return rng.normal(size=(m, p)), labels, kappa, rng
+
+
+def no_tie_at_kappa(distances, kappa):
+    ordered = np.sort(distances, axis=-1)
+    return np.all(ordered[..., kappa - 1] < ordered[..., kappa])
+
+
+class TestRowOrderInvariance:
+    @settings(max_examples=100, deadline=None)
+    @given(labeled_points())
+    def test_knn_predict_invariant_to_training_row_order(self, case):
+        points, labels, kappa, rng = case
+        query = rng.normal(size=points.shape[1])
+        assume(no_tie_at_kappa(np.linalg.norm(points - query, axis=1), kappa))
+        perm = rng.permutation(len(points))
+        train = LabeledEmbedding(points, labels, "t")
+        shuffled = LabeledEmbedding(points[perm], labels[perm], "t")
+        assert knn_predict(train, query, kappa) == knn_predict(shuffled, query, kappa)
+
+    @settings(max_examples=100, deadline=None)
+    @given(labeled_points())
+    def test_loo_invariant_to_one_row_order_for_both_views(self, case):
+        points, labels, kappa, rng = case
+        test_points = points + 0.3 * rng.normal(size=points.shape)
+        distances = np.linalg.norm(points - test_points[:, None, :], axis=2)
+        np.fill_diagonal(distances, np.inf)
+        assume(no_tie_at_kappa(distances, kappa))
+        perm = rng.permutation(len(points))
+        train = LabeledEmbedding(points, labels, "a")
+        test = LabeledEmbedding(test_points, labels, "b")
+        accuracy = loo_cross_view_accuracy(train, test, kappa)
+        assert accuracy == loo_cross_view_accuracy(
+            LabeledEmbedding(points[perm], labels[perm], "a"),
+            LabeledEmbedding(test_points[perm], labels[perm], "b"),
+            kappa,
+        )
 
 
 class TestAverageViews:

@@ -363,3 +363,11 @@ class TestExperimentCommand:
         code = main(["experiment", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name, value", [("regularized", "false"), ("shared_dim", "x")])
+    def test_malformed_config_field_is_data_error(self, tmp_path, capsys, name, value):
+        config = experiment_config(tmp_path, tmp_path / "corpus", **{name: value})
+        code = main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()

@@ -51,6 +51,17 @@ def make_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def raw_config(**overrides):
+    raw = {
+        "relation_classes": [0, 2, 4],
+        "classifier_classes": [1, 3],
+        "views": [{"tag": v.tag, "domain": v.domain, "kind": v.kind} for v in THREE_VIEWS],
+        "combinations": ["GF->GE", "TF->GE"],
+    }
+    raw.update(overrides)
+    return raw
+
+
 class TestSchedule:
     def test_default_for_reference_n(self):
         schedule = DimensionSchedule.default_for(819)
@@ -134,6 +145,37 @@ class TestConfigValidation:
     def test_from_dict_missing_fields(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"views": []}, source="inline")
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("shared_dim", "x"),
+            ("ridge", "abc"),
+            ("kappa", None),
+            ("replicates", [2]),
+            ("seed", float("inf")),
+            ("cap", "six"),
+            ("max_hops", {}),
+            ("bootstrap_samples", float("nan")),
+        ],
+    )
+    def test_from_dict_malformed_scalar(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig.from_dict(raw_config(**{name: value}), source="inline")
+
+    def test_from_dict_malformed_averaged_views(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(raw_config(averaged_views=["GTF"]), source="inline")
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_from_dict_regularized_must_be_boolean(self, value):
+        with pytest.raises(ConfigError, match="regularized"):
+            ExperimentConfig.from_dict(raw_config(regularized=value), source="inline")
+
+    @pytest.mark.parametrize("value", [False, True])
+    def test_from_dict_regularized_boolean(self, value):
+        config = ExperimentConfig.from_dict(raw_config(regularized=value), source="inline")
+        assert config.regularized is value
 
     def test_shared_dim_above_schedule_dim_cites_row(self):
         corpus = synthesize_corpus(11, 120, 2, 5, 0.0)
@@ -349,6 +391,15 @@ class TestEmission:
         corpus = synthesize_corpus(15, 100, 2, 5, 0.4)
         config = make_config(replicates=2)
         seen = []
-        run_experiment(config, corpus=corpus, on_row=lambda row, recs: seen.append((row, len(recs))))
+        run_experiment(config, corpus=corpus, on_row=lambda row, recs: seen.append((row, recs)))
         assert len(seen) == 2
-        assert all(count == 2 * 3 for _, count in seen)
+        assert all(len(recs) == 2 * 3 for _, recs in seen)
+        # (method, combination, feature, fraction, replicate, accuracy): the
+        # benchmark counts replicates from field 4.
+        for row, recs in seen:
+            assert [r[:5] for r in recs] == [
+                ("gcca", combo, "synthetic", row.fraction, rep)
+                for rep in range(2)
+                for combo in config.combinations
+            ]
+            assert all(isinstance(r[5], float) and 0.0 <= r[5] <= 1.0 for r in recs)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import orthogonal_procrustes
 
 from manifold_match.dissimilarity import cosine_dissimilarity
@@ -161,6 +163,25 @@ class TestOutOfSample:
         # only up to rounding
         assert batch.shape == singles.shape
         assert np.allclose(batch, singles, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 30),
+        rank=st.integers(1, 6),
+        extra=st.integers(0, 3),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_training_rows_reproduced_property(self, seed, n, rank, extra, log_scale):
+        # Random Euclidean configurations of any rank and scale; asking for
+        # more dimensions than the rank keeps only the positive spectrum.
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, rank + extra))
+        delta = euclidean_distances(points * 10.0**log_scale)
+        model = mds_fit(delta, min(rank + extra, n - 1))
+        recovered = mds_out_of_sample(model, delta)
+        scale = np.max(np.abs(model.embedding))
+        assert np.max(np.abs(recovered - model.embedding)) <= 1e-6 * scale
 
     def test_wrong_length_rejected(self):
         model = mds_fit(np.array([[0.0, 2.0], [2.0, 0.0]]), 1)
