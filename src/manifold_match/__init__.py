@@ -22,12 +22,8 @@ from .classify import (
     loo_cross_view_accuracy,
 )
 from .corpus import (
-    ROLE_CLASSIFIER,
-    ROLE_RELATION,
-    ClassSplitSpec,
     DomainData,
     LabeledCorpus,
-    apply_class_split,
     load_corpus,
     save_corpus,
     synthesize_corpus,
@@ -54,7 +50,6 @@ from .experiment import (
     ViewSpec,
     emit_curves,
     run_experiment,
-    run_replicate,
 )
 from .mds import MdsModel, fidelity_error, mds_fit, mds_out_of_sample, scree
 from .numerics import SpectralResult, eig_sym

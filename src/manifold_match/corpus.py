@@ -1,19 +1,19 @@
-"""Corpus loading, validation, synthesis, and the class-based role split.
+"""Corpus loading, validation and synthesis.
 
-A corpus on disk is a directory: ``manifest.json`` with object ids, labels,
-roles, and per-domain file references; per-domain ``features.tsv`` (one row
-of tab-separated reals per object), ``edges.tsv`` (two object-id columns per
-line, undirected), and optional precomputed ``dissim_<kind>.tsv`` square
-matrices. Plain text throughout so corpora are diff-able and language
-neutral.
+A corpus on disk is a directory: ``manifest.json`` with object ids, integer
+class labels and per-domain file references; per-domain ``features.tsv``
+(one row of tab-separated reals per object), ``edges.tsv`` (two object-id
+columns per line, undirected), and optional precomputed ``dissim_<kind>.tsv``
+square matrices, each read the first time it is used. Plain text throughout
+so corpora are diff-able and language neutral.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import re
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,61 +27,65 @@ from .errors import FormatError, IntegrityError, ValidationError
 from .formats import read_matrix, write_json, write_matrix
 
 __all__ = [
-    "ROLE_RELATION",
-    "ROLE_CLASSIFIER",
     "DomainData",
     "LabeledCorpus",
-    "ClassSplitSpec",
     "load_corpus",
     "save_corpus",
     "register_dissimilarity",
-    "apply_class_split",
     "synthesize_corpus",
 ]
-
-log = logging.getLogger(__name__)
-
-ROLE_RELATION = "relation_learning"
-ROLE_CLASSIFIER = "classifier"
-_ROLES = (ROLE_RELATION, ROLE_CLASSIFIER)
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 
 @dataclass(frozen=True)
 class DomainData:
-    """One domain's measurements: feature rows, graph edges, or both.
-
-    A domain missing feature vectors can still serve graph dissimilarities
-    and vice versa; ``supported_kinds`` records what it can provide.
-    """
+    """One domain's feature rows, graph edges and precomputed matrices by kind."""
 
     name: str
     features: np.ndarray | None = None
     edges: np.ndarray | None = None
-    dissimilarities: dict[str, DissimilarityMatrix] = field(default_factory=dict)
+    dissimilarities: Mapping[str, DissimilarityMatrix] = field(default_factory=dict)
 
-    def supported_kinds(self) -> frozenset[str]:
-        kinds = set(self.dissimilarities)
-        if self.edges is not None:
-            kinds.add("graph")
-        if self.features is not None:
-            kinds.add("text")
-        return frozenset(kinds)
+
+class _RegisteredMatrices(Mapping):
+    """A loaded domain's registered matrices, each read on first use and kept."""
+
+    def __init__(self, files, domain_name, object_ids):
+        self._files = files  # kind -> (path, cap)
+        self._domain_name = domain_name
+        self._object_ids = object_ids
+        self._read = {}
+
+    def __getitem__(self, kind):
+        if kind not in self._read:
+            path, cap = self._files[kind]
+            try:
+                self._read[kind] = load_dissimilarity_tsv(
+                    path, kind, domain_name=self._domain_name,
+                    object_index=self._object_ids, cap=cap,
+                )
+            except ValidationError as exc:
+                # Includes a matrix whose size differs from the object count.
+                raise type(exc)(f"{path}: {exc}") from None
+        return self._read[kind]
+
+    def __contains__(self, kind):
+        return kind in self._files  # Mapping's default would read the file
+
+    def __iter__(self):
+        return iter(self._files)
+
+    def __len__(self):
+        return len(self._files)
 
 
 @dataclass(frozen=True)
 class LabeledCorpus:
-    """Matched multi-domain objects with labels and role flags.
-
-    Every object appears in every domain; roles partition objects into the
-    relation-learning pool (used to fit embeddings and alignment) and the
-    classifier pool (used to train/test the downstream classifier).
-    """
+    """Matched objects with integer class labels, observed in every domain."""
 
     object_ids: tuple[str, ...]
     labels: np.ndarray
-    roles: np.ndarray
     domains: tuple[DomainData, ...]
 
     def __post_init__(self):
@@ -101,14 +105,6 @@ class LabeledCorpus:
         if labels.min() < 0:
             raise ValidationError("labels must be nonnegative")
         object.__setattr__(self, "labels", labels.astype(np.int64))
-
-        roles = np.asarray(self.roles)
-        if roles.shape != (n,):
-            raise IntegrityError(f"{roles.shape} roles for {n} objects")
-        bad = set(roles.tolist()) - set(_ROLES)
-        if bad:
-            raise ValidationError(f"unknown roles {sorted(bad)}")
-        object.__setattr__(self, "roles", roles.astype(str))
 
         if not self.domains:
             raise IntegrityError("corpus has no domains")
@@ -134,6 +130,8 @@ class LabeledCorpus:
                     raise IntegrityError(
                         f"domain {domain.name!r} has edge endpoints outside [0, {n})"
                     )
+            if isinstance(domain.dissimilarities, _RegisteredMatrices):
+                continue  # checked when each matrix is first read
             for kind, dm in domain.dissimilarities.items():
                 if dm.n != n:
                     raise IntegrityError(
@@ -145,20 +143,6 @@ class LabeledCorpus:
     def n_total(self) -> int:
         return len(self.object_ids)
 
-    @property
-    def n_relation(self) -> int:
-        return int(np.sum(self.roles == ROLE_RELATION))
-
-    @property
-    def n_classifier(self) -> int:
-        return int(np.sum(self.roles == ROLE_CLASSIFIER))
-
-    def relation_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.roles == ROLE_RELATION)
-
-    def classifier_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.roles == ROLE_CLASSIFIER)
-
     def domain(self, name) -> DomainData:
         for d in self.domains:
             if d.name == name:
@@ -168,79 +152,6 @@ class LabeledCorpus:
     def class_sizes(self) -> dict[int, int]:
         values, counts = np.unique(self.labels, return_counts=True)
         return {int(v): int(c) for v, c in zip(values, counts)}
-
-
-@dataclass(frozen=True)
-class ClassSplitSpec:
-    """Which class ids feed relation learning vs the classifier."""
-
-    relation_classes: frozenset[int]
-    classifier_classes: frozenset[int]
-
-    def __post_init__(self):
-        rel = frozenset(int(c) for c in self.relation_classes)
-        clf = frozenset(int(c) for c in self.classifier_classes)
-        if rel & clf:
-            raise ValidationError(
-                f"relation and classifier classes overlap: {sorted(rel & clf)}"
-            )
-        if not rel or not clf:
-            raise ValidationError("both class sets must be non-empty")
-        object.__setattr__(self, "relation_classes", rel)
-        object.__setattr__(self, "classifier_classes", clf)
-
-
-def apply_class_split(corpus, split) -> LabeledCorpus:
-    """Reassign roles by class membership, dropping out-of-split objects.
-
-    Objects labeled with a relation class become relation-learning data,
-    classifier-class objects become classifier data, and objects in neither
-    set are dropped (count logged). Object order is preserved within the
-    survivors; edges and precomputed dissimilarities are re-indexed.
-    """
-    present = set(int(v) for v in np.unique(corpus.labels))
-    unknown = sorted((split.relation_classes | split.classifier_classes) - present)
-    if unknown:
-        raise ValidationError(f"split names classes absent from the corpus: {unknown}")
-
-    rel_mask = np.isin(corpus.labels, sorted(split.relation_classes))
-    clf_mask = np.isin(corpus.labels, sorted(split.classifier_classes))
-    keep = rel_mask | clf_mask
-    dropped = int(np.sum(~keep))
-    if dropped:
-        log.info("apply_class_split dropped %d objects outside the split classes", dropped)
-
-    old_indices = np.flatnonzero(keep)
-    remap = -np.ones(corpus.n_total, dtype=int)
-    remap[old_indices] = np.arange(old_indices.size)
-
-    ids = tuple(corpus.object_ids[i] for i in old_indices)
-    labels = corpus.labels[old_indices]
-    roles = np.where(rel_mask[old_indices], ROLE_RELATION, ROLE_CLASSIFIER)
-
-    domains = []
-    for domain in corpus.domains:
-        features = domain.features[old_indices] if domain.features is not None else None
-        edges = None
-        if domain.edges is not None:
-            e = domain.edges
-            if e.size:
-                both = keep[e[:, 0]] & keep[e[:, 1]]
-                edges = remap[e[both]]
-            else:
-                edges = e.copy()
-        dissims = {
-            kind: replace(
-                dm,
-                values=dm.values[np.ix_(old_indices, old_indices)],
-                object_index=ids if dm.object_index is not None else None,
-            )
-            for kind, dm in domain.dissimilarities.items()
-        }
-        domains.append(
-            DomainData(domain.name, features=features, edges=edges, dissimilarities=dissims)
-        )
-    return LabeledCorpus(ids, labels, roles, tuple(domains))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +212,6 @@ def save_corpus(corpus, path):
         "objects": {
             "ids": list(corpus.object_ids),
             "labels": [int(x) for x in corpus.labels],
-            "roles": [str(r) for r in corpus.roles],
         },
         "domains": domain_entries,
     }
@@ -334,7 +244,11 @@ def register_dissimilarity(path, domain_name, dm) -> Path:
 
 
 def load_corpus(path) -> LabeledCorpus:
-    """Load and validate a corpus directory (layout in the module docstring)."""
+    """Load and validate a corpus directory (layout in the module docstring).
+
+    Features and edges are read here; registered dissimilarity matrices are
+    read when first used. A ``roles`` list in older manifests is ignored.
+    """
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
@@ -358,13 +272,6 @@ def load_corpus(path) -> LabeledCorpus:
         raise IntegrityError(
             f"{manifest_path}: {len(labels)} labels for {len(ids)} object ids"
         )
-    roles = objects.get("roles")
-    if roles is None:
-        roles = [ROLE_RELATION] * len(ids)
-    elif len(roles) != len(ids):
-        raise IntegrityError(
-            f"{manifest_path}: {len(roles)} roles for {len(ids)} object ids"
-        )
     id_to_index = {oid: k for k, oid in enumerate(ids)}
 
     domains = []
@@ -379,24 +286,16 @@ def load_corpus(path) -> LabeledCorpus:
         edges = None
         if entry.get("edges"):
             edges = _read_edges_tsv(root / entry["edges"], id_to_index)
-        dissims = {}
+        files = {}
         for kind, ref in (entry.get("dissimilarities") or {}).items():
             if isinstance(ref, str):
-                file_rel, cap = ref, None
+                files[kind] = (root / ref, None)
             else:
-                file_rel, cap = ref["file"], ref.get("cap")
-            dissims[kind] = load_dissimilarity_tsv(
-                root / file_rel,
-                kind,
-                domain_name=name,
-                object_index=tuple(ids),
-                cap=cap,
-            )
+                files[kind] = (root / ref["file"], ref.get("cap"))
+        dissims = _RegisteredMatrices(files, name, tuple(ids))
         domains.append(DomainData(name, features=features, edges=edges, dissimilarities=dissims))
 
-    return LabeledCorpus(
-        tuple(ids), np.asarray(labels), np.asarray(roles), tuple(domains)
-    )
+    return LabeledCorpus(tuple(ids), np.asarray(labels), tuple(domains))
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +364,8 @@ def synthesize_corpus(seed, n_objects, k_domains, n_classes, noise) -> LabeledCo
     Gaussian perturbation scaled by the domain's signal spread. Each domain
     gets both feature rows and a geometric edge list, with independent noise
     draws for the two, mirroring content vs link structure as separate
-    measurements. All objects start in the relation-learning role; use
-    :func:`apply_class_split` to carve out classifier classes.
+    measurements. Which classes feed relation learning and which the
+    classifier is chosen per experiment (``ExperimentConfig``).
     """
     if n_classes < 2:
         raise ValidationError(f"need at least 2 classes, got {n_classes}")
@@ -503,5 +402,4 @@ def synthesize_corpus(seed, n_objects, k_domains, n_classes, noise) -> LabeledCo
         domains.append(DomainData(f"domain{k}", features=features, edges=edges))
 
     ids = tuple(f"obj{i:04d}" for i in range(n_objects))
-    roles = np.full(n_objects, ROLE_RELATION)
-    return LabeledCorpus(ids, labels, roles, tuple(domains))
+    return LabeledCorpus(ids, labels, tuple(domains))

@@ -58,7 +58,8 @@ class DissimilarityMatrix:
         if not np.all(np.isfinite(v)):
             raise ValidationError("dissimilarity matrix contains non-finite entries")
         if v.size:
-            if np.max(np.abs(v - v.T)) > _SYM_ATOL:
+            # v - v.T is antisymmetric: its largest entry is its largest magnitude.
+            if np.max(v - v.T) > _SYM_ATOL:
                 raise ValidationError(
                     f"dissimilarity matrix is not symmetric within {_SYM_ATOL:g}"
                 )
@@ -67,8 +68,10 @@ class DissimilarityMatrix:
             if v.min() < -_SYM_ATOL:
                 raise ValidationError("dissimilarity matrix has negative entries")
         # Normalize to exact symmetry / zero diagonal / nonnegativity so
-        # downstream spectral code never sees tolerance-level asymmetry.
-        v = 0.5 * (v + v.T)
+        # downstream spectral code never sees tolerance-level asymmetry. In
+        # place, because these n x n matrices are the largest arrays a run holds.
+        v += v.T
+        v *= 0.5
         np.fill_diagonal(v, 0.0)
         np.clip(v, 0.0, None, out=v)
         v.setflags(write=False)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .align import cca_fit, gcca_fit, project
 from .classify import LabeledEmbedding, average_views, loo_cross_view_accuracy
-from .corpus import ClassSplitSpec, load_corpus
+from .corpus import _NAME_RE, load_corpus
 from .dissimilarity import cosine_dissimilarity, graph_geodesic
 from .errors import ConfigError, ValidationError
 from .formats import write_json
@@ -35,7 +35,6 @@ __all__ = [
     "AccuracyReport",
     "draw_training_sample",
     "replicate_seed_for",
-    "run_replicate",
     "run_experiment",
     "emit_curves",
     "reconstruct_report",
@@ -89,17 +88,17 @@ class DimensionSchedule:
         object.__setattr__(self, "rows", rows)
 
     @staticmethod
-    def default_for(n_relation) -> "DimensionSchedule":
+    def default_for(n_pool) -> "DimensionSchedule":
         """The canonical ladder with fractions kept and dimensions clamped."""
         rows = []
         for fraction, dim in CANONICAL_SCHEDULE:
-            n_prime = int(fraction * n_relation + 0.5)
+            n_prime = int(fraction * n_pool + 0.5)
             if n_prime < 2:
                 continue
             rows.append(ScheduleRow(n_prime, fraction, min(dim, n_prime - 1)))
         if not rows:
             raise ValidationError(
-                f"relation-learning pool of {n_relation} objects is too small "
+                f"relation-learning pool of {n_pool} objects is too small "
                 "for the default schedule"
             )
         return DimensionSchedule(tuple(rows))
@@ -126,17 +125,39 @@ def _parse_combination(text):
     return parts[0].strip(), parts[1].strip()
 
 
-# Optional fields of a JSON config and their conversions; an absent field
-# takes the ExperimentConfig default.
-_OPTIONAL_FIELDS = {
-    "method": str, "shared_dim": int, "kappa": int, "replicates": int, "seed": int,
-    "feature": str, "cap": int, "max_hops": int, "bootstrap_samples": int,
-    "ridge": lambda r: r if r is None else float(r),
+def _of(*types):
+    """A converter passing values of exactly ``types`` (so ``true`` is not an
+    integer and ``2.7`` is not truncated to one) and rejecting the rest."""
+    def convert(value):
+        if type(value) not in types:
+            raise TypeError(value)
+        return value
+    return convert
+
+
+_int, _number, _str, _str_or_none = _of(int), _of(int, float), _of(str), _of(str, type(None))
+
+
+# The fields of a JSON config and their conversions; an absent field takes
+# the ExperimentConfig default.
+_REQUIRED_FIELDS = ("views", "combinations", "relation_classes", "classifier_classes")
+_FIELDS = {
+    "corpus": _str_or_none,
+    "views": lambda views: tuple(
+        ViewSpec(_str(v["tag"]), _str(v["domain"]), _str(v["kind"])) for v in views
+    ),
+    "combinations": lambda combos: tuple(_str(c) for c in combos),
+    "relation_classes": lambda classes: tuple(_int(c) for c in classes),
+    "classifier_classes": lambda classes: tuple(_int(c) for c in classes),
+    "method": _str, "shared_dim": _int, "kappa": _int, "replicates": _int, "seed": _int,
+    "feature": _str, "cap": _int, "max_hops": _int, "bootstrap_samples": _int,
+    "regularized": _of(bool), "prescale_reference": _str_or_none,
+    "ridge": lambda r: r if r is None else float(_number(r)),
     "averaged_views": lambda views: {
-        str(tag): (str(pair[0]), str(pair[1])) for tag, pair in (views or {}).items()
+        tag: (_str(a), _str(b)) for tag, (a, b) in (views or {}).items()
     },
     "schedule": lambda rows: rows if rows is None else tuple(
-        (float(r["fraction"]), int(r["mds_dim"])) for r in rows
+        (float(_number(r["fraction"])), _int(r["mds_dim"])) for r in rows
     ),
 }
 
@@ -172,6 +193,8 @@ class ExperimentConfig:
             self, "averaged_views",
             {str(k): (str(a), str(b)) for k, (a, b) in dict(self.averaged_views).items()},
         )
+        if not isinstance(self.feature, str) or not _NAME_RE.match(self.feature):
+            raise ConfigError(f"feature {self.feature!r} is not a safe file-name component")
         if self.method not in ("cca", "gcca"):
             raise ConfigError(f"method must be 'cca' or 'gcca', got {self.method!r}")
         if not isinstance(self.regularized, bool):
@@ -222,13 +245,13 @@ class ExperimentConfig:
                 f"prescale_reference {self.prescale_reference!r} is not a configured view"
             )
 
-    def resolved_schedule(self, n_relation) -> DimensionSchedule:
+    def resolved_schedule(self, n_pool) -> DimensionSchedule:
         """Bind fractions to the corpus: n' = round(S * n)."""
         if self.schedule is None:
-            return DimensionSchedule.default_for(n_relation)
+            return DimensionSchedule.default_for(n_pool)
         rows = []
         for fraction, dim in self.schedule:
-            n_prime = int(fraction * n_relation + 0.5)
+            n_prime = int(fraction * n_pool + 0.5)
             if dim >= n_prime:
                 raise ConfigError(
                     f"schedule row S={fraction:g}: mds_dim={dim} >= n'={n_prime} "
@@ -248,42 +271,22 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw, source="config") -> "ExperimentConfig":
-        known = {
-            "corpus", "relation_classes", "classifier_classes", "views", "combinations",
-            "regularized", "prescale_reference",
-        } | set(_OPTIONAL_FIELDS)
-        unknown = set(raw) - known
+        unknown = set(raw) - set(_FIELDS)
         if unknown:
             raise ConfigError(f"{source}: unknown fields {sorted(unknown)}")
-        try:
-            views = tuple(
-                ViewSpec(str(v["tag"]), str(v["domain"]), str(v["kind"]))
-                for v in raw["views"]
-            )
-            combinations = tuple(str(c) for c in raw["combinations"])
-            relation = tuple(int(c) for c in raw["relation_classes"])
-            classifier = tuple(int(c) for c in raw["classifier_classes"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{source}: missing or malformed field: {exc}") from None
-        optional = {}
-        for name, convert in _OPTIONAL_FIELDS.items():
+        missing = [name for name in _REQUIRED_FIELDS if name not in raw]
+        if missing:
+            raise ConfigError(f"{source}: missing fields {missing}")
+        fields = {}
+        for name, convert in _FIELDS.items():
             if name in raw:
                 try:
-                    optional[name] = convert(raw[name])
+                    fields[name] = convert(raw[name])
                 except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
                     raise ConfigError(
                         f"{source}: malformed field {name!r}: {raw[name]!r}"
                     ) from None
-        return ExperimentConfig(
-            views=views,
-            combinations=combinations,
-            relation_classes=relation,
-            classifier_classes=classifier,
-            corpus_path=raw.get("corpus"),
-            regularized=raw.get("regularized", False),
-            prescale_reference=raw.get("prescale_reference"),
-            **optional,
-        )
+        return ExperimentConfig(corpus_path=fields.pop("corpus", None), **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +339,6 @@ def _prepare(config, corpus) -> _PreparedRun:
         if config.corpus_path is None:
             raise ConfigError("config has no corpus path and no corpus was supplied")
         corpus = load_corpus(config.corpus_path)
-    # Reuse the split validation; roles in the corpus are superseded here.
-    ClassSplitSpec(frozenset(config.relation_classes), frozenset(config.classifier_classes))
     present = set(int(v) for v in np.unique(corpus.labels))
     missing = sorted(
         (set(config.relation_classes) | set(config.classifier_classes)) - present
@@ -479,17 +480,6 @@ def _run_single(prepared, row, replicate_seed):
                 train_view, test_view, config.kappa
             )
     return accuracies, warnings
-
-
-def run_replicate(config, row, replicate_seed, corpus=None):
-    """One Monte Carlo replicate at one schedule row.
-
-    Returns a dict mapping each configured combination to its accuracy.
-    Deterministic in (config, row, replicate_seed).
-    """
-    prepared = _prepare(config, corpus)
-    accuracies, _ = _run_single(prepared, row, replicate_seed)
-    return accuracies
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ import pytest
 from manifold_match import formats
 from manifold_match.cli import main
 from manifold_match.corpus import (
-    ROLE_RELATION,
     DomainData,
     LabeledCorpus,
     load_corpus,
+    register_dissimilarity,
     save_corpus,
 )
+from manifold_match.dissimilarity import DissimilarityMatrix
 
 
 def path_graph_corpus(tmp_path):
@@ -20,7 +21,6 @@ def path_graph_corpus(tmp_path):
     corpus = LabeledCorpus(
         ids,
         np.array([0, 1, 0]),
-        np.array([ROLE_RELATION] * 3),
         (
             DomainData(
                 "eng",
@@ -364,10 +364,28 @@ class TestExperimentCommand:
         assert code == 2
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("name, value", [("regularized", "false"), ("shared_dim", "x")])
+    @pytest.mark.parametrize(
+        "name, value", [("regularized", "false"), ("shared_dim", "x"), ("kappa", 2.7)]
+    )
     def test_malformed_config_field_is_data_error(self, tmp_path, capsys, name, value):
         config = experiment_config(tmp_path, tmp_path / "corpus", **{name: value})
         code = main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
         assert name in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_wrong_size_registered_matrix_is_data_error(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        main([
+            "synth", "--seed", "23", "--objects", "100", "--domains", "2",
+            "--classes", "5", "--noise", "0.5", "--out", str(corpus_dir),
+        ])
+        matrix = register_dissimilarity(
+            corpus_dir, "domain0", DissimilarityMatrix(np.ones((3, 3)) - np.eye(3), "graph")
+        )
+        config = experiment_config(tmp_path, corpus_dir)
+        out = tmp_path / "run"
+        code = main(["experiment", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert str(matrix) in capsys.readouterr().err
+        assert not out.exists()

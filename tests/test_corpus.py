@@ -1,22 +1,23 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from manifold_match import corpus as corpus_module
 from manifold_match.align import gcca_fit
+from manifold_match.cli import main
 from manifold_match.corpus import (
-    ROLE_CLASSIFIER,
-    ROLE_RELATION,
-    ClassSplitSpec,
     DomainData,
     LabeledCorpus,
-    apply_class_split,
     load_corpus,
+    register_dissimilarity,
     save_corpus,
     synthesize_corpus,
 )
 from manifold_match.dissimilarity import cosine_dissimilarity, graph_geodesic
-from manifold_match.errors import FormatError, IntegrityError, ValidationError
+from manifold_match.errors import ConfigError, FormatError, IntegrityError, ValidationError
+from manifold_match.experiment import ExperimentConfig, ViewSpec, _prepare, run_experiment
 from manifold_match.mds import mds_fit
 
 # class sizes of the five-class reference corpus used in the protocol
@@ -36,45 +37,40 @@ def reference_sized_corpus():
         DomainData("english", features=features),
         DomainData("french", features=features + 1.0),
     )
-    return LabeledCorpus(ids, labels, np.full(n, ROLE_RELATION), domains)
+    return LabeledCorpus(ids, labels, domains)
 
 
 def small_corpus():
     ids = ("a", "b", "c")
     labels = np.array([0, 1, 0])
-    roles = np.array([ROLE_RELATION, ROLE_CLASSIFIER, ROLE_RELATION])
     features = np.array([[1.0, 0.0, 0.5, 2.0], [0.0, 1.0, 1.5, -1.0], [2.0, 2.0, 0.0, 0.25]])
     edges = np.array([[0, 1], [1, 2]])
     domains = (
         DomainData("d0", features=features, edges=edges),
         DomainData("d1", features=features * 2.0),
     )
-    return LabeledCorpus(ids, labels, roles, domains)
+    return LabeledCorpus(ids, labels, domains)
 
 
 class TestLabeledCorpus:
     def test_small_fixture_field_by_field(self):
         corpus = small_corpus()
         assert corpus.n_total == 3
-        assert corpus.n_relation == 2
-        assert corpus.n_classifier == 1
         assert corpus.object_ids == ("a", "b", "c")
-        assert np.array_equal(corpus.relation_indices(), [0, 2])
-        assert np.array_equal(corpus.classifier_indices(), [1])
-        assert corpus.domain("d0").supported_kinds() == {"graph", "text"}
-        assert corpus.domain("d1").supported_kinds() == {"text"}
+        assert np.array_equal(corpus.labels, [0, 1, 0])
+        assert corpus.domain("d0").edges is not None
+        assert corpus.domain("d1").edges is None
         assert corpus.class_sizes() == {0: 2, 1: 1}
 
     def test_zero_objects_rejected(self):
         with pytest.raises(IntegrityError, match="zero objects"):
-            LabeledCorpus((), np.array([], dtype=int), np.array([]), (DomainData("d"),))
+            LabeledCorpus((), np.array([], dtype=int), (DomainData("d"),))
 
     def test_feature_row_count_mismatch(self):
         with pytest.raises(IntegrityError, match="feature rows"):
             LabeledCorpus(
                 ("a", "b"),
                 np.array([0, 1]),
-                np.array([ROLE_RELATION, ROLE_RELATION]),
                 (DomainData("d", features=np.zeros((3, 2))),),
             )
 
@@ -83,7 +79,6 @@ class TestLabeledCorpus:
             LabeledCorpus(
                 ("a", "b"),
                 np.array([0, 1]),
-                np.array([ROLE_RELATION, ROLE_RELATION]),
                 (DomainData("d", edges=np.array([[0, 2]])),),
             )
 
@@ -92,7 +87,6 @@ class TestLabeledCorpus:
             LabeledCorpus(
                 ("a", "a"),
                 np.array([0, 1]),
-                np.array([ROLE_RELATION, ROLE_RELATION]),
                 (DomainData("d"),),
             )
 
@@ -109,7 +103,6 @@ class TestRoundTrip:
         corpus = LabeledCorpus(
             corpus.object_ids,
             corpus.labels,
-            corpus.roles,
             (
                 DomainData(d0.name, d0.features, d0.edges, {"graph": dm}),
                 corpus.domains[1],
@@ -120,7 +113,6 @@ class TestRoundTrip:
 
         assert back.object_ids == corpus.object_ids
         assert np.array_equal(back.labels, corpus.labels)
-        assert np.array_equal(back.roles, corpus.roles)
         assert len(back.domains) == len(corpus.domains)
         for da, db in zip(back.domains, corpus.domains):
             assert da.name == db.name
@@ -142,6 +134,77 @@ class TestRoundTrip:
         assert m1 == m2
 
 
+@pytest.fixture
+def registered(tmp_path):
+    """A saved corpus with domain0's graph and domain1's text matrices registered."""
+    root = tmp_path / "corpus"
+    corpus = synthesize_corpus(21, 60, 2, 5, 0.3)
+    save_corpus(corpus, root)
+    d0, d1 = corpus.domains
+    register_dissimilarity(root, d0.name, graph_geodesic(d0.edges, corpus.n_total, 32, 30))
+    register_dissimilarity(root, d1.name, cosine_dissimilarity(d1.features))
+    return root
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The registered matrix files read while the test runs, in order."""
+    paths = []
+    original = corpus_module.load_dissimilarity_tsv
+
+    def counting(path, *args, **kwargs):
+        paths.append(f"{Path(path).parent.name}/{Path(path).name}")
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(corpus_module, "load_dissimilarity_tsv", counting)
+    return paths
+
+
+class TestReadOnFirstUse:
+    def test_load_reads_no_matrix(self, registered, reads):
+        corpus = load_corpus(registered)
+        assert "graph" in corpus.domain("domain0").dissimilarities
+        assert list(corpus.domain("domain1").dissimilarities) == ["text"]
+        assert reads == []
+
+    def test_dissim_reads_none(self, registered, reads, tmp_path):
+        assert main(["dissim", str(registered), "--domain", "domain1", "--kind", "graph"]) == 0
+        out = tmp_path / "text.tsv"
+        argv = ["dissim", str(registered), "--domain", "domain0", "--kind", "text"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert reads == []
+
+    def test_experiment_reads_the_matrix_its_views_use_once(self, registered, reads):
+        config = ExperimentConfig(
+            views=(ViewSpec("GE", "domain0", "graph"), ViewSpec("GF", "domain1", "graph")),
+            combinations=("GF->GE",),
+            relation_classes=(0, 2, 4),
+            classifier_classes=(1, 3),
+            shared_dim=2,
+            replicates=1,
+            schedule=((1.0, 8),),
+            cap=32,
+            max_hops=30,
+        )
+        corpus = load_corpus(registered)
+        run_experiment(config, corpus=corpus)
+        assert reads == ["domain0/dissim_graph.tsv"]
+        run_experiment(config, corpus=corpus)
+        assert reads == ["domain0/dissim_graph.tsv"]
+
+    def test_manifest_roles_key_ignored(self, tmp_path):
+        # Older manifests carry a per-object "roles" list.
+        save_corpus(small_corpus(), tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert "roles" not in manifest["objects"]
+        manifest["objects"]["roles"] = ["relation_learning"] * 3
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        corpus = load_corpus(tmp_path)
+        assert corpus.object_ids == ("a", "b", "c")
+        assert np.array_equal(corpus.labels, [0, 1, 0])
+
+
 class TestLoaderErrors:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError, match="manifest"):
@@ -153,7 +216,7 @@ class TestLoaderErrors:
             load_corpus(tmp_path)
 
     def test_zero_objects(self, tmp_path):
-        manifest = {"objects": {"ids": [], "labels": [], "roles": []}, "domains": []}
+        manifest = {"objects": {"ids": [], "labels": []}, "domains": []}
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(IntegrityError, match="zero objects"):
             load_corpus(tmp_path)
@@ -192,70 +255,52 @@ class TestLoaderErrors:
             load_corpus(tmp_path)
 
 
+def split(corpus, relation, classifier):
+    """The experiment's (relation-learning, classifier) object indices."""
+    config = ExperimentConfig(
+        views=(ViewSpec("TE", "english", "text"), ViewSpec("TF", "french", "text")),
+        combinations=("TF->TE",),
+        relation_classes=relation,
+        classifier_classes=classifier,
+        shared_dim=1,
+        schedule=((1.0, 2),),
+    )
+    prepared = _prepare(config, corpus)
+    return prepared.rel_idx, prepared.clf_idx
+
+
 class TestClassSplit:
+    # The split into relation-learning and classifier classes is an
+    # experiment setting; these check it on the reference class sizes.
     def test_reference_split_counts(self):
         corpus = reference_sized_corpus()
-        split = ClassSplitSpec(frozenset({0, 2, 4}), frozenset({1, 3}))
-        out = apply_class_split(corpus, split)
-        assert out.n_relation == 819
-        assert out.n_classifier == 563
-        assert out.n_total == 1382
+        rel, clf = split(corpus, (0, 2, 4), (1, 3))
+        assert rel.size == 819
+        assert clf.size == 563
+        assert corpus.n_total == 1382
 
     def test_recounted_split_with_drop(self):
-        # {0,1} vs {2,3}: class 4's objects are dropped
+        # {0,1} vs {2,3}: class 4's objects are in neither pool
         corpus = reference_sized_corpus()
-        split = ClassSplitSpec(frozenset({0, 1}), frozenset({2, 3}))
-        out = apply_class_split(corpus, split)
-        assert out.n_relation == 119 + 372
-        assert out.n_classifier == 270 + 191
-        assert out.n_total == 1382 - 430
-        assert 4 not in out.class_sizes()
-
-    def test_two_class_toy_roles_equal_labels(self):
-        corpus = synthesize_corpus(5, 20, 2, 2, 0.0)
-        out = apply_class_split(corpus, ClassSplitSpec(frozenset({0}), frozenset({1})))
-        expected = np.where(out.labels == 0, ROLE_RELATION, ROLE_CLASSIFIER)
-        assert np.array_equal(out.roles, expected)
+        rel, clf = split(corpus, (0, 1), (2, 3))
+        assert rel.size == 119 + 372
+        assert clf.size == 270 + 191
+        assert not np.any(corpus.labels[np.concatenate([rel, clf])] == 4)
 
     def test_order_preserved_within_roles(self):
         corpus = reference_sized_corpus()
-        split = ClassSplitSpec(frozenset({0, 1}), frozenset({2, 3}))
-        out = apply_class_split(corpus, split)
-        kept = [i for i in corpus.object_ids if i in set(out.object_ids)]
-        assert list(out.object_ids) == kept
+        rel, clf = split(corpus, (0, 1), (2, 3))
+        assert np.all(np.diff(rel) > 0)
+        assert np.all(np.diff(clf) > 0)
 
     def test_overlapping_sets_rejected(self):
-        with pytest.raises(ValidationError, match="overlap"):
-            ClassSplitSpec(frozenset({0, 1}), frozenset({1, 2}))
+        with pytest.raises(ConfigError, match="overlap"):
+            split(reference_sized_corpus(), (0, 1), (1, 2))
 
     def test_unknown_class_rejected(self):
-        corpus = small_corpus()
-        with pytest.raises(ValidationError, match="absent"):
-            apply_class_split(corpus, ClassSplitSpec(frozenset({0}), frozenset({9})))
-
-    def test_edges_reindexed(self):
-        corpus = synthesize_corpus(8, 40, 2, 4, 0.1)
-        out = apply_class_split(corpus, ClassSplitSpec(frozenset({0}), frozenset({1})))
-        for domain in out.domains:
-            if domain.edges is not None and domain.edges.size:
-                assert domain.edges.max() < out.n_total
-
-    def test_precomputed_dissimilarities_sliced(self):
-        corpus = small_corpus()
-        dm = cosine_dissimilarity(
-            corpus.domains[0].features, object_index=corpus.object_ids
-        )
-        domains = (
-            DomainData("d0", corpus.domains[0].features, corpus.domains[0].edges,
-                       {"text": dm}),
-            corpus.domains[1],
-        )
-        corpus = LabeledCorpus(corpus.object_ids, corpus.labels, corpus.roles, domains)
-        out = apply_class_split(corpus, ClassSplitSpec(frozenset({0}), frozenset({1})))
-        sliced = out.domains[0].dissimilarities["text"]
-        assert sliced.n == out.n_total
-        keep = [0, 1, 2]  # nothing dropped here, all classes covered
-        assert np.allclose(sliced.values, dm.values[np.ix_(keep, keep)])
+        corpus = reference_sized_corpus()
+        with pytest.raises(ConfigError, match="absent"):
+            split(corpus, (0,), (9,))
 
 
 class TestSynthesize:
@@ -284,10 +329,6 @@ class TestSynthesize:
         d1 = distances(corpus.domains[1].features)
         ratio = np.linalg.norm(d1) / np.linalg.norm(d0)
         assert np.allclose(d1, ratio * d0, atol=1e-8)
-
-    def test_all_roles_relation_learning(self):
-        corpus = synthesize_corpus(11, 15, 2, 3, 0.5)
-        assert np.all(corpus.roles == ROLE_RELATION)
 
     def test_graphs_connected(self):
         corpus = synthesize_corpus(12, 50, 2, 5, 1.0)

@@ -221,6 +221,13 @@ class TestDissimilarityMatrix:
         with pytest.raises(ValidationError):
             DissimilarityMatrix(np.zeros((2, 2)), "text", object_index=("a",))
 
+    def test_input_array_left_unchanged(self):
+        raw = np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
+        before = raw.copy()
+        dm = DissimilarityMatrix(raw, "text")
+        assert np.array_equal(raw, before) and raw.flags.writeable
+        assert dm.values[0, 1] == dm.values[1, 0]
+
     def test_values_read_only(self):
         dm = DissimilarityMatrix(np.zeros((2, 2)), "text")
         with pytest.raises(ValueError):

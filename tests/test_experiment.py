@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from manifold_match.corpus import (
-    ROLE_RELATION,
     DomainData,
     LabeledCorpus,
     synthesize_corpus,
@@ -20,7 +19,6 @@ from manifold_match.experiment import (
     reconstruct_report,
     replicate_seed_for,
     run_experiment,
-    run_replicate,
 )
 
 THREE_VIEWS = (
@@ -157,6 +155,21 @@ class TestConfigValidation:
             ("cap", "six"),
             ("max_hops", {}),
             ("bootstrap_samples", float("nan")),
+            # JSON types are strict: nothing is truncated or stringified.
+            ("kappa", 2.7),
+            ("shared_dim", 1.9),
+            pytest.param("replicates", True, id="replicates-true"),
+            pytest.param("seed", False, id="seed-false"),
+            pytest.param("ridge", True, id="ridge-true"),
+            pytest.param("relation_classes", [0.5, 2], id="relation_classes-0.5"),
+            pytest.param("classifier_classes", [1, True], id="classifier_classes-true"),
+            pytest.param("schedule", [{"fraction": 1.0, "mds_dim": 7.9}], id="mds_dim-7.9"),
+            pytest.param("schedule", [{"fraction": True, "mds_dim": 7}], id="fraction-true"),
+            pytest.param("feature", ["a b"], id="feature-list"),
+            ("feature", "a b"),
+            ("feature", "../x"),
+            pytest.param("combinations", ["GF->GE", 3], id="combinations-int"),
+            pytest.param("averaged_views", {"GTF": ["GF", 1]}, id="averaged_views-int"),
         ],
     )
     def test_from_dict_malformed_scalar(self, name, value):
@@ -195,7 +208,6 @@ class TestConfigValidation:
         bad = LabeledCorpus(
             corpus.object_ids,
             corpus.labels,
-            corpus.roles,
             (
                 DomainData("domain0", features=None, edges=corpus.domains[0].edges),
                 corpus.domains[1],
@@ -225,20 +237,29 @@ class TestSampling:
         assert replicate_seed_for(17, 1, 0) != replicate_seed_for(17, 0, 0)
 
 
+def one_replicate(config, corpus):
+    """Accuracy per combination of the first replicate of the first row."""
+    report = run_experiment(config, corpus=corpus)
+    fraction = report.fractions[0]
+    return {
+        combo: report.cells[(combo, fraction)].accuracies[0] for combo in report.combinations
+    }
+
+
 class TestRunReplicate:
     def test_deterministic_in_replicate_seed(self):
         corpus = synthesize_corpus(11, 140, 2, 5, 0.6)
-        config = make_config()
-        row = config.resolved_schedule(84).rows[0]
-        a = run_replicate(config, row, 5551, corpus=corpus)
-        b = run_replicate(config, row, 5551, corpus=corpus)
+        config = make_config(replicates=1, schedule=((0.5, 8),), seed=5551)
+        a = one_replicate(config, corpus)
+        b = one_replicate(config, corpus)
         assert a == b
+        other = make_config(replicates=1, schedule=((0.5, 8),), seed=5552)
+        assert one_replicate(other, corpus) != a
 
     def test_zero_noise_gcca_graph_transfer_is_perfect(self):
         corpus = synthesize_corpus(11, 200, 2, 5, 0.0)
-        config = make_config(shared_dim=3, schedule=((1.0, 8),))
-        row = config.resolved_schedule(120).rows[0]
-        accs = run_replicate(config, row, replicate_seed_for(0, 0, 0), corpus=corpus)
+        config = make_config(shared_dim=3, schedule=((1.0, 8),), replicates=1, seed=0)
+        accs = one_replicate(config, corpus)
         assert accs["GF->GE"] == 1.0
 
     def test_prescaling_neutralizes_text_scale(self):
@@ -254,17 +275,15 @@ class TestRunReplicate:
             return LabeledCorpus(
                 corpus.object_ids,
                 corpus.labels,
-                corpus.roles,
                 (
                     corpus.domains[0],
                     DomainData(d1.name, d1.features, d1.edges, {"text": dm}),
                 ),
             )
 
-        config = make_config(replicates=1)
-        row = config.resolved_schedule(72).rows[0]
-        acc_base = run_replicate(config, row, 999, corpus=with_text(base_dm))
-        acc_scaled = run_replicate(config, row, 999, corpus=with_text(scaled_dm))
+        config = make_config(replicates=1, schedule=((0.5, 8),), seed=999)
+        acc_base = one_replicate(config, with_text(base_dm))
+        acc_scaled = one_replicate(config, with_text(scaled_dm))
         assert acc_base == acc_scaled
 
 
@@ -323,7 +342,6 @@ class TestRunExperiment:
         corpus = LabeledCorpus(
             tuple(f"o{i}" for i in range(n)),
             labels,
-            np.full(n, ROLE_RELATION),
             domains,
         )
         config = make_config(
