@@ -38,14 +38,30 @@ __all__ = [
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 
+def _read_only(array):
+    if array is None:
+        return None
+    copy = np.array(array)
+    copy.setflags(write=False)
+    return copy
+
+
 @dataclass(frozen=True)
 class DomainData:
-    """One domain's feature rows, graph edges and precomputed matrices by kind."""
+    """One domain's feature rows, graph edges and precomputed matrices by kind.
+
+    Features and edges are kept as read-only copies, so a view built from
+    them stays valid for the life of the corpus.
+    """
 
     name: str
     features: np.ndarray | None = None
     edges: np.ndarray | None = None
     dissimilarities: Mapping[str, DissimilarityMatrix] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "features", _read_only(self.features))
+        object.__setattr__(self, "edges", _read_only(self.edges))
 
 
 class _RegisteredMatrices(Mapping):
@@ -82,11 +98,16 @@ class _RegisteredMatrices(Mapping):
 
 @dataclass(frozen=True)
 class LabeledCorpus:
-    """Matched objects with integer class labels, observed in every domain."""
+    """Matched objects with integer class labels, observed in every domain.
+
+    The geodesic and cosine views an experiment builds from a domain are kept
+    in ``_views`` for later experiments on the same object.
+    """
 
     object_ids: tuple[str, ...]
     labels: np.ndarray
     domains: tuple[DomainData, ...]
+    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = tuple(str(i) for i in self.object_ids)
@@ -104,7 +125,9 @@ class LabeledCorpus:
             raise ValidationError("labels must be integer class ids")
         if labels.min() < 0:
             raise ValidationError("labels must be nonnegative")
-        object.__setattr__(self, "labels", labels.astype(np.int64))
+        labels = labels.astype(np.int64)
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
 
         if not self.domains:
             raise IntegrityError("corpus has no domains")
@@ -286,12 +309,23 @@ def load_corpus(path) -> LabeledCorpus:
         edges = None
         if entry.get("edges"):
             edges = _read_edges_tsv(root / entry["edges"], id_to_index)
+        refs = entry.get("dissimilarities") or {}
+        if not isinstance(refs, dict):
+            raise FormatError(
+                f"{manifest_path}: domain {name!r} dissimilarities {refs!r} is not an object"
+            )
         files = {}
-        for kind, ref in (entry.get("dissimilarities") or {}).items():
-            if isinstance(ref, str):
-                files[kind] = (root / ref, None)
-            else:
-                files[kind] = (root / ref["file"], ref.get("cap"))
+        for kind, ref in refs.items():
+            try:
+                if isinstance(ref, str):
+                    files[kind] = (root / ref, None)
+                else:
+                    files[kind] = (root / ref["file"], ref.get("cap"))
+            except (AttributeError, KeyError, TypeError):
+                raise FormatError(
+                    f"{manifest_path}: domain {name!r} {kind} dissimilarity entry "
+                    f"{ref!r} is not a file name or {{\"file\": ..., \"cap\": ...}}"
+                ) from None
         dissims = _RegisteredMatrices(files, name, tuple(ids))
         domains.append(DomainData(name, features=features, edges=edges, dissimilarities=dissims))
 

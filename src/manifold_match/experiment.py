@@ -307,6 +307,9 @@ class _PreparedRun:
 
 
 def _build_full_matrix(corpus, view, config):
+    """The view's full n x n matrix: the domain's registered matrix of that
+    kind, else the geodesic or cosine view the corpus object has kept from an
+    earlier call, else one built now and kept."""
     domain = corpus.domain(view.domain)
     if view.kind in domain.dissimilarities:
         return domain.dissimilarities[view.kind].values
@@ -316,21 +319,28 @@ def _build_full_matrix(corpus, view, config):
                 f"view {view.tag!r}: domain {view.domain!r} has no edges or "
                 "precomputed graph dissimilarity"
             )
-        dm = graph_geodesic(
-            domain.edges,
-            corpus.n_total,
-            cap=config.cap,
-            max_hops=config.max_hops,
-            domain_name=view.domain,
-        )
-        return dm.values
+        key = (view.domain, "graph", config.cap, config.max_hops)
+        if key not in corpus._views:
+            corpus._views[key] = graph_geodesic(
+                domain.edges,
+                corpus.n_total,
+                cap=config.cap,
+                max_hops=config.max_hops,
+                domain_name=view.domain,
+            ).values
+        return corpus._views[key]
     if view.kind == "text":
         if domain.features is None:
             raise ConfigError(
                 f"view {view.tag!r}: domain {view.domain!r} has no features or "
                 "precomputed text dissimilarity"
             )
-        return cosine_dissimilarity(domain.features, domain_name=view.domain).values
+        key = (view.domain, "text")
+        if key not in corpus._views:
+            corpus._views[key] = cosine_dissimilarity(
+                domain.features, domain_name=view.domain
+            ).values
+        return corpus._views[key]
     raise ConfigError(f"view {view.tag!r}: unknown dissimilarity kind {view.kind!r}")
 
 
@@ -400,9 +410,8 @@ def draw_training_sample(replicate_seed, relation_indices, n_prime) -> np.ndarra
     return np.sort(rng.choice(relation_indices, size=n_prime, replace=False))
 
 
-def _run_single(prepared, row, replicate_seed):
+def _run_single(prepared, row, sample):
     config = prepared.config
-    sample = draw_training_sample(replicate_seed, prepared.rel_idx, row.n_prime)
     d_mds = mds_dim_for(row, config.regularized)
     warnings = []
 
@@ -572,15 +581,31 @@ def run_experiment(config, corpus=None, on_row=None) -> AccuracyReport:
     ``(method, combination, feature, fraction, replicate, accuracy)`` tuples.
     Deterministic in (config, corpus): replicate seeds derive from
     ``config.seed`` and the (row, replicate) position only.
+
+    Each distinct result is computed once. A replicate that draws a sample
+    already fit in its schedule row replays that fit's accuracies and
+    warnings (at S = 100 % every replicate draws the whole pool, so one fit
+    serves them all), and still gets its own records and warning lines. The
+    geodesic and cosine views built from ``corpus`` are kept on that corpus
+    object, keyed by domain (and ``cap``/``max_hops`` for geodesics), so a
+    later call on the same object does not rebuild them.
     """
     prepared = _prepare(config, corpus)
     records = []
     warnings = []
     for row_index, row in enumerate(prepared.schedule.rows):
         row_records = []
+        fitted = {}  # drawn sample's bytes -> (accuracies, warnings)
         for rep in range(config.replicates):
-            seed_r = replicate_seed_for(config.seed, row_index, rep)
-            accuracies, warns = _run_single(prepared, row, seed_r)
+            sample = draw_training_sample(
+                replicate_seed_for(config.seed, row_index, rep),
+                prepared.rel_idx,
+                row.n_prime,
+            )
+            key = sample.tobytes()
+            if key not in fitted:
+                fitted[key] = _run_single(prepared, row, sample)
+            accuracies, warns = fitted[key]
             for w in warns:
                 warnings.append(f"replicate {rep}: {w}")
             for combo in config.combinations:

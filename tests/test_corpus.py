@@ -91,6 +91,29 @@ class TestLabeledCorpus:
             )
 
 
+class TestImmutable:
+    def test_features_edges_and_labels_are_read_only_copies(self):
+        features = np.eye(3)
+        edges = np.array([[0, 1], [1, 2]])
+        domain = DomainData("d0", features=features, edges=edges)
+        corpus = LabeledCorpus(("a", "b", "c"), np.array([0, 1, 0]), (domain,))
+        features[0, 0] = 5.0
+        edges[0, 0] = 2
+        assert corpus.domains[0].features[0, 0] == 1.0
+        assert corpus.domains[0].edges[0, 0] == 0
+        for array in (corpus.domains[0].features, corpus.domains[0].edges, corpus.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        save_corpus(small_corpus(), tmp_path)
+        domain = load_corpus(tmp_path).domain("d0")
+        with pytest.raises(ValueError, match="read-only"):
+            domain.features[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            domain.edges[0, 0] = 2
+
+
 class TestRoundTrip:
     def test_save_load_identical(self, tmp_path):
         corpus = synthesize_corpus(3, 30, 2, 3, 0.2)
@@ -244,6 +267,18 @@ class TestLoaderErrors:
         edges.write_text(edges.read_text() + "a\tzz\n")
         with pytest.raises(IntegrityError, match="zz"):
             load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("ref", [{"cap": 6}, 7])
+    def test_malformed_dissimilarity_entry_is_a_format_error(self, tmp_path, capsys, ref):
+        save_corpus(small_corpus(), tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["domains"][0]["dissimilarities"] = {"graph": ref}
+        path.write_text(json.dumps(manifest))
+        assert main(["dissim", str(tmp_path), "--domain", "d0", "--kind", "graph"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "domain 'd0' graph dissimilarity entry" in err
 
     def test_feature_row_count_checked(self, tmp_path):
         corpus = small_corpus()

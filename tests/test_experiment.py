@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from manifold_match import experiment
 from manifold_match.corpus import (
     DomainData,
     LabeledCorpus,
+    load_corpus,
+    save_corpus,
     synthesize_corpus,
 )
 from manifold_match.errors import ConfigError, ValidationError
@@ -421,3 +424,91 @@ class TestEmission:
                 for combo in config.combinations
             ]
             assert all(isinstance(r[5], float) and 0.0 <= r[5] <= 1.0 for r in recs)
+
+
+def golden_corpus():
+    # criterion 10's corpus, as in tests/test_golden.py
+    return synthesize_corpus(31, 120, 2, 5, 0.8)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """How often the run fits an MDS and builds a geodesic view."""
+    counts = {"mds_fit": 0, "graph_geodesic": 0}
+
+    def counting(name):
+        original = getattr(experiment, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(experiment, name, counting(name))
+    return counts
+
+
+class TestFitEachSampleOnce:
+    def test_replicates_of_an_already_fit_sample_are_replayed(self, calls):
+        # S=0.5 draws 3 distinct samples; S=1 draws the whole pool 3 times.
+        config = make_config(replicates=3)
+        records = []
+        report = run_experiment(
+            config, corpus=golden_corpus(), on_row=lambda row, recs: records.extend(recs)
+        )
+        assert calls["mds_fit"] == 3 * 3 + 3
+        assert [r[3:5] for r in records] == [
+            (fraction, rep)
+            for fraction in (0.5, 1.0)
+            for rep in range(3)
+            for _ in config.combinations
+        ]
+        for combo in config.combinations:
+            assert len(set(report.cells[(combo, 1.0)].accuracies)) == 1
+
+    def test_replayed_replicates_repeat_their_warnings_in_order(self):
+        report = run_experiment(make_config(replicates=3, shared_dim=7), corpus=golden_corpus())
+        assert report.warnings == [
+            f"replicate {rep}: S={fraction:g}: view TF effective MDS dimension 6 "
+            "is below shared_dim 7"
+            for fraction in (0.5, 1.0)
+            for rep in range(3)
+        ]
+
+
+class TestViewsKeptOnCorpus:
+    def test_gcca_then_cca_builds_each_graph_once(self, calls):
+        corpus = golden_corpus()
+        run_experiment(make_config(replicates=1), corpus=corpus)
+        run_experiment(
+            make_config(replicates=1, method="cca", combinations=("GF->GE",), averaged_views={}),
+            corpus=corpus,
+        )
+        assert calls["graph_geodesic"] == 2
+
+    def test_new_max_hops_builds_again(self, calls):
+        corpus = golden_corpus()
+        run_experiment(make_config(replicates=1), corpus=corpus)
+        run_experiment(make_config(replicates=1, max_hops=20), corpus=corpus)
+        assert calls["graph_geodesic"] == 4
+
+    def test_loaded_corpora_do_not_share_views(self, calls, tmp_path):
+        save_corpus(golden_corpus(), tmp_path)
+        config = make_config(replicates=1)
+        run_experiment(config, corpus=load_corpus(tmp_path))
+        run_experiment(config, corpus=load_corpus(tmp_path))
+        assert calls["graph_geodesic"] == 4
+
+    def test_kept_views_give_the_fresh_report(self):
+        config = make_config(replicates=3)
+        corpus = golden_corpus()
+        cca = make_config(
+            replicates=1, method="cca", combinations=("TF->GE",), averaged_views={}
+        )
+        run_experiment(cca, corpus=corpus)
+        assert corpus._views
+        assert run_experiment(config, corpus=corpus) == run_experiment(
+            config, corpus=golden_corpus()
+        )

@@ -1,10 +1,12 @@
 """Golden-output gate: the experiment contract files for fixed seeds.
 
-Three small seeded configs (criterion 10's GCCA config, a CCA config and a
-regularized one) must reproduce the committed ``curves_*.csv``,
-``table.csv`` and ``replicates.log`` under ``tests/golden/<name>/`` byte for
-byte, both through ``run_experiment`` + ``emit_curves`` and through the
-``experiment`` subcommand. Re-pin them only with per-cell evidence that
+Four small seeded configs (criterion 10's GCCA config, a CCA config, a
+regularized one and one whose ``shared_dim`` exceeds the text view's
+effective MDS dimension, so ``d_shared`` shrinks and warns) must reproduce
+the committed ``curves_*.csv``, ``table.csv``, ``replicates.log`` and
+``warnings.log`` under ``tests/golden/<name>/`` byte for byte, both through
+``run_experiment`` + ``emit_curves`` and through the ``experiment``
+subcommand. Re-pin them only with per-cell evidence that
 every mean moved by less than its bootstrap SE, by running
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -47,6 +49,7 @@ CONFIGS = {
     "gcca": {},
     "cca": {"method": "cca", "combinations": ["GF->GE", "TF->GE"], "averaged_views": {}},
     "regularized": {"regularized": True},
+    "shrink": {"shared_dim": 7},
 }
 
 
@@ -55,7 +58,12 @@ def config_dict(name, corpus_dir):
 
 
 def contract_names(config):
-    return [f"curves_{config['method']}_{config['feature']}.csv", "table.csv", "replicates.log"]
+    return [
+        f"curves_{config['method']}_{config['feature']}.csv",
+        "table.csv",
+        "replicates.log",
+        "warnings.log",
+    ]
 
 
 def write_corpus(path):
