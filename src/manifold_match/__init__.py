@@ -28,12 +28,7 @@ from .corpus import (
     save_corpus,
     synthesize_corpus,
 )
-from .dissimilarity import (
-    DissimilarityMatrix,
-    cosine_dissimilarity,
-    frobenius_prescale,
-    graph_geodesic,
-)
+from .dissimilarity import cosine_dissimilarity, frobenius_prescale, graph_geodesic
 from .errors import (
     ConditioningError,
     ConfigError,
@@ -52,6 +47,5 @@ from .experiment import (
     run_experiment,
 )
 from .mds import MdsModel, fidelity_error, mds_fit, mds_out_of_sample, scree
-from .numerics import SpectralResult, eig_sym
 
 __version__ = "0.1.0"

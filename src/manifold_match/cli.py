@@ -67,32 +67,27 @@ def _cmd_dissim(args):
             print(f"error: domain {args.domain!r} has no edge list", file=sys.stderr)
             return EXIT_DATA
         dm = graph_geodesic(
-            domain.edges,
-            corpus.n_total,
-            cap=args.cap,
-            max_hops=args.max_hops,
-            domain_name=args.domain,
-            object_index=corpus.object_ids,
+            domain.edges, corpus.n_total, cap=args.cap, max_hops=args.max_hops
         )
+        settings = {"cap": args.cap, "max_hops": args.max_hops}
     else:
         if domain.features is None:
             print(f"error: domain {args.domain!r} has no features", file=sys.stderr)
             return EXIT_DATA
-        dm = cosine_dissimilarity(
-            domain.features, domain_name=args.domain, object_index=corpus.object_ids
-        )
+        dm = cosine_dissimilarity(domain.features)
+        settings = {}
 
     if args.out:
         save_dissimilarity_tsv(dm, args.out)
         print(f"wrote {args.out}")
     else:
-        path = register_dissimilarity(args.corpus, args.domain, dm)
+        path = register_dissimilarity(args.corpus, args.domain, args.kind, dm, **settings)
         print(f"wrote {path} and updated manifest")
     return EXIT_OK
 
 
 def _cmd_mds(args):
-    dm = load_dissimilarity_tsv(args.input, kind="external")
+    dm = load_dissimilarity_tsv(args.input)
     model = mds_fit(dm, args.dim)
     write_matrix(model.embedding, args.out)
     print(

@@ -4,8 +4,9 @@ A corpus on disk is a directory: ``manifest.json`` with object ids, integer
 class labels and per-domain file references; per-domain ``features.tsv``
 (one row of tab-separated reals per object), ``edges.tsv`` (two object-id
 columns per line, undirected), and optional precomputed ``dissim_<kind>.tsv``
-square matrices, each read the first time it is used. Plain text throughout
-so corpora are diff-able and language neutral.
+square matrices, each read the first time it is used (the manifest records
+the ``cap`` and ``max_hops`` a graph matrix was built with). Plain text
+throughout so corpora are diff-able and language neutral.
 """
 
 from __future__ import annotations
@@ -18,11 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dissimilarity import (
-    DissimilarityMatrix,
-    load_dissimilarity_tsv,
-    save_dissimilarity_tsv,
-)
+from .dissimilarity import as_dissimilarity, load_dissimilarity_tsv, save_dissimilarity_tsv
 from .errors import FormatError, IntegrityError, ValidationError
 from .formats import read_matrix, write_json, write_matrix
 
@@ -46,54 +43,76 @@ def _read_only(array):
     return copy
 
 
+class _RegisteredMatrices(Mapping):
+    """A loaded domain's registered matrices, each read on first use and kept.
+
+    ``files`` maps each kind to its path and the graph settings the manifest
+    records for it, ``{"cap": ..., "max_hops": ...}`` with None where none is
+    recorded.
+    """
+
+    def __init__(self, files, n):
+        self.files = files
+        self._n = n
+        self._read = {}
+
+    def __getitem__(self, kind):
+        if kind not in self._read:
+            path = self.files[kind][0]
+            values = load_dissimilarity_tsv(path)
+            if values.shape[0] != self._n:
+                raise IntegrityError(
+                    f"{path}: {values.shape[0]}x{values.shape[0]} matrix for "
+                    f"{self._n} objects"
+                )
+            self._read[kind] = values
+        return self._read[kind]
+
+    def __contains__(self, kind):
+        return kind in self.files  # Mapping's default would read the file
+
+    def __iter__(self):
+        return iter(self.files)
+
+    def __len__(self):
+        return len(self.files)
+
+
 @dataclass(frozen=True)
 class DomainData:
     """One domain's feature rows, graph edges and precomputed matrices by kind.
 
     Features and edges are kept as read-only copies, so a view built from
-    them stays valid for the life of the corpus.
+    them stays valid for the life of the corpus. A precomputed matrix given
+    in memory is checked and kept by :func:`as_dissimilarity`.
     """
 
     name: str
     features: np.ndarray | None = None
     edges: np.ndarray | None = None
-    dissimilarities: Mapping[str, DissimilarityMatrix] = field(default_factory=dict)
+    dissimilarities: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "features", _read_only(self.features))
         object.__setattr__(self, "edges", _read_only(self.edges))
-
-
-class _RegisteredMatrices(Mapping):
-    """A loaded domain's registered matrices, each read on first use and kept."""
-
-    def __init__(self, files, domain_name, object_ids):
-        self._files = files  # kind -> (path, cap)
-        self._domain_name = domain_name
-        self._object_ids = object_ids
-        self._read = {}
-
-    def __getitem__(self, kind):
-        if kind not in self._read:
-            path, cap = self._files[kind]
+        if isinstance(self.dissimilarities, _RegisteredMatrices):
+            return  # each matrix is checked when first read
+        checked = {}
+        for kind, values in self.dissimilarities.items():
             try:
-                self._read[kind] = load_dissimilarity_tsv(
-                    path, kind, domain_name=self._domain_name,
-                    object_index=self._object_ids, cap=cap,
-                )
+                checked[kind] = as_dissimilarity(values)
             except ValidationError as exc:
-                # Includes a matrix whose size differs from the object count.
-                raise type(exc)(f"{path}: {exc}") from None
-        return self._read[kind]
+                raise ValidationError(f"domain {self.name!r} {kind} {exc}") from None
+        object.__setattr__(self, "dissimilarities", checked)
 
-    def __contains__(self, kind):
-        return kind in self._files  # Mapping's default would read the file
 
-    def __iter__(self):
-        return iter(self._files)
-
-    def __len__(self):
-        return len(self._files)
+def _recorded(domain, kind):
+    """``(path, settings)`` of ``domain``'s ``kind`` matrix as its manifest
+    records them (see ``_RegisteredMatrices``); a matrix given in memory has
+    no path and no recorded settings."""
+    if isinstance(domain.dissimilarities, _RegisteredMatrices):
+        return domain.dissimilarities.files[kind]
+    return None, {"cap": None, "max_hops": None}
 
 
 @dataclass(frozen=True)
@@ -155,10 +174,11 @@ class LabeledCorpus:
                     )
             if isinstance(domain.dissimilarities, _RegisteredMatrices):
                 continue  # checked when each matrix is first read
-            for kind, dm in domain.dissimilarities.items():
-                if dm.n != n:
+            for kind, values in domain.dissimilarities.items():
+                m = values.shape[0]
+                if m != n:
                     raise IntegrityError(
-                        f"domain {domain.name!r} {kind} dissimilarity is {dm.n}x{dm.n} "
+                        f"domain {domain.name!r} {kind} dissimilarity is {m}x{m} "
                         f"for {n} objects"
                     )
 
@@ -228,8 +248,10 @@ def save_corpus(corpus, path):
             rel = f"{domain.name}/edges.tsv"
             _write_edges_tsv(domain.edges, corpus.object_ids, root / rel)
             entry["edges"] = rel
-        for kind, dm in sorted(domain.dissimilarities.items()):
-            entry["dissimilarities"][kind] = _save_dissimilarity(root, domain.name, kind, dm)
+        for kind, values in sorted(domain.dissimilarities.items()):
+            entry["dissimilarities"][kind] = _save_dissimilarity(
+                root, domain.name, kind, values, **_recorded(domain, kind)[1]
+            )
         domain_entries.append(entry)
     manifest = {
         "objects": {
@@ -241,27 +263,29 @@ def save_corpus(corpus, path):
     write_json(manifest, root / "manifest.json")
 
 
-def _save_dissimilarity(root, domain_name, kind, dm):
+def _save_dissimilarity(root, domain_name, kind, values, cap, max_hops):
     """Write ``<domain>/dissim_<kind>.tsv``; returns its manifest entry."""
     rel = f"{domain_name}/dissim_{kind}.tsv"
-    save_dissimilarity_tsv(dm, root / rel)
-    return {"file": rel, "cap": dm.cap}
+    save_dissimilarity_tsv(values, root / rel)
+    return {"file": rel, "cap": cap, "max_hops": max_hops}
 
 
-def register_dissimilarity(path, domain_name, dm) -> Path:
-    """Add ``dm`` to a saved corpus as ``domain_name``'s ``dm.kind`` matrix.
+def register_dissimilarity(path, domain_name, kind, values, cap=None, max_hops=None) -> Path:
+    """Add ``values`` to a saved corpus as ``domain_name``'s ``kind`` matrix.
 
     Writes the matrix file, then replaces the manifest with one that records
-    it, so later loads pick the matrix up. Returns the matrix file's path.
+    it with the ``cap``/``max_hops`` it was built with (None for a matrix
+    that is not a geodesic), so later loads pick the matrix up. Returns the
+    matrix file's path.
     """
     root = Path(path)
     manifest_path = root / "manifest.json"
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    entry = _save_dissimilarity(root, domain_name, dm.kind, dm)
+    entry = _save_dissimilarity(root, domain_name, kind, values, cap, max_hops)
     for domain in manifest["domains"]:
         if domain["name"] == domain_name:
-            domain.setdefault("dissimilarities", {})[dm.kind] = entry
+            domain.setdefault("dissimilarities", {})[kind] = entry
     write_json(manifest, manifest_path)
     return root / entry["file"]
 
@@ -316,17 +340,18 @@ def load_corpus(path) -> LabeledCorpus:
             )
         files = {}
         for kind, ref in refs.items():
-            try:
-                if isinstance(ref, str):
-                    files[kind] = (root / ref, None)
-                else:
-                    files[kind] = (root / ref["file"], ref.get("cap"))
-            except (AttributeError, KeyError, TypeError):
+            where = f"{manifest_path}: domain {name!r} {kind} dissimilarity entry {ref!r}"
+            if isinstance(ref, str):
+                ref = {"file": ref}
+            if not isinstance(ref, dict) or not isinstance(ref.get("file"), str):
                 raise FormatError(
-                    f"{manifest_path}: domain {name!r} {kind} dissimilarity entry "
-                    f"{ref!r} is not a file name or {{\"file\": ..., \"cap\": ...}}"
-                ) from None
-        dissims = _RegisteredMatrices(files, name, tuple(ids))
+                    f"{where} is not a file name or {{\"file\": ..., \"cap\": ...}}"
+                )
+            settings = {key: ref.get(key) for key in ("cap", "max_hops")}
+            if any(v is not None and type(v) is not int for v in settings.values()):
+                raise FormatError(f"{where}: cap and max_hops must be integers or null")
+            files[kind] = (root / ref["file"], settings)
+        dissims = _RegisteredMatrices(files, len(ids))
         domains.append(DomainData(name, features=features, edges=edges, dissimilarities=dissims))
 
     return LabeledCorpus(tuple(ids), np.asarray(labels), tuple(domains))

@@ -3,11 +3,14 @@
 Two kinds are supported: hop-count graph geodesics with far pairs capped, and
 cosine dissimilarity of feature rows. Frobenius prescaling rescales one matrix
 onto another's norm so matrices of different kinds can be fused downstream.
+
+A dissimilarity is a read-only square float array. The constructions here
+build theirs exactly symmetric, with a zero diagonal and nonnegative entries;
+a matrix from anywhere else (a file, a caller's array) is checked once by
+:func:`as_dissimilarity` where it enters.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -17,9 +20,7 @@ from .errors import FormatError, ValidationError
 from .formats import read_matrix, write_matrix
 
 __all__ = [
-    "DissimilarityMatrix",
-    "KIND_GRAPH",
-    "KIND_TEXT",
+    "as_dissimilarity",
     "graph_geodesic",
     "cosine_dissimilarity",
     "frobenius_prescale",
@@ -27,76 +28,52 @@ __all__ = [
     "save_dissimilarity_tsv",
 ]
 
-KIND_GRAPH = "graph"
-KIND_TEXT = "text"
-
 _SYM_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DissimilarityMatrix:
-    """Square symmetric nonnegative dissimilarities with a provenance tag.
+def _read_only(array):
+    array.setflags(write=False)
+    return array
 
-    ``kind`` records how the entries were produced (``"graph"`` hop counts,
-    ``"text"`` cosine, or a free-form tag for externally supplied matrices).
-    Kind-specific ranges — integer hop counts bounded by ``cap``, cosine
-    values in [0, 2] — are guaranteed by the constructing operations, not
-    re-checked here, because :func:`frobenius_prescale` legitimately rescales
-    entries out of those ranges while keeping the tag.
+
+def as_dissimilarity(values) -> np.ndarray:
+    """Check a matrix from outside the package and return it as a dissimilarity.
+
+    It must be square, finite and symmetric, with a zero diagonal and no
+    negative entries, each within ``1e-12``. Returns a read-only copy made
+    exact in all three, so spectral code never sees tolerance-level asymmetry.
     """
-
-    values: np.ndarray
-    kind: str
-    domain_name: str = ""
-    object_index: tuple[str, ...] | None = None
-    cap: int | None = None
-
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValidationError(f"dissimilarity matrix must be square, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("dissimilarity matrix contains non-finite entries")
-        if v.size:
-            # v - v.T is antisymmetric: its largest entry is its largest magnitude.
-            if np.max(v - v.T) > _SYM_ATOL:
-                raise ValidationError(
-                    f"dissimilarity matrix is not symmetric within {_SYM_ATOL:g}"
-                )
-            if np.max(np.abs(np.diag(v))) > _SYM_ATOL:
-                raise ValidationError("dissimilarity matrix has a nonzero diagonal")
-            if v.min() < -_SYM_ATOL:
-                raise ValidationError("dissimilarity matrix has negative entries")
-        # Normalize to exact symmetry / zero diagonal / nonnegativity so
-        # downstream spectral code never sees tolerance-level asymmetry. In
-        # place, because these n x n matrices are the largest arrays a run holds.
-        v += v.T
-        v *= 0.5
-        np.fill_diagonal(v, 0.0)
-        np.clip(v, 0.0, None, out=v)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        if self.object_index is not None:
-            index = tuple(self.object_index)
-            if len(index) != v.shape[0]:
-                raise ValidationError(
-                    f"object index has {len(index)} ids for a "
-                    f"{v.shape[0]}x{v.shape[0]} matrix"
-                )
-            object.__setattr__(self, "object_index", index)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
+    v = np.array(values, dtype=float)
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        raise ValidationError(f"dissimilarity matrix must be square, got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("dissimilarity matrix contains non-finite entries")
+    if v.size:
+        # v - v.T is antisymmetric: its largest entry is its largest magnitude.
+        if np.max(v - v.T) > _SYM_ATOL:
+            raise ValidationError(
+                f"dissimilarity matrix is not symmetric within {_SYM_ATOL:g}"
+            )
+        if np.max(np.abs(np.diag(v))) > _SYM_ATOL:
+            raise ValidationError("dissimilarity matrix has a nonzero diagonal")
+        if v.min() < -_SYM_ATOL:
+            raise ValidationError("dissimilarity matrix has negative entries")
+    # In place, because these n x n matrices are the largest arrays a run holds.
+    v += v.T
+    v *= 0.5
+    np.fill_diagonal(v, 0.0)
+    np.clip(v, 0.0, None, out=v)
+    return _read_only(v)
 
 
-def graph_geodesic(edges, n, cap=6, max_hops=4, domain_name="", object_index=None):
+def graph_geodesic(edges, n, cap=6, max_hops=4) -> np.ndarray:
     """Hop-count dissimilarity on an unweighted undirected graph.
 
     Entry (i, j) is the shortest-path hop count when it is at most
     ``max_hops``; longer or unreachable pairs get ``cap``. The search runs in
     C: :func:`scipy.sparse.csgraph.dijkstra` with unit edge weights, one
-    search per source, each stopped past ``max_hops`` hops.
+    search per source, each stopped past ``max_hops`` hops. Hop counts of an
+    undirected graph make the result exactly symmetric.
 
     Parameters
     ----------
@@ -129,16 +106,15 @@ def graph_geodesic(edges, n, cap=6, max_hops=4, domain_name="", object_index=Non
     graph = csr_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
     out = dijkstra(graph, directed=False, unweighted=True, limit=max_hops)
     out[np.isinf(out)] = cap
-    return DissimilarityMatrix(
-        out, KIND_GRAPH, domain_name=domain_name, object_index=object_index, cap=cap
-    )
+    return _read_only(out)
 
 
-def cosine_dissimilarity(features, domain_name="", object_index=None):
+def cosine_dissimilarity(features) -> np.ndarray:
     """Cosine dissimilarity ``1 - <f_i, f_j> / (|f_i| |f_j|)`` of feature rows.
 
     Self-similarity is forced to one before the subtraction so the diagonal
-    is exactly zero, and entries are clipped to the cosine range [0, 2].
+    is exactly zero, entries are clipped to the cosine range [0, 2], and the
+    result is averaged with its transpose so it is exactly symmetric.
     """
     f = np.asarray(features, dtype=float)
     if f.ndim != 2:
@@ -154,38 +130,37 @@ def cosine_dissimilarity(features, domain_name="", object_index=None):
     np.fill_diagonal(similarity, 1.0)
     d = 1.0 - similarity
     np.clip(d, 0.0, 2.0, out=d)
-    d = 0.5 * (d + d.T)
-    return DissimilarityMatrix(
-        d, KIND_TEXT, domain_name=domain_name, object_index=object_index
-    )
+    return _read_only(0.5 * (d + d.T))
 
 
-def frobenius_prescale(target, reference):
+def frobenius_prescale(target, reference) -> np.ndarray:
     """Rescale ``target`` so its Frobenius norm matches ``reference``'s.
 
-    Returns ``target * |reference|_F / |target|_F`` with kind and shape
-    preserved. Needed before fusing matrices whose kinds live on different
+    Returns ``target * |reference|_F / |target|_F`` as a new read-only
+    array. Needed before fusing matrices whose kinds live on different
     scales (cosine values vs hop counts).
     """
-    t_norm = float(np.linalg.norm(target.values))
+    t_norm = float(np.linalg.norm(target))
     if t_norm == 0.0:
         raise ValidationError("cannot prescale a matrix with zero Frobenius norm")
-    r_norm = float(np.linalg.norm(reference.values))
-    return replace(target, values=target.values * (r_norm / t_norm))
+    r_norm = float(np.linalg.norm(reference))
+    return _read_only(np.asarray(target, dtype=float) * (r_norm / t_norm))
 
 
 def save_dissimilarity_tsv(matrix, path):
     """Write the full square matrix as a matrix file (round-trip exact)."""
-    write_matrix(matrix.values if isinstance(matrix, DissimilarityMatrix) else matrix, path)
+    write_matrix(matrix, path)
 
 
-def load_dissimilarity_tsv(path, kind, domain_name="", object_index=None, cap=None):
-    """Read a full square matrix file into a DissimilarityMatrix."""
+def load_dissimilarity_tsv(path) -> np.ndarray:
+    """Read a square matrix file and check it with :func:`as_dissimilarity`;
+    a failed check names ``path``."""
     values = read_matrix(path)
     if values.shape[0] != values.shape[1]:
         raise FormatError(
             f"{path}: expected a square matrix, got {values.shape[0]}x{values.shape[1]}"
         )
-    return DissimilarityMatrix(
-        values, kind, domain_name=domain_name, object_index=object_index, cap=cap
-    )
+    try:
+        return as_dissimilarity(values)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

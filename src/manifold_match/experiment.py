@@ -19,7 +19,7 @@ import numpy as np
 
 from .align import cca_fit, gcca_fit, project
 from .classify import LabeledEmbedding, average_views, loo_cross_view_accuracy
-from .corpus import _NAME_RE, load_corpus
+from .corpus import _NAME_RE, _recorded, load_corpus
 from .dissimilarity import cosine_dissimilarity, graph_geodesic
 from .errors import ConfigError, ValidationError
 from .formats import write_json
@@ -309,10 +309,21 @@ class _PreparedRun:
 def _build_full_matrix(corpus, view, config):
     """The view's full n x n matrix: the domain's registered matrix of that
     kind, else the geodesic or cosine view the corpus object has kept from an
-    earlier call, else one built now and kept."""
+    earlier call, else one built now and kept. A registered graph matrix
+    whose manifest records another ``cap`` or ``max_hops`` than the config's
+    is a ``ConfigError``."""
     domain = corpus.domain(view.domain)
     if view.kind in domain.dissimilarities:
-        return domain.dissimilarities[view.kind].values
+        path, recorded = _recorded(domain, view.kind)
+        if view.kind == "graph" and any(
+            value not in (None, getattr(config, key)) for key, value in recorded.items()
+        ):
+            raise ConfigError(
+                f"view {view.tag!r}: {path} was built with cap={recorded['cap']}, "
+                f"max_hops={recorded['max_hops']}, but the config asks for "
+                f"cap={config.cap}, max_hops={config.max_hops}"
+            )
+        return domain.dissimilarities[view.kind]
     if view.kind == "graph":
         if domain.edges is None:
             raise ConfigError(
@@ -322,12 +333,8 @@ def _build_full_matrix(corpus, view, config):
         key = (view.domain, "graph", config.cap, config.max_hops)
         if key not in corpus._views:
             corpus._views[key] = graph_geodesic(
-                domain.edges,
-                corpus.n_total,
-                cap=config.cap,
-                max_hops=config.max_hops,
-                domain_name=view.domain,
-            ).values
+                domain.edges, corpus.n_total, cap=config.cap, max_hops=config.max_hops
+            )
         return corpus._views[key]
     if view.kind == "text":
         if domain.features is None:
@@ -337,9 +344,7 @@ def _build_full_matrix(corpus, view, config):
             )
         key = (view.domain, "text")
         if key not in corpus._views:
-            corpus._views[key] = cosine_dissimilarity(
-                domain.features, domain_name=view.domain
-            ).values
+            corpus._views[key] = cosine_dissimilarity(domain.features)
         return corpus._views[key]
     raise ConfigError(f"view {view.tag!r}: unknown dissimilarity kind {view.kind!r}")
 

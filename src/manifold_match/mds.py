@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .dissimilarity import DissimilarityMatrix
 from .errors import ValidationError
 from .numerics import eig_sym
 
@@ -27,8 +26,6 @@ _POSITIVE_RTOL = 1e-10
 
 
 def _dissim_values(delta, name="delta"):
-    if isinstance(delta, DissimilarityMatrix):
-        return delta.values
     arr = np.asarray(delta, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {arr.shape}")
@@ -82,12 +79,14 @@ def mds_fit(delta, p) -> MdsModel:
     grand_mean = float(squared.mean())
     gram = -0.5 * (squared - row_means[:, None] - row_means[None, :] + grand_mean)
 
-    spectrum = eig_sym(gram)
-    cutoff = max(float(spectrum.eigenvalues[0]), 0.0) * _POSITIVE_RTOL
-    positive = int(np.sum(spectrum.eigenvalues > cutoff))
+    # Rounding leaves the double-centred matrix asymmetric in its last bits,
+    # and eig_sym reads one triangle: average the two.
+    eigenvalues, eigenvectors = eig_sym(0.5 * (gram + gram.T))
+    cutoff = max(float(eigenvalues[0]), 0.0) * _POSITIVE_RTOL
+    positive = int(np.sum(eigenvalues > cutoff))
     keep = min(p, positive)
-    values = spectrum.eigenvalues[:keep].copy()
-    coords = spectrum.eigenvectors[:, :keep] * np.sqrt(values)
+    values = eigenvalues[:keep].copy()
+    coords = eigenvectors[:, :keep] * np.sqrt(values)
     return MdsModel(coords, values, row_means, grand_mean, p)
 
 

@@ -8,33 +8,9 @@ platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ValidationError
-
-__all__ = ["SpectralResult", "eig_sym"]
-
-
-@dataclass(frozen=True)
-class SpectralResult:
-    """Eigenvalues sorted descending with matching eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def _as_symmetric(a, name, rtol=1e-10):
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.T) > rtol * max(scale, 1.0):
-        raise ValidationError(f"{name} is not symmetric within relative {rtol:g}")
-    return 0.5 * (a + a.T)
+__all__ = ["eig_sym"]
 
 
 def _fix_signs(vectors):
@@ -48,21 +24,21 @@ def _fix_signs(vectors):
     return vectors * signs
 
 
-def eig_sym(a) -> SpectralResult:
+def eig_sym(a):
     """Full decomposition of a symmetric matrix.
 
     Parameters
     ----------
-    a : (n, n) array_like
-        Symmetric within relative 1e-10.
+    a : (n, n) ndarray
+        Symmetric; not checked. Only the lower triangle is read, so a caller
+        whose matrix is symmetric only up to rounding symmetrises it first.
 
     Returns
     -------
-    SpectralResult
+    values, vectors : ndarray
         Eigenvalues descending; orthonormal eigenvector columns with each
         column's largest-magnitude entry positive.
     """
-    s = _as_symmetric(a, "A")
-    values, vectors = np.linalg.eigh(s)
+    values, vectors = np.linalg.eigh(a)
     order = np.argsort(-values, kind="stable")
-    return SpectralResult(values[order], _fix_signs(vectors[:, order]))
+    return values[order], _fix_signs(vectors[:, order])

@@ -13,7 +13,8 @@ from manifold_match.corpus import (
     register_dissimilarity,
     save_corpus,
 )
-from manifold_match.dissimilarity import DissimilarityMatrix
+from manifold_match.errors import ConfigError
+from manifold_match.experiment import ExperimentConfig, run_experiment
 
 
 def path_graph_corpus(tmp_path):
@@ -95,10 +96,12 @@ class TestDissim:
         corpus_dir = path_graph_corpus(tmp_path)
         code = main(["dissim", str(corpus_dir), "--domain", "eng", "--kind", "graph"])
         assert code == 0
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        entry = manifest["domains"][0]["dissimilarities"]["graph"]
+        assert (entry["cap"], entry["max_hops"]) == (6, 4)
         corpus = load_corpus(corpus_dir)
         dm = corpus.domains[0].dissimilarities["graph"]
-        assert dm.cap == 6
-        assert np.array_equal(dm.values, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        assert np.array_equal(dm, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
     def test_unknown_domain_is_data_error(self, tmp_path, capsys):
         corpus_dir = path_graph_corpus(tmp_path)
@@ -381,7 +384,7 @@ class TestExperimentCommand:
             "--classes", "5", "--noise", "0.5", "--out", str(corpus_dir),
         ])
         matrix = register_dissimilarity(
-            corpus_dir, "domain0", DissimilarityMatrix(np.ones((3, 3)) - np.eye(3), "graph")
+            corpus_dir, "domain0", "graph", np.ones((3, 3)) - np.eye(3)
         )
         config = experiment_config(tmp_path, corpus_dir)
         out = tmp_path / "run"
@@ -389,3 +392,27 @@ class TestExperimentCommand:
         assert code == 2
         assert str(matrix) in capsys.readouterr().err
         assert not out.exists()
+
+    def test_graph_matrix_registered_at_other_settings_is_config_error(
+        self, tmp_path, capsys
+    ):
+        corpus_dir = tmp_path / "corpus"
+        main([
+            "synth", "--seed", "31", "--objects", "120", "--domains", "2",
+            "--classes", "5", "--noise", "0.8", "--out", str(corpus_dir),
+        ])
+        for domain in ("domain0", "domain1"):
+            argv = ["dissim", str(corpus_dir), "--domain", domain, "--kind", "graph"]
+            assert main(argv + ["--cap", "6", "--max-hops", "4"]) == 0
+        config = experiment_config(tmp_path, corpus_dir, cap=32, max_hops=30)
+        with pytest.raises(ConfigError, match="dissim_graph.tsv was built with cap=6, "
+                           "max_hops=4, but the config asks for cap=32, max_hops=30"):
+            run_experiment(ExperimentConfig.from_json(config))
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 2
+        assert "dissim_graph.tsv" in capsys.readouterr().err
+        assert not out.exists()
+        # The settings it was built with run.
+        config = experiment_config(tmp_path, corpus_dir, cap=6, max_hops=4)
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0

@@ -82,6 +82,22 @@ class TestLabeledCorpus:
                 (DomainData("d", edges=np.array([[0, 2]])),),
             )
 
+    def test_dissimilarity_size_mismatch(self):
+        with pytest.raises(IntegrityError, match="'d' graph dissimilarity is 2x2 for 3"):
+            LabeledCorpus(
+                ("a", "b", "c"),
+                np.array([0, 1, 0]),
+                (DomainData("d", dissimilarities={"graph": np.ones((2, 2)) - np.eye(2)}),),
+            )
+
+    def test_in_memory_dissimilarity_checked_once(self):
+        raw = np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
+        kept = DomainData("d", dissimilarities={"text": raw}).dissimilarities["text"]
+        assert np.array_equal(kept, kept.T) and not kept.flags.writeable
+        assert raw.flags.writeable
+        with pytest.raises(ValidationError, match="domain 'd' text dissimilarity .*negative"):
+            DomainData("d", dissimilarities={"text": -raw})
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(IntegrityError, match="unique"):
             LabeledCorpus(
@@ -119,10 +135,7 @@ class TestRoundTrip:
         corpus = synthesize_corpus(3, 30, 2, 3, 0.2)
         # attach a precomputed dissimilarity so that path round-trips too
         d0 = corpus.domains[0]
-        dm = graph_geodesic(
-            d0.edges, corpus.n_total, cap=6, domain_name=d0.name,
-            object_index=corpus.object_ids,
-        )
+        dm = graph_geodesic(d0.edges, corpus.n_total, cap=6)
         corpus = LabeledCorpus(
             corpus.object_ids,
             corpus.labels,
@@ -143,10 +156,7 @@ class TestRoundTrip:
             assert np.array_equal(da.edges, db.edges)
             assert set(da.dissimilarities) == set(db.dissimilarities)
             for kind in da.dissimilarities:
-                assert np.array_equal(
-                    da.dissimilarities[kind].values, db.dissimilarities[kind].values
-                )
-                assert da.dissimilarities[kind].cap == db.dissimilarities[kind].cap
+                assert np.array_equal(da.dissimilarities[kind], db.dissimilarities[kind])
 
     def test_double_roundtrip_stable(self, tmp_path):
         corpus = synthesize_corpus(4, 20, 2, 2, 0.0)
@@ -164,8 +174,9 @@ def registered(tmp_path):
     corpus = synthesize_corpus(21, 60, 2, 5, 0.3)
     save_corpus(corpus, root)
     d0, d1 = corpus.domains
-    register_dissimilarity(root, d0.name, graph_geodesic(d0.edges, corpus.n_total, 32, 30))
-    register_dissimilarity(root, d1.name, cosine_dissimilarity(d1.features))
+    geodesic = graph_geodesic(d0.edges, corpus.n_total, 32, 30)
+    register_dissimilarity(root, d0.name, "graph", geodesic, cap=32, max_hops=30)
+    register_dissimilarity(root, d1.name, "text", cosine_dissimilarity(d1.features))
     return root
 
 
@@ -268,7 +279,9 @@ class TestLoaderErrors:
         with pytest.raises(IntegrityError, match="zz"):
             load_corpus(tmp_path)
 
-    @pytest.mark.parametrize("ref", [{"cap": 6}, 7])
+    @pytest.mark.parametrize("ref", [
+        {"cap": 6}, 7, {"file": "d0/g.tsv", "cap": "six"}, {"file": "d0/g.tsv", "max_hops": 2.5},
+    ])
     def test_malformed_dissimilarity_entry_is_a_format_error(self, tmp_path, capsys, ref):
         save_corpus(small_corpus(), tmp_path)
         path = tmp_path / "manifest.json"
@@ -369,7 +382,7 @@ class TestSynthesize:
         corpus = synthesize_corpus(12, 50, 2, 5, 1.0)
         for domain in corpus.domains:
             dm = graph_geodesic(domain.edges, corpus.n_total, cap=99, max_hops=98)
-            assert dm.values.max() < 99
+            assert dm.max() < 99
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manifold_match.dissimilarity import (
-    DissimilarityMatrix,
+    as_dissimilarity,
     cosine_dissimilarity,
     frobenius_prescale,
     graph_geodesic,
@@ -30,20 +30,18 @@ def floyd_warshall_capped(edges, n, cap, max_hops):
 class TestGraphGeodesic:
     def test_path_graph(self):
         dm = graph_geodesic([(0, 1), (1, 2)], 3, cap=6)
-        assert np.array_equal(dm.values, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-        assert dm.kind == "graph"
-        assert dm.cap == 6
+        assert np.array_equal(dm, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
     def test_disconnected_pairs_capped(self):
         dm = graph_geodesic(np.empty((0, 2)), 2, cap=6)
-        assert np.array_equal(dm.values, [[0, 6], [6, 0]])
+        assert np.array_equal(dm, [[0, 6], [6, 0]])
 
     def test_beyond_max_hops_capped(self):
         # path of length 5: endpoints are 5 hops apart -> capped to 6
         edges = [(i, i + 1) for i in range(5)]
         dm = graph_geodesic(edges, 6, cap=6, max_hops=4)
-        assert dm.values[0, 5] == 6
-        assert dm.values[0, 4] == 4
+        assert dm[0, 5] == 6
+        assert dm[0, 4] == 4
 
     def test_matches_floyd_warshall_oracle(self):
         rng = np.random.default_rng(21)
@@ -53,7 +51,7 @@ class TestGraphGeodesic:
             mask = rng.random(iu[0].size) < 0.18
             edges = np.column_stack([iu[0][mask], iu[1][mask]])
             dm = graph_geodesic(edges, n, cap=6, max_hops=4)
-            assert np.array_equal(dm.values, floyd_warshall_capped(edges, n, 6, 4))
+            assert np.array_equal(dm, floyd_warshall_capped(edges, n, 6, 4))
 
     def test_entry_set_under_capping(self):
         rng = np.random.default_rng(22)
@@ -61,7 +59,7 @@ class TestGraphGeodesic:
         mask = rng.random(iu[0].size) < 0.1
         edges = np.column_stack([iu[0][mask], iu[1][mask]])
         dm = graph_geodesic(edges, 20, cap=6, max_hops=4)
-        assert set(np.unique(dm.values)) <= {0.0, 1.0, 2.0, 3.0, 4.0, 6.0}
+        assert set(np.unique(dm)) <= {0.0, 1.0, 2.0, 3.0, 4.0, 6.0}
 
     def test_triangle_inequality_on_uncapped_entries(self):
         rng = np.random.default_rng(23)
@@ -69,7 +67,7 @@ class TestGraphGeodesic:
         iu = np.triu_indices(n, k=1)
         mask = rng.random(iu[0].size) < 0.25
         edges = np.column_stack([iu[0][mask], iu[1][mask]])
-        v = graph_geodesic(edges, n, cap=6, max_hops=4).values
+        v = graph_geodesic(edges, n, cap=6, max_hops=4)
         for i in range(n):
             for j in range(n):
                 for k in range(n):
@@ -101,64 +99,93 @@ class TestGraphGeodesicProperties:
     @settings(max_examples=200, deadline=None)
     @given(small_graphs())
     def test_symmetric_zero_diagonal_and_entry_set(self, graph):
+        # Exact, not within a tolerance: nothing downstream re-symmetrises.
         edges, n, cap, max_hops = graph
-        v = graph_geodesic(edges, n, cap=cap, max_hops=max_hops).values
+        v = graph_geodesic(edges, n, cap=cap, max_hops=max_hops)
         assert np.array_equal(v, v.T)
         assert np.all(np.diag(v) == 0.0)
         assert set(np.unique(v)) <= set(range(max_hops + 1)) | {cap}
+        assert not v.flags.writeable
 
     @settings(max_examples=200, deadline=None)
     @given(small_graphs())
     def test_matches_floyd_warshall_oracle(self, graph):
         edges, n, cap, max_hops = graph
         dm = graph_geodesic(edges, n, cap=cap, max_hops=max_hops)
-        assert np.array_equal(dm.values, floyd_warshall_capped(edges, n, cap, max_hops))
+        assert np.array_equal(dm, floyd_warshall_capped(edges, n, cap, max_hops))
 
     @settings(max_examples=200, deadline=None)
     @given(small_graphs(), st.randoms(use_true_random=False))
     def test_invariant_to_edge_order_orientation_and_duplicates(self, graph, rnd):
         edges, n, cap, max_hops = graph
-        expected = graph_geodesic(edges, n, cap=cap, max_hops=max_hops).values
+        expected = graph_geodesic(edges, n, cap=cap, max_hops=max_hops)
         rows = [tuple(e) if rnd.random() < 0.5 else tuple(e[::-1]) for e in edges]
         rows = rows + rnd.sample(rows, len(rows) // 2)
         rnd.shuffle(rows)
         varied = np.array(rows, dtype=int).reshape(-1, 2)
         assert np.array_equal(
-            graph_geodesic(varied, n, cap=cap, max_hops=max_hops).values, expected
+            graph_geodesic(varied, n, cap=cap, max_hops=max_hops), expected
         )
+
+
+@st.composite
+def feature_rows(draw):
+    """A feature matrix with no zero row; small integers give exactly
+    parallel and antipodal rows, other floats the general case."""
+    n = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 5))
+    entry = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(-1e3, 1e3).filter(lambda x: abs(x) > 1e-3),
+    )
+    rows = draw(st.lists(
+        st.lists(entry, min_size=width, max_size=width).filter(any),
+        min_size=n, max_size=n,
+    ))
+    return np.array(rows)
+
+
+class TestCosineDissimilarityProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(feature_rows())
+    def test_exactly_symmetric_zero_diagonal_in_range_and_read_only(self, features):
+        d = cosine_dissimilarity(features)
+        assert np.array_equal(d, d.T)
+        assert np.all(np.diag(d) == 0.0)
+        assert d.min() >= 0.0 and d.max() <= 2.0
+        assert not d.flags.writeable
 
 
 class TestCosineDissimilarity:
     def test_orthogonal_rows(self):
         dm = cosine_dissimilarity([[1.0, 0.0], [0.0, 1.0]])
-        assert np.allclose(dm.values, [[0.0, 1.0], [1.0, 0.0]])
-        assert dm.kind == "text"
+        assert np.allclose(dm, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_parallel_rows(self):
         dm = cosine_dissimilarity([[1.0, 1.0], [2.0, 2.0]])
-        assert dm.values[0, 1] == pytest.approx(0.0, abs=1e-15)
+        assert dm[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_antipodal_rows(self):
         dm = cosine_dissimilarity([[1.0, 0.0], [-1.0, 0.0]])
-        assert dm.values[0, 1] == pytest.approx(2.0)
+        assert dm[0, 1] == pytest.approx(2.0)
 
     def test_diagonal_exactly_zero(self):
         rng = np.random.default_rng(31)
         dm = cosine_dissimilarity(rng.normal(size=(7, 4)))
-        assert np.all(np.diag(dm.values) == 0.0)
+        assert np.all(np.diag(dm) == 0.0)
 
     def test_range(self):
         rng = np.random.default_rng(32)
         dm = cosine_dissimilarity(rng.normal(size=(30, 3)))
-        assert dm.values.min() >= 0.0
-        assert dm.values.max() <= 2.0
+        assert dm.min() >= 0.0
+        assert dm.max() <= 2.0
 
     def test_invariant_to_positive_row_rescaling(self):
         rng = np.random.default_rng(33)
         f = rng.normal(size=(8, 5))
         scales = rng.uniform(0.1, 10.0, size=8)
-        d1 = cosine_dissimilarity(f).values
-        d2 = cosine_dissimilarity(f * scales[:, None]).values
+        d1 = cosine_dissimilarity(f)
+        d2 = cosine_dissimilarity(f * scales[:, None])
         assert np.allclose(d1, d2, atol=1e-12)
 
     def test_zero_row_named_in_error(self):
@@ -170,24 +197,23 @@ class TestFrobeniusPrescale:
     def test_identity_case(self):
         dm = cosine_dissimilarity(np.random.default_rng(41).normal(size=(5, 3)))
         out = frobenius_prescale(dm, dm)
-        assert np.allclose(out.values, dm.values, rtol=1e-12)
+        assert np.allclose(out, dm, rtol=1e-12)
 
     def test_scale_cancellation(self):
         ref = cosine_dissimilarity(np.random.default_rng(42).normal(size=(5, 3)))
-        target = DissimilarityMatrix(2.0 * ref.values, "text")
+        target = 2.0 * ref
         out = frobenius_prescale(target, ref)
-        assert np.allclose(out.values, ref.values, rtol=1e-12)
+        assert np.allclose(out, ref, rtol=1e-12)
 
     def test_norm_matches_reference(self):
         rng = np.random.default_rng(43)
         a = cosine_dissimilarity(rng.normal(size=(5, 4)))
         b = graph_geodesic([(0, 1), (1, 2), (2, 3), (3, 4)], 5)
         out = frobenius_prescale(a, b)
-        assert np.linalg.norm(out.values) == pytest.approx(
-            np.linalg.norm(b.values), rel=1e-12
+        assert np.linalg.norm(out) == pytest.approx(
+            np.linalg.norm(b), rel=1e-12
         )
-        assert out.kind == a.kind
-        assert out.values.shape == a.values.shape
+        assert out.shape == a.shape
 
     def test_idempotent(self):
         rng = np.random.default_rng(44)
@@ -195,54 +221,64 @@ class TestFrobeniusPrescale:
         b = cosine_dissimilarity(rng.normal(size=(6, 3)))
         once = frobenius_prescale(a, b)
         twice = frobenius_prescale(once, b)
-        assert np.allclose(once.values, twice.values, rtol=1e-12)
+        assert np.allclose(once, twice, rtol=1e-12)
 
     def test_zero_norm_target_rejected(self):
-        zero = DissimilarityMatrix(np.zeros((3, 3)), "text")
+        zero = np.zeros((3, 3))
         ref = cosine_dissimilarity(np.random.default_rng(45).normal(size=(3, 2)))
         with pytest.raises(ValidationError):
             frobenius_prescale(zero, ref)
 
 
-class TestDissimilarityMatrix:
+class TestAsDissimilarity:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError, match="symmetric"):
-            DissimilarityMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), "text")
+            as_dissimilarity(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValidationError, match="diagonal"):
-            DissimilarityMatrix(np.array([[1.0, 1.0], [1.0, 0.0]]), "text")
+            as_dissimilarity(np.array([[1.0, 1.0], [1.0, 0.0]]))
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValidationError, match="negative"):
-            DissimilarityMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]), "text")
+            as_dissimilarity(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
-    def test_rejects_bad_object_index(self):
-        with pytest.raises(ValidationError):
-            DissimilarityMatrix(np.zeros((2, 2)), "text", object_index=("a",))
+    @pytest.mark.parametrize(
+        "values", [np.zeros((2, 3)), np.zeros(3), [[0.0, np.nan], [np.nan, 0.0]]]
+    )
+    def test_rejects_non_square_or_non_finite(self, values):
+        with pytest.raises(ValidationError, match="square|non-finite"):
+            as_dissimilarity(values)
 
     def test_input_array_left_unchanged(self):
         raw = np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
         before = raw.copy()
-        dm = DissimilarityMatrix(raw, "text")
+        dm = as_dissimilarity(raw)
         assert np.array_equal(raw, before) and raw.flags.writeable
-        assert dm.values[0, 1] == dm.values[1, 0]
+        assert dm[0, 1] == dm[1, 0]
 
     def test_values_read_only(self):
-        dm = DissimilarityMatrix(np.zeros((2, 2)), "text")
+        dm = as_dissimilarity(np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            dm.values[0, 1] = 3.0
+            dm[0, 1] = 3.0
 
     def test_tsv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(46)
         dm = cosine_dissimilarity(rng.normal(size=(6, 3)))
         path = tmp_path / "dissim_text.tsv"
         save_dissimilarity_tsv(dm, path)
-        back = load_dissimilarity_tsv(path, "text")
-        assert np.array_equal(back.values, dm.values)
+        back = load_dissimilarity_tsv(path)
+        assert np.array_equal(back, dm)
+        assert not back.flags.writeable
 
     def test_tsv_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("0.0\t1.0\n1.0\tnot_a_number\n")
         with pytest.raises(FormatError, match="bad.tsv:2"):
-            load_dissimilarity_tsv(path, "text")
+            load_dissimilarity_tsv(path)
+
+    def test_tsv_failed_check_names_file(self, tmp_path):
+        path = tmp_path / "skew.tsv"
+        path.write_text("0.0\t1.0\n2.0\t0.0\n")
+        with pytest.raises(ValidationError, match="skew.tsv: .*symmetric"):
+            load_dissimilarity_tsv(path)

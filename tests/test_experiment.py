@@ -268,10 +268,10 @@ class TestRunReplicate:
     def test_prescaling_neutralizes_text_scale(self):
         # two corpora identical except the text dissimilarity scale
         corpus = synthesize_corpus(13, 120, 2, 5, 0.4)
-        from manifold_match.dissimilarity import DissimilarityMatrix, cosine_dissimilarity
+        from manifold_match.dissimilarity import cosine_dissimilarity
 
         base_dm = cosine_dissimilarity(corpus.domains[1].features)
-        scaled_dm = DissimilarityMatrix(base_dm.values * 50.0, "text")
+        scaled_dm = base_dm * 50.0
 
         def with_text(dm):
             d1 = corpus.domains[1]

@@ -120,7 +120,7 @@ class TestOutOfSample:
     def test_training_rows_reproduced_non_euclidean(self):
         rng = np.random.default_rng(62)
         f = rng.normal(size=(16, 4))
-        delta = cosine_dissimilarity(f).values
+        delta = cosine_dissimilarity(f)
         model = mds_fit(delta, 6)
         recovered = mds_out_of_sample(model, delta)
         assert np.max(np.abs(recovered - model.embedding)) < 1e-6
