@@ -39,7 +39,6 @@ from .errors import (
 )
 from .experiment import (
     AccuracyReport,
-    DimensionSchedule,
     ExperimentConfig,
     ScheduleRow,
     ViewSpec,

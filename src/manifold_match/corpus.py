@@ -19,8 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dissimilarity import as_dissimilarity, load_dissimilarity_tsv, save_dissimilarity_tsv
-from .errors import FormatError, IntegrityError, ValidationError
+from .dissimilarity import (
+    as_dissimilarity,
+    cosine_dissimilarity,
+    graph_geodesic,
+    load_dissimilarity_tsv,
+    save_dissimilarity_tsv,
+)
+from .errors import ConfigError, FormatError, IntegrityError, ValidationError
 from .formats import read_matrix, write_json, write_matrix
 
 __all__ = [
@@ -46,9 +52,8 @@ def _read_only(array):
 class _RegisteredMatrices(Mapping):
     """A loaded domain's registered matrices, each read on first use and kept.
 
-    ``files`` maps each kind to its path and the graph settings the manifest
-    records for it, ``{"cap": ..., "max_hops": ...}`` with None where none is
-    recorded.
+    ``files`` maps each kind to ``(path, cap, max_hops)``: its path and the
+    graph settings the manifest records for it, None where none is recorded.
     """
 
     def __init__(self, files, n):
@@ -106,21 +111,12 @@ class DomainData:
         object.__setattr__(self, "dissimilarities", checked)
 
 
-def _recorded(domain, kind):
-    """``(path, settings)`` of ``domain``'s ``kind`` matrix as its manifest
-    records them (see ``_RegisteredMatrices``); a matrix given in memory has
-    no path and no recorded settings."""
-    if isinstance(domain.dissimilarities, _RegisteredMatrices):
-        return domain.dissimilarities.files[kind]
-    return None, {"cap": None, "max_hops": None}
-
-
 @dataclass(frozen=True)
 class LabeledCorpus:
     """Matched objects with integer class labels, observed in every domain.
 
-    The geodesic and cosine views an experiment builds from a domain are kept
-    in ``_views`` for later experiments on the same object.
+    The geodesic and cosine views :meth:`view` builds from a domain are kept
+    in ``_views`` for later calls on the same object.
     """
 
     object_ids: tuple[str, ...]
@@ -192,6 +188,42 @@ class LabeledCorpus:
                 return d
         raise ValidationError(f"no domain named {name!r}")
 
+    def view(self, domain, kind, cap, max_hops) -> np.ndarray:
+        """The n x n ``kind`` dissimilarity of ``domain``.
+
+        A registered or in-memory matrix of that kind is used as it is; a
+        registered graph matrix whose manifest records another ``cap`` or
+        ``max_hops`` is a ``ConfigError`` (unrecorded settings are not
+        compared). Otherwise the geodesic view of the domain's edges or the
+        cosine view of its features is built on first use and kept.
+        """
+        data = self.domain(domain)
+        if kind in data.dissimilarities:
+            path, *recorded = getattr(data.dissimilarities, "files", {}).get(kind, (None,) * 3)
+            if kind == "graph" and any(
+                value not in (None, asked) for value, asked in zip(recorded, (cap, max_hops))
+            ):
+                raise ConfigError(
+                    f"{path} was built with cap={recorded[0]}, max_hops={recorded[1]}, "
+                    f"but the config asks for cap={cap}, max_hops={max_hops}"
+                )
+            return data.dissimilarities[kind]
+        if kind not in ("graph", "text"):
+            raise ConfigError(f"unknown dissimilarity kind {kind!r}")
+        source = data.edges if kind == "graph" else data.features
+        if source is None:
+            raise ConfigError(
+                f"domain {domain!r} has no {'edges' if kind == 'graph' else 'features'} "
+                f"or precomputed {kind} dissimilarity"
+            )
+        key = (domain, kind, cap, max_hops) if kind == "graph" else (domain, kind)
+        if key not in self._views:
+            self._views[key] = (
+                graph_geodesic(source, self.n_total, cap=cap, max_hops=max_hops)
+                if kind == "graph" else cosine_dissimilarity(source)
+            )
+        return self._views[key]
+
     def class_sizes(self) -> dict[int, int]:
         values, counts = np.unique(self.labels, return_counts=True)
         return {int(v): int(c) for v, c in zip(values, counts)}
@@ -248,9 +280,11 @@ def save_corpus(corpus, path):
             rel = f"{domain.name}/edges.tsv"
             _write_edges_tsv(domain.edges, corpus.object_ids, root / rel)
             entry["edges"] = rel
+        recorded = getattr(domain.dissimilarities, "files", {})
         for kind, values in sorted(domain.dissimilarities.items()):
+            _, cap, max_hops = recorded.get(kind, (None,) * 3)
             entry["dissimilarities"][kind] = _save_dissimilarity(
-                root, domain.name, kind, values, **_recorded(domain, kind)[1]
+                root, domain.name, kind, values, cap, max_hops
             )
         domain_entries.append(entry)
     manifest = {
@@ -347,10 +381,10 @@ def load_corpus(path) -> LabeledCorpus:
                 raise FormatError(
                     f"{where} is not a file name or {{\"file\": ..., \"cap\": ...}}"
                 )
-            settings = {key: ref.get(key) for key in ("cap", "max_hops")}
-            if any(v is not None and type(v) is not int for v in settings.values()):
+            settings = (ref.get("cap"), ref.get("max_hops"))
+            if any(v is not None and type(v) is not int for v in settings):
                 raise FormatError(f"{where}: cap and max_hops must be integers or null")
-            files[kind] = (root / ref["file"], settings)
+            files[kind] = (root / ref["file"], *settings)
         dissims = _RegisteredMatrices(files, len(ids))
         domains.append(DomainData(name, features=features, edges=edges, dissimilarities=dissims))
 

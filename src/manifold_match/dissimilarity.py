@@ -1,8 +1,9 @@
 """Dissimilarity constructions over one domain.
 
 Two kinds are supported: hop-count graph geodesics with far pairs capped, and
-cosine dissimilarity of feature rows. Frobenius prescaling rescales one matrix
-onto another's norm so matrices of different kinds can be fused downstream.
+cosine dissimilarity of feature rows. Frobenius prescaling gives the factor
+that rescales one matrix onto another's norm so matrices of different kinds
+can be fused downstream.
 
 A dissimilarity is a read-only square float array. The constructions here
 build theirs exactly symmetric, with a zero diagonal and nonnegative entries;
@@ -133,18 +134,18 @@ def cosine_dissimilarity(features) -> np.ndarray:
     return _read_only(0.5 * (d + d.T))
 
 
-def frobenius_prescale(target, reference) -> np.ndarray:
-    """Rescale ``target`` so its Frobenius norm matches ``reference``'s.
+def frobenius_prescale(target, reference) -> float:
+    """The factor ``|reference|_F / |target|_F`` that rescales ``target`` onto
+    ``reference``'s Frobenius norm.
 
-    Returns ``target * |reference|_F / |target|_F`` as a new read-only
-    array. Needed before fusing matrices whose kinds live on different
-    scales (cosine values vs hop counts).
+    Multiply by it before fusing matrices whose kinds live on different
+    scales (cosine values vs hop counts); rows that belong with ``target``
+    take the same factor.
     """
     t_norm = float(np.linalg.norm(target))
     if t_norm == 0.0:
         raise ValidationError("cannot prescale a matrix with zero Frobenius norm")
-    r_norm = float(np.linalg.norm(reference))
-    return _read_only(np.asarray(target, dtype=float) * (r_norm / t_norm))
+    return float(np.linalg.norm(reference)) / t_norm
 
 
 def save_dissimilarity_tsv(matrix, path):

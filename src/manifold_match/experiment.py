@@ -19,16 +19,15 @@ import numpy as np
 
 from .align import cca_fit, gcca_fit, project
 from .classify import LabeledEmbedding, average_views, loo_cross_view_accuracy
-from .corpus import _NAME_RE, _recorded, load_corpus
-from .dissimilarity import cosine_dissimilarity, graph_geodesic
-from .errors import ConfigError, ValidationError
+from .corpus import _NAME_RE, load_corpus
+from .dissimilarity import frobenius_prescale
+from .errors import ConfigError, FormatError, ValidationError
 from .formats import write_json
 from .mds import mds_fit, mds_out_of_sample
 
 __all__ = [
     "CANONICAL_SCHEDULE",
     "ScheduleRow",
-    "DimensionSchedule",
     "ViewSpec",
     "ExperimentConfig",
     "CellStats",
@@ -58,55 +57,12 @@ CANONICAL_SCHEDULE = (
 
 @dataclass(frozen=True)
 class ScheduleRow:
-    """One efficiency setting: sample size, its fraction of n, MDS dimension."""
+    """One efficiency setting: sample size n', its fraction S of the pool, and
+    the MDS dimension the fit uses (the scheduled one, halved if regularized)."""
 
     n_prime: int
     fraction: float
     mds_dim: int
-
-
-@dataclass(frozen=True)
-class DimensionSchedule:
-    rows: tuple[ScheduleRow, ...]
-
-    def __post_init__(self):
-        rows = tuple(self.rows)
-        if not rows:
-            raise ValidationError("schedule has no rows")
-        last = 0.0
-        for row in rows:
-            if not 0.0 < row.fraction <= 1.0:
-                raise ValidationError(f"fraction {row.fraction} outside (0, 1]")
-            if row.fraction <= last:
-                raise ValidationError("fractions must be strictly increasing")
-            last = row.fraction
-            if not 1 <= row.mds_dim < row.n_prime:
-                raise ValidationError(
-                    f"schedule row S={row.fraction:g} needs 1 <= mds_dim < n'={row.n_prime}, "
-                    f"got mds_dim={row.mds_dim}"
-                )
-        object.__setattr__(self, "rows", rows)
-
-    @staticmethod
-    def default_for(n_pool) -> "DimensionSchedule":
-        """The canonical ladder with fractions kept and dimensions clamped."""
-        rows = []
-        for fraction, dim in CANONICAL_SCHEDULE:
-            n_prime = int(fraction * n_pool + 0.5)
-            if n_prime < 2:
-                continue
-            rows.append(ScheduleRow(n_prime, fraction, min(dim, n_prime - 1)))
-        if not rows:
-            raise ValidationError(
-                f"relation-learning pool of {n_pool} objects is too small "
-                "for the default schedule"
-            )
-        return DimensionSchedule(tuple(rows))
-
-
-def mds_dim_for(row, regularized) -> int:
-    """Scheduled MDS dimension, halved (floor, at least 1) when regularized."""
-    return max(1, row.mds_dim // 2) if regularized else row.mds_dim
 
 
 @dataclass(frozen=True)
@@ -238,27 +194,22 @@ class ExperimentConfig:
             raise ConfigError(f"replicates must be positive, got {self.replicates}")
         if self.bootstrap_samples < 1:
             raise ConfigError("bootstrap_samples must be positive")
+        if self.schedule is not None:
+            fractions = [fraction for fraction, _ in self.schedule]
+            if not fractions:
+                raise ConfigError("schedule has no rows")
+            if not all(a < b for a, b in zip([0.0] + fractions, fractions)) or fractions[-1] > 1:
+                raise ConfigError(
+                    f"schedule fractions {fractions} are not strictly increasing in (0, 1]"
+                )
+            if any(dim < 1 for _, dim in self.schedule):
+                raise ConfigError("schedule mds_dim values must be positive")
         if self.ridge is not None and not (np.isfinite(self.ridge) and self.ridge >= 0):
             raise ConfigError(f"ridge must be finite and nonnegative, got {self.ridge}")
         if self.prescale_reference is not None and self.prescale_reference not in base:
             raise ConfigError(
                 f"prescale_reference {self.prescale_reference!r} is not a configured view"
             )
-
-    def resolved_schedule(self, n_pool) -> DimensionSchedule:
-        """Bind fractions to the corpus: n' = round(S * n)."""
-        if self.schedule is None:
-            return DimensionSchedule.default_for(n_pool)
-        rows = []
-        for fraction, dim in self.schedule:
-            n_prime = int(fraction * n_pool + 0.5)
-            if dim >= n_prime:
-                raise ConfigError(
-                    f"schedule row S={fraction:g}: mds_dim={dim} >= n'={n_prime} "
-                    "is unsatisfiable"
-                )
-            rows.append(ScheduleRow(n_prime, fraction, dim))
-        return DimensionSchedule(tuple(rows))
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
@@ -271,6 +222,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw, source="config") -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{source}: the config must be a JSON object")
         unknown = set(raw) - set(_FIELDS)
         if unknown:
             raise ConfigError(f"{source}: unknown fields {sorted(unknown)}")
@@ -294,11 +247,41 @@ class ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+def _schedule(config, n_pool) -> tuple[ScheduleRow, ...]:
+    """The config's schedule bound to a pool of ``n_pool`` relation-learning
+    objects, with n' = round(S * n_pool).
+
+    The default ladder drops rows with n' < 2 (its S = 100 % row stays, as
+    the pool holds at least 2 objects) and clamps each dimension to n' - 1;
+    a configured row whose dimension is not below n' is unsatisfiable.
+    Each row's dimension is halved (floor, at least 1) when regularized and
+    must still reach ``shared_dim``.
+    """
+    rows = []
+    for fraction, dim in CANONICAL_SCHEDULE if config.schedule is None else config.schedule:
+        n_prime = int(fraction * n_pool + 0.5)
+        if config.schedule is None:
+            if n_prime < 2:
+                continue
+            dim = min(dim, n_prime - 1)
+        elif dim >= n_prime:
+            raise ConfigError(
+                f"schedule row S={fraction:g}: mds_dim={dim} >= n'={n_prime} is unsatisfiable"
+            )
+        fit_dim = max(1, dim // 2) if config.regularized else dim
+        if config.shared_dim > fit_dim:
+            raise ConfigError(
+                f"schedule row S={fraction:g}: shared_dim={config.shared_dim} exceeds "
+                f"the {'regularized ' if config.regularized else ''}MDS dimension {fit_dim}"
+            )
+        rows.append(ScheduleRow(n_prime, fraction, fit_dim))
+    return tuple(rows)
+
+
 @dataclass
 class _PreparedRun:
     config: ExperimentConfig
-    schedule: DimensionSchedule
-    views: tuple[ViewSpec, ...]
+    schedule: tuple[ScheduleRow, ...]
     full: dict[str, np.ndarray]
     rel_idx: np.ndarray
     clf_idx: np.ndarray
@@ -306,57 +289,13 @@ class _PreparedRun:
     ref_tag: str | None
 
 
-def _build_full_matrix(corpus, view, config):
-    """The view's full n x n matrix: the domain's registered matrix of that
-    kind, else the geodesic or cosine view the corpus object has kept from an
-    earlier call, else one built now and kept. A registered graph matrix
-    whose manifest records another ``cap`` or ``max_hops`` than the config's
-    is a ``ConfigError``."""
-    domain = corpus.domain(view.domain)
-    if view.kind in domain.dissimilarities:
-        path, recorded = _recorded(domain, view.kind)
-        if view.kind == "graph" and any(
-            value not in (None, getattr(config, key)) for key, value in recorded.items()
-        ):
-            raise ConfigError(
-                f"view {view.tag!r}: {path} was built with cap={recorded['cap']}, "
-                f"max_hops={recorded['max_hops']}, but the config asks for "
-                f"cap={config.cap}, max_hops={config.max_hops}"
-            )
-        return domain.dissimilarities[view.kind]
-    if view.kind == "graph":
-        if domain.edges is None:
-            raise ConfigError(
-                f"view {view.tag!r}: domain {view.domain!r} has no edges or "
-                "precomputed graph dissimilarity"
-            )
-        key = (view.domain, "graph", config.cap, config.max_hops)
-        if key not in corpus._views:
-            corpus._views[key] = graph_geodesic(
-                domain.edges, corpus.n_total, cap=config.cap, max_hops=config.max_hops
-            )
-        return corpus._views[key]
-    if view.kind == "text":
-        if domain.features is None:
-            raise ConfigError(
-                f"view {view.tag!r}: domain {view.domain!r} has no features or "
-                "precomputed text dissimilarity"
-            )
-        key = (view.domain, "text")
-        if key not in corpus._views:
-            corpus._views[key] = cosine_dissimilarity(domain.features)
-        return corpus._views[key]
-    raise ConfigError(f"view {view.tag!r}: unknown dissimilarity kind {view.kind!r}")
-
-
 def _prepare(config, corpus) -> _PreparedRun:
     if corpus is None:
         if config.corpus_path is None:
             raise ConfigError("config has no corpus path and no corpus was supplied")
         corpus = load_corpus(config.corpus_path)
-    present = set(int(v) for v in np.unique(corpus.labels))
     missing = sorted(
-        (set(config.relation_classes) | set(config.classifier_classes)) - present
+        (set(config.relation_classes) | set(config.classifier_classes)) - set(corpus.class_sizes())
     )
     if missing:
         raise ConfigError(f"config names classes absent from the corpus: {missing}")
@@ -373,16 +312,8 @@ def _prepare(config, corpus) -> _PreparedRun:
             f"{clf_idx.size - 1}"
         )
 
-    schedule = config.resolved_schedule(int(rel_idx.size))
-    for row in schedule.rows:
-        available = mds_dim_for(row, config.regularized)
-        if config.shared_dim > available:
-            raise ConfigError(
-                f"schedule row S={row.fraction:g}: shared_dim={config.shared_dim} exceeds "
-                f"the {'regularized ' if config.regularized else ''}MDS dimension {available}"
-            )
-
-    full = {v.tag: _build_full_matrix(corpus, v, config) for v in config.views}
+    schedule = _schedule(config, int(rel_idx.size))
+    full = {v.tag: corpus.view(v.domain, v.kind, config.cap, config.max_hops) for v in config.views}
 
     ref_tag = config.prescale_reference
     if ref_tag is None:
@@ -394,7 +325,6 @@ def _prepare(config, corpus) -> _PreparedRun:
     return _PreparedRun(
         config=config,
         schedule=schedule,
-        views=config.views,
         full=full,
         rel_idx=rel_idx,
         clf_idx=clf_idx,
@@ -416,8 +346,12 @@ def draw_training_sample(replicate_seed, relation_indices, n_prime) -> np.ndarra
 
 
 def _run_single(prepared, row, sample):
+    """Embed every view of one drawn sample, then align, project and score
+    every combination: one GCCA fit of all views serves every combination
+    (and the averaged views), while CCA fits each combination's (test,
+    train) pair."""
     config = prepared.config
-    d_mds = mds_dim_for(row, config.regularized)
+    labels = prepared.labels_clf
     warnings = []
 
     ref_train = None
@@ -427,7 +361,7 @@ def _run_single(prepared, row, sample):
     train_emb = {}
     clf_emb = {}
     min_effective = None
-    for view in prepared.views:
+    for view in config.views:
         matrix = prepared.full[view.tag]
         train = matrix[np.ix_(sample, sample)]
         oos = matrix[np.ix_(prepared.clf_idx, sample)]
@@ -438,13 +372,9 @@ def _run_single(prepared, row, sample):
         ):
             # Frobenius prescale onto the reference view's training block;
             # the classifier rows share the training block's factor.
-            t_norm = np.linalg.norm(train)
-            if t_norm == 0.0:
-                raise ValidationError("cannot prescale a matrix with zero Frobenius norm")
-            factor = float(np.linalg.norm(ref_train) / t_norm)
-            train = train * factor
-            oos = oos * factor
-        model = mds_fit(train, d_mds)
+            factor = frobenius_prescale(train, ref_train)
+            train, oos = train * factor, oos * factor
+        model = mds_fit(train, row.mds_dim)
         if min_effective is None or model.effective_dim < min_effective:
             min_effective = model.effective_dim
         if model.effective_dim < config.shared_dim:
@@ -454,45 +384,32 @@ def _run_single(prepared, row, sample):
             )
         train_emb[view.tag] = model.embedding
         clf_emb[view.tag] = mds_out_of_sample(model, oos)
-
     d_shared = min(config.shared_dim, min_effective)
-    labels = prepared.labels_clf
 
-    embeddings = {}
+    def aligned(maps, tags):
+        """Each fit view's classifier objects in the shared space, in fit order."""
+        return [
+            LabeledEmbedding(project(maps, k, clf_emb[tag]), labels, tag)
+            for k, tag in enumerate(tags)
+        ]
+
     if config.method == "gcca":
-        maps = gcca_fit(
-            [train_emb[v.tag] for v in prepared.views], d_shared, ridge=config.ridge
-        )
-        for k, v in enumerate(prepared.views):
-            embeddings[v.tag] = LabeledEmbedding(
-                project(maps, k, clf_emb[v.tag]), labels, v.tag
-            )
+        tags = [v.tag for v in config.views]
+        maps = gcca_fit([train_emb[tag] for tag in tags], d_shared, ridge=config.ridge)
+        shared = dict(zip(tags, aligned(maps, tags)))
         for avg_tag, (a, b) in config.averaged_views.items():
-            embeddings[avg_tag] = average_views(
-                embeddings[a], embeddings[b], view_tag=avg_tag
-            )
-        accuracies = {}
-        for combo in config.combinations:
-            train_tag, test_tag = _parse_combination(combo)
-            accuracies[combo] = loo_cross_view_accuracy(
-                embeddings[train_tag], embeddings[test_tag], config.kappa
-            )
-    else:
-        accuracies = {}
-        for combo in config.combinations:
-            train_tag, test_tag = _parse_combination(combo)
+            shared[avg_tag] = average_views(shared[a], shared[b], view_tag=avg_tag)
+    accuracies = {}
+    for combo in config.combinations:
+        train_tag, test_tag = _parse_combination(combo)
+        if config.method == "gcca":
+            train_view, test_view = shared[train_tag], shared[test_tag]
+        else:
             maps = cca_fit(
                 train_emb[test_tag], train_emb[train_tag], d_shared, ridge=config.ridge
             )
-            test_view = LabeledEmbedding(
-                project(maps, 0, clf_emb[test_tag]), labels, test_tag
-            )
-            train_view = LabeledEmbedding(
-                project(maps, 1, clf_emb[train_tag]), labels, train_tag
-            )
-            accuracies[combo] = loo_cross_view_accuracy(
-                train_view, test_view, config.kappa
-            )
+            test_view, train_view = aligned(maps, (test_tag, train_tag))
+        accuracies[combo] = loo_cross_view_accuracy(train_view, test_view, config.kappa)
     return accuracies, warnings
 
 
@@ -598,7 +515,7 @@ def run_experiment(config, corpus=None, on_row=None) -> AccuracyReport:
     prepared = _prepare(config, corpus)
     records = []
     warnings = []
-    for row_index, row in enumerate(prepared.schedule.rows):
+    for row_index, row in enumerate(prepared.schedule):
         row_records = []
         fitted = {}  # drawn sample's bytes -> (accuracies, warnings)
         for rep in range(config.replicates):
@@ -627,7 +544,7 @@ def run_experiment(config, corpus=None, on_row=None) -> AccuracyReport:
         records.extend(row_records)
         if on_row is not None:
             on_row(row, row_records)
-    fractions = [row.fraction for row in prepared.schedule.rows]
+    fractions = [row.fraction for row in prepared.schedule]
     return _aggregate(
         records,
         fractions,
@@ -707,37 +624,47 @@ def emit_curves(report, out_dir):
 
 
 def reconstruct_report(out_dir) -> AccuracyReport:
-    """Rebuild a report from meta.json plus replicates.log (for audits)."""
+    """Rebuild a report from meta.json plus replicates.log (for audits).
+
+    A malformed or incomplete meta.json is a ``FormatError`` naming it, and a
+    malformed log line one naming ``replicates.log:line``.
+    """
     out = Path(out_dir)
-    with open(out / "meta.json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta_path, log_path = out / "meta.json", out / "replicates.log"
+    try:
+        with open(meta_path, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+        settings = (
+            [float(f) for f in meta["fractions"]],
+            tuple(meta["combinations"]),
+            str(meta["method"]),
+            str(meta["feature"]),
+            int(meta["m_classifier"]),
+            int(meta["seed"]),
+            int(meta["bootstrap_samples"]),
+            int(meta["replicates"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise FormatError(f"{meta_path}: missing or malformed field {exc}") from None
     records = []
-    with open(out / "replicates.log", "r", encoding="utf-8") as fh:
+    with open(log_path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("method\t"):
-            raise ValidationError(f"{out / 'replicates.log'}: unexpected header")
-        for line in fh:
+            raise FormatError(f"{log_path}:1: unexpected header")
+        for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
-            method, combo, feature, fraction, rep, acc = line.split("\t")
-            records.append(
-                (method, combo, feature, float(fraction), int(rep), float(acc))
-            )
+            try:
+                method, combo, feature, fraction, rep, acc = line.split("\t")
+                records.append(
+                    (method, combo, feature, float(fraction), int(rep), float(acc))
+                )
+            except ValueError as exc:
+                raise FormatError(f"{log_path}:{lineno}: {exc}") from None
     warnings_path = out / "warnings.log"
     warnings = []
     if warnings_path.is_file():
         with open(warnings_path, "r", encoding="utf-8") as fh:
             warnings = [line.rstrip("\n") for line in fh if line.strip()]
-    return _aggregate(
-        records,
-        [float(f) for f in meta["fractions"]],
-        tuple(meta["combinations"]),
-        str(meta["method"]),
-        str(meta["feature"]),
-        int(meta["m_classifier"]),
-        int(meta["seed"]),
-        int(meta["bootstrap_samples"]),
-        int(meta["replicates"]),
-        warnings,
-    )
+    return _aggregate(records, *settings, warnings)

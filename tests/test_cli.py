@@ -367,6 +367,23 @@ class TestExperimentCommand:
         assert code == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("text", ["5", "null", "[]", '"x"'])
+    def test_non_object_config_is_data_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = main(["experiment", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_decreasing_schedule_is_data_error(self, tmp_path, capsys):
+        schedule = [{"fraction": 1.0, "mds_dim": 8}, {"fraction": 0.5, "mds_dim": 8}]
+        config = experiment_config(tmp_path, tmp_path / "corpus", schedule=schedule)
+        code = main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "strictly increasing" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "name, value", [("regularized", "false"), ("shared_dim", "x"), ("kappa", 2.7)]
     )

@@ -226,6 +226,15 @@ class TestReadOnFirstUse:
         run_experiment(config, corpus=corpus)
         assert reads == ["domain0/dissim_graph.tsv"]
 
+    def test_save_keeps_recorded_settings(self, registered, tmp_path):
+        save_corpus(load_corpus(registered), tmp_path / "copy")
+        manifest = json.loads((tmp_path / "copy" / "manifest.json").read_text())
+        entries = [domain["dissimilarities"] for domain in manifest["domains"]]
+        assert entries == [
+            {"graph": {"file": "domain0/dissim_graph.tsv", "cap": 32, "max_hops": 30}},
+            {"text": {"file": "domain1/dissim_text.tsv", "cap": None, "max_hops": None}},
+        ]
+
     def test_manifest_roles_key_ignored(self, tmp_path):
         # Older manifests carry a per-object "roles" list.
         save_corpus(small_corpus(), tmp_path)
@@ -237,6 +246,48 @@ class TestReadOnFirstUse:
         corpus = load_corpus(tmp_path)
         assert corpus.object_ids == ("a", "b", "c")
         assert np.array_equal(corpus.labels, [0, 1, 0])
+
+
+class TestView:
+    def test_registered_matrix_checked_against_recorded_settings(self, registered):
+        corpus = load_corpus(registered)
+        d0 = corpus.domain("domain0")
+        assert corpus.view("domain0", "graph", 32, 30) is d0.dissimilarities["graph"]
+        with pytest.raises(ConfigError, match="was built with cap=32, max_hops=30, but "
+                           "the config asks for cap=6, max_hops=4"):
+            corpus.view("domain0", "graph", 6, 4)
+        # only graph matrices record settings
+        text = corpus.view("domain1", "text", 6, 4)
+        assert text is corpus.domain("domain1").dissimilarities["text"]
+        assert corpus._views == {}
+
+    def test_in_memory_matrix_is_not_compared(self):
+        corpus = small_corpus()
+        d0 = corpus.domains[0]
+        dm = graph_geodesic(d0.edges, corpus.n_total, cap=6)
+        domain = DomainData(d0.name, d0.features, d0.edges, {"graph": dm})
+        corpus = LabeledCorpus(corpus.object_ids, corpus.labels, (domain,))
+        assert np.array_equal(corpus.view(d0.name, "graph", 32, 30), dm)
+
+    def test_built_views_are_kept_per_setting(self):
+        corpus = synthesize_corpus(5, 40, 2, 3, 0.2)
+        graph = corpus.view("domain0", "graph", 6, 4)
+        assert corpus.view("domain0", "graph", 6, 4) is graph
+        assert np.array_equal(graph, graph_geodesic(corpus.domains[0].edges, 40, 6, 4))
+        assert corpus.view("domain0", "graph", 6, 3) is not graph
+        text = corpus.view("domain1", "text", 6, 4)
+        assert corpus.view("domain1", "text", 32, 30) is text
+        assert np.array_equal(text, cosine_dissimilarity(corpus.domains[1].features))
+
+    def test_unknown_kind_or_missing_source_is_config_error(self):
+        corpus = synthesize_corpus(5, 40, 2, 3, 0.2)
+        with pytest.raises(ConfigError, match="unknown dissimilarity kind 'audio'"):
+            corpus.view("domain0", "audio", 6, 4)
+        bare = LabeledCorpus(corpus.object_ids, corpus.labels, (DomainData("d"),))
+        with pytest.raises(ConfigError, match="domain 'd' has no features"):
+            bare.view("d", "text", 6, 4)
+        with pytest.raises(ConfigError, match="domain 'd' has no edges"):
+            bare.view("d", "graph", 6, 4)
 
 
 class TestLoaderErrors:

@@ -194,39 +194,36 @@ class TestCosineDissimilarity:
 
 
 class TestFrobeniusPrescale:
+    # frobenius_prescale returns the factor |reference|_F / |target|_F.
     def test_identity_case(self):
         dm = cosine_dissimilarity(np.random.default_rng(41).normal(size=(5, 3)))
-        out = frobenius_prescale(dm, dm)
-        assert np.allclose(out, dm, rtol=1e-12)
+        assert frobenius_prescale(dm, dm) == pytest.approx(1.0, rel=1e-12)
 
     def test_scale_cancellation(self):
         ref = cosine_dissimilarity(np.random.default_rng(42).normal(size=(5, 3)))
-        target = 2.0 * ref
-        out = frobenius_prescale(target, ref)
-        assert np.allclose(out, ref, rtol=1e-12)
+        factor = frobenius_prescale(2.0 * ref, ref)
+        assert type(factor) is float
+        assert factor == pytest.approx(0.5, rel=1e-12)
 
     def test_norm_matches_reference(self):
         rng = np.random.default_rng(43)
         a = cosine_dissimilarity(rng.normal(size=(5, 4)))
         b = graph_geodesic([(0, 1), (1, 2), (2, 3), (3, 4)], 5)
-        out = frobenius_prescale(a, b)
-        assert np.linalg.norm(out) == pytest.approx(
-            np.linalg.norm(b), rel=1e-12
-        )
-        assert out.shape == a.shape
+        factor = frobenius_prescale(a, b)
+        assert factor == np.linalg.norm(b) / np.linalg.norm(a)
+        assert np.linalg.norm(a * factor) == pytest.approx(np.linalg.norm(b), rel=1e-12)
 
     def test_idempotent(self):
         rng = np.random.default_rng(44)
         a = cosine_dissimilarity(rng.normal(size=(6, 3)))
         b = cosine_dissimilarity(rng.normal(size=(6, 3)))
-        once = frobenius_prescale(a, b)
-        twice = frobenius_prescale(once, b)
-        assert np.allclose(once, twice, rtol=1e-12)
+        once = a * frobenius_prescale(a, b)
+        assert frobenius_prescale(once, b) == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_norm_target_rejected(self):
         zero = np.zeros((3, 3))
         ref = cosine_dissimilarity(np.random.default_rng(45).normal(size=(3, 2)))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="zero Frobenius norm"):
             frobenius_prescale(zero, ref)
 
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from manifold_match import corpus as corpus_module
 from manifold_match import experiment
+from manifold_match.align import cca_fit, project
+from manifold_match.classify import LabeledEmbedding, loo_cross_view_accuracy
 from manifold_match.corpus import (
     DomainData,
     LabeledCorpus,
@@ -9,16 +12,15 @@ from manifold_match.corpus import (
     save_corpus,
     synthesize_corpus,
 )
-from manifold_match.errors import ConfigError, ValidationError
+from manifold_match.dissimilarity import cosine_dissimilarity, graph_geodesic
+from manifold_match.errors import ConfigError, FormatError
 from manifold_match.experiment import (
     CANONICAL_SCHEDULE,
-    DimensionSchedule,
     ExperimentConfig,
-    ScheduleRow,
     ViewSpec,
+    _schedule,
     draw_training_sample,
     emit_curves,
-    mds_dim_for,
     reconstruct_report,
     replicate_seed_for,
     run_experiment,
@@ -65,43 +67,63 @@ def raw_config(**overrides):
 
 class TestSchedule:
     def test_default_for_reference_n(self):
-        schedule = DimensionSchedule.default_for(819)
-        n_primes = [row.n_prime for row in schedule.rows]
+        rows = _schedule(make_config(schedule=None), 819)
+        n_primes = [row.n_prime for row in rows]
         assert n_primes == [82, 164, 246, 328, 410, 491, 573, 655, 737, 819]
-        assert [row.mds_dim for row in schedule.rows] == [
-            dim for _, dim in CANONICAL_SCHEDULE
-        ]
+        assert [row.mds_dim for row in rows] == [dim for _, dim in CANONICAL_SCHEDULE]
 
     def test_default_clamps_dims_for_small_n(self):
-        schedule = DimensionSchedule.default_for(50)
-        for row in schedule.rows:
-            assert row.mds_dim < row.n_prime
+        rows = _schedule(make_config(schedule=None), 50)
+        assert [row.n_prime for row in rows] == [5, 10, 15, 20, 25, 30, 35, 40, 45, 50]
+        assert [row.mds_dim for row in rows] == [row.n_prime - 1 for row in rows]
+        # rows with n' < 2 are dropped
+        small = make_config(schedule=None, shared_dim=1)
+        assert _schedule(small, 10)[0] == experiment.ScheduleRow(2, 0.2, 1)
+        assert _schedule(small, 2) == tuple(
+            experiment.ScheduleRow(2, fraction, 1) for fraction in (0.8, 0.9, 1.0)
+        )
 
     def test_fractions_must_increase(self):
-        with pytest.raises(ValidationError, match="increasing"):
-            DimensionSchedule(
-                (ScheduleRow(10, 0.5, 4), ScheduleRow(12, 0.5, 4))
-            )
+        for rows in [((0.5, 4), (0.5, 4)), ((1.0, 8), (0.5, 8))]:
+            with pytest.raises(ConfigError, match="strictly increasing"):
+                make_config(schedule=rows)
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, float("nan")])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ConfigError, match=r"\(0, 1\]"):
+            make_config(schedule=((fraction, 8),))
+
+    def test_empty_schedule_rejected(self):
+        with pytest.raises(ConfigError, match="schedule has no rows"):
+            make_config(schedule=())
+        with pytest.raises(ConfigError, match="schedule has no rows"):
+            ExperimentConfig.from_dict(raw_config(schedule=[]), source="inline")
+
+    def test_non_positive_mds_dim_rejected(self):
+        with pytest.raises(ConfigError, match="mds_dim"):
+            make_config(schedule=((0.5, 0),), shared_dim=1, regularized=True)
 
     def test_dim_must_be_below_n_prime(self):
-        with pytest.raises(ValidationError, match="mds_dim"):
-            DimensionSchedule((ScheduleRow(5, 0.5, 5),))
+        with pytest.raises(ConfigError, match="mds_dim=5 >= n'=5"):
+            _schedule(make_config(schedule=((0.5, 5),)), 10)
 
     def test_regularized_dim_is_floor_half(self):
-        row = ScheduleRow(100, 1.0, 41)
-        assert mds_dim_for(row, regularized=False) == 41
-        assert mds_dim_for(row, regularized=True) == 20
-        assert mds_dim_for(ScheduleRow(10, 1.0, 1), regularized=True) == 1
+        def fit_dims(dim, regularized):
+            config = make_config(schedule=((1.0, dim),), shared_dim=1, regularized=regularized)
+            return [row.mds_dim for row in _schedule(config, 100)]
+
+        assert fit_dims(41, regularized=False) == [41]
+        assert fit_dims(41, regularized=True) == [20]
+        assert fit_dims(1, regularized=True) == [1]
 
     def test_resolved_schedule_rounds_n_prime(self):
         config = make_config(schedule=((0.1, 4), (0.5, 8), (1.0, 8)))
-        schedule = config.resolved_schedule(819)
-        assert [row.n_prime for row in schedule.rows] == [82, 410, 819]
+        assert [row.n_prime for row in _schedule(config, 819)] == [82, 410, 819]
 
     def test_unsatisfiable_row_rejected(self):
         config = make_config(schedule=((0.1, 50),))
         with pytest.raises(ConfigError, match="S=0.1"):
-            config.resolved_schedule(100)
+            _schedule(config, 100)
 
 
 class TestConfigValidation:
@@ -142,6 +164,11 @@ class TestConfigValidation:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ConfigError, match="bogus"):
             ExperimentConfig.from_dict({"bogus": 1}, source="inline")
+
+    @pytest.mark.parametrize("raw", [5, None, [], "x"], ids=["5", "null", "list", "string"])
+    def test_from_dict_non_object(self, raw):
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            ExperimentConfig.from_dict(raw, source="inline")
 
     def test_from_dict_missing_fields(self):
         with pytest.raises(ConfigError):
@@ -268,8 +295,6 @@ class TestRunReplicate:
     def test_prescaling_neutralizes_text_scale(self):
         # two corpora identical except the text dissimilarity scale
         corpus = synthesize_corpus(13, 120, 2, 5, 0.4)
-        from manifold_match.dissimilarity import cosine_dissimilarity
-
         base_dm = cosine_dissimilarity(corpus.domains[1].features)
         scaled_dm = base_dm * 50.0
 
@@ -288,6 +313,68 @@ class TestRunReplicate:
         acc_base = one_replicate(config, with_text(base_dm))
         acc_scaled = one_replicate(config, with_text(scaled_dm))
         assert acc_base == acc_scaled
+
+    def test_text_view_takes_the_reference_norm(self, monkeypatch):
+        # The text view's training block and classifier rows are scaled by
+        # one factor onto the norm of the first graph view's training block.
+        fits, rows = [], []
+
+        def spy_fit(delta, p):
+            fits.append(delta)
+            return experiment_mds_fit(delta, p)
+
+        def spy_oos(model, delta_new):
+            rows.append(delta_new)
+            return experiment_oos(model, delta_new)
+
+        experiment_mds_fit, experiment_oos = experiment.mds_fit, experiment.mds_out_of_sample
+        monkeypatch.setattr(experiment, "mds_fit", spy_fit)
+        monkeypatch.setattr(experiment, "mds_out_of_sample", spy_oos)
+        corpus = golden_corpus()
+        run_experiment(make_config(schedule=((1.0, 8),), replicates=1), corpus=corpus)
+        rel = np.flatnonzero(np.isin(corpus.labels, [0, 2, 4]))
+        clf = np.flatnonzero(np.isin(corpus.labels, [1, 3]))
+        ge = graph_geodesic(corpus.domains[0].edges, corpus.n_total, cap=32, max_hops=30)
+        tf = cosine_dissimilarity(corpus.domains[1].features)
+        factor = np.linalg.norm(ge[np.ix_(rel, rel)]) / np.linalg.norm(tf[np.ix_(rel, rel)])
+        assert factor != 1.0
+        assert np.array_equal(fits[0], ge[np.ix_(rel, rel)])
+        assert np.array_equal(fits[2], tf[np.ix_(rel, rel)] * factor)
+        assert np.array_equal(rows[2], tf[np.ix_(clf, rel)] * factor)
+
+    def test_cca_on_one_tag_projects_test_by_map_0_and_train_by_map_1(self, monkeypatch):
+        # Both maps of a view aligned with itself agree to rounding, so the
+        # map each side went through is read from spies, not from accuracy.
+        made, scored = {}, []
+
+        def spy_project(maps, k, points):
+            out = project(maps, k, points)
+            made[id(out)] = k
+            return out
+
+        def spy_loo(train_view, test_view, kappa):
+            scored.append((made[id(train_view.points)], made[id(test_view.points)]))
+            return loo_cross_view_accuracy(train_view, test_view, kappa)
+
+        monkeypatch.setattr(experiment, "project", spy_project)
+        monkeypatch.setattr(experiment, "loo_cross_view_accuracy", spy_loo)
+        corpus = golden_corpus()
+        config = make_config(
+            method="cca", combinations=("GE->GE",), averaged_views={},
+            schedule=((1.0, 8),), replicates=1,
+        )
+        rel = np.flatnonzero(np.isin(corpus.labels, [0, 2, 4]))
+        clf = np.flatnonzero(np.isin(corpus.labels, [1, 3]))
+        ge = graph_geodesic(corpus.domains[0].edges, corpus.n_total, cap=32, max_hops=30)
+        model = experiment.mds_fit(ge[np.ix_(rel, rel)], 8)
+        points = experiment.mds_out_of_sample(model, ge[np.ix_(clf, rel)])
+        maps = cca_fit(model.embedding, model.embedding, 2)
+        test, train = (
+            LabeledEmbedding(project(maps, k, points), corpus.labels[clf], "GE") for k in (0, 1)
+        )
+        expected = loo_cross_view_accuracy(train, test, 5)
+        assert one_replicate(config, corpus) == {"GE->GE": expected}
+        assert scored == [(1, 0)]
 
 
 class TestRunExperiment:
@@ -408,6 +495,41 @@ class TestEmission:
         for name in (curves_name, "table.csv", "replicates.log", "meta.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.fixture
+    def emitted(self, tmp_path):
+        report = run_experiment(
+            make_config(replicates=1, schedule=((1.0, 8),)), corpus=golden_corpus()
+        )
+        emit_curves(report, tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "gcca\tGF->GE\tsynthetic\t1.0\t0",
+            "gcca\tGF->GE\tsynthetic\t1.0\t0\t0.5\textra",
+            "gcca\tGF->GE\tsynthetic\t1.0\tzero\t0.5",
+            "gcca\tGF->GE\tsynthetic\t1.0\t0\thigh",
+        ],
+        ids=["short", "long", "replicate", "accuracy"],
+    )
+    def test_malformed_log_line_names_file_and_line(self, emitted, line):
+        log = emitted / "replicates.log"
+        lines = log.read_text().splitlines()
+        lines[2] = line
+        log.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="replicates.log:3"):
+            reconstruct_report(emitted)
+
+    @pytest.mark.parametrize(
+        "meta", ['{"method": "gcca"', '{"method": "gcca"}', '[]', '{"fractions": "x"}'],
+        ids=["truncated", "incomplete", "list", "malformed"],
+    )
+    def test_malformed_meta_names_file(self, emitted, meta):
+        (emitted / "meta.json").write_text(meta)
+        with pytest.raises(FormatError, match="meta.json"):
+            reconstruct_report(emitted)
+
     def test_on_row_callback_sees_all_records(self):
         corpus = synthesize_corpus(15, 100, 2, 5, 0.4)
         config = make_config(replicates=2)
@@ -436,8 +558,8 @@ def calls(monkeypatch):
     """How often the run fits an MDS and builds a geodesic view."""
     counts = {"mds_fit": 0, "graph_geodesic": 0}
 
-    def counting(name):
-        original = getattr(experiment, name)
+    def counting(name, module):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
@@ -445,8 +567,8 @@ def calls(monkeypatch):
 
         return wrapper
 
-    for name in counts:
-        monkeypatch.setattr(experiment, name, counting(name))
+    for name, module in (("mds_fit", experiment), ("graph_geodesic", corpus_module)):
+        monkeypatch.setattr(module, name, counting(name, module))
     return counts
 
 

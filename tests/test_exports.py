@@ -29,6 +29,9 @@ BENCH_HOOKS = [
     ("experiment", "run_experiment", "experiment"),
     ("mds", "eig_sym", "numerics"),
     ("corpus", "load_dissimilarity_tsv", "dissimilarity"),
+    ("corpus", "graph_geodesic", "dissimilarity"),
+    ("corpus", "cosine_dissimilarity", "dissimilarity"),
+    ("experiment", "frobenius_prescale", "dissimilarity"),
     ("cli", "save_dissimilarity_tsv", "dissimilarity"),
     ("cli", "graph_geodesic", "dissimilarity"),
     ("cli", "cosine_dissimilarity", "dissimilarity"),
