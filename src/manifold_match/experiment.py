@@ -21,7 +21,7 @@ from .align import cca_fit, gcca_fit, project
 from .classify import LabeledEmbedding, average_views, loo_cross_view_accuracy
 from .corpus import _NAME_RE, load_corpus
 from .dissimilarity import frobenius_prescale
-from .errors import ConfigError, FormatError, ValidationError
+from .errors import ConfigError, FormatError
 from .formats import write_json
 from .mds import mds_fit, mds_out_of_sample
 
@@ -469,10 +469,6 @@ def _aggregate(records, fractions, combinations, method, feature,
         for combo in combinations:
             acc = [r[5] for r in records if r[1] == combo and r[3] == fraction]
             acc_arr = np.asarray(acc, dtype=float)
-            if acc_arr.size == 0:
-                raise ValidationError(
-                    f"no replicate records for combination {combo!r} at S={fraction:g}"
-                )
             rng = np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(1000003, cell_index))
             )
@@ -627,7 +623,9 @@ def reconstruct_report(out_dir) -> AccuracyReport:
     """Rebuild a report from meta.json plus replicates.log (for audits).
 
     A malformed or incomplete meta.json is a ``FormatError`` naming it, and a
-    malformed log line one naming ``replicates.log:line``.
+    malformed log line one naming ``replicates.log:line``. So is a log whose
+    cells do not each hold replicates 0..R-1 once, with R the ``replicates``
+    of meta.json, and a log record outside meta.json's cells.
     """
     out = Path(out_dir)
     meta_path, log_path = out / "meta.json", out / "replicates.log"
@@ -662,6 +660,24 @@ def reconstruct_report(out_dir) -> AccuracyReport:
                 )
             except ValueError as exc:
                 raise FormatError(f"{log_path}:{lineno}: {exc}") from None
+    # Each cell of meta.json holds replicates 0..R-1 once each, and no record
+    # lies outside the cells.
+    fractions, combinations, replicates = settings[0], settings[1], settings[-1]
+    cells = {(combo, fraction): [] for fraction in fractions for combo in combinations}
+    for _, combo, _, fraction, rep, _ in records:
+        if (combo, fraction) not in cells:
+            raise FormatError(
+                f"{log_path}: record for {combo!r} at S={fraction:g} is not a cell "
+                f"of {meta_path}"
+            )
+        cells[(combo, fraction)].append(rep)
+    for (combo, fraction), reps in cells.items():
+        if sorted(reps) != list(range(replicates)):
+            raise FormatError(
+                f"{log_path}: {combo!r} at S={fraction:g} has replicate indices "
+                f"{sorted(reps)[:10]}, not 0..{replicates - 1} once each as "
+                f"{meta_path} says"
+            )
     warnings_path = out / "warnings.log"
     warnings = []
     if warnings_path.is_file():

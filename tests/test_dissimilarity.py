@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
+from manifold_match.corpus import synthesize_corpus
 from manifold_match.dissimilarity import (
     as_dissimilarity,
     cosine_dissimilarity,
@@ -81,6 +84,54 @@ class TestGraphGeodesic:
     def test_cap_must_exceed_max_hops(self):
         with pytest.raises(ValidationError):
             graph_geodesic([(0, 1)], 2, cap=4, max_hops=4)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 193])
+    def test_matches_floyd_warshall_across_word_boundaries(self, n):
+        # Sources are packed 64 to a word; vertices at the word edges are
+        # isolated, the rest form a sparse graph with long shortest paths.
+        rng = np.random.default_rng(n)
+        iu = np.triu_indices(n, k=1)
+        mask = rng.random(iu[0].size) < 1.5 / n
+        edges = np.column_stack([iu[0][mask], iu[1][mask]])
+        isolated = [v for v in (63, 64, 127, 128) if v < n]
+        edges = edges[~np.isin(edges, isolated).any(axis=1)]
+        for max_hops in (4, n - 1):
+            dm = graph_geodesic(edges, n, cap=max_hops + 2, max_hops=max_hops)
+            assert np.array_equal(
+                dm, floyd_warshall_capped(edges, n, max_hops + 2, max_hops)
+            )
+            for v in isolated:
+                assert np.all(np.delete(dm[v], v) == max_hops + 2)
+
+    @pytest.mark.parametrize("max_hops", [350, 400, 1000])
+    def test_long_path_beyond_255_hops(self, max_hops):
+        # A hop counter one byte wide would wrap past 255.
+        n = 400
+        edges = [(i, i + 1) for i in range(n - 1)]
+        dm = graph_geodesic(edges, n, cap=max_hops + 1, max_hops=max_hops)
+        gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        assert np.array_equal(dm, np.where(gap <= max_hops, gap, max_hops + 1))
+        assert dm[0, 300] == 300
+        assert dm[0, 399] == (max_hops + 1 if max_hops < 399 else 399)
+
+
+@pytest.fixture(scope="module")
+def geometric_edges():
+    return synthesize_corpus(31, 1382, 2, 5, 0.8).domains[0].edges
+
+
+@pytest.mark.parametrize("cap, max_hops", [(32, 30), (6, 4)])
+def test_matches_dijkstra_on_geometric_graph(geometric_edges, cap, max_hops):
+    # The hop-limited scipy search that graph_geodesic replaced is the oracle:
+    # same dtype and the same bits.
+    n = 1382
+    e = geometric_edges
+    graph = csr_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
+    expected = dijkstra(graph, directed=False, unweighted=True, limit=max_hops)
+    expected[np.isinf(expected)] = cap
+    dm = graph_geodesic(e, n, cap=cap, max_hops=max_hops)
+    assert dm.dtype == expected.dtype
+    assert np.array_equal(dm.view(np.uint64), expected.view(np.uint64))
 
 
 @st.composite

@@ -292,8 +292,11 @@ class TestRunReplicate:
         accs = one_replicate(config, corpus)
         assert accs["GF->GE"] == 1.0
 
-    def test_prescaling_neutralizes_text_scale(self):
-        # two corpora identical except the text dissimilarity scale
+    def test_accuracies_invariant_to_text_view_scale(self):
+        # Two corpora identical except the text dissimilarity scale. This
+        # passes with or without the prescale, because GCCA and CCA are
+        # invariant to one scale per view;
+        # test_text_view_takes_the_reference_norm pins the prescale itself.
         corpus = synthesize_corpus(13, 120, 2, 5, 0.4)
         base_dm = cosine_dissimilarity(corpus.domains[1].features)
         scaled_dm = base_dm * 50.0
@@ -520,6 +523,35 @@ class TestEmission:
         log.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="replicates.log:3"):
             reconstruct_report(emitted)
+
+    @pytest.fixture
+    def emitted_three(self, tmp_path):
+        report = run_experiment(
+            make_config(replicates=3, schedule=((1.0, 8),)), corpus=golden_corpus()
+        )
+        emit_curves(report, tmp_path)
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda records: records[:1],
+            lambda records: records + records[:1],
+            lambda records: [r for r in records if "\t1\t" not in r],
+            lambda records: [r.replace("\t2\t", "\t3\t") for r in records],
+            lambda records: [],
+            lambda records: records + [records[0].replace("\t1.0\t", "\t0.5\t")],
+        ],
+        ids=["truncated", "duplicated", "missing", "out_of_range", "empty", "extra_cell"],
+    )
+    def test_log_must_hold_each_replicate_once(self, emitted_three, edit):
+        # A cell's indices must be exactly 0..R-1 with R from meta.json.
+        log = emitted_three / "replicates.log"
+        header, *records = log.read_text().splitlines()
+        assert len(records) == 3 * 3  # three combinations, three replicates
+        log.write_text("\n".join([header, *edit(records)]) + "\n")
+        with pytest.raises(FormatError, match="replicates.log"):
+            reconstruct_report(emitted_three)
 
     @pytest.mark.parametrize(
         "meta", ['{"method": "gcca"', '{"method": "gcca"}', '[]', '{"fractions": "x"}'],
