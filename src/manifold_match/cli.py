@@ -23,7 +23,7 @@ from .dissimilarity import (
     load_dissimilarity_tsv,
     save_dissimilarity_tsv,
 )
-from .errors import ConditioningError, FormatError, ManifoldMatchError
+from .errors import ConditioningError, FormatError, ManifoldMatchError, ValidationError
 from .experiment import ExperimentConfig, emit_curves, run_experiment
 from .formats import read_matrix, write_matrix
 from .mds import mds_fit, scree
@@ -64,16 +64,14 @@ def _cmd_dissim(args):
     domain = corpus.domain(args.domain)
     if args.kind == "graph":
         if domain.edges is None:
-            print(f"error: domain {args.domain!r} has no edge list", file=sys.stderr)
-            return EXIT_DATA
+            raise ValidationError(f"domain {args.domain!r} has no edge list")
         dm = graph_geodesic(
             domain.edges, corpus.n_total, cap=args.cap, max_hops=args.max_hops
         )
         settings = {"cap": args.cap, "max_hops": args.max_hops}
     else:
         if domain.features is None:
-            print(f"error: domain {args.domain!r} has no features", file=sys.stderr)
-            return EXIT_DATA
+            raise ValidationError(f"domain {args.domain!r} has no features")
         dm = cosine_dissimilarity(domain.features)
         settings = {}
 
@@ -107,8 +105,7 @@ def _cmd_align(args):
     views = [read_matrix(p) for p in args.embeddings]
     if args.method == "cca":
         if len(views) != 2:
-            print("error: cca takes exactly two embeddings", file=sys.stderr)
-            return EXIT_DATA
+            raise ValidationError("cca takes exactly two embeddings")
         maps = cca_fit(views[0], views[1], args.dim, ridge=args.ridge)
     else:
         maps = gcca_fit(views, args.dim, ridge=args.ridge)

@@ -38,7 +38,8 @@ __all__ = [
     "synthesize_corpus",
 ]
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+# One safe path component: no separator, and not "." or "..".
+_NAME_RE = re.compile(r"(?!\.\.?\Z)[A-Za-z0-9_.-]+\Z")
 
 
 def _read_only(array):
@@ -259,25 +260,29 @@ def _read_edges_tsv(path, id_to_index):
     return np.asarray(pairs, dtype=int).reshape(-1, 2)
 
 
+def _domain_dir(name):
+    """``name`` as the directory of its domain's files, relative to the
+    corpus root; a name that is not one safe path component is rejected."""
+    if not isinstance(name, str) or not _NAME_RE.match(name):
+        raise ValidationError(f"domain name {name!r} is not filesystem-safe")
+    return name
+
+
 def save_corpus(corpus, path):
     """Serialize a corpus to a directory (manifest plus per-domain files)."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     domain_entries = []
     for domain in corpus.domains:
-        if not _NAME_RE.match(domain.name):
-            raise ValidationError(
-                f"domain name {domain.name!r} is not filesystem-safe"
-            )
-        ddir = root / domain.name
-        ddir.mkdir(exist_ok=True)
+        ddir = _domain_dir(domain.name)
+        (root / ddir).mkdir(exist_ok=True)
         entry = {"name": domain.name, "features": None, "edges": None, "dissimilarities": {}}
         if domain.features is not None:
-            rel = f"{domain.name}/features.tsv"
+            rel = f"{ddir}/features.tsv"
             write_matrix(domain.features, root / rel)
             entry["features"] = rel
         if domain.edges is not None:
-            rel = f"{domain.name}/edges.tsv"
+            rel = f"{ddir}/edges.tsv"
             _write_edges_tsv(domain.edges, corpus.object_ids, root / rel)
             entry["edges"] = rel
         recorded = getattr(domain.dissimilarities, "files", {})
@@ -299,7 +304,7 @@ def save_corpus(corpus, path):
 
 def _save_dissimilarity(root, domain_name, kind, values, cap, max_hops):
     """Write ``<domain>/dissim_<kind>.tsv``; returns its manifest entry."""
-    rel = f"{domain_name}/dissim_{kind}.tsv"
+    rel = f"{_domain_dir(domain_name)}/dissim_{kind}.tsv"
     save_dissimilarity_tsv(values, root / rel)
     return {"file": rel, "cap": cap, "max_hops": max_hops}
 
@@ -361,6 +366,12 @@ def load_corpus(path) -> LabeledCorpus:
             name = str(entry["name"])
         except (KeyError, TypeError) as exc:
             raise FormatError(f"{manifest_path}: malformed domain entry: {exc}") from None
+        for key in ("features", "edges"):
+            if not isinstance(entry.get(key), (str, type(None))):
+                raise FormatError(
+                    f"{manifest_path}: domain {name!r} {key} entry {entry[key]!r} is not "
+                    "a file name or null"
+                )
         features = None
         if entry.get("features"):
             features = read_matrix(root / entry["features"])

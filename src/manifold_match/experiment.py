@@ -107,7 +107,7 @@ _FIELDS = {
     "classifier_classes": lambda classes: tuple(_int(c) for c in classes),
     "method": _str, "shared_dim": _int, "kappa": _int, "replicates": _int, "seed": _int,
     "feature": _str, "cap": _int, "max_hops": _int, "bootstrap_samples": _int,
-    "regularized": _of(bool), "prescale_reference": _str_or_none,
+    "regularized": _of(bool),
     "ridge": lambda r: r if r is None else float(_number(r)),
     "averaged_views": lambda views: {
         tag: (_str(a), _str(b)) for tag, (a, b) in (views or {}).items()
@@ -139,7 +139,6 @@ class ExperimentConfig:
     ridge: float | None = None
     cap: int = 6
     max_hops: int = 4
-    prescale_reference: str | None = None
     bootstrap_samples: int = 1000
 
     def __post_init__(self):
@@ -206,10 +205,6 @@ class ExperimentConfig:
                 raise ConfigError("schedule mds_dim values must be positive")
         if self.ridge is not None and not (np.isfinite(self.ridge) and self.ridge >= 0):
             raise ConfigError(f"ridge must be finite and nonnegative, got {self.ridge}")
-        if self.prescale_reference is not None and self.prescale_reference not in base:
-            raise ConfigError(
-                f"prescale_reference {self.prescale_reference!r} is not a configured view"
-            )
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
@@ -314,14 +309,6 @@ def _prepare(config, corpus) -> _PreparedRun:
 
     schedule = _schedule(config, int(rel_idx.size))
     full = {v.tag: corpus.view(v.domain, v.kind, config.cap, config.max_hops) for v in config.views}
-
-    ref_tag = config.prescale_reference
-    if ref_tag is None:
-        for v in config.views:
-            if v.kind == "graph":
-                ref_tag = v.tag
-                break
-
     return _PreparedRun(
         config=config,
         schedule=schedule,
@@ -329,7 +316,8 @@ def _prepare(config, corpus) -> _PreparedRun:
         rel_idx=rel_idx,
         clf_idx=clf_idx,
         labels_clf=corpus.labels[clf_idx],
-        ref_tag=ref_tag,
+        # Text views are prescaled onto the first graph view's norm.
+        ref_tag=next((v.tag for v in config.views if v.kind == "graph"), None),
     )
 
 
@@ -427,10 +415,6 @@ class CellStats:
     std_error: float
     item_std_error: float
 
-    @property
-    def n_replicates(self) -> int:
-        return len(self.accuracies)
-
 
 @dataclass
 class AccuracyReport:
@@ -444,6 +428,20 @@ class AccuracyReport:
     seed: int
     bootstrap_samples: int
     replicates: int
+
+
+# The report settings meta.json records, each with the conversion
+# reconstruct_report applies when it reads them back.
+_META = {
+    "method": str,
+    "feature": str,
+    "fractions": lambda fractions: tuple(float(f) for f in fractions),
+    "combinations": tuple,
+    "m_classifier": int,
+    "seed": int,
+    "bootstrap_samples": int,
+    "replicates": int,
+}
 
 
 def _bootstrap_stats(accuracies, m_classifier, rng, n_boot):
@@ -461,34 +459,20 @@ def _bootstrap_stats(accuracies, m_classifier, rng, n_boot):
     return se, item_se
 
 
-def _aggregate(records, fractions, combinations, method, feature,
-               m_classifier, seed, bootstrap_samples, replicates, warnings):
+def _aggregate(accuracies, warnings, **meta) -> AccuracyReport:
+    """The report of ``accuracies``, which maps each (combination, fraction)
+    cell to its accuracies in replicate order; ``meta`` holds the fields of
+    ``_META``."""
     cells = {}
-    cell_index = 0
-    for fraction in fractions:
-        for combo in combinations:
-            acc = [r[5] for r in records if r[1] == combo and r[3] == fraction]
-            acc_arr = np.asarray(acc, dtype=float)
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(1000003, cell_index))
-            )
-            se, item_se = _bootstrap_stats(acc_arr, m_classifier, rng, bootstrap_samples)
-            cells[(combo, fraction)] = CellStats(
-                tuple(float(a) for a in acc), float(acc_arr.mean()), se, item_se
-            )
-            cell_index += 1
-    return AccuracyReport(
-        method=method,
-        feature=feature,
-        fractions=tuple(fractions),
-        combinations=tuple(combinations),
-        cells=cells,
-        warnings=list(warnings),
-        m_classifier=m_classifier,
-        seed=seed,
-        bootstrap_samples=bootstrap_samples,
-        replicates=replicates,
-    )
+    keys = [(combo, fraction) for fraction in meta["fractions"] for combo in meta["combinations"]]
+    for cell_index, key in enumerate(keys):
+        acc = [float(a) for a in accuracies[key]]
+        rng = np.random.default_rng(
+            np.random.SeedSequence(meta["seed"], spawn_key=(1000003, cell_index))
+        )
+        se, item_se = _bootstrap_stats(acc, meta["m_classifier"], rng, meta["bootstrap_samples"])
+        cells[key] = CellStats(tuple(acc), float(np.mean(acc)), se, item_se)
+    return AccuracyReport(cells=cells, warnings=list(warnings), **meta)
 
 
 def run_experiment(config, corpus=None, on_row=None) -> AccuracyReport:
@@ -509,7 +493,7 @@ def run_experiment(config, corpus=None, on_row=None) -> AccuracyReport:
     later call on the same object does not rebuild them.
     """
     prepared = _prepare(config, corpus)
-    records = []
+    accuracies = {}  # (combination, fraction) -> accuracies in replicate order
     warnings = []
     for row_index, row in enumerate(prepared.schedule):
         row_records = []
@@ -523,35 +507,27 @@ def run_experiment(config, corpus=None, on_row=None) -> AccuracyReport:
             key = sample.tobytes()
             if key not in fitted:
                 fitted[key] = _run_single(prepared, row, sample)
-            accuracies, warns = fitted[key]
+            scores, warns = fitted[key]
             for w in warns:
                 warnings.append(f"replicate {rep}: {w}")
             for combo in config.combinations:
+                accuracies.setdefault((combo, row.fraction), []).append(scores[combo])
                 row_records.append(
-                    (
-                        config.method,
-                        combo,
-                        config.feature,
-                        row.fraction,
-                        rep,
-                        accuracies[combo],
-                    )
+                    (config.method, combo, config.feature, row.fraction, rep, scores[combo])
                 )
-        records.extend(row_records)
         if on_row is not None:
             on_row(row, row_records)
-    fractions = [row.fraction for row in prepared.schedule]
     return _aggregate(
-        records,
-        fractions,
-        config.combinations,
-        config.method,
-        config.feature,
-        int(prepared.clf_idx.size),
-        config.seed,
-        config.bootstrap_samples,
-        config.replicates,
+        accuracies,
         warnings,
+        method=config.method,
+        feature=config.feature,
+        fractions=tuple(float(row.fraction) for row in prepared.schedule),
+        combinations=config.combinations,
+        m_classifier=int(prepared.clf_idx.size),
+        seed=config.seed,
+        bootstrap_samples=config.bootstrap_samples,
+        replicates=config.replicates,
     )
 
 
@@ -606,45 +582,35 @@ def emit_curves(report, out_dir):
             fh.write(line)
             fh.write("\n")
 
-    meta = {
-        "method": report.method,
-        "feature": report.feature,
-        "fractions": [float(f) for f in report.fractions],
-        "combinations": list(report.combinations),
-        "m_classifier": report.m_classifier,
-        "seed": report.seed,
-        "bootstrap_samples": report.bootstrap_samples,
-        "replicates": report.replicates,
-    }
-    write_json(meta, out / "meta.json")
+    write_json({name: getattr(report, name) for name in _META}, out / "meta.json")
 
 
 def reconstruct_report(out_dir) -> AccuracyReport:
     """Rebuild a report from meta.json plus replicates.log (for audits).
 
-    A malformed or incomplete meta.json is a ``FormatError`` naming it, and a
-    malformed log line one naming ``replicates.log:line``. So is a log whose
-    cells do not each hold replicates 0..R-1 once, with R the ``replicates``
-    of meta.json, and a log record outside meta.json's cells.
+    Each cell's accuracies are taken in replicate-index order, so the log's
+    line order does not matter. A malformed or incomplete meta.json is a
+    ``FormatError`` naming it, and a malformed log line one naming
+    ``replicates.log:line``. So is a log whose cells do not each hold
+    replicates 0..R-1 once, with R the ``replicates`` of meta.json, and a
+    log record outside meta.json's cells.
     """
     out = Path(out_dir)
     meta_path, log_path = out / "meta.json", out / "replicates.log"
     try:
         with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        settings = (
-            [float(f) for f in meta["fractions"]],
-            tuple(meta["combinations"]),
-            str(meta["method"]),
-            str(meta["feature"]),
-            int(meta["m_classifier"]),
-            int(meta["seed"]),
-            int(meta["bootstrap_samples"]),
-            int(meta["replicates"]),
-        )
+            raw = json.load(fh)
+        meta = {name: convert(raw[name]) for name, convert in _META.items()}
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise FormatError(f"{meta_path}: missing or malformed field {exc}") from None
-    records = []
+    replicates = meta["replicates"]
+    if replicates < 1:
+        raise FormatError(f"{meta_path}: replicates must be positive, got {replicates}")
+    accuracies = {
+        (combo, fraction): [None] * replicates
+        for fraction in meta["fractions"]
+        for combo in meta["combinations"]
+    }
     with open(log_path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.startswith("method\t"):
@@ -654,33 +620,32 @@ def reconstruct_report(out_dir) -> AccuracyReport:
             if not line:
                 continue
             try:
-                method, combo, feature, fraction, rep, acc = line.split("\t")
-                records.append(
-                    (method, combo, feature, float(fraction), int(rep), float(acc))
-                )
+                _, combo, _, fraction, rep, acc = line.split("\t")
+                fraction, rep, acc = float(fraction), int(rep), float(acc)
             except ValueError as exc:
                 raise FormatError(f"{log_path}:{lineno}: {exc}") from None
-    # Each cell of meta.json holds replicates 0..R-1 once each, and no record
-    # lies outside the cells.
-    fractions, combinations, replicates = settings[0], settings[1], settings[-1]
-    cells = {(combo, fraction): [] for fraction in fractions for combo in combinations}
-    for _, combo, _, fraction, rep, _ in records:
-        if (combo, fraction) not in cells:
+            cell = accuracies.get((combo, fraction))
+            if cell is None:
+                raise FormatError(
+                    f"{log_path}:{lineno}: record for {combo!r} at S={fraction:g} is not "
+                    f"a cell of {meta_path}"
+                )
+            if not 0 <= rep < replicates or cell[rep] is not None:
+                raise FormatError(
+                    f"{log_path}:{lineno}: replicate {rep} of {combo!r} at S={fraction:g} "
+                    f"repeats or lies outside 0..{replicates - 1} ({meta_path})"
+                )
+            cell[rep] = acc
+    for (combo, fraction), cell in accuracies.items():
+        missing = [rep for rep, acc in enumerate(cell) if acc is None]
+        if missing:
             raise FormatError(
-                f"{log_path}: record for {combo!r} at S={fraction:g} is not a cell "
-                f"of {meta_path}"
-            )
-        cells[(combo, fraction)].append(rep)
-    for (combo, fraction), reps in cells.items():
-        if sorted(reps) != list(range(replicates)):
-            raise FormatError(
-                f"{log_path}: {combo!r} at S={fraction:g} has replicate indices "
-                f"{sorted(reps)[:10]}, not 0..{replicates - 1} once each as "
-                f"{meta_path} says"
+                f"{log_path}: {combo!r} at S={fraction:g} lacks replicates {missing[:10]} "
+                f"of the 0..{replicates - 1} that {meta_path} says"
             )
     warnings_path = out / "warnings.log"
     warnings = []
     if warnings_path.is_file():
         with open(warnings_path, "r", encoding="utf-8") as fh:
             warnings = [line.rstrip("\n") for line in fh if line.strip()]
-    return _aggregate(records, *settings, warnings)
+    return _aggregate(accuracies, warnings, **meta)

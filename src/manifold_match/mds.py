@@ -41,16 +41,14 @@ class MdsModel:
     ``embedding`` holds the in-sample coordinates (columns centered),
     ``eigenvalues`` the retained positive spectrum, and ``row_means`` /
     ``grand_mean`` the centering statistics of the squared dissimilarities
-    needed to embed new points. ``requested_dim`` is the dimension asked
-    for; the effective dimension may be smaller when the spectrum has fewer
-    positive eigenvalues.
+    needed to embed new points. The effective dimension may be smaller than
+    the one asked for when the spectrum has fewer positive eigenvalues.
     """
 
     embedding: np.ndarray
     eigenvalues: np.ndarray
     row_means: np.ndarray
     grand_mean: float
-    requested_dim: int
 
     @property
     def n(self) -> int:
@@ -87,7 +85,7 @@ def mds_fit(delta, p) -> MdsModel:
     keep = min(p, positive)
     values = eigenvalues[:keep].copy()
     coords = eigenvectors[:, :keep] * np.sqrt(values)
-    return MdsModel(coords, values, row_means, grand_mean, p)
+    return MdsModel(coords, values, row_means, grand_mean)
 
 
 def mds_out_of_sample(model, delta_new):

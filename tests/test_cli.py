@@ -127,6 +127,18 @@ class TestDissim:
         assert load_corpus(corpus_dir).domains[0].dissimilarities == {}
         assert not any(p.name.endswith(".tmp") for p in corpus_dir.iterdir())
 
+    @pytest.mark.parametrize(
+        "kind, lacks", [("graph", "edge list"), ("text", "features")]
+    )
+    def test_domain_without_source_is_data_error(self, tmp_path, capsys, kind, lacks):
+        corpus_dir = tmp_path / "corpus"
+        save_corpus(LabeledCorpus(("a", "b"), np.array([0, 1]), (DomainData("bare"),)), corpus_dir)
+        before = (corpus_dir / "manifest.json").read_bytes()
+        code = main(["dissim", str(corpus_dir), "--domain", "bare", "--kind", kind])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: domain 'bare' has no {lacks}\n"
+        assert (corpus_dir / "manifest.json").read_bytes() == before
+
 
 class TestSynth:
     def test_writes_loadable_corpus(self, tmp_path):
@@ -284,6 +296,17 @@ class TestPipelineFlow:
         assert code == 2
         assert not (tmp_path / "e.tsv").exists()
 
+    def test_cca_of_three_embeddings_is_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        paths = [tmp_path / f"e{k}.tsv" for k in range(3)]
+        for path in paths:
+            formats.write_matrix(rng.normal(size=(8, 2)), path)
+        out = tmp_path / "maps"
+        code = main(["align", *map(str, paths), "--method", "cca", "--dim", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: cca takes exactly two embeddings\n"
+        assert not out.exists()
+
     def test_conditioning_failure_is_numeric_error(self, tmp_path, capsys):
         # all-zero embeddings leave nothing to whiten: exit code 3
         zeros = tmp_path / "z.tsv"
@@ -385,7 +408,10 @@ class TestExperimentCommand:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
-        "name, value", [("regularized", "false"), ("shared_dim", "x"), ("kappa", 2.7)]
+        "name, value",
+        [("regularized", "false"), ("shared_dim", "x"), ("kappa", 2.7),
+         # a removed field is an unknown one
+         ("prescale_reference", "GE")],
     )
     def test_malformed_config_field_is_data_error(self, tmp_path, capsys, name, value):
         config = experiment_config(tmp_path, tmp_path / "corpus", **{name: value})

@@ -130,6 +130,33 @@ class TestImmutable:
             domain.edges[0, 0] = 2
 
 
+class TestDomainNames:
+    @pytest.mark.parametrize("name", ["..", ".", "a/b", "x\n"])
+    def test_save_rejects_a_name_that_is_not_one_path_component(self, tmp_path, name):
+        corpus = LabeledCorpus(("a", "b"), np.array([0, 1]), (DomainData(name),))
+        with pytest.raises(ValidationError, match="not filesystem-safe"):
+            save_corpus(corpus, tmp_path / "corpus")
+        assert list(tmp_path.rglob("*")) == [tmp_path / "corpus"]
+
+    def test_manifest_name_cannot_send_writes_outside_the_corpus(self, tmp_path, capsys):
+        root = tmp_path / "outer" / "inner" / "corpus"
+        save_corpus(small_corpus(), root)
+        path = root / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["domains"][0]["name"] = "../../escaped"
+        path.write_text(json.dumps(manifest))
+        (tmp_path / "outer" / "escaped").mkdir()  # where the write would land
+        before = sorted(tmp_path.rglob("*"))
+        argv = ["dissim", str(root), "--domain", "../../escaped", "--kind", "text"]
+        assert main(argv) == 2
+        assert "'../../escaped' is not filesystem-safe" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert json.loads(path.read_text()) == manifest
+        with pytest.raises(ValidationError, match="not filesystem-safe"):
+            register_dissimilarity(root, "..", "text", np.zeros((3, 3)))
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestRoundTrip:
     def test_save_load_identical(self, tmp_path):
         corpus = synthesize_corpus(3, 30, 2, 3, 0.2)
@@ -343,6 +370,20 @@ class TestLoaderErrors:
         err = capsys.readouterr().err
         assert str(path) in err
         assert "domain 'd0' graph dissimilarity entry" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("features", 5), ("features", ["d0/features.tsv"]), ("features", {"f": 1}), ("edges", 7),
+    ])
+    def test_non_string_file_entry_is_a_format_error(self, tmp_path, capsys, key, value):
+        save_corpus(small_corpus(), tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["domains"][0][key] = value
+        path.write_text(json.dumps(manifest))
+        assert main(["dissim", str(tmp_path), "--domain", "d0", "--kind", "graph"]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert f"domain 'd0' {key} entry" in err
 
     def test_feature_row_count_checked(self, tmp_path):
         corpus = small_corpus()

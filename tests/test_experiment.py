@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,9 @@ class TestConfigValidation:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ConfigError, match="bogus"):
             ExperimentConfig.from_dict({"bogus": 1}, source="inline")
+        # a removed field is an unknown one
+        with pytest.raises(ConfigError, match=r"unknown fields \['prescale_reference'\]"):
+            ExperimentConfig.from_dict(raw_config(prescale_reference="GE"), source="inline")
 
     @pytest.mark.parametrize("raw", [5, None, [], "x"], ids=["5", "null", "list", "string"])
     def test_from_dict_non_object(self, raw):
@@ -389,7 +394,7 @@ class TestRunExperiment:
         assert report.combinations == ("GF->GE", "TF->GE", "GTF->GE")
         assert len(report.cells) == 6
         for stats in report.cells.values():
-            assert stats.n_replicates == 3
+            assert len(stats.accuracies) == 3
             assert 0.0 <= stats.mean <= 1.0
             assert min(stats.accuracies) <= stats.mean <= max(stats.accuracies)
             assert stats.std_error >= 0.0
@@ -418,7 +423,7 @@ class TestRunExperiment:
         report = run_experiment(config, corpus=corpus)
         assert len(report.cells) == 3
         for stats in report.cells.values():
-            assert stats.n_replicates == 1
+            assert len(stats.accuracies) == 1
 
     def test_degraded_dimension_warns_and_proceeds(self):
         # features constant per class: the text dissimilarity over the two
@@ -552,6 +557,34 @@ class TestEmission:
         log.write_text("\n".join([header, *edit(records)]) + "\n")
         with pytest.raises(FormatError, match="replicates.log"):
             reconstruct_report(emitted_three)
+
+    def test_reconstruct_is_independent_of_log_line_order(self, tmp_path):
+        # The bootstrap resamples a cell's accuracies by position, so they
+        # must come back in replicate order whatever the log's line order.
+        report = run_experiment(
+            make_config(replicates=8, schedule=((0.5, 8),)), corpus=golden_corpus()
+        )
+        emit_curves(report, tmp_path)
+        log = tmp_path / "replicates.log"
+        header, *records = log.read_text().splitlines()
+        cell = [r for r in records if r.startswith("gcca\tGF->GE\t")]
+        assert len(set(r.split("\t")[5] for r in cell)) > 1
+        others = [r for r in records if r not in cell]
+        log.write_text("\n".join([header, *cell[::-1], *others]) + "\n")
+        rebuilt = reconstruct_report(tmp_path)
+        assert rebuilt.cells == report.cells
+        again = tmp_path / "again"
+        emit_curves(rebuilt, again)
+        for name in ("curves_gcca_synthetic.csv", "table.csv", "meta.json"):
+            assert (again / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_meta_replicates_must_be_positive(self, emitted):
+        meta = json.loads((emitted / "meta.json").read_text())
+        (emitted / "meta.json").write_text(json.dumps({**meta, "replicates": 0}))
+        log = emitted / "replicates.log"
+        log.write_text(log.read_text().splitlines()[0] + "\n")
+        with pytest.raises(FormatError, match="meta.json: replicates must be positive"):
+            reconstruct_report(emitted)
 
     @pytest.mark.parametrize(
         "meta", ['{"method": "gcca"', '{"method": "gcca"}', '[]', '{"fractions": "x"}'],

@@ -235,7 +235,6 @@ class TestScree:
             eigenvalues=np.array([4.0, 1.0]),
             row_means=np.zeros(3),
             grand_mean=0.0,
-            requested_dim=2,
         )
         assert np.allclose(scree(model), [2.0, 1.0])
 
