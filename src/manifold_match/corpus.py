@@ -112,18 +112,27 @@ class DomainData:
         object.__setattr__(self, "dissimilarities", checked)
 
 
+def _view_key(domain, kind, cap, max_hops):
+    """What tells one view of a corpus from another: geodesics also differ by
+    ``cap`` and ``max_hops``."""
+    return (domain, kind, cap, max_hops) if kind == "graph" else (domain, kind)
+
+
 @dataclass(frozen=True)
 class LabeledCorpus:
     """Matched objects with integer class labels, observed in every domain.
 
     The geodesic and cosine views :meth:`view` builds from a domain are kept
-    in ``_views`` for later calls on the same object.
+    in ``_views`` for later calls on the same object. ``_fits`` keeps the
+    read-only MDS fits of whole relation pools that ``run_experiment`` makes
+    on this object, keyed by view, pool and dimension, for the same reuse.
     """
 
     object_ids: tuple[str, ...]
     labels: np.ndarray
     domains: tuple[DomainData, ...]
     _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = tuple(str(i) for i in self.object_ids)
@@ -217,7 +226,7 @@ class LabeledCorpus:
                 f"domain {domain!r} has no {'edges' if kind == 'graph' else 'features'} "
                 f"or precomputed {kind} dissimilarity"
             )
-        key = (domain, kind, cap, max_hops) if kind == "graph" else (domain, kind)
+        key = _view_key(domain, kind, cap, max_hops)
         if key not in self._views:
             self._views[key] = (
                 graph_geodesic(source, self.n_total, cap=cap, max_hops=max_hops)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .align import cca_fit, gcca_fit, project
 from .classify import LabeledEmbedding, average_views, loo_cross_view_accuracy
-from .corpus import _NAME_RE, load_corpus
+from .corpus import _NAME_RE, _view_key, load_corpus
 from .dissimilarity import frobenius_prescale
 from .errors import ConfigError, FormatError
 from .formats import write_json
@@ -159,6 +159,10 @@ class ExperimentConfig:
         tags = [v.tag for v in self.views]
         if len(set(tags)) != len(tags):
             raise ConfigError(f"duplicate view tags in {tags}")
+        for tag in (*tags, *self.averaged_views):
+            # A tag is a field of the CSV and TSV outputs.
+            if not isinstance(tag, str) or not _NAME_RE.match(tag):
+                raise ConfigError(f"view tag {tag!r} is not a safe file-name component")
         base = set(tags)
         for avg_tag, (a, b) in self.averaged_views.items():
             if self.method != "gcca":
@@ -282,6 +286,8 @@ class _PreparedRun:
     clf_idx: np.ndarray
     labels_clf: np.ndarray
     ref_tag: str | None
+    fit_keys: dict[str, tuple]  # view tag -> what its whole-pool fit depends on
+    fits: dict  # the corpus's whole-pool fits, by fit key and dimension
 
 
 def _prepare(config, corpus) -> _PreparedRun:
@@ -309,6 +315,15 @@ def _prepare(config, corpus) -> _PreparedRun:
 
     schedule = _schedule(config, int(rel_idx.size))
     full = {v.tag: corpus.view(v.domain, v.kind, config.cap, config.max_hops) for v in config.views}
+    keys = {v.tag: _view_key(v.domain, v.kind, config.cap, config.max_hops) for v in config.views}
+    # Text views are prescaled onto the first graph view's norm.
+    ref_tag = next((v.tag for v in config.views if v.kind == "graph"), None)
+    # A whole-pool fit is fixed by its view, the pool and, for a prescaled
+    # text view, the reference view the factor comes from.
+    fit_keys = {
+        v.tag: (keys[v.tag], rel_idx.tobytes(), keys.get(ref_tag) if v.kind == "text" else None)
+        for v in config.views
+    }
     return _PreparedRun(
         config=config,
         schedule=schedule,
@@ -316,8 +331,9 @@ def _prepare(config, corpus) -> _PreparedRun:
         rel_idx=rel_idx,
         clf_idx=clf_idx,
         labels_clf=corpus.labels[clf_idx],
-        # Text views are prescaled onto the first graph view's norm.
-        ref_tag=next((v.tag for v in config.views if v.kind == "graph"), None),
+        ref_tag=ref_tag,
+        fit_keys=fit_keys,
+        fits=corpus._fits,
     )
 
 
@@ -337,10 +353,12 @@ def _run_single(prepared, row, sample):
     """Embed every view of one drawn sample, then align, project and score
     every combination: one GCCA fit of all views serves every combination
     (and the averaged views), while CCA fits each combination's (test,
-    train) pair."""
+    train) pair. A sample that is the whole relation pool takes each view's
+    MDS fit from the corpus's kept fits, or fits it and keeps it there."""
     config = prepared.config
     labels = prepared.labels_clf
     warnings = []
+    whole_pool = row.n_prime == prepared.rel_idx.size
 
     ref_train = None
     if prepared.ref_tag is not None:
@@ -362,7 +380,14 @@ def _run_single(prepared, row, sample):
             # the classifier rows share the training block's factor.
             factor = frobenius_prescale(train, ref_train)
             train, oos = train * factor, oos * factor
-        model = mds_fit(train, row.mds_dim)
+        key = (prepared.fit_keys[view.tag], row.mds_dim)
+        model = prepared.fits.get(key) if whole_pool else None
+        if model is None:
+            model = mds_fit(train, row.mds_dim)
+            if whole_pool:
+                for array in (model.embedding, model.eigenvalues, model.row_means):
+                    array.setflags(write=False)
+                prepared.fits[key] = model
         if min_effective is None or model.effective_dim < min_effective:
             min_effective = model.effective_dim
         if model.effective_dim < config.shared_dim:
@@ -490,7 +515,10 @@ def run_experiment(config, corpus=None, on_row=None) -> AccuracyReport:
     serves them all), and still gets its own records and warning lines. The
     geodesic and cosine views built from ``corpus`` are kept on that corpus
     object, keyed by domain (and ``cap``/``max_hops`` for geodesics), so a
-    later call on the same object does not rebuild them.
+    later call on the same object does not rebuild them. So are the MDS fits
+    of the whole relation pool, one per view and dimension, so a later call
+    on the same pool (a CCA run after a GCCA run, say) fits its S = 100 %
+    rows no more; it still projects, aligns and scores them.
     """
     prepared = _prepare(config, corpus)
     accuracies = {}  # (combination, fraction) -> accuracies in replicate order

@@ -420,6 +420,21 @@ class TestExperimentCommand:
         assert name in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("tag", ["G,E", "G\tE"])
+    def test_unsafe_view_tag_is_data_error(self, tmp_path, capsys, tag):
+        views = [
+            {"tag": tag, "domain": "domain0", "kind": "graph"},
+            {"tag": "GF", "domain": "domain1", "kind": "graph"},
+        ]
+        config = experiment_config(
+            tmp_path, tmp_path / "corpus", views=views,
+            combinations=[f"GF->{tag}"], averaged_views={},
+        )
+        code = main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "view tag" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_wrong_size_registered_matrix_is_data_error(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
         main([

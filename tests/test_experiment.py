@@ -150,6 +150,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="duplicate"):
             make_config(views=views, combinations=("GE->GE",), averaged_views={})
 
+    @pytest.mark.parametrize("tag", ["G,E", "G\tE", "G E", "G\nE", "..", ""])
+    def test_from_dict_unsafe_view_tag(self, tag):
+        # A tag is written as a CSV and TSV field, so it may not split one.
+        views = raw_config()["views"]
+        views[0]["tag"] = tag
+        with pytest.raises(ConfigError, match="view tag"):
+            ExperimentConfig.from_dict(raw_config(views=views), source="inline")
+
+    @pytest.mark.parametrize("tag", ["G,TF", "G\tTF"])
+    def test_from_dict_unsafe_averaged_view_tag(self, tag):
+        raw = raw_config(averaged_views={tag: ["GF", "TF"]}, combinations=[f"{tag}->GE"])
+        with pytest.raises(ConfigError, match="view tag"):
+            ExperimentConfig.from_dict(raw, source="inline")
+
     def test_bad_combination_syntax(self):
         with pytest.raises(ConfigError, match="TRAIN->TEST"):
             make_config(combinations=("GFGE",), averaged_views={})
@@ -657,12 +671,14 @@ class TestFitEachSampleOnce:
 
     def test_replayed_replicates_repeat_their_warnings_in_order(self):
         report = run_experiment(make_config(replicates=3, shared_dim=7), corpus=golden_corpus())
-        assert report.warnings == [
-            f"replicate {rep}: S={fraction:g}: view TF effective MDS dimension 6 "
-            "is below shared_dim 7"
-            for fraction in (0.5, 1.0)
-            for rep in range(3)
-        ]
+        assert report.warnings == REPLAYED_WARNINGS
+
+
+REPLAYED_WARNINGS = [
+    f"replicate {rep}: S={fraction:g}: view TF effective MDS dimension 6 is below shared_dim 7"
+    for fraction in (0.5, 1.0)
+    for rep in range(3)
+]
 
 
 class TestViewsKeptOnCorpus:
@@ -699,3 +715,76 @@ class TestViewsKeptOnCorpus:
         assert run_experiment(config, corpus=corpus) == run_experiment(
             config, corpus=golden_corpus()
         )
+
+
+class TestWholePoolFitsKeptOnCorpus:
+    WHOLE_POOL = dict(replicates=1, schedule=((1.0, 8),))
+
+    def test_cca_after_gcca_fits_only_below_the_whole_pool(self, calls, tmp_path):
+        gcca = make_config()
+        cca = make_config(method="cca", combinations=("GF->GE", "TF->GE"), averaged_views={})
+        corpus = golden_corpus()
+        first = run_experiment(gcca, corpus=corpus)
+        start, fits_by_row_end = calls["mds_fit"], []
+        second = run_experiment(
+            cca, corpus=corpus,
+            on_row=lambda row, recs: fits_by_row_end.append(calls["mds_fit"] - start),
+        )
+        # S=0.5 fits its 2 drawn samples in 3 views; S=1 takes the 3 kept fits.
+        assert fits_by_row_end == [2 * 3, 2 * 3]
+        for config, report in ((gcca, first), (cca, second)):
+            fresh = run_experiment(config, corpus=golden_corpus())
+            assert report == fresh
+            emit_curves(report, tmp_path / "kept" / config.method)
+            emit_curves(fresh, tmp_path / "fresh" / config.method)
+            for path in (tmp_path / "fresh" / config.method).iterdir():
+                kept = tmp_path / "kept" / config.method / path.name
+                assert kept.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "overrides, refits",
+        [
+            ({}, 0),
+            ({"schedule": ((1.0, 7),)}, 3),
+            ({"regularized": True}, 3),
+            ({"relation_classes": (0, 2)}, 3),
+            # TF is prescaled onto GE, so a new geodesic refits it too.
+            ({"cap": 40}, 3),
+            ({"max_hops": 20}, 3),
+            # GF becomes TF's prescale reference; GE and GF are unchanged.
+            ({"views": (THREE_VIEWS[1], THREE_VIEWS[0], THREE_VIEWS[2])}, 1),
+        ],
+        ids=["same", "mds_dim", "regularized", "relation_classes", "cap", "max_hops", "reference"],
+    )
+    def test_each_part_of_the_key_misses(self, calls, overrides, refits):
+        corpus = golden_corpus()
+        run_experiment(make_config(**self.WHOLE_POOL), corpus=corpus)
+        assert calls["mds_fit"] == 3
+        config = make_config(**{**self.WHOLE_POOL, **overrides})
+        report = run_experiment(config, corpus=corpus)
+        assert calls["mds_fit"] == 3 + refits
+        assert report == run_experiment(config, corpus=golden_corpus())
+
+    def test_one_fit_per_view_after_the_default_ladder(self):
+        corpus = golden_corpus()
+        config = make_config(replicates=1, schedule=None)
+        run_experiment(config, corpus=corpus)
+        assert len(corpus._fits) == len(config.views)
+
+    def test_kept_arrays_are_read_only(self):
+        corpus = golden_corpus()
+        run_experiment(make_config(**self.WHOLE_POOL), corpus=corpus)
+        assert corpus._fits
+        for model in corpus._fits.values():
+            for array in (model.embedding, model.eigenvalues, model.row_means):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+
+    def test_a_kept_fit_repeats_its_warnings(self, calls):
+        corpus = golden_corpus()
+        config = make_config(replicates=3, shared_dim=7)
+        run_experiment(config, corpus=corpus)
+        start = calls["mds_fit"]
+        report = run_experiment(config, corpus=corpus)
+        assert calls["mds_fit"] - start == 3 * 3  # the S=0.5 samples only
+        assert report.warnings == REPLAYED_WARNINGS

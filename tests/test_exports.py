@@ -21,11 +21,13 @@ def test_every_exported_name_resolves(module):
 
 # The benchmark harness times layers by wrapping these module bindings from
 # outside (a span is named after the defining module), and marks the end of an
-# experiment's set-up at its first call through ``experiment.mds_fit``. A
-# binding that disappears would silently zero a per-layer metric or break
+# experiment's set-up at its first call into any ``mds`` binding; a run whose
+# fits are all kept on its corpus first reaches ``experiment.mds_out_of_sample``.
+# A binding that disappears would silently zero a per-layer metric or break
 # the set-up time, so each must stay a package function bound under its name.
 BENCH_HOOKS = [
     ("experiment", "mds_fit", "mds"),
+    ("experiment", "mds_out_of_sample", "mds"),
     ("experiment", "run_experiment", "experiment"),
     ("mds", "eig_sym", "numerics"),
     ("corpus", "load_dissimilarity_tsv", "dissimilarity"),
