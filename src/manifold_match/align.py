@@ -19,14 +19,13 @@ a ConditioningError rather than a fitted dimension.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConditioningError, FormatError, ValidationError
-from .formats import read_matrix, write_json, write_matrix
+from .formats import read_json, read_matrix, write_json, write_matrix
 from .numerics import _fix_signs
 
 __all__ = [
@@ -238,11 +237,7 @@ def load_alignment(in_dir) -> AlignmentMaps:
     """Inverse of :func:`save_alignment`."""
     src = Path(in_dir)
     meta_path = src / "meta.json"
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{meta_path}: {exc}") from None
+    meta = read_json(meta_path)
     try:
         K, method, ridge = int(meta["K"]), str(meta["method"]), float(meta["ridge"])
     except (KeyError, TypeError, ValueError) as exc:

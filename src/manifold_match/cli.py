@@ -25,7 +25,7 @@ from .dissimilarity import (
 )
 from .errors import ConditioningError, FormatError, ManifoldMatchError, ValidationError
 from .experiment import ExperimentConfig, emit_curves, run_experiment
-from .formats import read_matrix, write_matrix
+from .formats import read_matrix, read_records, write_lines, write_matrix
 from .mds import mds_fit, scree
 
 EXIT_OK = 0
@@ -45,17 +45,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_labels(path):
     labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                labels.append(int(line))
-            except ValueError:
-                raise FormatError(
-                    f"{path}:{lineno}: expected an integer class id, got {line!r}"
-                ) from None
+    for lineno, fields in read_records(path):
+        line = "\t".join(fields)
+        try:
+            labels.append(int(line))
+        except ValueError:
+            raise FormatError(
+                f"{path}:{lineno}: expected an integer class id, got {line!r}"
+            ) from None
     return np.asarray(labels)
 
 
@@ -93,10 +90,8 @@ def _cmd_mds(args):
         f"(requested {args.dim})"
     )
     if args.scree:
-        with open(args.scree, "w", encoding="utf-8") as fh:
-            fh.write("index,sqrt_eigenvalue\n")
-            for i, value in enumerate(scree(model)):
-                fh.write(f"{i},{repr(float(value))}\n")
+        rows = (f"{i},{float(value)!r}" for i, value in enumerate(scree(model)))
+        write_lines(args.scree, ["index,sqrt_eigenvalue", *rows])
         print(f"wrote scree data to {args.scree}")
     return EXIT_OK
 

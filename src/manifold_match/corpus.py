@@ -11,7 +11,6 @@ throughout so corpora are diff-able and language neutral.
 
 from __future__ import annotations
 
-import json
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from .dissimilarity import (
     save_dissimilarity_tsv,
 )
 from .errors import ConfigError, FormatError, IntegrityError, ValidationError
-from .formats import read_matrix, write_json, write_matrix
+from .formats import read_json, read_matrix, read_records, write_json, write_lines, write_matrix
 
 __all__ = [
     "DomainData",
@@ -40,6 +39,9 @@ __all__ = [
 
 # One safe path component: no separator, and not "." or "..".
 _NAME_RE = re.compile(r"(?!\.\.?\Z)[A-Za-z0-9_.-]+\Z")
+# One UTF-8 field of an edges.tsv record as it reads back: not empty, no tab,
+# line break or lone surrogate, no surrounding whitespace.
+_ID_RE = re.compile(r"(?=\S)[^\t\n\r\ud800-\udfff]*(?<=\S)\Z")
 
 
 def _read_only(array):
@@ -244,28 +246,15 @@ class LabeledCorpus:
 # ---------------------------------------------------------------------------
 
 
-def _write_edges_tsv(edges, object_ids, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, j in edges:
-            fh.write(f"{object_ids[i]}\t{object_ids[j]}\n")
-
-
 def _read_edges_tsv(path, id_to_index):
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(
-                    f"{path}:{lineno}: expected two object-id columns, got {len(parts)}"
-                )
-            try:
-                pairs.append((id_to_index[parts[0]], id_to_index[parts[1]]))
-            except KeyError as exc:
-                raise IntegrityError(f"{path}:{lineno}: unknown object id {exc}") from None
+    for lineno, parts in read_records(path):
+        if len(parts) != 2:
+            raise FormatError(f"{path}:{lineno}: expected two object-id columns, got {len(parts)}")
+        try:
+            pairs.append((id_to_index[parts[0]], id_to_index[parts[1]]))
+        except KeyError as exc:
+            raise IntegrityError(f"{path}:{lineno}: unknown object id {exc}") from None
     return np.asarray(pairs, dtype=int).reshape(-1, 2)
 
 
@@ -279,6 +268,9 @@ def _domain_dir(name):
 
 def save_corpus(corpus, path):
     """Serialize a corpus to a directory (manifest plus per-domain files)."""
+    for oid in corpus.object_ids:  # checked before anything is written
+        if not _ID_RE.match(oid):
+            raise ValidationError(f"object id {oid!r} is not one tab-separated field")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     domain_entries = []
@@ -292,7 +284,8 @@ def save_corpus(corpus, path):
             entry["features"] = rel
         if domain.edges is not None:
             rel = f"{ddir}/edges.tsv"
-            _write_edges_tsv(domain.edges, corpus.object_ids, root / rel)
+            ids = corpus.object_ids
+            write_lines(root / rel, (f"{ids[i]}\t{ids[j]}" for i, j in domain.edges))
             entry["edges"] = rel
         recorded = getattr(domain.dissimilarities, "files", {})
         for kind, values in sorted(domain.dissimilarities.items()):
@@ -328,8 +321,7 @@ def register_dissimilarity(path, domain_name, kind, values, cap=None, max_hops=N
     """
     root = Path(path)
     manifest_path = root / "manifest.json"
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = read_json(manifest_path)
     entry = _save_dissimilarity(root, domain_name, kind, values, cap, max_hops)
     for domain in manifest["domains"]:
         if domain["name"] == domain_name:
@@ -348,12 +340,7 @@ def load_corpus(path) -> LabeledCorpus:
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise FormatError(f"{manifest_path}: manifest not found")
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{manifest_path}: {exc}") from None
-
+    manifest = read_json(manifest_path)
     try:
         objects = manifest["objects"]
         ids = [str(i) for i in objects["ids"]]

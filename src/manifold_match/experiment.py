@@ -11,7 +11,6 @@ and serialize to CSV.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .classify import LabeledEmbedding, average_views, loo_cross_view_accuracy
 from .corpus import _NAME_RE, _view_key, load_corpus
 from .dissimilarity import frobenius_prescale
 from .errors import ConfigError, FormatError
-from .formats import write_json
+from .formats import read_json, write_json, write_lines
 from .mds import mds_fit, mds_out_of_sample
 
 __all__ = [
@@ -76,9 +75,9 @@ class ViewSpec:
 
 def _parse_combination(text):
     parts = text.split("->")
-    if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+    if len(parts) != 2 or not all(parts):
         raise ConfigError(f"combination {text!r} must look like 'TRAIN->TEST'")
-    return parts[0].strip(), parts[1].strip()
+    return parts[0], parts[1]
 
 
 def _of(*types):
@@ -213,10 +212,9 @@ class ExperimentConfig:
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+            raw = read_json(path)
+        except (OSError, FormatError) as exc:  # each names the file
+            raise ConfigError(str(exc)) from None
         return ExperimentConfig.from_dict(raw, source=str(path))
 
     @staticmethod
@@ -572,44 +570,31 @@ def emit_curves(report, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    curves_path = out / f"curves_{report.method}_{report.feature}.csv"
-    with open(curves_path, "w", encoding="utf-8") as fh:
-        fh.write("fraction,combination,mean_accuracy,std_error,item_std_error\n")
-        for fraction in report.fractions:
-            for combo in report.combinations:
-                stats = report.cells[(combo, fraction)]
-                fh.write(
-                    f"{_fmt(fraction)},{combo},{_fmt(stats.mean)},"
-                    f"{_fmt(stats.std_error)},{_fmt(stats.item_std_error)}\n"
-                )
-
-    with open(out / "table.csv", "w", encoding="utf-8") as fh:
-        heads = ",".join(f"S={fraction * 100:g}%" for fraction in report.fractions)
-        fh.write(f"method,combination,feature,{heads}\n")
+    curves = ["fraction,combination,mean_accuracy,std_error,item_std_error"]
+    log = ["method\tcombination\tfeature\tfraction\treplicate\taccuracy"]
+    for fraction in report.fractions:
         for combo in report.combinations:
-            values = ",".join(
-                f"{report.cells[(combo, fraction)].mean:.4f}"
-                f"±{report.cells[(combo, fraction)].std_error:.4f}"
-                for fraction in report.fractions
+            stats = report.cells[(combo, fraction)]
+            curves.append(
+                f"{_fmt(fraction)},{combo},{_fmt(stats.mean)},"
+                f"{_fmt(stats.std_error)},{_fmt(stats.item_std_error)}"
             )
-            fh.write(f"{report.method},{combo},{report.feature},{values}\n")
+            log += (
+                f"{report.method}\t{combo}\t{report.feature}\t{_fmt(fraction)}\t{rep}\t{_fmt(acc)}"
+                for rep, acc in enumerate(stats.accuracies)
+            )
+    write_lines(out / f"curves_{report.method}_{report.feature}.csv", curves)
 
-    with open(out / "replicates.log", "w", encoding="utf-8") as fh:
-        fh.write("method\tcombination\tfeature\tfraction\treplicate\taccuracy\n")
-        for fraction in report.fractions:
-            for combo in report.combinations:
-                stats = report.cells[(combo, fraction)]
-                for rep, acc in enumerate(stats.accuracies):
-                    fh.write(
-                        f"{report.method}\t{combo}\t{report.feature}\t"
-                        f"{_fmt(fraction)}\t{rep}\t{_fmt(acc)}\n"
-                    )
+    heads = ",".join(f"S={fraction * 100:g}%" for fraction in report.fractions)
+    table = [f"method,combination,feature,{heads}"]
+    for combo in report.combinations:
+        row = (report.cells[(combo, fraction)] for fraction in report.fractions)
+        values = ",".join(f"{stats.mean:.4f}±{stats.std_error:.4f}" for stats in row)
+        table.append(f"{report.method},{combo},{report.feature},{values}")
+    write_lines(out / "table.csv", table)
 
-    with open(out / "warnings.log", "w", encoding="utf-8") as fh:
-        for line in report.warnings:
-            fh.write(line)
-            fh.write("\n")
-
+    write_lines(out / "replicates.log", log)
+    write_lines(out / "warnings.log", report.warnings)
     write_json({name: getattr(report, name) for name in _META}, out / "meta.json")
 
 
@@ -626,10 +611,9 @@ def reconstruct_report(out_dir) -> AccuracyReport:
     out = Path(out_dir)
     meta_path, log_path = out / "meta.json", out / "replicates.log"
     try:
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json(meta_path)
         meta = {name: convert(raw[name]) for name, convert in _META.items()}
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{meta_path}: missing or malformed field {exc}") from None
     replicates = meta["replicates"]
     if replicates < 1:

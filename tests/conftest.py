@@ -1,0 +1,43 @@
+from pathlib import Path
+
+import pytest
+
+from manifold_match import formats
+
+
+class _FailAfter:
+    """A file opened for writing whose first ``writes`` writes go through and
+    whose next one raises ``OSError("disk full")``."""
+
+    def __init__(self, fh, writes):
+        self._fh, self._writes = fh, writes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        if self._writes == 0:
+            raise OSError("disk full")
+        self._writes -= 1
+        return self._fh.write(text)
+
+
+@pytest.fixture
+def fail_writing(monkeypatch):
+    """``fail_writing(name, writes)`` makes the shared writer fail part-way
+    through the next file called ``name``: its temporary sibling takes
+    ``writes`` writes, then the disk is full."""
+
+    def arm(name, writes):
+        def failing_open(path, mode="r", **kwargs):
+            fh = open(path, mode, **kwargs)
+            if "w" in mode and Path(path).name == f".{name}.tmp":
+                return _FailAfter(fh, writes)
+            return fh
+
+        monkeypatch.setattr(formats, "open", failing_open, raising=False)
+
+    return arm

@@ -109,16 +109,12 @@ class TestDissim:
         assert code == 2
 
     def test_failed_manifest_rewrite_keeps_previous_manifest(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, monkeypatch, capsys, fail_writing
     ):
         corpus_dir = path_graph_corpus(tmp_path)
         before = (corpus_dir / "manifest.json").read_bytes()
 
-        def dump_then_fail(obj, fh, **kwargs):
-            fh.write('{"objects": ')
-            raise OSError("disk full")
-
-        monkeypatch.setattr(formats.json, "dump", dump_then_fail)
+        fail_writing("manifest.json", writes=1)
         code = main(["dissim", str(corpus_dir), "--domain", "eng", "--kind", "graph"])
         monkeypatch.undo()
         assert code == 2
@@ -126,6 +122,27 @@ class TestDissim:
         assert (corpus_dir / "manifest.json").read_bytes() == before
         assert load_corpus(corpus_dir).domains[0].dissimilarities == {}
         assert not any(p.name.endswith(".tmp") for p in corpus_dir.iterdir())
+
+    def test_failed_matrix_rewrite_keeps_previous_matrix(
+        self, tmp_path, monkeypatch, capsys, fail_writing
+    ):
+        corpus_dir = path_graph_corpus(tmp_path)
+        assert main(["dissim", str(corpus_dir), "--domain", "eng", "--kind", "graph"]) == 0
+        matrix = corpus_dir / "eng" / "dissim_graph.tsv"
+        before = {p: p.read_bytes() for p in (matrix, corpus_dir / "manifest.json")}
+
+        fail_writing("dissim_graph.tsv", writes=3)
+        code = main([
+            "dissim", str(corpus_dir), "--domain", "eng", "--kind", "graph",
+            "--cap", "3", "--max-hops", "1",
+        ])
+        monkeypatch.undo()
+        assert code == 2
+        assert "error: disk full" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in before} == before
+        view = load_corpus(corpus_dir).view("eng", "graph", 6, 4)
+        assert np.array_equal(view, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        assert not any(p.name.endswith(".tmp") for p in corpus_dir.rglob("*"))
 
     @pytest.mark.parametrize(
         "kind, lacks", [("graph", "edge list"), ("text", "features")]
@@ -433,6 +450,14 @@ class TestExperimentCommand:
         code = main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "view tag" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("combo", ["GF\t->GE", "GF->\nGE", "GF ->GE"])
+    def test_combination_with_whitespace_is_data_error(self, tmp_path, capsys, combo):
+        config = experiment_config(tmp_path, tmp_path / "corpus", combinations=[combo])
+        code = main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"combination {combo!r}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_wrong_size_registered_matrix_is_data_error(self, tmp_path, capsys):

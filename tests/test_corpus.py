@@ -157,6 +157,16 @@ class TestDomainNames:
         assert sorted(tmp_path.rglob("*")) == before
 
 
+class TestObjectIds:
+    @pytest.mark.parametrize("oid", [" a", "a ", "a\tb", "a\nb", "a\rb", "", "\ud800"])
+    def test_save_rejects_an_id_that_is_not_one_field(self, tmp_path, oid):
+        edges = np.array([[0, 1], [1, 0]])
+        corpus = LabeledCorpus((oid, "z"), np.array([0, 1]), (DomainData("d", edges=edges),))
+        with pytest.raises(ValidationError, match="object id"):
+            save_corpus(corpus, tmp_path / "corpus")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRoundTrip:
     def test_save_load_identical(self, tmp_path):
         corpus = synthesize_corpus(3, 30, 2, 3, 0.2)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -33,6 +34,9 @@ THREE_VIEWS = (
     ViewSpec("GF", "domain1", "graph"),
     ViewSpec("TF", "domain1", "text"),
 )
+
+# The files emit_curves writes for a make_config() run.
+EMITTED = ("curves_gcca_synthetic.csv", "table.csv", "replicates.log", "warnings.log", "meta.json")
 
 
 def make_config(**overrides):
@@ -167,6 +171,11 @@ class TestConfigValidation:
     def test_bad_combination_syntax(self):
         with pytest.raises(ConfigError, match="TRAIN->TEST"):
             make_config(combinations=("GFGE",), averaged_views={})
+
+    @pytest.mark.parametrize("combo", ["GF\t->GE", "GF->\nGE", "GF ->GE", "GF-> GE", "GF->GE "])
+    def test_from_dict_combination_is_exactly_two_known_tags(self, combo):
+        with pytest.raises(ConfigError, match="combination"):
+            ExperimentConfig.from_dict(raw_config(combinations=[combo]), source="inline")
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError, match="method"):
@@ -608,6 +617,30 @@ class TestEmission:
         (emitted / "meta.json").write_text(meta)
         with pytest.raises(FormatError, match="meta.json"):
             reconstruct_report(emitted)
+
+    @pytest.mark.parametrize("name", EMITTED)
+    def test_failed_rewrite_leaves_each_file_whole(self, tmp_path, fail_writing, name):
+        # Re-emitting over a run whose write of ``name`` fails part-way: that
+        # file keeps its previous bytes, and every other is old or new whole.
+        corpus = golden_corpus()
+        old = run_experiment(make_config(replicates=1, schedule=((1.0, 8),)), corpus=corpus)
+        new = dataclasses.replace(
+            run_experiment(make_config(replicates=2, schedule=((0.5, 8),)), corpus=corpus),
+            warnings=["replicate 0: one", "replicate 1: two"],
+        )
+        out = tmp_path / "out"
+        for report, where in ((new, tmp_path / "new"), (old, out)):
+            emit_curves(report, where)
+        old_bytes, new_bytes = ({n: (where / n).read_bytes() for n in EMITTED}
+                                for where in (out, tmp_path / "new"))
+        assert all(old_bytes[n] != new_bytes[n] for n in EMITTED)
+
+        fail_writing(name, writes=1)
+        with pytest.raises(OSError, match="disk full"):
+            emit_curves(new, out)
+        assert (out / name).read_bytes() == old_bytes[name]
+        assert all((out / n).read_bytes() in (old_bytes[n], new_bytes[n]) for n in EMITTED)
+        assert sorted(p.name for p in out.iterdir()) == sorted(EMITTED)
 
     def test_on_row_callback_sees_all_records(self):
         corpus = synthesize_corpus(15, 100, 2, 5, 0.4)
