@@ -6,6 +6,14 @@ may be the average of two views). The ``kappa`` nearest training rows by
 Euclidean distance vote. A distance tie at the kappa-th neighbor goes to the
 smallest training index; a vote tie goes to the class with the smallest mean
 neighbor distance, then to the smallest class id.
+
+Selection sorts no more than it must. ``np.partition`` finds each query's
+kappa-th smallest distance; when exactly kappa columns lie at or below it,
+those columns, listed in column order and stable-sorted by distance, are the
+kappa nearest in the order a stable sort of the whole row gives. Only a row
+whose tie straddles the kappa-th distance, and a query that keeps every
+training row, is sorted whole. Either way the neighbors come by distance, then
+by smallest training index.
 """
 
 from __future__ import annotations
@@ -59,10 +67,34 @@ class LabeledEmbedding:
         return self.points.shape[0]
 
 
+def _stable_prefix(dist, kappa):
+    """Column indices of each row's ``kappa`` smallest entries by a full
+    stable sort: by value, then by smallest column."""
+    return np.argsort(dist, axis=1, kind="stable")[:, :kappa]
+
+
+def _nearest(dist, kappa):
+    """What ``_stable_prefix`` returns, sorting whole only the rows where a tie
+    straddles the kappa-th smallest value."""
+    if kappa == dist.shape[1]:
+        return _stable_prefix(dist, kappa)
+    kept = dist <= np.partition(dist, kappa - 1, axis=1)[:, kappa - 1, None]
+    tied = np.count_nonzero(kept, axis=1) > kappa
+    if tied.any():
+        near = np.empty((dist.shape[0], kappa), dtype=np.intp)
+        near[tied] = _stable_prefix(dist[tied], kappa)
+        near[~tied] = _nearest(dist[~tied], kappa)
+        return near
+    cols = np.nonzero(kept)[1].reshape(-1, kappa)
+    order = np.argsort(np.take_along_axis(dist, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
+
+
 def _knn(points, labels, queries, kappa, leave_one_out):
     """Predicted class per query row; leave-one-out query i skips training row i."""
     high = len(points) - leave_one_out
-    if not isinstance(kappa, Integral) or not 1 <= kappa <= high:
+    if (isinstance(kappa, bool) or not isinstance(kappa, Integral)
+            or not 1 <= kappa <= high):
         raise ValidationError(f"kappa must be an integer in [1, {high}], got {kappa!r}")
     q = queries.shape[0]
     rows = max(1, _BLOCK_FLOATS // max(1, points.size))
@@ -70,10 +102,13 @@ def _knn(points, labels, queries, kappa, leave_one_out):
     near_dist = np.empty((q, kappa))
     for start in range(0, q, rows):
         block = slice(start, start + rows)
-        dist = np.linalg.norm(points - queries[block, None, :], axis=2)
+        # np.linalg.norm(..., axis=2)'s own steps, with one temporary.
+        diff = points - queries[block, None, :]
+        diff *= diff
+        dist = np.sqrt(np.add.reduce(diff, axis=2))
         if leave_one_out:
             np.fill_diagonal(dist[:, start:], np.inf)
-        near[block] = np.argsort(dist, axis=1, kind="stable")[:, :kappa]
+        near[block] = _nearest(dist, kappa)
         near_dist[block] = np.take_along_axis(dist, near[block], axis=1)
     classes, codes = np.unique(labels, return_inverse=True)
     near_codes = codes[near]

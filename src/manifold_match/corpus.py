@@ -11,7 +11,9 @@ throughout so corpora are diff-able and language neutral.
 
 from __future__ import annotations
 
+import os
 import re
+import tempfile
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -290,9 +292,9 @@ def save_corpus(corpus, path):
         recorded = getattr(domain.dissimilarities, "files", {})
         for kind, values in sorted(domain.dissimilarities.items()):
             _, cap, max_hops = recorded.get(kind, (None,) * 3)
-            entry["dissimilarities"][kind] = _save_dissimilarity(
-                root, domain.name, kind, values, cap, max_hops
-            )
+            rel = f"{ddir}/dissim_{kind}.tsv"
+            save_dissimilarity_tsv(values, root / rel)
+            entry["dissimilarities"][kind] = {"file": rel, "cap": cap, "max_hops": max_hops}
         domain_entries.append(entry)
     manifest = {
         "objects": {
@@ -304,30 +306,35 @@ def save_corpus(corpus, path):
     write_json(manifest, root / "manifest.json")
 
 
-def _save_dissimilarity(root, domain_name, kind, values, cap, max_hops):
-    """Write ``<domain>/dissim_<kind>.tsv``; returns its manifest entry."""
-    rel = f"{_domain_dir(domain_name)}/dissim_{kind}.tsv"
-    save_dissimilarity_tsv(values, root / rel)
-    return {"file": rel, "cap": cap, "max_hops": max_hops}
-
-
 def register_dissimilarity(path, domain_name, kind, values, cap=None, max_hops=None) -> Path:
     """Add ``values`` to a saved corpus as ``domain_name``'s ``kind`` matrix.
 
-    Writes the matrix file, then replaces the manifest with one that records
-    it with the ``cap``/``max_hops`` it was built with (None for a matrix
-    that is not a geodesic), so later loads pick the matrix up. Returns the
-    matrix file's path.
+    Replaces the manifest with one that records the matrix file with the
+    ``cap``/``max_hops`` it was built with (None for a matrix that is not a
+    geodesic), so later loads pick the matrix up. The matrix is written whole
+    into a staging directory first. A re-registration then drops the kind's
+    old entry from the manifest before the new file replaces the old one, so
+    a failed step leaves the kind as it was or unregistered, never the new
+    matrix recorded under the old settings. Returns the matrix file's path.
     """
     root = Path(path)
     manifest_path = root / "manifest.json"
     manifest = read_json(manifest_path)
-    entry = _save_dissimilarity(root, domain_name, kind, values, cap, max_hops)
-    for domain in manifest["domains"]:
-        if domain["name"] == domain_name:
-            domain.setdefault("dissimilarities", {})[kind] = entry
+    ddir = _domain_dir(domain_name)
+    rel = f"{ddir}/dissim_{kind}.tsv"
+    domain = next((d for d in manifest["domains"] if d["name"] == domain_name), None)
+    if domain is None:
+        raise ValidationError(f"{manifest_path}: no domain named {domain_name!r}")
+    entries = domain.setdefault("dissimilarities", {})
+    with tempfile.TemporaryDirectory(dir=root / ddir) as stage:
+        staged = Path(stage) / f"dissim_{kind}.tsv"
+        save_dissimilarity_tsv(values, staged)
+        if entries.pop(kind, None) is not None:
+            write_json(manifest, manifest_path)
+        os.replace(staged, root / rel)
+    entries[kind] = {"file": rel, "cap": cap, "max_hops": max_hops}
     write_json(manifest, manifest_path)
-    return root / entry["file"]
+    return root / rel
 
 
 def load_corpus(path) -> LabeledCorpus:

@@ -21,7 +21,7 @@ from .classify import LabeledEmbedding, average_views, loo_cross_view_accuracy
 from .corpus import _NAME_RE, _view_key, load_corpus
 from .dissimilarity import frobenius_prescale
 from .errors import ConfigError, FormatError
-from .formats import read_json, write_json, write_lines
+from .formats import read_json, read_lines, write_json, write_lines
 from .mds import mds_fit, mds_out_of_sample
 
 __all__ = [
@@ -605,8 +605,8 @@ def reconstruct_report(out_dir) -> AccuracyReport:
     line order does not matter. A malformed or incomplete meta.json is a
     ``FormatError`` naming it, and a malformed log line one naming
     ``replicates.log:line``. So is a log whose cells do not each hold
-    replicates 0..R-1 once, with R the ``replicates`` of meta.json, and a
-    log record outside meta.json's cells.
+    replicates 0..R-1 once, with R the ``replicates`` of meta.json, a log
+    record outside meta.json's cells, and a log that is not UTF-8.
     """
     out = Path(out_dir)
     meta_path, log_path = out / "meta.json", out / "replicates.log"
@@ -623,31 +623,29 @@ def reconstruct_report(out_dir) -> AccuracyReport:
         for fraction in meta["fractions"]
         for combo in meta["combinations"]
     }
-    with open(log_path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("method\t"):
-            raise FormatError(f"{log_path}:1: unexpected header")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                _, combo, _, fraction, rep, acc = line.split("\t")
-                fraction, rep, acc = float(fraction), int(rep), float(acc)
-            except ValueError as exc:
-                raise FormatError(f"{log_path}:{lineno}: {exc}") from None
-            cell = accuracies.get((combo, fraction))
-            if cell is None:
-                raise FormatError(
-                    f"{log_path}:{lineno}: record for {combo!r} at S={fraction:g} is not "
-                    f"a cell of {meta_path}"
-                )
-            if not 0 <= rep < replicates or cell[rep] is not None:
-                raise FormatError(
-                    f"{log_path}:{lineno}: replicate {rep} of {combo!r} at S={fraction:g} "
-                    f"repeats or lies outside 0..{replicates - 1} ({meta_path})"
-                )
-            cell[rep] = acc
+    lines = read_lines(log_path)
+    if not next(lines, "").startswith("method\t"):
+        raise FormatError(f"{log_path}:1: unexpected header")
+    for lineno, line in enumerate(lines, start=2):
+        if not line:
+            continue
+        try:
+            _, combo, _, fraction, rep, acc = line.split("\t")
+            fraction, rep, acc = float(fraction), int(rep), float(acc)
+        except ValueError as exc:
+            raise FormatError(f"{log_path}:{lineno}: {exc}") from None
+        cell = accuracies.get((combo, fraction))
+        if cell is None:
+            raise FormatError(
+                f"{log_path}:{lineno}: record for {combo!r} at S={fraction:g} is not "
+                f"a cell of {meta_path}"
+            )
+        if not 0 <= rep < replicates or cell[rep] is not None:
+            raise FormatError(
+                f"{log_path}:{lineno}: replicate {rep} of {combo!r} at S={fraction:g} "
+                f"repeats or lies outside 0..{replicates - 1} ({meta_path})"
+            )
+        cell[rep] = acc
     for (combo, fraction), cell in accuracies.items():
         missing = [rep for rep, acc in enumerate(cell) if acc is None]
         if missing:
@@ -658,6 +656,5 @@ def reconstruct_report(out_dir) -> AccuracyReport:
     warnings_path = out / "warnings.log"
     warnings = []
     if warnings_path.is_file():
-        with open(warnings_path, "r", encoding="utf-8") as fh:
-            warnings = [line.rstrip("\n") for line in fh if line.strip()]
+        warnings = [line for line in read_lines(warnings_path) if line.strip()]
     return _aggregate(accuracies, warnings, **meta)

@@ -2,7 +2,8 @@
 
 Reading: a line file (matrix, edge list, labels) is read by :func:`read_records`,
 which numbers its lines from 1, strips each, skips blank ones and splits the
-rest on tabs; a JSON file (manifest, metadata, config) by :func:`read_json`.
+rest on tabs; a log, whose lines are compared as written, by :func:`read_lines`;
+a JSON file (manifest, metadata, config) by :func:`read_json`.
 Text that is not UTF-8, or not JSON where JSON is expected, is a ``FormatError``
 naming the file, and a malformed line one naming ``path:line``.
 
@@ -24,21 +25,27 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 
-__all__ = ["read_json", "read_matrix", "read_records", "write_json", "write_lines",
-           "write_matrix"]
+__all__ = ["read_json", "read_lines", "read_matrix", "read_records", "write_json",
+           "write_lines", "write_matrix"]
+
+
+def read_lines(path):
+    """Yield each line of ``path`` without its newline."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for line in fh:
+                yield line.rstrip("\n")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 def read_records(path):
     """Yield ``(line number, tab-separated fields)`` for each non-blank line
     of ``path``, stripped of surrounding whitespace."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line:
-                    yield lineno, line.split("\t")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: {exc}") from None
+    for lineno, line in enumerate(read_lines(path), start=1):
+        line = line.strip()
+        if line:
+            yield lineno, line.split("\t")
 
 
 def read_json(path):
@@ -81,6 +88,10 @@ def write_lines(path, lines):
                 fh.write(line)
                 fh.write("\n")
         os.replace(tmp, path)
+    except OSError as exc:
+        if exc.filename == str(tmp):  # a missing directory, say: name the file asked for
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise
     finally:
         tmp.unlink(missing_ok=True)
 

@@ -27,15 +27,20 @@ class _FailAfter:
 
 @pytest.fixture
 def fail_writing(monkeypatch):
-    """``fail_writing(name, writes)`` makes the shared writer fail part-way
-    through the next file called ``name``: its temporary sibling takes
-    ``writes`` writes, then the disk is full."""
+    """``fail_writing(name, writes, skip=0)`` makes the shared writer fail
+    part-way through the files called ``name`` after the next ``skip``: the
+    temporary sibling of each takes ``writes`` writes, then the disk is full."""
 
-    def arm(name, writes):
+    def arm(name, writes, skip=0):
+        opened = 0
+
         def failing_open(path, mode="r", **kwargs):
+            nonlocal opened
             fh = open(path, mode, **kwargs)
             if "w" in mode and Path(path).name == f".{name}.tmp":
-                return _FailAfter(fh, writes)
+                opened += 1
+                if opened > skip:
+                    return _FailAfter(fh, writes)
             return fh
 
         monkeypatch.setattr(formats, "open", failing_open, raising=False)

@@ -144,6 +144,13 @@ class TestKnnPredict:
         with pytest.raises(ValidationError, match="kappa"):
             knn_predict(train, np.zeros(2), 1.5)
 
+    def test_bool_kappa_rejected(self):
+        # True is an Integral; like the config, the kernel does not take it
+        # for the integer 1.
+        train = LabeledEmbedding(np.zeros((3, 3)), np.array([0, 1, 0]), "t")
+        with pytest.raises(ValidationError, match="kappa"):
+            knn_predict(train, np.zeros(3), True)
+
 
 class TestLooCrossViewAccuracy:
     def test_separable_same_view_perfect(self):
@@ -214,6 +221,12 @@ class TestLooCrossViewAccuracy:
         with pytest.raises(ValidationError, match="kappa"):
             loo_cross_view_accuracy(view, view, 1.5)
 
+    def test_bool_kappa_rejected(self):
+        rng = np.random.default_rng(148)
+        view = two_blob_embedding(rng, per_class=3)
+        with pytest.raises(ValidationError, match="kappa"):
+            loo_cross_view_accuracy(view, view, True)
+
 
 def grid_embedding(rng, m, p, tag):
     # Integer and half-integer coordinates in a small box: duplicate points,
@@ -250,6 +263,93 @@ class TestKernelMatchesPerQueryOracle:
                     assert knn_predict(train, query, kappa) == knn_oracle(
                         train, query, kappa
                     )
+
+
+@st.composite
+def kernel_cases(draw):
+    # A training view and one query per training row: continuous
+    # coordinates; a small integer grid, whose equal distances straddle the
+    # kappa-th neighbor; or rows scaled to 1e160, whose squared differences
+    # overflow to inf distances.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(2, 24))
+    p = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["continuous", "grid", "overflow"]))
+    if kind == "continuous":
+        points, queries = rng.normal(size=(2, m, p))
+    elif kind == "grid":
+        points, queries = rng.integers(0, 3, size=(2, m, p)).astype(float)
+    else:
+        points, queries = rng.normal(size=(2, m, p)) * rng.choice([1.0, 1e160], size=(2, m, 1))
+    labels = rng.integers(0, draw(st.integers(1, 4)), size=m)
+    return LabeledEmbedding(points, labels, kind), queries
+
+
+def spy_on_full_sort(monkeypatch):
+    """Record the row count of each block the kernel sorts whole."""
+    rows = []
+    full_sort = classify._stable_prefix
+
+    def spy(dist, kappa):
+        rows.append(dist.shape[0])
+        return full_sort(dist, kappa)
+
+    monkeypatch.setattr(classify, "_stable_prefix", spy)
+    return rows
+
+
+class TestPartialSelection:
+    # The kernel selects by partition and sorts a row whole only when a tie
+    # straddles its kappa-th distance; the result must be the stable full
+    # sort's, query by query, for every kappa and block size.
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_cases(), st.sampled_from([1, 1000, classify._BLOCK_FLOATS]))
+    def test_kernel_matches_oracle_for_every_kappa(self, case, block_floats):
+        train, queries = case
+        m = len(train)
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+            mp.setattr(classify, "_BLOCK_FLOATS", block_floats)
+            distances = np.linalg.norm(train.points - queries[:, None, :], axis=2)
+            for kappa in range(1, m + 1):
+                # The neighbors themselves, in order: their distances add up
+                # in that order for the vote's tie-break.
+                assert np.array_equal(
+                    classify._nearest(distances, kappa),
+                    classify._stable_prefix(distances, kappa),
+                )
+                predicted = classify._knn(train.points, train.labels, queries, kappa, False)
+                assert predicted.tolist() == [knn_oracle(train, q, kappa) for q in queries]
+                if kappa < m:
+                    predicted = classify._knn(train.points, train.labels, queries, kappa, True)
+                    assert predicted.tolist() == [
+                        knn_oracle(train, q, kappa, leave_out=i) for i, q in enumerate(queries)
+                    ]
+            assert [knn_predict(train, q, m) for q in queries] == [
+                knn_oracle(train, q, m) for q in queries
+            ]
+
+    def test_only_rows_with_a_straddling_tie_are_sorted_whole(self, monkeypatch):
+        rng = np.random.default_rng(171)
+        train = grid_embedding(rng, 40, 2, "train")
+        kappa = 5
+        distances = np.linalg.norm(train.points - train.points[:, None, :], axis=2)
+        np.fill_diagonal(distances, np.inf)
+        ordered = np.sort(distances, axis=1)
+        straddling = np.count_nonzero(ordered[:, kappa - 1] == ordered[:, kappa])
+        assert 0 < straddling < len(train)
+        sorted_rows = spy_on_full_sort(monkeypatch)
+        predicted = classify._knn(train.points, train.labels, train.points, kappa, True)
+        assert sum(sorted_rows) == straddling
+        assert predicted.tolist() == [
+            knn_oracle(train, q, kappa, leave_out=i) for i, q in enumerate(train.points)
+        ]
+
+    def test_continuous_rows_are_never_sorted_whole(self, monkeypatch):
+        rng = np.random.default_rng(172)
+        train = two_blob_embedding(rng, per_class=20, spread=2.0, gap=1.0)
+        sorted_rows = spy_on_full_sort(monkeypatch)
+        loo_cross_view_accuracy(train, train, 5)
+        assert sorted_rows == []
 
 
 @st.composite

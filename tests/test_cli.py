@@ -144,6 +144,47 @@ class TestDissim:
         assert np.array_equal(view, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         assert not any(p.name.endswith(".tmp") for p in corpus_dir.rglob("*"))
 
+    @pytest.mark.parametrize("skip", [0, 1], ids=["dropping_old_entry", "recording_new_entry"])
+    def test_failed_reregistration_never_records_new_matrix_under_old_settings(
+        self, tmp_path, monkeypatch, capsys, fail_writing, skip
+    ):
+        # A re-registration at 3/1 writes the manifest twice: without the old
+        # 6/4 entry, then with the new one. Whichever write fails, a 6/4 view
+        # must not read the 3/1 matrix.
+        corpus_dir = path_graph_corpus(tmp_path)
+        assert main(["dissim", str(corpus_dir), "--domain", "eng", "--kind", "graph"]) == 0
+        matrix = corpus_dir / "eng" / "dissim_graph.tsv"
+
+        fail_writing("manifest.json", writes=1, skip=skip)
+        code = main([
+            "dissim", str(corpus_dir), "--domain", "eng", "--kind", "graph",
+            "--cap", "3", "--max-hops", "1",
+        ])
+        monkeypatch.undo()
+        assert code == 2
+        assert "error: disk full" in capsys.readouterr().err
+        assert read_matrix(matrix)[0, 2] == (2, 3)[skip]
+        corpus = load_corpus(corpus_dir)
+        assert ("graph" in corpus.domains[0].dissimilarities) == (skip == 0)
+        view = corpus.view("eng", "graph", 6, 4)
+        assert np.array_equal(view, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        assert sorted(p.name for p in (corpus_dir / "eng").iterdir()) == [
+            "dissim_graph.tsv", "edges.tsv", "features.tsv",
+        ]
+
+    def test_reregistration_replaces_matrix_and_settings(self, tmp_path):
+        corpus_dir = path_graph_corpus(tmp_path)
+        for cap, hops in ((6, 4), (3, 1)):
+            argv = ["dissim", str(corpus_dir), "--domain", "eng", "--kind", "graph",
+                    "--cap", str(cap), "--max-hops", str(hops)]
+            assert main(argv) == 0
+        entry = json.loads((corpus_dir / "manifest.json").read_text())["domains"][0]
+        assert entry["dissimilarities"]["graph"] == {
+            "file": "eng/dissim_graph.tsv", "cap": 3, "max_hops": 1,
+        }
+        view = load_corpus(corpus_dir).view("eng", "graph", 3, 1)
+        assert np.array_equal(view, [[0, 1, 3], [1, 0, 1], [3, 1, 0]])
+
     @pytest.mark.parametrize(
         "kind, lacks", [("graph", "edge list"), ("text", "features")]
     )
@@ -289,6 +330,21 @@ class TestPipelineFlow:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "nope.tsv" in err
         assert not (tmp_path / "x.tsv").exists()
+
+    def test_missing_output_directory_names_the_output_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        corpus_dir = path_graph_corpus(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        argv = ["dissim", str(corpus_dir), "--domain", "eng", "--kind", "graph"]
+        assert main([*argv, "--out", "d.tsv"]) == 0
+        capsys.readouterr()
+        code = main(["mds", "d.tsv", "--dim", "1", "--out", "nodir/y.tsv"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: [Errno 2] No such file or directory: 'nodir/y.tsv'\n"
+        )
+        assert not (tmp_path / "nodir").exists()
 
     @pytest.mark.parametrize("ridge", ["nan", "inf", "-1"])
     def test_bad_ridge_is_data_error(self, tmp_path, capsys, ridge):

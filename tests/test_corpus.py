@@ -156,6 +156,15 @@ class TestDomainNames:
             register_dissimilarity(root, "..", "text", np.zeros((3, 3)))
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_register_rejects_a_domain_the_manifest_lacks(self, tmp_path):
+        root = tmp_path / "corpus"
+        save_corpus(small_corpus(), root)
+        (root / "ghost").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(ValidationError, match="no domain named 'ghost'"):
+            register_dissimilarity(root, "ghost", "text", np.zeros((3, 3)))
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestObjectIds:
     @pytest.mark.parametrize("oid", [" a", "a ", "a\tb", "a\nb", "a\rb", "", "\ud800"])

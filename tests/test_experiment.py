@@ -618,6 +618,13 @@ class TestEmission:
         with pytest.raises(FormatError, match="meta.json"):
             reconstruct_report(emitted)
 
+    @pytest.mark.parametrize("name", ["replicates.log", "warnings.log"])
+    def test_log_that_is_not_utf8_names_file(self, emitted, name):
+        with open(emitted / name, "ab") as fh:
+            fh.write(b"\xff")
+        with pytest.raises(FormatError, match=name):
+            reconstruct_report(emitted)
+
     @pytest.mark.parametrize("name", EMITTED)
     def test_failed_rewrite_leaves_each_file_whole(self, tmp_path, fail_writing, name):
         # Re-emitting over a run whose write of ``name`` fails part-way: that
