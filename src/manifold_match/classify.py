@@ -11,9 +11,8 @@ Selection sorts no more than it must. ``np.partition`` finds each query's
 kappa-th smallest distance; when exactly kappa columns lie at or below it,
 those columns, listed in column order and stable-sorted by distance, are the
 kappa nearest in the order a stable sort of the whole row gives. Only a row
-whose tie straddles the kappa-th distance, and a query that keeps every
-training row, is sorted whole. Either way the neighbors come by distance, then
-by smallest training index.
+whose tie straddles the kappa-th distance is sorted whole. Either way the
+neighbors come by distance, then by smallest training index.
 """
 
 from __future__ import annotations
@@ -76,18 +75,16 @@ def _stable_prefix(dist, kappa):
 def _nearest(dist, kappa):
     """What ``_stable_prefix`` returns, sorting whole only the rows where a tie
     straddles the kappa-th smallest value."""
-    if kappa == dist.shape[1]:
-        return _stable_prefix(dist, kappa)
     kept = dist <= np.partition(dist, kappa - 1, axis=1)[:, kappa - 1, None]
     tied = np.count_nonzero(kept, axis=1) > kappa
+    near = np.empty((dist.shape[0], kappa), dtype=np.intp)
     if tied.any():
-        near = np.empty((dist.shape[0], kappa), dtype=np.intp)
         near[tied] = _stable_prefix(dist[tied], kappa)
-        near[~tied] = _nearest(dist[~tied], kappa)
-        return near
-    cols = np.nonzero(kept)[1].reshape(-1, kappa)
-    order = np.argsort(np.take_along_axis(dist, cols, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(cols, order, axis=1)
+        kept[tied] = False
+    rows, cols = np.nonzero(kept)
+    order = np.argsort(dist[rows, cols].reshape(-1, kappa), axis=1, kind="stable")
+    near[~tied] = np.take_along_axis(cols.reshape(-1, kappa), order, axis=1)
+    return near
 
 
 def _knn(points, labels, queries, kappa, leave_one_out):

@@ -11,7 +11,6 @@ throughout so corpora are diff-able and language neutral.
 
 from __future__ import annotations
 
-import os
 import re
 import tempfile
 from collections.abc import Mapping
@@ -331,7 +330,7 @@ def register_dissimilarity(path, domain_name, kind, values, cap=None, max_hops=N
         save_dissimilarity_tsv(values, staged)
         if entries.pop(kind, None) is not None:
             write_json(manifest, manifest_path)
-        os.replace(staged, root / rel)
+        staged.replace(root / rel)
     entries[kind] = {"file": rel, "cap": cap, "max_hops": max_hops}
     write_json(manifest, manifest_path)
     return root / rel
