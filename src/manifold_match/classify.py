@@ -13,6 +13,18 @@ those columns, listed in column order and stable-sorted by distance, are the
 kappa nearest in the order a stable sort of the whole row gives. Only a row
 whose tie straddles the kappa-th distance is sorted whole. Either way the
 neighbors come by distance, then by smallest training index.
+
+Distances are built one coordinate at a time: the training points are held
+transposed, one contiguous row per coordinate, and each coordinate's squared
+differences form one (queries, m) array. They add up in the order
+``np.add.reduce`` adds a contiguous row of p squares (numpy's pairwise
+summation), so every distance has the bits of ``np.linalg.norm`` of the
+C-ordered difference, whatever the layout of the inputs:
+
+- p < 8: left to right;
+- 8 <= p <= 128: eight interleaved partial sums, combined as
+  ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the last ``p % 8`` one by one;
+- p > 128: the two halves split at ``p//2 - (p//2) % 8``, each summed alike.
 """
 
 from __future__ import annotations
@@ -31,8 +43,14 @@ __all__ = [
     "average_views",
 ]
 
-# Floats per block of query-minus-training differences: no m^2 * p temporary.
+# Floats per (queries, m) block of distances. Summing p >= 8 coordinates holds
+# nine such arrays at once (eight partial sums and a temporary), one more per
+# halving above 128 coordinates; nothing holds an m^2 * p temporary.
 _BLOCK_FLOATS = 1 << 16
+# np.add.reduce's pairwise summation: how its eight partial sums combine, and
+# the longest run it sums without splitting in two.
+_LANE_PAIRS = ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4))
+_PAIRWISE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -87,6 +105,38 @@ def _nearest(dist, kappa):
     return near
 
 
+def _square(cols, queries, k, out=None):
+    """Squared differences in coordinate k, one (queries, m) array."""
+    out = np.subtract(cols[k], queries[:, k, None], out=out)
+    return np.multiply(out, out, out=out)
+
+
+def _squared_distances(cols, queries, lo, hi):
+    """Squared distances from each query row to each column of ``cols`` (p, m)
+    over coordinates lo..hi-1, added as ``np.add.reduce`` adds a contiguous
+    row."""
+    n = hi - lo
+    if n > _PAIRWISE_BLOCK:
+        half = lo + n // 2 - (n // 2) % 8
+        total = _squared_distances(cols, queries, lo, half)
+        total += _squared_distances(cols, queries, half, hi)
+        return total
+    buf = np.empty((len(queries), cols.shape[1]))
+    if n < 8:
+        total = _square(cols, queries, lo) if n else np.zeros_like(buf)
+        tail = lo + 1
+    else:
+        lanes = [_square(cols, queries, k) for k in range(lo, lo + 8)]
+        for k in range(lo + 8, hi - n % 8):
+            lanes[(k - lo) % 8] += _square(cols, queries, k, buf)
+        for a, b in _LANE_PAIRS:
+            lanes[a] += lanes[b]
+        total, tail = lanes[0], hi - n % 8
+    for k in range(tail, hi):
+        total += _square(cols, queries, k, buf)
+    return total
+
+
 def _knn(points, labels, queries, kappa, leave_one_out):
     """Predicted class per query row; leave-one-out query i skips training row i."""
     high = len(points) - leave_one_out
@@ -94,15 +144,14 @@ def _knn(points, labels, queries, kappa, leave_one_out):
             or not 1 <= kappa <= high):
         raise ValidationError(f"kappa must be an integer in [1, {high}], got {kappa!r}")
     q = queries.shape[0]
-    rows = max(1, _BLOCK_FLOATS // max(1, points.size))
+    cols = np.ascontiguousarray(points.T)
+    rows = max(1, _BLOCK_FLOATS // len(points))
     near = np.empty((q, kappa), dtype=np.intp)
     near_dist = np.empty((q, kappa))
     for start in range(0, q, rows):
         block = slice(start, start + rows)
-        # np.linalg.norm(..., axis=2)'s own steps, with one temporary.
-        diff = points - queries[block, None, :]
-        diff *= diff
-        dist = np.sqrt(np.add.reduce(diff, axis=2))
+        dist = _squared_distances(cols, queries[block], 0, len(cols))
+        np.sqrt(dist, out=dist)
         if leave_one_out:
             np.fill_diagonal(dist[:, start:], np.inf)
         near[block] = _nearest(dist, kappa)

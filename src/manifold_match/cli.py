@@ -116,6 +116,9 @@ def _cmd_classify(args):
     labels = _read_labels(args.labels)
     if args.maps:
         maps = load_alignment(args.maps)
+        for option, view in (("--train-view", args.train_view), ("--test-view", args.test_view)):
+            if not 1 <= view <= maps.K:
+                raise ValidationError(f"{option} {view} out of range 1..{maps.K}")
         train = project(maps, args.train_view - 1, train)
         test = project(maps, args.test_view - 1, test)
     train_view = LabeledEmbedding(train, labels, "train")

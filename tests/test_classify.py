@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -121,6 +123,12 @@ class TestKnnPredict:
         with np.errstate(over="ignore"):
             assert knn_predict(train, np.array([-1e160]), 3) == 7
 
+    def test_zero_width_points_take_the_first_rows(self):
+        # With no coordinates every distance is 0, so the neighbors are the
+        # first kappa rows and a vote tie goes to the smallest class id.
+        train = LabeledEmbedding(np.zeros((4, 0)), np.array([1, 0, 0, 1]), "t")
+        assert [knn_predict(train, np.zeros(0), k) for k in (1, 2, 3, 4)] == [1, 0, 0, 0]
+
     def test_kappa_validation(self):
         train = LabeledEmbedding(np.zeros((3, 2)), np.array([0, 1, 0]), "t")
         with pytest.raises(ValidationError):
@@ -201,6 +209,30 @@ class TestLooCrossViewAccuracy:
         accuracy = loo_cross_view_accuracy(view, view, 5)
         assert accuracy == pytest.approx(1.0 - round((1.0 - accuracy) * 32) / 32)
 
+    def test_zero_width_points_take_the_first_other_rows(self):
+        # Query i's neighbors are the first kappa rows other than i: at
+        # kappa 2, rows 1 and 2 tie their vote and pick class 0, row 0 sees
+        # two 0s and row 3 a tie.
+        view = LabeledEmbedding(np.zeros((4, 0)), np.array([1, 0, 0, 1]), "t")
+        assert [loo_cross_view_accuracy(view, view, k) for k in (1, 2, 3)] == [
+            0.25, 0.5, 0.0,
+        ]
+
+    def test_peak_memory_stays_far_below_an_m_squared_p_temporary(self):
+        # At paper scale an (m, m, p) array of differences would take
+        # 553 * 553 * 15 * 8 bytes = 36.7 MB.
+        rng = np.random.default_rng(149)
+        m, p = 553, 15
+        train = LabeledEmbedding(rng.normal(size=(m, p)), rng.integers(0, 2, size=m), "a")
+        test = LabeledEmbedding(train.points + rng.normal(size=(m, p)), train.labels, "b")
+        tracemalloc.start()
+        try:
+            loo_cross_view_accuracy(train, test, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_label_mismatch_rejected(self):
         rng = np.random.default_rng(145)
         a = two_blob_embedding(rng)
@@ -273,7 +305,7 @@ def kernel_cases(draw):
     # overflow to inf distances.
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(2, 24))
-    p = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 20))
     kind = draw(st.sampled_from(["continuous", "grid", "overflow"]))
     if kind == "continuous":
         points, queries = rng.normal(size=(2, m, p))
@@ -350,6 +382,56 @@ class TestPartialSelection:
         sorted_rows = spy_on_full_sort(monkeypatch)
         loo_cross_view_accuracy(train, train, 5)
         assert sorted_rows == []
+
+
+def laid_out(a, layout):
+    # The same values in C order, Fortran order, or as a strided view.
+    if layout == "fortran":
+        return np.asfortranarray(a)
+    if layout == "strided":
+        wide = np.zeros((2 * a.shape[0], 3 * a.shape[1]))
+        wide[::2, ::3] = a
+        return wide[::2, ::3]
+    return a
+
+
+@st.composite
+def distance_cases(draw):
+    # Columns scaled from 1e-3 to 1e5, so that adding the squares in any
+    # other order than numpy's changes the bits.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from([*range(21), 63, 64, 65, 127, 128, 129, 130, 136, 200]))
+    m = draw(st.integers(1, 12))
+    scale = 10.0 ** rng.uniform(-3, 5, size=p)
+    points = rng.normal(size=(m, p)) * scale
+    queries = rng.normal(size=(draw(st.integers(1, 12)), p)) * scale
+    layouts = st.sampled_from(["c", "fortran", "strided"])
+    return points, queries, laid_out(points, draw(layouts)), laid_out(queries, draw(layouts))
+
+
+class TestDistanceBlock:
+    # The kernel's distances have the bits np.linalg.norm gives the
+    # C-ordered differences (numpy's pairwise summation over p), for every
+    # p and whatever the layout of its inputs. np.linalg.norm itself sums a
+    # Fortran-ordered difference array in another order.
+    @settings(max_examples=150, deadline=None)
+    @given(distance_cases(), st.sampled_from([1, 1000, classify._BLOCK_FLOATS]))
+    def test_distances_match_linalg_norm_bit_for_bit(self, case, block_floats):
+        points, queries, points_in, queries_in = case
+        expected = np.linalg.norm(points - queries[:, None, :], axis=2)
+        blocks = []
+        nearest = classify._nearest
+
+        def spy(dist, kappa):
+            blocks.append(dist.copy())
+            return nearest(dist, kappa)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(classify, "_BLOCK_FLOATS", block_floats)
+            mp.setattr(classify, "_nearest", spy)
+            classify._knn(points_in, np.zeros(len(points), dtype=np.int64), queries_in, 1, False)
+        got = np.vstack(blocks)
+        assert got.tobytes() == expected.tobytes()
 
 
 @st.composite

@@ -323,6 +323,24 @@ class TestPipelineFlow:
             assert code == 2
             assert "meta.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", ["--train-view", "--test-view"])
+    @pytest.mark.parametrize("view", ["0", "3"])
+    def test_view_number_outside_one_to_k_is_data_error(self, tmp_path, capsys, option, view):
+        rng = np.random.default_rng(7)
+        e0, e1 = tmp_path / "e0.tsv", tmp_path / "e1.tsv"
+        formats.write_matrix(rng.normal(size=(8, 2)), e0)
+        formats.write_matrix(rng.normal(size=(8, 2)), e1)
+        maps_dir = tmp_path / "maps"
+        assert main(["align", str(e0), str(e1), "--dim", "1", "--out", str(maps_dir)]) == 0
+        labels = tmp_path / "l.txt"
+        labels.write_text("\n".join(str(i % 2) for i in range(8)) + "\n")
+        code = main([
+            "classify", "--train", str(e1), "--test", str(e0), "--labels", str(labels),
+            "--kappa", "1", "--maps", str(maps_dir), option, view,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {option} {view} out of range 1..2\n"
+
     def test_missing_input_file_is_data_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.tsv"
         code = main(["mds", str(missing), "--dim", "2", "--out", str(tmp_path / "x.tsv")])
