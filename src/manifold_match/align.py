@@ -8,7 +8,13 @@ thin SVD ``X_g = U_g S_g V_g^T`` (singular values at rounding level
 dropped), which turns the pencil into one symmetric eigenproblem on the
 stacked shrunken bases ``T = [U_g S_g (S_g^2 + ridge)^(-1/2)]``:
 ``T^T T - diag(S^2 / (S^2 + ridge))``. At ridge 0 this is Carroll's MAXVAR
-GCCA. Per-dimension maps are normalized so the averaged projected energy
+GCCA. A view given as an array is factored by ``np.linalg.svd``. A view
+given as an :class:`~manifold_match.mds.MdsModel`, as an experiment passes
+them, comes factored: its embedding ``V sqrt(L)`` has centered, mutually
+orthogonal columns, so ``S_g`` is their norms, ``U_g`` the columns divided
+by them and ``V_g = I``.
+
+Per-dimension maps are normalized so the averaged projected energy
 ``(1/K) sum_g |X_g u_g|^2`` is one. GCCA reports for dimension l the
 averaged pairwise cross-correlation of the projected views, exactly one
 when all views coincide; CCA reports the cosine of its two projected
@@ -26,6 +32,7 @@ import numpy as np
 
 from .errors import ConditioningError, FormatError, ValidationError
 from .formats import read_json, read_matrix, write_json, write_matrix
+from .mds import MdsModel
 from .numerics import _fix_signs
 
 __all__ = [
@@ -94,6 +101,18 @@ def _centered_views(views):
     return centered, n_rows
 
 
+def _factor(view, x):
+    """Thin SVD ``(U, s, V^T)`` of the centered view ``x``.
+
+    An MDS fit's columns are already orthogonal, so its singular values are
+    the column norms (not necessarily sorted) and no SVD is needed.
+    """
+    if isinstance(view, MdsModel):
+        s = np.linalg.norm(x, axis=0)
+        return x / s, s, np.eye(x.shape[1])
+    return np.linalg.svd(x, full_matrices=False)
+
+
 def _fit(views, d, ridge, method):
     xs, n = _centered_views(views)
     K = len(xs)
@@ -115,9 +134,9 @@ def _fit(views, d, ridge, method):
     # at rounding level: with w = (s^2 + ridge)^(1/2), the map u = V w^-1 a
     # turns R u = lambda (D + ridge*I) u into an ordinary eigenproblem in a.
     bases, back, shrink = [], [], []
-    for x in xs:
-        left, s, vt = np.linalg.svd(x, full_matrices=False)
-        keep = s > s[0] * max(x.shape) * np.finfo(float).eps
+    for view, x in zip(views, xs):
+        left, s, vt = _factor(view, x)
+        keep = s > s.max() * max(x.shape) * np.finfo(float).eps
         s = s[keep]
         w = np.sqrt(s * s + ridge)
         bases.append(left[:, keep] * (s / w))
@@ -174,7 +193,9 @@ def cca_fit(x1, x2, d, ridge=None) -> AlignmentMaps:
     """Two-view canonical correlation on centered embeddings.
 
     Maximizes the per-dimension correlation of the projected views under
-    unit projected energy, successive dimensions decorrelated. ``ridge``
+    unit projected energy, successive dimensions decorrelated. Each view is
+    an ``(n, p)`` array or an :class:`~manifold_match.mds.MdsModel`, whose
+    embedding is aligned without refactoring it. ``ridge``
     defaults to a small multiple of the mean auto-covariance diagonal;
     pass 0 to disable. A negative or non-finite ridge is a ValidationError.
     """

@@ -111,16 +111,22 @@ def _cmd_align(args):
 
 
 def _cmd_classify(args):
+    if not args.maps:
+        for option, view in (("--train-view", args.train_view), ("--test-view", args.test_view)):
+            if view is not None:
+                raise ValidationError(f"{option} needs --maps")
     train = read_matrix(args.train)
     test = read_matrix(args.test)
     labels = _read_labels(args.labels)
     if args.maps:
         maps = load_alignment(args.maps)
-        for option, view in (("--train-view", args.train_view), ("--test-view", args.test_view)):
+        train_index = 2 if args.train_view is None else args.train_view
+        test_index = 1 if args.test_view is None else args.test_view
+        for option, view in (("--train-view", train_index), ("--test-view", test_index)):
             if not 1 <= view <= maps.K:
                 raise ValidationError(f"{option} {view} out of range 1..{maps.K}")
-        train = project(maps, args.train_view - 1, train)
-        test = project(maps, args.test_view - 1, test)
+        train = project(maps, train_index - 1, train)
+        test = project(maps, test_index - 1, test)
     train_view = LabeledEmbedding(train, labels, "train")
     test_view = LabeledEmbedding(test, labels, "test")
     accuracy = loo_cross_view_accuracy(train_view, test_view, args.kappa)
@@ -200,10 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=int, default=5, help="neighbor count")
     p.add_argument("--maps", help="alignment directory from the align subcommand; "
                                   "embeddings are projected through it first")
-    p.add_argument("--train-view", type=int, default=2,
-                   help="1-based view index of the training embedding in the maps")
-    p.add_argument("--test-view", type=int, default=1,
-                   help="1-based view index of the testing embedding in the maps")
+    p.add_argument("--train-view", type=int,
+                   help="1-based view index of the training embedding in the maps "
+                        "(with --maps only; default 2)")
+    p.add_argument("--test-view", type=int,
+                   help="1-based view index of the testing embedding in the maps "
+                        "(with --maps only; default 1)")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("experiment", help="run a full efficiency study from a JSON config")

@@ -352,7 +352,9 @@ def _run_single(prepared, row, sample):
     every combination: one GCCA fit of all views serves every combination
     (and the averaged views), while CCA fits each combination's (test,
     train) pair. A sample that is the whole relation pool takes each view's
-    MDS fit from the corpus's kept fits, or fits it and keeps it there."""
+    MDS fit from the corpus's kept fits, or fits it and keeps it there. The
+    fits themselves go to the alignment, which whitens each view by the
+    factorization MDS already computed instead of an SVD."""
     config = prepared.config
     labels = prepared.labels_clf
     warnings = []
@@ -362,7 +364,7 @@ def _run_single(prepared, row, sample):
     if prepared.ref_tag is not None:
         ref_train = prepared.full[prepared.ref_tag][np.ix_(sample, sample)]
 
-    train_emb = {}
+    train_fit = {}
     clf_emb = {}
     min_effective = None
     for view in config.views:
@@ -393,7 +395,7 @@ def _run_single(prepared, row, sample):
                 f"S={row.fraction:g}: view {view.tag} effective MDS dimension "
                 f"{model.effective_dim} is below shared_dim {config.shared_dim}"
             )
-        train_emb[view.tag] = model.embedding
+        train_fit[view.tag] = model
         clf_emb[view.tag] = mds_out_of_sample(model, oos)
     d_shared = min(config.shared_dim, min_effective)
 
@@ -406,7 +408,7 @@ def _run_single(prepared, row, sample):
 
     if config.method == "gcca":
         tags = [v.tag for v in config.views]
-        maps = gcca_fit([train_emb[tag] for tag in tags], d_shared, ridge=config.ridge)
+        maps = gcca_fit([train_fit[tag] for tag in tags], d_shared, ridge=config.ridge)
         shared = dict(zip(tags, aligned(maps, tags)))
         for avg_tag, (a, b) in config.averaged_views.items():
             shared[avg_tag] = average_views(shared[a], shared[b], view_tag=avg_tag)
@@ -417,7 +419,7 @@ def _run_single(prepared, row, sample):
             train_view, test_view = shared[train_tag], shared[test_tag]
         else:
             maps = cca_fit(
-                train_emb[test_tag], train_emb[train_tag], d_shared, ridge=config.ridge
+                train_fit[test_tag], train_fit[train_tag], d_shared, ridge=config.ridge
             )
             test_view, train_view = aligned(maps, (test_tag, train_tag))
         accuracies[combo] = loo_cross_view_accuracy(train_view, test_view, config.kappa)

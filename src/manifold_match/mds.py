@@ -43,12 +43,17 @@ class MdsModel:
     ``grand_mean`` the centering statistics of the squared dissimilarities
     needed to embed new points. The effective dimension may be smaller than
     the one asked for when the spectrum has fewer positive eigenvalues.
+    ``np.asarray(model)`` is the embedding, so a model serves wherever its
+    coordinates would.
     """
 
     embedding: np.ndarray
     eigenvalues: np.ndarray
     row_means: np.ndarray
     grand_mean: float
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.embedding, dtype=dtype, copy=copy)
 
     @property
     def n(self) -> int:

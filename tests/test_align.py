@@ -13,7 +13,13 @@ from manifold_match.align import (
     project,
     save_alignment,
 )
+from manifold_match.cli import main
+from manifold_match.corpus import synthesize_corpus
+from manifold_match.dissimilarity import cosine_dissimilarity, graph_geodesic
 from manifold_match.errors import ConditioningError, FormatError, ValidationError
+from manifold_match.experiment import ExperimentConfig, ViewSpec, run_experiment
+from manifold_match.formats import write_matrix
+from manifold_match.mds import mds_fit
 
 
 def centered(rng, n, p, scale=1.0):
@@ -304,6 +310,160 @@ class TestSharedSolver:
                 z_moved = project(after, g, moved[g])
                 signs = np.sign((z * z_moved).sum(axis=0))
                 assert np.allclose(z_moved * signs, z, atol=1e-6)
+
+
+@st.composite
+def mds_views(draw):
+    # MDS fits of two or three views of one latent signal of rank 1 to 4.
+    # City-block distances are non-Euclidean; a noiseless view's effective
+    # dimension falls short of a request above the latent rank; views wider
+    # together than n - 1 make the stacked system rank-deficient; and views
+    # drowned in noise share correlations near zero.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(6, 24))
+    rank = draw(st.integers(1, 4))
+    latent = rng.normal(size=(n, rank)) * np.array([3.0, 1.5, 0.7, 0.3])[:rank]
+    models = []
+    for _ in range(draw(st.integers(2, 3))):
+        width = draw(st.integers(1, 5))
+        noise = draw(st.sampled_from([0.0, 0.3, 30.0]))
+        points = latent @ rng.normal(size=(rank, width)) + noise * rng.normal(size=(n, width))
+        diff = points[:, None, :] - points[None, :, :]
+        if draw(st.booleans()):
+            delta = np.sqrt((diff * diff).sum(axis=-1))
+        else:
+            delta = np.abs(diff).sum(axis=-1)
+        models.append(mds_fit(delta, draw(st.integers(1, min(width + 3, n - 1)))))
+    d = draw(st.integers(1, min(m.effective_dim for m in models)))
+    return models, d
+
+
+def fit(method, views, d, ridge):
+    if method == "cca":
+        return cca_fit(views[0], views[1], d, ridge=ridge)
+    return gcca_fit(views, d, ridge=ridge)
+
+
+def wider_spectrum(method, views, d, ridge):
+    """Correlations of the fit one dimension wider, where there is one."""
+    try:
+        return fit(method, views, d + 1, ridge).correlations
+    except (ConditioningError, ValidationError):
+        return fit(method, views, d, ridge).correlations
+
+
+def assert_same_fit(factored, plain, spectrum):
+    assert np.allclose(factored.correlations, plain.correlations, rtol=0.0, atol=1e-9)
+    # A map is determined only where its correlation is apart from its
+    # neighbours' in the spectrum; past its end the gap is unknown.
+    gaps = -np.diff(spectrum)
+    apart = np.minimum(np.append(np.inf, gaps), np.append(gaps, 0.0))[: plain.d] > 1e-3
+    for l in np.flatnonzero(apart):
+        u = np.concatenate([m[:, l] for m in plain.projections])
+        v = np.concatenate([m[:, l] for m in factored.projections])
+        assert np.linalg.norm(v - u) <= 1e-8 * np.linalg.norm(u)
+
+
+class TestFactoredWhitening:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mds_views(),
+        st.sampled_from(["cca", "gcca"]),
+        st.sampled_from([None, 0.0, 1e-3, 1.0]),
+    )
+    def test_mds_fits_align_as_their_embeddings(self, case, method, ridge):
+        models, d = case
+        if method == "cca":
+            d = min(d, models[0].effective_dim, models[1].effective_dim)
+        # The embeddings take the SVD path, the MDS fits the factored one.
+        views = [m.embedding for m in models]
+        try:
+            plain = fit(method, views, d, ridge)
+        except ConditioningError:
+            # Too few positively correlated dimensions: both paths refuse.
+            with pytest.raises(ConditioningError):
+                fit(method, models, d, ridge)
+            return
+        spectrum = wider_spectrum(method, views, d, ridge)
+        assert_same_fit(fit(method, models, d, ridge), plain, spectrum)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["cca", "gcca"]),
+        st.sampled_from([None, 0.0, 1e-3]),
+    )
+    def test_text_view_beside_wide_graph_views(self, seed, method, ridge):
+        # The shape of the largest benchmark fit: two geodesic views about
+        # 175 wide and a cosine view about 6 wide, at d = 6.
+        corpus = synthesize_corpus(seed, 324, 2, 5, 0.8)
+        n = corpus.n_total
+        graph = [graph_geodesic(domain.edges, n) for domain in corpus.domains]
+        models = [mds_fit(delta, 175) for delta in graph]
+        models.append(mds_fit(cosine_dissimilarity(corpus.domains[1].features), 175))
+        if method == "cca":
+            models = [models[2], models[0]]
+        d = min(6, *(m.effective_dim for m in models))
+        views = [m.embedding for m in models]
+        plain = fit(method, views, d, ridge)
+        spectrum = wider_spectrum(method, views, d, ridge)
+        assert_same_fit(fit(method, models, d, ridge), plain, spectrum)
+
+
+class TestWhiteningScope:
+    """An experiment aligns MDS fits without an SVD; arrays keep it."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        return calls
+
+    @pytest.mark.parametrize("method", ["cca", "gcca"])
+    def test_experiment_makes_no_svd(self, svd_calls, method):
+        config = ExperimentConfig(
+            views=(
+                ViewSpec("GE", "domain0", "graph"),
+                ViewSpec("GF", "domain1", "graph"),
+                ViewSpec("TF", "domain1", "text"),
+            ),
+            combinations=("GF->GE", "TF->GE"),
+            relation_classes=(0, 2, 4),
+            classifier_classes=(1, 3),
+            method=method,
+            shared_dim=2,
+            kappa=3,
+            replicates=2,
+            seed=5,
+            schedule=((0.5, 6), (1.0, 6)),
+            feature="synthetic",
+        )
+        run_experiment(config, corpus=synthesize_corpus(31, 120, 2, 5, 0.8))
+        assert svd_calls == []
+
+    def test_arrays_keep_the_svd(self, svd_calls):
+        rng = np.random.default_rng(131)
+        views = [centered(rng, 12, p) for p in (3, 4, 3)]
+        cca_fit(views[0], views[1], 2)
+        assert svd_calls == [(12, 3), (12, 4)]
+        svd_calls.clear()
+        gcca_fit(views, 2)
+        assert svd_calls == [(12, 3), (12, 4), (12, 3)]
+
+    def test_align_command_keeps_the_svd(self, svd_calls, tmp_path):
+        rng = np.random.default_rng(132)
+        paths = [tmp_path / f"e{k}.tsv" for k in range(3)]
+        for path in paths:
+            write_matrix(rng.normal(size=(10, 3)), path)
+        argv = ["align", *map(str, paths), "--method", "gcca", "--dim", "2", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert len(svd_calls) == 3
 
 
 class TestProject:

@@ -341,6 +341,45 @@ class TestPipelineFlow:
         assert code == 2
         assert capsys.readouterr().err == f"error: {option} {view} out of range 1..2\n"
 
+    @pytest.mark.parametrize(
+        "views",
+        [["--train-view", "2"], ["--test-view", "1"], ["--train-view", "7", "--test-view", "-3"]],
+    )
+    def test_view_number_without_maps_is_data_error(self, tmp_path, capsys, views):
+        rng = np.random.default_rng(8)
+        e0, e1 = tmp_path / "e0.tsv", tmp_path / "e1.tsv"
+        formats.write_matrix(rng.normal(size=(8, 2)), e0)
+        formats.write_matrix(rng.normal(size=(8, 2)), e1)
+        labels = tmp_path / "l.txt"
+        labels.write_text("\n".join(str(i % 2) for i in range(8)) + "\n")
+        argv = ["classify", "--train", str(e1), "--test", str(e0), "--labels", str(labels),
+                "--kappa", "1"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv, *views]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {views[0]} needs --maps\n"
+
+    def test_view_numbers_default_to_two_and_one_with_maps(self, tmp_path, capsys):
+        rng = np.random.default_rng(9)
+        e0, e1 = tmp_path / "e0.tsv", tmp_path / "e1.tsv"
+        formats.write_matrix(rng.normal(size=(12, 2)), e0)
+        formats.write_matrix(rng.normal(size=(12, 3)), e1)
+        maps_dir = tmp_path / "maps"
+        assert main(["align", str(e0), str(e1), "--dim", "2", "--out", str(maps_dir)]) == 0
+        labels = tmp_path / "l.txt"
+        labels.write_text("\n".join(str(i % 3) for i in range(12)) + "\n")
+        argv = ["classify", "--train", str(e1), "--test", str(e0), "--labels", str(labels),
+                "--kappa", "1", "--maps", str(maps_dir)]
+        capsys.readouterr()
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main([*argv, "--train-view", "2", "--test-view", "1"]) == 0
+        assert capsys.readouterr().out == default
+        # The views are 2 and 3 wide, so swapped numbers cannot project them.
+        assert main([*argv, "--train-view", "1", "--test-view", "2"]) == 2
+
     def test_missing_input_file_is_data_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.tsv"
         code = main(["mds", str(missing), "--dim", "2", "--out", str(tmp_path / "x.tsv")])

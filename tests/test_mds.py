@@ -101,6 +101,45 @@ class TestMdsFit:
         model = mds_fit(delta, 4)
         assert np.all(np.diff(model.eigenvalues) <= 0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 30),
+        rank=st.integers(1, 6),
+        extra=st.integers(0, 3),
+        log_scale=st.floats(-3.0, 3.0),
+        euclidean=st.booleans(),
+    )
+    def test_embedding_is_its_own_thin_svd_property(
+        self, seed, n, rank, extra, log_scale, euclidean
+    ):
+        # The alignment whitens an MDS fit without an SVD because its
+        # embedding V sqrt(L) has centered, mutually orthogonal columns with
+        # norms sqrt(L). City-block distances are non-Euclidean; asking for
+        # more dimensions than the rank leaves the effective dimension short.
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(n, rank)) * 10.0**log_scale
+        if euclidean:
+            delta = euclidean_distances(points)
+        else:
+            delta = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=-1)
+        p = min(rank + extra, n - 1)
+        model = mds_fit(delta, p)
+        x, values = model.embedding, model.eigenvalues
+        assert model.effective_dim == values.size <= p
+        if euclidean:
+            assert model.effective_dim <= rank
+        top = values[0]
+        assert np.max(np.abs(x.sum(axis=0))) <= 1e-8 * np.sqrt(n * top)
+        assert np.max(np.abs(x.T @ x - np.diag(values))) <= 1e-9 * top
+        assert np.max(np.abs(np.linalg.norm(x, axis=0) - np.sqrt(values))) <= 1e-9 * np.sqrt(top)
+
+    def test_model_converts_to_its_embedding(self):
+        rng = np.random.default_rng(57)
+        model = mds_fit(euclidean_distances(rng.normal(size=(8, 2))), 2)
+        assert np.asarray(model) is model.embedding
+        assert np.shape(model) == (8, 2)
+
     def test_p_out_of_range(self):
         delta = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValidationError):
