@@ -104,10 +104,11 @@ def _centered_views(views):
 def _factor(view, x):
     """Thin SVD ``(U, s, V^T)`` of the centered view ``x``.
 
-    An MDS fit's columns are already orthogonal, so its singular values are
-    the column norms (not necessarily sorted) and no SVD is needed.
+    A fit made by ``mds_fit`` has orthogonal columns, so its singular values
+    are the column norms (not necessarily sorted) and no SVD is needed. Any
+    other view, a hand-built ``MdsModel`` included, is factored by SVD.
     """
-    if isinstance(view, MdsModel):
+    if isinstance(view, MdsModel) and view._orthogonal:
         s = np.linalg.norm(x, axis=0)
         return x / s, s, np.eye(x.shape[1])
     return np.linalg.svd(x, full_matrices=False)
@@ -143,8 +144,14 @@ def _fit(views, d, ridge, method):
         back.append(vt[keep].T / w)
         shrink.append((s / w) ** 2)
     ranks = [len(s) for s in shrink]
+    # One copy of the stacked bases at a time, and none once T^T T exists.
     t = np.hstack(bases)
-    values, vectors = np.linalg.eigh(t.T @ t - np.diag(np.concatenate(shrink)))
+    del bases
+    gram = t.T @ t
+    del t
+    gram[np.diag_indices_from(gram)] -= np.concatenate(shrink)
+    values, vectors = np.linalg.eigh(gram)
+    del gram
     leading = np.argsort(-values, kind="stable")[:d]
     # A dimension without positive cross-correlation is not shared; it
     # appears once the views' ranks fall below d (all-zero views included).

@@ -11,6 +11,11 @@ and serialize to CSV.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -286,6 +291,9 @@ class _PreparedRun:
     ref_tag: str | None
     fit_keys: dict[str, tuple]  # view tag -> what its whole-pool fit depends on
     fits: dict  # the corpus's whole-pool fits, by fit key and dimension
+    # Held while a whole-pool fit is looked up and made, so that rows running
+    # at once fit each one once.
+    fits_lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 def _prepare(config, corpus) -> _PreparedRun:
@@ -380,14 +388,17 @@ def _run_single(prepared, row, sample):
             # the classifier rows share the training block's factor.
             factor = frobenius_prescale(train, ref_train)
             train, oos = train * factor, oos * factor
-        key = (prepared.fit_keys[view.tag], row.mds_dim)
-        model = prepared.fits.get(key) if whole_pool else None
-        if model is None:
+        if whole_pool:
+            key = (prepared.fit_keys[view.tag], row.mds_dim)
+            with prepared.fits_lock:
+                model = prepared.fits.get(key)
+                if model is None:
+                    model = mds_fit(train, row.mds_dim)
+                    for array in (model.embedding, model.eigenvalues, model.row_means):
+                        array.setflags(write=False)
+                    prepared.fits[key] = model
+        else:
             model = mds_fit(train, row.mds_dim)
-            if whole_pool:
-                for array in (model.embedding, model.eigenvalues, model.row_means):
-                    array.setflags(write=False)
-                prepared.fits[key] = model
         if min_effective is None or model.effective_dim < min_effective:
             min_effective = model.effective_dim
         if model.effective_dim < config.shared_dim:
@@ -424,6 +435,92 @@ def _run_single(prepared, row, sample):
             test_view, train_view = aligned(maps, (test_tag, train_tag))
         accuracies[combo] = loo_cross_view_accuracy(train_view, test_view, config.kappa)
     return accuracies, warnings
+
+
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _blas_threads_setter():
+    """``openblas_set_num_threads_local`` from the OpenBLAS bundled with
+    numpy, or None where there is none. It sets the calling thread's count
+    in an OpenMP build and the process's in a pthreads one (numpy's wheels),
+    and returns the count it replaced."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+def _run_tasks(prepared, tasks):
+    """``_run_single`` on each ``(row, sample)`` task, results in task order.
+
+    A task that raises leaves its exception as its result. The calling
+    thread takes the task with the largest n' first and ``cores - 1``
+    helper threads take the smallest, so that two large working sets are
+    seldom held at once. With more than one task, every task runs with one
+    BLAS thread, whatever the core count, since BLAS rounds differently on
+    more threads; the caller's count comes back afterwards. Without
+    OpenBLAS's setter, or with one task, the caller runs every task alone
+    at BLAS's own thread count. Once a task raises, no task after it in
+    task order starts, as a serial run would not reach them; every task
+    before it still runs, so the first exception in task order is the one
+    a serial run raises.
+    """
+    results = [None] * len(tasks)
+    queue = deque(sorted(range(len(tasks)), key=lambda i: tasks[i][0].n_prime))
+    first_failure = len(tasks)
+    lock = threading.Lock()
+
+    def work(take):
+        nonlocal first_failure
+        while True:
+            try:
+                i = take()
+            except IndexError:
+                return
+            if i > first_failure:
+                continue
+            try:
+                results[i] = _run_single(prepared, *tasks[i])
+            except Exception as exc:  # re-raised by the caller, in task order
+                results[i] = exc
+                with lock:
+                    first_failure = min(first_failure, i)
+
+    set_threads = _blas_threads_setter() if len(tasks) > 1 else None
+    if set_threads is None:
+        work(queue.pop)
+        return results
+
+    def helper():
+        set_threads(1)
+        work(queue.popleft)
+
+    previous = set_threads(1)
+    helpers = []
+    try:
+        for _ in range(min(_usable_cores(), len(tasks)) - 1):
+            thread = threading.Thread(target=helper, name="manifold-match replicate")
+            thread.start()
+            helpers.append(thread)
+        work(queue.pop)
+    finally:
+        queue.clear()
+        for thread in helpers:
+            thread.join()
+        set_threads(previous)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -503,29 +600,33 @@ def _aggregate(accuracies, warnings, **meta) -> AccuracyReport:
 def run_experiment(config, corpus=None, on_row=None) -> AccuracyReport:
     """Run the full schedule x replicates grid and aggregate.
 
-    ``on_row`` (optional) is called after each schedule row completes with
-    ``(row, row_records)`` so callers can flush partial results; records are
+    ``on_row`` (optional) is called once per schedule row, in row order,
+    with ``(row, row_records)``; records are
     ``(method, combination, feature, fraction, replicate, accuracy)`` tuples.
     Deterministic in (config, corpus): replicate seeds derive from
     ``config.seed`` and the (row, replicate) position only.
 
     Each distinct result is computed once. A replicate that draws a sample
-    already fit in its schedule row replays that fit's accuracies and
+    already drawn in its schedule row replays that fit's accuracies and
     warnings (at S = 100 % every replicate draws the whole pool, so one fit
     serves them all), and still gets its own records and warning lines. The
-    geodesic and cosine views built from ``corpus`` are kept on that corpus
-    object, keyed by domain (and ``cap``/``max_hops`` for geodesics), so a
-    later call on the same object does not rebuild them. So are the MDS fits
-    of the whole relation pool, one per view and dimension, so a later call
-    on the same pool (a CCA run after a GCCA run, say) fits its S = 100 %
-    rows no more; it still projects, aligns and scores them.
+    distinct (row, sample) fits run on every usable core (see
+    ``_run_tasks``) and are merged back in (row, replicate) order, so the
+    report, the records and the first error raised do not depend on the
+    core count. The geodesic and cosine views built from ``corpus`` are
+    kept on that corpus object, keyed by domain (and ``cap``/``max_hops``
+    for geodesics), so a later call on the same object does not rebuild
+    them. So are the MDS fits of the whole relation pool, one per view and
+    dimension, so a later call on the same pool (a CCA run after a GCCA
+    run, say) fits its S = 100 % rows no more; it still projects, aligns
+    and scores them.
     """
     prepared = _prepare(config, corpus)
-    accuracies = {}  # (combination, fraction) -> accuracies in replicate order
-    warnings = []
+    tasks = []  # distinct (row, sample) pairs in (row, first replicate) order
+    draws = []  # per row, each replicate's task index
     for row_index, row in enumerate(prepared.schedule):
-        row_records = []
-        fitted = {}  # drawn sample's bytes -> (accuracies, warnings)
+        seen = {}  # drawn sample's bytes -> task index
+        draws.append([])
         for rep in range(config.replicates):
             sample = draw_training_sample(
                 replicate_seed_for(config.seed, row_index, rep),
@@ -533,9 +634,20 @@ def run_experiment(config, corpus=None, on_row=None) -> AccuracyReport:
                 row.n_prime,
             )
             key = sample.tobytes()
-            if key not in fitted:
-                fitted[key] = _run_single(prepared, row, sample)
-            scores, warns = fitted[key]
+            if key not in seen:
+                seen[key] = len(tasks)
+                tasks.append((row, sample))
+            draws[-1].append(seen[key])
+    results = _run_tasks(prepared, tasks)
+
+    accuracies = {}  # (combination, fraction) -> accuracies in replicate order
+    warnings = []
+    for row, row_draws in zip(prepared.schedule, draws):
+        row_records = []
+        for rep, task in enumerate(row_draws):
+            if isinstance(results[task], Exception):
+                raise results[task]
+            scores, warns = results[task]
             for w in warns:
                 warnings.append(f"replicate {rep}: {w}")
             for combo in config.combinations:

@@ -10,7 +10,7 @@ Embeddings are plain ``(n, p)`` float arrays, rows = objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -51,6 +51,9 @@ class MdsModel:
     eigenvalues: np.ndarray
     row_means: np.ndarray
     grand_mean: float
+    # Set only on the fits mds_fit makes, whose embedding columns are
+    # orthogonal by construction; alignment takes no other model's word for it.
+    _orthogonal: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.embedding, dtype=dtype, copy=copy)
@@ -77,20 +80,28 @@ def mds_fit(delta, p) -> MdsModel:
     if not 1 <= p <= n - 1:
         raise ValidationError(f"target dimension must satisfy 1 <= p <= n-1, got p={p}, n={n}")
 
-    squared = d * d
-    row_means = squared.mean(axis=1)
-    grand_mean = float(squared.mean())
-    gram = -0.5 * (squared - row_means[:, None] - row_means[None, :] + grand_mean)
-
+    # Double-centre the squared dissimilarities in place, in the order
+    # -0.5 * (squared - row_mean_i - row_mean_j + grand_mean).
+    gram = d * d
+    row_means = gram.mean(axis=1)
+    grand_mean = float(gram.mean())
+    gram -= row_means[:, None]
+    gram -= row_means[None, :]
+    gram += grand_mean
+    gram *= -0.5
     # Rounding leaves the double-centred matrix asymmetric in its last bits,
     # and eig_sym reads one triangle: average the two.
-    eigenvalues, eigenvectors = eig_sym(0.5 * (gram + gram.T))
+    gram += gram.T
+    gram *= 0.5
+    eigenvalues, eigenvectors = eig_sym(gram)
     cutoff = max(float(eigenvalues[0]), 0.0) * _POSITIVE_RTOL
     positive = int(np.sum(eigenvalues > cutoff))
     keep = min(p, positive)
     values = eigenvalues[:keep].copy()
     coords = eigenvectors[:, :keep] * np.sqrt(values)
-    return MdsModel(coords, values, row_means, grand_mean)
+    model = MdsModel(coords, values, row_means, grand_mean)
+    object.__setattr__(model, "_orthogonal", True)
+    return model
 
 
 def mds_out_of_sample(model, delta_new):

@@ -41,4 +41,6 @@ def eig_sym(a):
     """
     values, vectors = np.linalg.eigh(a)
     order = np.argsort(-values, kind="stable")
-    return values[order], _fix_signs(vectors[:, order])
+    # Rebinding frees the unordered vectors before the signs are fixed.
+    vectors = vectors[:, order]
+    return values[order], _fix_signs(vectors)

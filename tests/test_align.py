@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,7 +21,7 @@ from manifold_match.dissimilarity import cosine_dissimilarity, graph_geodesic
 from manifold_match.errors import ConditioningError, FormatError, ValidationError
 from manifold_match.experiment import ExperimentConfig, ViewSpec, run_experiment
 from manifold_match.formats import write_matrix
-from manifold_match.mds import mds_fit
+from manifold_match.mds import MdsModel, mds_fit
 
 
 def centered(rng, n, p, scale=1.0):
@@ -409,6 +411,26 @@ class TestFactoredWhitening:
         spectrum = wider_spectrum(method, views, d, ridge)
         assert_same_fit(fit(method, models, d, ridge), plain, spectrum)
 
+    def test_working_set_of_the_largest_benchmark_fit(self):
+        # The 3-view fit of an S = 90 % replicate on 360 relation objects:
+        # MDS at 200 dimensions gives views about 174, 173 and 6 wide. Kept
+        # until the end of the fit, the stacked bases, their Gram matrix and
+        # the shrink diagonal held 5.2 MB; one of them at a time, 3.4 MB.
+        corpus = synthesize_corpus(0, 324, 2, 5, 0.8)
+        n = corpus.n_total
+        deltas = [graph_geodesic(domain.edges, n) for domain in corpus.domains]
+        deltas.append(cosine_dissimilarity(corpus.domains[1].features))
+        models = [mds_fit(delta, 200) for delta in deltas]
+        assert [m.effective_dim for m in models] == [174, 173, 6]
+        gcca_fit(models, 6)
+        tracemalloc.start()
+        try:
+            gcca_fit(models, 6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
 
 class TestWhiteningScope:
     """An experiment aligns MDS fits without an SVD; arrays keep it."""
@@ -455,6 +477,20 @@ class TestWhiteningScope:
         svd_calls.clear()
         gcca_fit(views, 2)
         assert svd_calls == [(12, 3), (12, 4), (12, 3)]
+
+    def test_hand_built_models_keep_the_svd(self, svd_calls):
+        # Only mds_fit's models are known to have orthogonal columns; a
+        # general embedding in an MdsModel aligns as the array does.
+        rng = np.random.default_rng(133)
+        x1, x2 = rng.normal(size=(20, 3)), rng.normal(size=(20, 3))
+        models = [MdsModel(x, np.ones(3), np.zeros(20), 0.0) for x in (x1, x2)]
+        plain = cca_fit(x1, x2, 2)
+        svd_calls.clear()
+        built = cca_fit(*models, 2)
+        assert svd_calls == [(20, 3), (20, 3)]
+        assert np.array_equal(built.correlations, plain.correlations)
+        for u, v in zip(built.projections, plain.projections):
+            assert np.array_equal(u, v)
 
     def test_align_command_keeps_the_svd(self, svd_calls, tmp_path):
         rng = np.random.default_rng(132)
@@ -541,7 +577,7 @@ class TestCommensurabilityError:
         # goes with lower matched-pair error (negative rank correlation)
         from manifold_match.corpus import synthesize_corpus
         from manifold_match.dissimilarity import cosine_dissimilarity
-        from manifold_match.mds import mds_fit
+        from manifold_match.mds import MdsModel, mds_fit
 
         rhos, errors = [], []
         for noise in (0.0, 0.3, 0.6, 1.0, 1.5, 2.5):

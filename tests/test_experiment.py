@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -673,15 +676,25 @@ def golden_corpus():
 
 
 @pytest.fixture
+def cores(monkeypatch):
+    """Sets the core count the run sees."""
+    def use(count):
+        monkeypatch.setattr(experiment, "_usable_cores", lambda: count)
+    return use
+
+
+@pytest.fixture
 def calls(monkeypatch):
     """How often the run fits an MDS and builds a geodesic view."""
     counts = {"mds_fit": 0, "graph_geodesic": 0}
+    lock = threading.Lock()  # replicates run on several threads
 
     def counting(name, module):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            with lock:
+                counts[name] += 1
             return original(*args, **kwargs)
 
         return wrapper
@@ -820,6 +833,37 @@ class TestWholePoolFitsKeptOnCorpus:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0.0
 
+    def test_rows_running_the_whole_pool_at_once_fit_each_view_once(self, calls, cores):
+        # Six rows round to the whole 10-object pool, one task each, on six
+        # threads; a slow fit keeps every thread inside it at once unless
+        # the fits are looked up and made under one lock.
+        corpus = synthesize_corpus(41, 50, 2, 5, 0.8)
+        config = make_config(
+            relation_classes=(0,),
+            replicates=2,
+            schedule=tuple((fraction, 8) for fraction in (0.95, 0.96, 0.97, 0.98, 0.99, 1.0)),
+        )
+        assert {row.n_prime for row in _schedule(config, 10)} == {10}
+        counted = experiment.mds_fit
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return counted(*args, **kwargs)
+
+        cores(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(experiment, "mds_fit", slow)
+                report = run_experiment(config, corpus=corpus)
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls["mds_fit"] == 3
+        assert len(corpus._fits) == 3
+        cores(1)
+        assert report == run_experiment(config, corpus=synthesize_corpus(41, 50, 2, 5, 0.8))
+
     def test_a_kept_fit_repeats_its_warnings(self, calls):
         corpus = golden_corpus()
         config = make_config(replicates=3, shared_dim=7)
@@ -828,3 +872,158 @@ class TestWholePoolFitsKeptOnCorpus:
         report = run_experiment(config, corpus=corpus)
         assert calls["mds_fit"] - start == 3 * 3  # the S=0.5 samples only
         assert report.warnings == REPLAYED_WARNINGS
+
+
+class FakeBlas:
+    """Stands in for OpenBLAS's thread setter: one process-wide count, as in
+    numpy's pthreads build, with each call's thread and value recorded."""
+
+    def __init__(self, count):
+        self.count = count
+        self.calls = []
+        self._lock = threading.Lock()
+
+    def __call__(self, count):
+        with self._lock:
+            previous, self.count = self.count, count
+            self.calls.append((threading.current_thread(), count))
+            return previous
+
+
+class TestPool:
+    """A run's distinct samples are scored on every usable core and merged
+    back in (row, replicate) order."""
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_report_and_files_do_not_depend_on_the_core_count(self, cores, count, tmp_path):
+        # Ten distinct samples over four rows, with shortfall warnings.
+        config = make_config(
+            replicates=3, shared_dim=7, schedule=((0.3, 20), (0.5, 20), (0.7, 20), (1.0, 20))
+        )
+        outputs = {}
+        for k in (1, count):
+            cores(k)
+            report = run_experiment(config, corpus=golden_corpus())
+            emit_curves(report, tmp_path / str(k))
+            outputs[k] = report, {n: (tmp_path / str(k) / n).read_bytes() for n in EMITTED}
+        assert outputs[1][0].warnings
+        assert outputs[count] == outputs[1]
+
+    def test_on_row_fires_once_per_row_in_row_order(self, cores):
+        config = make_config(replicates=3, schedule=None)
+        seen = {}
+        for k in (1, 2):
+            cores(k)
+            seen[k] = []
+            run_experiment(
+                config, corpus=golden_corpus(),
+                on_row=lambda row, recs, k=k: seen[k].append((row, recs)),
+            )
+        assert seen[2] == seen[1]
+        assert [row for row, _ in seen[2]] == list(_schedule(config, 72))
+        for row, recs in seen[2]:
+            assert [r[:5] for r in recs] == [
+                ("gcca", combo, "synthetic", row.fraction, rep)
+                for rep in range(3)
+                for combo in config.combinations
+            ]
+
+    def test_helpers_share_the_work_and_stop(self, cores, monkeypatch):
+        blas = FakeBlas(3)
+        monkeypatch.setattr(experiment, "_blas_threads_setter", lambda: blas)
+        run_single = experiment._run_single
+        threads = []
+        helper_ran = threading.Event()
+
+        def spy(prepared, row, sample):
+            threads.append(threading.current_thread())
+            if threading.current_thread() is threading.main_thread():
+                helper_ran.wait(timeout=30)
+            else:
+                helper_ran.set()
+            return run_single(prepared, row, sample)
+
+        monkeypatch.setattr(experiment, "_run_single", spy)
+        before = set(threading.enumerate())
+        cores(2)
+        run_experiment(make_config(replicates=3, schedule=None), corpus=golden_corpus())
+        assert set(threading.enumerate()) == before
+        assert helper_ran.is_set()
+        main = threading.main_thread()
+        assert {t is main for t in threads} == {True, False}
+        # Every pool thread ran BLAS on one thread; the caller restored 3.
+        assert {count for _, count in blas.calls[:-1]} == {1}
+        assert blas.calls[-1] == (main, 3) and blas.count == 3
+
+    def test_helper_error_is_the_one_serial_order_raises_first(self, cores, monkeypatch):
+        # Tasks in serial order: S=0.5 replicates 0, 1 and 2, then S=1. The
+        # caller takes S=1 and fails first; a helper, held in replicate 0
+        # until then, fails on replicate 1 afterwards, while the caller waits
+        # in replicate 2. Serial order reaches replicate 1 first.
+        config = make_config(replicates=3)
+        corpus = golden_corpus()
+        rel_idx = np.flatnonzero(np.isin(corpus.labels, (0, 2, 4)))
+        draws = [draw_training_sample(replicate_seed_for(17, 0, rep), rel_idx, 36)
+                 for rep in range(3)]
+        blas = FakeBlas(3)
+        monkeypatch.setattr(experiment, "_blas_threads_setter", lambda: blas)
+        run_single = experiment._run_single
+        caller_failed, helper_failed = threading.Event(), threading.Event()
+
+        def failing(prepared, row, sample):
+            in_helper = threading.current_thread() is not threading.main_thread()
+            if row.fraction == 1.0:
+                caller_failed.set()
+                raise ValueError("the whole pool")
+            if np.array_equal(sample, draws[1]):
+                if in_helper:
+                    helper_failed.set()
+                raise ValueError("S=0.5 replicate 1")
+            (caller_failed if in_helper else helper_failed).wait(timeout=30)
+            return run_single(prepared, row, sample)
+
+        monkeypatch.setattr(experiment, "_run_single", failing)
+        rows = []
+        for k in (2, 1):  # serially, the events are already set
+            cores(k)
+            before = set(threading.enumerate())
+            with pytest.raises(ValueError, match="S=0.5 replicate 1"):
+                run_experiment(config, corpus=corpus, on_row=lambda row, recs: rows.append(row))
+            assert set(threading.enumerate()) == before
+            assert helper_failed.is_set()
+        assert rows == []
+        assert blas.calls[-1] == (threading.main_thread(), 3) and blas.count == 3
+
+    def test_no_task_after_a_failure_starts(self, cores, monkeypatch):
+        # A helper fails on the first task while the caller holds the last;
+        # the two in between come after the failure and never start.
+        monkeypatch.setattr(experiment, "_blas_threads_setter", lambda: FakeBlas(3))
+        run_single = experiment._run_single
+        started, caller_started, helper_failed = [], threading.Event(), threading.Event()
+
+        def failing(prepared, row, sample):
+            started.append(row.fraction)
+            if threading.current_thread() is threading.main_thread():
+                caller_started.set()
+                helper_failed.wait(timeout=30)
+                return run_single(prepared, row, sample)
+            caller_started.wait(timeout=30)
+            helper_failed.set()
+            raise ValueError("first task")
+
+        monkeypatch.setattr(experiment, "_run_single", failing)
+        cores(2)
+        with pytest.raises(ValueError, match="first task"):
+            run_experiment(make_config(replicates=3), corpus=golden_corpus())
+        assert sorted(started) == [0.5, 1.0]
+
+    @pytest.mark.skipif(
+        experiment._blas_threads_setter() is None, reason="numpy's OpenBLAS setter is absent"
+    )
+    def test_the_callers_blas_thread_count_comes_back(self, cores):
+        setter = experiment._blas_threads_setter()
+        count = setter(1)
+        setter(count)
+        cores(2)
+        run_experiment(make_config(replicates=2), corpus=golden_corpus())
+        assert setter(count) == count

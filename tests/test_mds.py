@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from scipy.linalg import orthogonal_procrustes
 from manifold_match.dissimilarity import cosine_dissimilarity
 from manifold_match.errors import ValidationError
 from manifold_match.mds import MdsModel, fidelity_error, mds_fit, mds_out_of_sample, scree
+from manifold_match.numerics import eig_sym
 
 
 def euclidean_distances(points):
@@ -139,6 +142,40 @@ class TestMdsFit:
         model = mds_fit(euclidean_distances(rng.normal(size=(8, 2))), 2)
         assert np.asarray(model) is model.embedding
         assert np.shape(model) == (8, 2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_in_place_gram_has_the_bits_of_the_expression(self, seed):
+        rng = np.random.default_rng(seed)
+        delta = np.abs(rng.normal(size=(40, 40)))
+        delta = delta + delta.T
+        np.fill_diagonal(delta, 0.0)
+        squared = delta * delta
+        row_means = squared.mean(axis=1)
+        grand_mean = float(squared.mean())
+        gram = -0.5 * (squared - row_means[:, None] - row_means[None, :] + grand_mean)
+        values, vectors = eig_sym(0.5 * (gram + gram.T))
+        keep = int(np.sum(values > values[0] * 1e-10))
+        model = mds_fit(delta, 39)
+        assert model.effective_dim == keep
+        assert np.array_equal(model.embedding, vectors[:, :keep] * np.sqrt(values[:keep]))
+        assert np.array_equal(model.row_means, row_means)
+        assert model.grand_mean == grand_mean
+
+    def test_working_set_below_four_gram_matrices(self):
+        # At most three n x n arrays at once: the centred matrix, eigh's
+        # vectors and their reordered copy (LAPACK's workspace is not
+        # traced). Centring out of place held six.
+        n = 360
+        rng = np.random.default_rng(148)
+        delta = euclidean_distances(rng.normal(size=(n, 5)))
+        mds_fit(delta, 100)
+        tracemalloc.start()
+        try:
+            mds_fit(delta, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * n * n * 8
 
     def test_p_out_of_range(self):
         delta = np.array([[0.0, 1.0], [1.0, 0.0]])
