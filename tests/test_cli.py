@@ -426,6 +426,17 @@ class TestPipelineFlow:
         assert code == 2
         assert not (tmp_path / "e.tsv").exists()
 
+    def test_embedding_without_columns_is_data_error(self, tmp_path, capsys):
+        # An all-zero matrix has effective dimension 0: its embedding has no
+        # columns, and a file of blank lines would not read back as a matrix.
+        d, e = tmp_path / "d.tsv", tmp_path / "e.tsv"
+        formats.write_matrix(np.zeros((3, 3)), d)
+        code = main(["mds", str(d), "--dim", "2", "--out", str(e)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "e.tsv" in err and "(3, 0)" in err
+        assert not e.exists()
+
     def test_cca_of_three_embeddings_is_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(8)
         paths = [tmp_path / f"e{k}.tsv" for k in range(3)]

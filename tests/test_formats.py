@@ -1,12 +1,17 @@
+import gzip
 import json
 import os
+import re
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from manifold_match import formats
 from manifold_match.corpus import DomainData, LabeledCorpus, load_corpus, save_corpus
 from manifold_match.errors import FormatError, ValidationError
 from manifold_match.formats import (
@@ -23,6 +28,47 @@ def test_writer_bytes(tmp_path):
     path = tmp_path / "m.tsv"
     write_matrix(np.array([[-0.0, 5e-324], [0.1, 1e308]]), path)
     assert path.read_bytes() == b"-0.0\t5e-324\n0.1\t1e+308\n"
+
+
+def test_writer_formats_each_bit_pattern(tmp_path, monkeypatch):
+    # Blocks of two rows: 0.5 and -0.0 repeat across the block boundary, and
+    # -0.0 shares a block with 0.0, which a value-keyed table would merge.
+    monkeypatch.setattr(formats, "_BLOCK_FLOATS", 6)
+    path = tmp_path / "m.tsv"
+    write_matrix(np.array([
+        [0.0, -0.0, 0.5],
+        [np.nan, np.inf, -np.inf],
+        [0.5, -0.0, -np.nan],
+        [0.0, 0.5, 0.5],
+        [-0.0, -0.0, -0.0],
+    ]), path)
+    assert path.read_bytes() == (
+        b"0.0\t-0.0\t0.5\nnan\tinf\t-inf\n0.5\t-0.0\tnan\n0.0\t0.5\t0.5\n-0.0\t-0.0\t-0.0\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "shape", [(), (3,), (2, 2, 2), (0, 3), (3, 0), (0, 0)], ids=str
+)
+def test_writer_refuses_what_does_not_read_back(tmp_path, shape):
+    path = tmp_path / "m.tsv"
+    with pytest.raises(ValidationError, match=rf"m\.tsv: .*shape {re.escape(str(shape))}"):
+        write_matrix(np.zeros(shape), path)
+    assert not path.exists()
+
+
+def test_writer_peak_memory_is_bounded(tmp_path):
+    # A hop-count geodesic matrix has at most cap + 1 distinct values; its
+    # whole-matrix tolist() alone would take about 32 MB.
+    rng = np.random.default_rng(18)
+    hops = rng.integers(0, 7, size=(1000, 1000)).astype(float)
+    tracemalloc.start()
+    try:
+        write_matrix(hops, tmp_path / "hops.tsv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 @settings(max_examples=200, deadline=None)
@@ -62,6 +108,92 @@ def test_malformed_input_names_line(tmp_path, text, where):
         read_matrix(path)
 
 
+# Tokens np.loadtxt parses as Python's float does, then tokens only the line
+# loop accepts (an underscore, a full-width digit) or neither does.
+_GOOD_TOKENS = ["0", "1.5", "-2e-3", "nan", "-nan", "inf", "-inf", "-0.0", "5e-324", "1e999",
+                " 7", "8 "]
+_TOKENS = [*_GOOD_TOKENS, "1_0", "\uff11", "x", "", "1 2", "0x1p3", "#1"]
+_BLANK_LINES = ["", "", " ", "\t ", "\t"]
+
+
+@st.composite
+def matrix_files(draw):
+    """Text of a would-be matrix file: mostly rows of one width, with blank and
+    whitespace-only lines anywhere, so a bad line's number is a physical one."""
+    width = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(_BLANK_LINES)))
+            continue
+        n = draw(st.sampled_from([width] * 8 + [width + 1, max(1, width - 1)]))
+        tokens = st.sampled_from(draw(st.sampled_from([_GOOD_TOKENS] * 4 + [_TOKENS])))
+        line = "\t".join(draw(st.lists(tokens, min_size=n, max_size=n)))
+        lines.append(draw(st.sampled_from(["", "", " "])) + line
+                     + draw(st.sampled_from(["", "", "", "\t"])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines)
+    return text + end if lines and draw(st.booleans()) else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_files())
+# An empty, a blank and a whitespace-only file; one value, one row, one column;
+# tokens only the loop reads; a bad token, and a tab line, after a blank line.
+@example("")
+@example("\n\n")
+@example(" \n\t\n")
+@example("5e-324")
+@example("1\t-0.0\tnan\n")
+@example("1\n-0.0\ninf\n")
+@example("1_0\t\uff11\n")
+@example("1\t2\n\n \n3\tx\n")
+@example("1\t2\r\n\t\r\n3\r\n")
+def test_reader_matches_line_loop(tmp_path_factory, text):
+    # read_matrix gives the line loop's array bit for bit, or its error.
+    path = tmp_path_factory.mktemp("diff") / "m.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = formats._read_matrix_by_line(path)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as raised:
+            read_matrix(path)
+        assert str(raised.value) == str(exc)
+        return
+    values = read_matrix(path)
+    assert values.dtype == expected.dtype and values.shape == expected.shape
+    assert values.tobytes() == expected.tobytes()
+
+
+def test_reader_reads_a_gz_name_as_text(tmp_path):
+    # np.loadtxt given a path would open it decompressed.
+    path = tmp_path / "m.gz"
+    with gzip.open(path, "wt") as fh:
+        fh.write("1\t2\n")
+    with pytest.raises(FormatError, match=r"m\.gz: .*utf-8"):
+        read_matrix(path)
+
+
+def test_reader_reads_a_pipe_once():
+    # A pipe cannot be rewound; these rows take more than one read of it.
+    rows = [[i, -i] for i in range(20000)]
+    r, w = os.pipe()
+
+    def feed():
+        with os.fdopen(w, "w") as fh:
+            fh.write("".join(f"{a}\t{b}\n" for a, b in rows))
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        values = read_matrix(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert np.array_equal(values, rows)
+
+
 def test_write_json_bytes_and_no_leftovers(tmp_path):
     path = tmp_path / "meta.json"
     write_json({"b": [1, 2], "a": None}, path)
@@ -82,8 +214,11 @@ def test_records_are_numbered_stripped_and_split(tmp_path):
         (read_records, b"\xff\n", "utf-8"),
         (read_json, b"\xff\n", "utf-8"),
         (read_json, b"{", "Expecting"),
+        (read_matrix, b"\xff\n", "utf-8"),
+        (read_matrix, b"1\t2\n" * 40000 + b"\xff\n", "utf-8"),
     ],
-    ids=["records-not-utf8", "json-not-utf8", "json-truncated"],
+    ids=["records-not-utf8", "json-not-utf8", "json-truncated", "matrix-not-utf8",
+         "matrix-not-utf8-after-rows"],
 )
 def test_unreadable_content_names_the_file(tmp_path, read, data, match):
     path = tmp_path / "f.txt"
