@@ -374,16 +374,11 @@ def _run_single(prepared, row, sample):
 
     train_fit = {}
     clf_emb = {}
-    min_effective = None
     for view in config.views:
         matrix = prepared.full[view.tag]
         train = matrix[np.ix_(sample, sample)]
         oos = matrix[np.ix_(prepared.clf_idx, sample)]
-        if (
-            view.kind == "text"
-            and prepared.ref_tag is not None
-            and view.tag != prepared.ref_tag
-        ):
+        if view.kind == "text" and prepared.ref_tag is not None:
             # Frobenius prescale onto the reference view's training block;
             # the classifier rows share the training block's factor.
             factor = frobenius_prescale(train, ref_train)
@@ -399,8 +394,6 @@ def _run_single(prepared, row, sample):
                     prepared.fits[key] = model
         else:
             model = mds_fit(train, row.mds_dim)
-        if min_effective is None or model.effective_dim < min_effective:
-            min_effective = model.effective_dim
         if model.effective_dim < config.shared_dim:
             warnings.append(
                 f"S={row.fraction:g}: view {view.tag} effective MDS dimension "
@@ -408,7 +401,7 @@ def _run_single(prepared, row, sample):
             )
         train_fit[view.tag] = model
         clf_emb[view.tag] = mds_out_of_sample(model, oos)
-    d_shared = min(config.shared_dim, min_effective)
+    d_shared = min(config.shared_dim, *(model.effective_dim for model in train_fit.values()))
 
     def aligned(maps, tags):
         """Each fit view's classifier objects in the shared space, in fit order."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import ValidationError
 from .numerics import eig_sym
@@ -157,8 +156,11 @@ def fidelity_error(embedding, delta) -> float:
         )
     if n < 2:
         return 0.0
-    # pdist's condensed order is the row-major upper triangle.
-    gaps = pdist(x) - d[np.triu_indices(n, k=1)]
+    # Pairs in row-major upper-triangle order, one row's differences at a
+    # time: exact norms of x_j - x_i, with no (n^2, p) temporary.
+    gaps = np.concatenate(
+        [np.linalg.norm(x[i + 1 :] - x[i], axis=1) - d[i, i + 1 :] for i in range(n - 1)]
+    )
     return float(np.mean(gaps * gaps))
 
 

@@ -955,6 +955,25 @@ class TestPool:
         assert {count for _, count in blas.calls[:-1]} == {1}
         assert blas.calls[-1] == (main, 3) and blas.count == 3
 
+    def test_one_task_leaves_blas_threads_alone(self, cores, monkeypatch):
+        # S = 100 % alone draws one distinct sample: it runs on the caller at
+        # BLAS's own thread count, which on two threads beat one by about a
+        # fifth on paper-scale replicates.
+        blas = FakeBlas(3)
+        monkeypatch.setattr(experiment, "_blas_threads_setter", lambda: blas)
+        threads = []
+        run_single = experiment._run_single
+
+        def spy(prepared, row, sample):
+            threads.append(threading.current_thread())
+            return run_single(prepared, row, sample)
+
+        monkeypatch.setattr(experiment, "_run_single", spy)
+        cores(2)
+        run_experiment(make_config(replicates=3, schedule=((1.0, 8),)), corpus=golden_corpus())
+        assert threads == [threading.main_thread()]
+        assert blas.calls == [] and blas.count == 3
+
     def test_helper_error_is_the_one_serial_order_raises_first(self, cores, monkeypatch):
         # Tasks in serial order: S=0.5 replicates 0, 1 and 2, then S=1. The
         # caller takes S=1 and fails first; a helper, held in replicate 0

@@ -281,16 +281,17 @@ class TestFidelityError:
         delta = np.array([[0.0, 3.0], [3.0, 0.0]])
         assert fidelity_error(embedding, delta) == pytest.approx(4.0)
 
-    def test_matches_brute_force_oracle(self):
+    @pytest.mark.parametrize("n, p", [(6, 3), (2, 4), (9, 1), (40, 5)])
+    def test_matches_brute_force_oracle(self, n, p):
         rng = np.random.default_rng(72)
-        embedding = rng.normal(size=(6, 3))
-        delta = euclidean_distances(rng.normal(size=(6, 2)))
+        embedding = rng.normal(size=(n, p))
+        delta = euclidean_distances(rng.normal(size=(n, 2)))
         assert fidelity_error(embedding, delta) == pytest.approx(
             fidelity_oracle(embedding, delta), abs=1e-12
         )
 
     def test_matches_difference_tensor_formula(self):
-        # The n x n x p difference-tensor formula the condensed pdist form replaced.
+        # The n x n x p difference-tensor formula.
         rng = np.random.default_rng(73)
         embedding = rng.normal(size=(30, 7))
         delta = euclidean_distances(rng.normal(size=(30, 4)))
@@ -298,6 +299,21 @@ class TestFidelityError:
         gaps = euclidean_distances(embedding)[iu] - delta[iu]
         expected = float(np.mean(gaps * gaps))
         assert fidelity_error(embedding, delta) == pytest.approx(expected, rel=1e-12)
+
+    def test_working_set_about_one_pair_vector(self):
+        # The n(n-1)/2 gaps and their squares, with one row's differences
+        # at a time: about n^2 floats, and no (n^2, p) temporary.
+        n, p = 829, 100
+        rng = np.random.default_rng(74)
+        embedding = rng.normal(size=(n, p))
+        delta = euclidean_distances(rng.normal(size=(n, 3)))
+        tracemalloc.start()
+        try:
+            fidelity_error(embedding, delta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
 
     def test_size_mismatch(self):
         with pytest.raises(ValidationError):
