@@ -60,8 +60,12 @@ def as_dissimilarity(values) -> np.ndarray:
         if v.min() < -_SYM_ATOL:
             raise ValidationError("dissimilarity matrix has negative entries")
     # In place, because these n x n matrices are the largest arrays a run holds.
-    v += v.T
-    v *= 0.5
+    # Only pairs whose bits differ are averaged: an equal pair is its own mean,
+    # and x + x can overflow where x does not.
+    pattern = v.view(np.int64)
+    differ = pattern != pattern.T
+    np.add(v, v.T, out=v, where=differ)
+    np.multiply(v, 0.5, out=v, where=differ)
     np.fill_diagonal(v, 0.0)
     np.clip(v, 0.0, None, out=v)
     return _read_only(v)

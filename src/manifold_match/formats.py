@@ -18,8 +18,9 @@ renamed over it, so a failed write leaves the previous file (or none), never
 a partial one; the destination must be absent or a regular file. A matrix row
 is its tab-separated reals, each the shortest round-trip ``repr``, so a read
 gives back the written array bit for bit; the rows are formatted a block at a
-time, each distinct bit pattern in a block once. JSON is indented and
-key-sorted so it diffs cleanly.
+time, each distinct bit pattern in a block once, and an array equal to its
+transpose bit for bit has its lower triangle copied from the upper one's text.
+JSON is indented and key-sorted so it diffs cleanly.
 """
 
 from __future__ import annotations
@@ -136,16 +137,30 @@ def write_matrix(values, path):
 
 
 def _matrix_lines(values):
-    """The lines of a matrix file, ``_BLOCK_FLOATS`` values at a time, each
-    distinct bit pattern in a block formatted once (so -0.0 stays -0.0)."""
-    n_cols = values.shape[1]
+    """The lines of a matrix file, a block of rows of at most ``_BLOCK_FLOATS``
+    values at a time, each distinct bit pattern in a block formatted once (so
+    -0.0 stays -0.0).
+
+    A square array equal to its transpose bit for bit has each block formatted
+    from its diagonal column on. The rest of a row is the text of its column
+    above the block, kept as one string per earlier block until that row is
+    written, so each value is formatted once and at most about n²/4 values'
+    text is held at a time."""
+    n_rows, n_cols = values.shape
+    pattern = values.view(np.int64)
+    symmetric = n_rows == n_cols and np.array_equal(pattern, pattern.T)
     step = max(1, _BLOCK_FLOATS // n_cols)
-    for start in range(0, len(values), step):
-        block = np.ascontiguousarray(values[start:start + step])
+    above = {}  # column -> its text in each earlier block, tab-joined
+    for start in range(0, n_rows, step):
+        block = np.ascontiguousarray(values[start:start + step, start if symmetric else 0:])
         bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
         text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
-        for row in text[inverse].reshape(block.shape).tolist():
-            yield "\t".join(row)
+        text = text[inverse].reshape(block.shape)
+        for i, row in enumerate(text.tolist(), start):
+            yield "\t".join(above.pop(i, []) + row)
+        if symmetric:
+            for j, column in enumerate(text[:, len(block):].T.tolist(), start + len(block)):
+                above.setdefault(j, []).append("\t".join(column))
 
 
 def write_json(obj, path):

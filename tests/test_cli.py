@@ -1,9 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import manifold_match
 from manifold_match import formats
 from manifold_match.cli import main
 from manifold_match.corpus import (
@@ -623,3 +628,41 @@ class TestExperimentCommand:
         # The settings it was built with run.
         config = experiment_config(tmp_path, corpus_dir, cap=6, max_hops=4)
         assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+
+
+# The matrix files three commands write from `synth --seed 0 --objects 300`.
+# The cosine product and MDS's eigh go through BLAS, whose bits depend on its
+# thread count, so the commands run in a child process at one BLAS thread.
+PINNED_SCRIPT = r"""
+from manifold_match.cli import main
+
+for argv in (["synth", "--seed", "0", "--objects", "300", "--out", "corpus"],
+             ["dissim", "corpus", "--domain", "domain0", "--kind", "graph"],
+             ["dissim", "corpus", "--domain", "domain1", "--kind", "text"],
+             ["mds", "corpus/domain0/dissim_graph.tsv", "--dim", "10", "--out", "emb.tsv"]):
+    assert main(argv) == 0, argv
+"""
+
+PINNED_SHA256 = {
+    "corpus/domain0/dissim_graph.tsv":
+        "ff4775c16cb803b3339553111bf63520a7334ee6b88a645c7a8988ec881981ac",
+    "corpus/domain1/dissim_text.tsv":
+        "58fbbd28141cda34d1cb45faed91020decf8c934bb75be1e6065322cb23ad816",
+    "emb.tsv": "0c085781383bbc4107abbb8f001b4d7be78d2cc3b251a8140981e498b2494552",
+}
+
+
+def test_matrix_files_match_their_pins(tmp_path):
+    src = Path(manifold_match.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", PINNED_SCRIPT],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PINNED_SHA256}
+    assert digests == PINNED_SHA256

@@ -305,6 +305,17 @@ class TestAsDissimilarity:
         assert np.array_equal(raw, before) and raw.flags.writeable
         assert dm[0, 1] == dm[1, 0]
 
+    def test_largest_finite_values_do_not_overflow(self):
+        # 1e308 + 1e308 is inf: an equal mirror pair is kept, not averaged.
+        dm = as_dissimilarity([[0.0, 1e308], [1e308, 0.0]])
+        assert dm.tolist() == [[0.0, 1e308], [1e308, 0.0]]
+
+    def test_only_mirror_pairs_that_differ_are_averaged(self):
+        dm = as_dissimilarity([[0.0, -0.0, 5e-324], [0.0, 0.0, 1.0], [5e-324, 1.0 + 2e-16, 0.0]])
+        assert not np.signbit(dm).any()  # -0.0 averaged with 0.0
+        assert dm[0, 2] == dm[2, 0] == 5e-324  # halved first, it would round to 0
+        assert dm[1, 2] == dm[2, 1] == (1.0 + (1.0 + 2e-16)) * 0.5
+
     def test_values_read_only(self):
         dm = as_dissimilarity(np.zeros((2, 2)))
         with pytest.raises(ValueError):

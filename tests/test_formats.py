@@ -71,6 +71,83 @@ def test_writer_peak_memory_is_bounded(tmp_path):
     assert peak < 8e6
 
 
+@pytest.mark.parametrize(
+    "kind, cap", [("hops", 8e6), ("distinct", 30e6)], ids=["hops", "distinct"]
+)
+def test_symmetric_writer_peak_memory_is_bounded(tmp_path, kind, cap):
+    # A symmetric array keeps the text of the columns above each block until
+    # their mirror rows are written: at most about n^2/4 values' text, joined
+    # per block, beside the block being formatted.
+    rng = np.random.default_rng(18)
+    if kind == "hops":
+        values = rng.integers(0, 7, size=(1000, 1000)).astype(float)
+        values = np.maximum(values, values.T)
+    else:
+        values = rng.random((1000, 1000))
+        values = values + values.T
+    tracemalloc.start()
+    try:
+        write_matrix(values, tmp_path / "m.tsv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < cap
+
+
+def test_writer_formats_each_value_of_a_symmetric_array_once(tmp_path, monkeypatch):
+    # One row per block: row i's left part comes from the rows above it, so
+    # only the upper triangle's six values are formatted, not nine.
+    calls = []
+
+    def counting_repr(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(formats, "_BLOCK_FLOATS", 3)
+    monkeypatch.setattr(formats, "repr", counting_repr, raising=False)
+    path = tmp_path / "m.tsv"
+    write_matrix(np.array([[0.0, 1.0, 2.0], [1.0, 0.5, 3.0], [2.0, 3.0, 0.25]]), path)
+    assert sorted(calls) == [0.0, 0.25, 0.5, 1.0, 2.0, 3.0]
+    assert path.read_bytes() == b"0.0\t1.0\t2.0\n1.0\t0.5\t3.0\n2.0\t3.0\t0.25\n"
+
+
+def test_writer_mirrors_only_what_is_equal_bit_for_bit(tmp_path, monkeypatch):
+    # 0.0 == -0.0: a test on values would take this array as symmetric and
+    # write row 1, a block of its own, from row 0's "0.0".
+    monkeypatch.setattr(formats, "_BLOCK_FLOATS", 2)
+    path = tmp_path / "m.tsv"
+    write_matrix(np.array([[1.0, 0.0], [-0.0, 1.0]]), path)
+    assert path.read_bytes() == b"1.0\t0.0\n-0.0\t1.0\n"
+
+
+_SPECIAL = [0.0, -0.0, 0.5, 5e-324, 1e308, np.inf, -np.inf, np.nan, -np.nan]
+
+
+@st.composite
+def nearly_symmetric(draw):
+    """A square array of few distinct values, equal to its transpose bit for
+    bit except where a zero's mirror was given the other sign."""
+    n = draw(st.integers(1, 7))
+    values = draw(arrays(np.float64, (n, n), elements=st.sampled_from(_SPECIAL) | st.floats()))
+    lower = np.tril_indices(n, -1)
+    values[lower] = values.T[lower]
+    flip = draw(arrays(np.bool_, (n, n))) & (values == 0.0)
+    flip[np.triu_indices(n)] = False
+    np.negative(values, out=values, where=flip)
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(nearly_symmetric(), st.integers(1, 50))
+def test_writer_matches_repr_on_nearly_symmetric_arrays(tmp_path_factory, values, block_floats):
+    path = tmp_path_factory.mktemp("sym") / "m.tsv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_BLOCK_FLOATS", block_floats)
+        write_matrix(values, path)
+    expected = "".join("\t".join(map(repr, row)) + "\n" for row in values.tolist())
+    assert path.read_bytes() == expected.encode()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     arrays(
