@@ -27,7 +27,8 @@ from .dissimilarity import (
     save_dissimilarity_tsv,
 )
 from .errors import ConfigError, FormatError, IntegrityError, ValidationError
-from .formats import read_json, read_matrix, read_records, write_json, write_lines, write_matrix
+from .formats import (move_matrix, read_json, read_matrix, read_records, write_json,
+                      write_lines, write_matrix)
 
 __all__ = [
     "DomainData",
@@ -310,11 +311,12 @@ def register_dissimilarity(path, domain_name, kind, values, cap=None, max_hops=N
 
     Replaces the manifest with one that records the matrix file with the
     ``cap``/``max_hops`` it was built with (None for a matrix that is not a
-    geodesic), so later loads pick the matrix up. The matrix is written whole
-    into a staging directory first. A re-registration then drops the kind's
-    old entry from the manifest before the new file replaces the old one, so
-    a failed step leaves the kind as it was or unregistered, never the new
-    matrix recorded under the old settings. Returns the matrix file's path.
+    geodesic), so later loads pick the matrix up. The matrix is written whole,
+    with its twin, into a staging directory first. A re-registration then
+    drops the kind's old entry from the manifest before the new file and twin
+    replace the old ones, so a failed step leaves the kind as it was or
+    unregistered, never the new matrix recorded under the old settings.
+    Returns the matrix file's path.
     """
     root = Path(path)
     manifest_path = root / "manifest.json"
@@ -330,7 +332,7 @@ def register_dissimilarity(path, domain_name, kind, values, cap=None, max_hops=N
         save_dissimilarity_tsv(values, staged)
         if entries.pop(kind, None) is not None:
             write_json(manifest, manifest_path)
-        staged.replace(root / rel)
+        move_matrix(staged, root / rel)
     entries[kind] = {"file": rel, "cap": cap, "max_hops": max_hops}
     write_json(manifest, manifest_path)
     return root / rel

@@ -44,7 +44,12 @@ def as_dissimilarity(values) -> np.ndarray:
     negative entries, each within ``1e-12``. Returns a read-only copy made
     exact in all three, so spectral code never sees tolerance-level asymmetry.
     """
-    v = np.array(values, dtype=float)
+    return _checked(np.array(values, dtype=float))
+
+
+def _checked(v):
+    """:func:`as_dissimilarity` of a float array the caller owns, made exact
+    and read-only in place."""
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValidationError(f"dissimilarity matrix must be square, got {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -214,6 +219,6 @@ def load_dissimilarity_tsv(path) -> np.ndarray:
             f"{path}: expected a square matrix, got {values.shape[0]}x{values.shape[1]}"
         )
     try:
-        return as_dissimilarity(values)
+        return _checked(values)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None

@@ -13,9 +13,21 @@ no non-ASCII digits, no trailing tab, no whitespace-only line) and gives the
 same bits on it, and runs the line loop only on what ``np.loadtxt`` refuses,
 a blank file and a pipe.
 
-Writing: every file is written by :func:`write_lines` to a temporary sibling
-renamed over it, so a failed write leaves the previous file (or none), never
-a partial one; the destination must be absent or a regular file. A matrix row
+A matrix file of at least ``_TWIN_VALUES`` values that :func:`write_matrix`
+wrote has a binary twin beside it, ``.<name>.twin``: the byte size and
+SHA-256 of the text, its shape, and the float64 values a parse of the text
+gives (every NaN as ``nan`` reads), 8 bytes a value. :func:`read_matrix`
+returns the twin's values when its recorded size and digest match the file
+as it is on disk, which it hashes ``_HASH_BYTES`` at a time, and parses the
+text otherwise: a file the toolkit did not write, a pipe, a twin that is
+stale, short or not a twin. A twin that matches is trusted as the toolkit's
+own file: its values are not checked against the text. Deleting one is
+always safe.
+
+Writing: every file, twins too, is written to a temporary sibling renamed
+over it (:func:`write_lines`), so a failed write leaves the previous file (or
+none), never a partial one; the destination must be absent or a regular
+file. A matrix row
 is its tab-separated reals, each the shortest round-trip ``repr``, so a read
 gives back the written array bit for bit; the rows are formatted a block at a
 time, each distinct bit pattern in a block once, and an array equal to its
@@ -25,35 +37,51 @@ JSON is indented and key-sorted so it diffs cleanly.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
 
-__all__ = ["read_json", "read_lines", "read_matrix", "read_records", "write_json",
-           "write_lines", "write_matrix"]
+__all__ = ["move_matrix", "read_json", "read_lines", "read_matrix", "read_records",
+           "write_json", "write_lines", "write_matrix"]
 
 # Values per block of rows formatted together by write_matrix.
 _BLOCK_FLOATS = 1 << 16
+# Values a matrix needs for write_matrix to give it a twin: below this,
+# parsing the text costs about what checking a twin does (tens of us).
+_TWIN_VALUES = 64
+# Bytes of a matrix file hashed at a time.
+_HASH_BYTES = 1 << 18
+# A twin's header: magic, the text's byte size and SHA-256, rows, columns.
+_TWIN_HEAD = struct.Struct("<8sQ32sQQ")
+_TWIN_MAGIC = b"MMTWIN1\n"
 
 
 def read_lines(path):
     """Yield each line of ``path`` without its newline."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for line in fh:
-                yield line.rstrip("\n")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: {exc}") from None
+        yield from _lines(fh, path)
 
 
-def read_records(path):
+def _lines(fh, path):
+    """``read_lines`` of ``fh``, a text handle open on ``path``."""
+    try:
+        for line in fh:
+            yield line.rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def read_records(path, lines=None):
     """Yield ``(line number, tab-separated fields)`` for each non-blank line
-    of ``path``, stripped of surrounding whitespace."""
-    for lineno, line in enumerate(read_lines(path), start=1):
+    of ``path`` (or of its ``lines``, when they are already being read),
+    stripped of surrounding whitespace."""
+    for lineno, line in enumerate(read_lines(path) if lines is None else lines, start=1):
         line = line.strip()
         if line:
             yield lineno, line.split("\t")
@@ -69,28 +97,73 @@ def read_json(path):
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a float matrix file; malformed input raises ``FormatError``
-    naming ``path:line``."""
+    """Read a float matrix file, from its twin when that matches it;
+    malformed input raises ``FormatError`` naming ``path:line``."""
+    values = _read_twin(path)
+    if values is not None:
+        return values
     with open(path, "r", encoding="utf-8") as fh:
-        # The line loop alone reads a pipe, which cannot be read twice, and a
+        # The line loop alone reads a pipe, which cannot be rewound, and a
         # blank file, on which np.loadtxt would warn that it found no data.
-        # It runs with ``fh`` still open: closing a pipe's only reader could
-        # break its writer. np.loadtxt gets the handle, not the path: given a
-        # path it would read a ``.gz`` name decompressed, and a URL.
-        try:
-            if fh.seekable() and any(chunk.strip() for chunk in iter(lambda: fh.read(1 << 16), "")):
-                fh.seek(0)
-                return np.loadtxt(fh, dtype=float, delimiter="\t", comments=None, ndmin=2)
-        except ValueError:  # a UnicodeDecodeError too
-            pass
-        return _read_matrix_by_line(path)
+        # It reads ``fh`` itself: a FIFO opened again after its writer closed
+        # would wait for another writer. np.loadtxt gets the handle, not the
+        # path: given a path it would read a ``.gz`` name decompressed, and a URL.
+        if fh.seekable():
+            try:
+                if any(chunk.strip() for chunk in iter(lambda: fh.read(1 << 16), "")):
+                    fh.seek(0)
+                    return np.loadtxt(fh, dtype=float, delimiter="\t", comments=None, ndmin=2)
+            except ValueError:  # a UnicodeDecodeError too
+                pass
+            fh.seek(0)
+        return _read_matrix_by_line(path, _lines(fh, path))
 
 
-def _read_matrix_by_line(path):
+def _twin_path(path):
+    path = Path(path)
+    return path.with_name(f".{path.name}.twin")
+
+
+def _digest(path):
+    """The byte size and SHA-256 of the file at ``path``."""
+    sha = hashlib.sha256()
+    size = 0
+    chunk = bytearray(_HASH_BYTES)
+    view = memoryview(chunk)
+    with open(path, "rb") as fh:
+        while count := fh.readinto(chunk):
+            sha.update(view[:count])
+            size += count
+    return size, sha.digest()
+
+
+def _read_twin(path):
+    """The values of the twin of the matrix file ``path``, or None unless the
+    twin is whole and records the size and SHA-256 the file has."""
+    try:
+        with open(_twin_path(path), "rb") as fh:
+            head = fh.read(_TWIN_HEAD.size)
+            if len(head) != _TWIN_HEAD.size:
+                return None
+            magic, size, digest, rows, cols = _TWIN_HEAD.unpack(head)
+            # A pipe's size is 0, which no twin records: it is read once, by the parse.
+            if (magic != _TWIN_MAGIC or size != os.stat(path).st_size
+                    or os.fstat(fh.fileno()).st_size != _TWIN_HEAD.size + 8 * rows * cols
+                    or _digest(path) != (size, digest)):
+                return None
+            values = np.empty((rows, cols), dtype="<f8")
+            if fh.readinto(values.data.cast("B")) != values.nbytes:
+                return None
+            return values
+    except OSError:
+        return None
+
+
+def _read_matrix_by_line(path, lines=None):
     """``read_matrix`` for the files np.loadtxt refuses: the line loop states
     what a matrix file is, and names the line that breaks it."""
     rows = []
-    for lineno, fields in read_records(path):
+    for lineno, fields in read_records(path, lines):
         try:
             row = np.array(fields, dtype=float)
         except ValueError as exc:
@@ -107,15 +180,25 @@ def write_lines(path, lines):
     """Replace ``path`` whole with ``lines``, each followed by a newline,
     through a temporary sibling renamed over it. ``path`` must be absent or a
     regular file: the rename would replace a device, or the link to one."""
+
+    def fill(fh):
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
+
+    _replace(path, "w", fill)
+
+
+def _replace(path, mode, fill):
+    """``write_lines`` for any content: ``fill`` writes the temporary sibling
+    opened in ``mode``."""
     path = Path(path)
     if path.exists() and not path.is_file():
         raise ValidationError(f"{path} exists and is not a regular file")
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line)
-                fh.write("\n")
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            fill(fh)
         os.replace(tmp, path)
     except OSError as exc:
         if exc.filename == str(tmp):  # a missing directory, say: name the file asked for
@@ -126,7 +209,9 @@ def write_lines(path, lines):
 
 
 def write_matrix(values, path):
-    """Write a non-empty 2-D array as a matrix file (round-trip exact)."""
+    """Write a non-empty 2-D array as a matrix file (round-trip exact), then
+    its twin if it has ``_TWIN_VALUES`` values or more. A failed twin write
+    raises with the text in place."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or 0 in values.shape:
         raise ValidationError(
@@ -134,6 +219,38 @@ def write_matrix(values, path):
             f"got shape {values.shape}"
         )
     write_lines(path, _matrix_lines(values))
+    if values.size >= _TWIN_VALUES:
+        _write_twin(values, path)
+    else:
+        _twin_path(path).unlink(missing_ok=True)
+
+
+def _write_twin(values, path):
+    """Write the twin of the matrix file ``path``, just written from
+    ``values``, a block of rows at a time."""
+    head = _TWIN_HEAD.pack(_TWIN_MAGIC, *_digest(path), *values.shape)
+    step = max(1, _BLOCK_FLOATS // values.shape[1])
+
+    def fill(fh):
+        fh.write(head)
+        for start in range(0, len(values), step):
+            block = values[start:start + step]
+            nan = np.isnan(block)
+            if nan.any():  # the text holds "nan" for every NaN
+                block = np.where(nan, np.nan, block)
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))
+
+    _replace(_twin_path(path), "wb", fill)
+
+
+def move_matrix(source, path):
+    """Rename the matrix file ``source`` over ``path``, and its twin over
+    ``path``'s (a twin of ``path`` that ``source`` lacks is removed)."""
+    Path(source).replace(path)
+    try:
+        _twin_path(source).replace(_twin_path(path))
+    except FileNotFoundError:
+        _twin_path(path).unlink(missing_ok=True)
 
 
 def _matrix_lines(values):

@@ -177,6 +177,32 @@ class TestDissim:
             "dissim_graph.tsv", "edges.tsv", "features.tsv",
         ]
 
+    @pytest.mark.parametrize("skip", [0, 1], ids=["dropping_old_entry", "recording_new_entry"])
+    def test_failed_reregistration_keeps_each_twin_with_its_matrix(
+        self, tmp_path, monkeypatch, capsys, fail_writing, skip
+    ):
+        # As above, with a twin for every matrix file: the matrix left in place
+        # has its own twin beside it, and no staged file is left.
+        monkeypatch.setattr(formats, "_TWIN_VALUES", 1)
+        corpus_dir = path_graph_corpus(tmp_path)
+        assert main(["dissim", str(corpus_dir), "--domain", "eng", "--kind", "graph"]) == 0
+        matrix = corpus_dir / "eng" / "dissim_graph.tsv"
+
+        fail_writing("manifest.json", writes=1, skip=skip)
+        code = main([
+            "dissim", str(corpus_dir), "--domain", "eng", "--kind", "graph",
+            "--cap", "3", "--max-hops", "1",
+        ])
+        assert code == 2
+        assert "error: disk full" in capsys.readouterr().err
+        assert sorted(p.name for p in (corpus_dir / "eng").iterdir()) == [
+            ".dissim_graph.tsv.twin", ".features.tsv.twin",
+            "dissim_graph.tsv", "edges.tsv", "features.tsv",
+        ]
+        monkeypatch.setattr(np, "loadtxt", _no_parse)
+        monkeypatch.setattr(formats, "_read_matrix_by_line", _no_parse)
+        assert formats.read_matrix(matrix)[0, 2] == (2, 3)[skip]
+
     def test_reregistration_replaces_matrix_and_settings(self, tmp_path):
         corpus_dir = path_graph_corpus(tmp_path)
         for cap, hops in ((6, 4), (3, 1)):
@@ -466,6 +492,10 @@ class TestPipelineFlow:
         assert not out.exists()
 
 
+def _no_parse(*args, **kwargs):
+    raise AssertionError("the text was parsed")
+
+
 def experiment_config(tmp_path, corpus_dir, **overrides):
     config = {
         "corpus": str(corpus_dir),
@@ -628,6 +658,44 @@ class TestExperimentCommand:
         # The settings it was built with run.
         config = experiment_config(tmp_path, corpus_dir, cap=6, max_hops=4)
         assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+
+
+def test_registered_matrices_are_read_from_their_twins(tmp_path, monkeypatch, capsys):
+    # dissim -> mds -> experiment: every matrix read after the writes comes
+    # from a twin, and the experiment writes the same bytes with the twins gone.
+    corpus_dir = tmp_path / "corpus"
+    main([
+        "synth", "--seed", "21", "--objects", "120", "--domains", "2",
+        "--classes", "5", "--noise", "0.5", "--out", str(corpus_dir),
+    ])
+    for domain, kind in (("domain0", "graph"), ("domain1", "graph"), ("domain1", "text")):
+        argv = ["dissim", str(corpus_dir), "--domain", domain, "--kind", kind]
+        assert main(argv + ["--cap", "32", "--max-hops", "30"]) == 0
+    config = experiment_config(tmp_path, corpus_dir)
+    parsed = []
+    loadtxt, by_line = np.loadtxt, formats._read_matrix_by_line
+    monkeypatch.setattr(np, "loadtxt", lambda fh, *a, **k: parsed.append(fh.name) or loadtxt(fh, *a, **k))
+    monkeypatch.setattr(formats, "_read_matrix_by_line",
+                        lambda p, lines=None: parsed.append(p) or by_line(p, lines))
+
+    argv = ["mds", str(corpus_dir / "domain0" / "dissim_graph.tsv"), "--dim", "8",
+            "--out", str(tmp_path / "emb.tsv")]
+    assert main(argv) == 0
+    assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "run1")]) == 0
+    assert parsed == []
+
+    twins = sorted(corpus_dir.rglob("*.twin"))
+    assert [p.name for p in twins] == [
+        ".dissim_graph.tsv.twin", ".features.tsv.twin",
+        ".dissim_graph.tsv.twin", ".dissim_text.tsv.twin", ".features.tsv.twin",
+    ]
+    for path in twins:
+        path.unlink()
+    assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "run2")]) == 0
+    assert {Path(p).name for p in parsed} == {"dissim_graph.tsv", "dissim_text.tsv", "features.tsv"}
+    capsys.readouterr()
+    for name in ("curves_gcca_synthetic.csv", "table.csv", "replicates.log", "meta.json"):
+        assert (tmp_path / "run1" / name).read_bytes() == (tmp_path / "run2" / name).read_bytes()
 
 
 # The matrix files three commands write from `synth --seed 0 --objects 300`.

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -329,6 +331,24 @@ class TestAsDissimilarity:
         back = load_dissimilarity_tsv(path)
         assert np.array_equal(back, dm)
         assert not back.flags.writeable
+
+    def test_tsv_load_checks_the_array_it_read_in_place(self, tmp_path):
+        # The array read from the file (here from its twin) is checked and
+        # made exact without a copy: it, one n x n temporary of the symmetry
+        # check and n^2 bytes of masks.
+        hops = np.random.default_rng(46).integers(0, 7, size=(1000, 1000)).astype(float)
+        hops = np.maximum(hops, hops.T)
+        np.fill_diagonal(hops, 0.0)
+        path = tmp_path / "dissim_graph.tsv"
+        save_dissimilarity_tsv(hops, path)
+        tracemalloc.start()
+        try:
+            back = load_dissimilarity_tsv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, hops)
+        assert peak < 2.25 * hops.nbytes
 
     def test_tsv_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -271,6 +271,232 @@ def test_reader_reads_a_pipe_once():
     assert np.array_equal(values, rows)
 
 
+def twin(path):
+    return path.with_name(f".{path.name}.twin")
+
+
+def _no_parse(*args, **kwargs):
+    raise AssertionError("the text was parsed")
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The paths whose text read_matrix parses, by np.loadtxt or the line loop."""
+    paths = []
+    loadtxt, by_line = np.loadtxt, formats._read_matrix_by_line
+
+    def spy_loadtxt(fh, *args, **kwargs):
+        paths.append(str(fh.name))
+        return loadtxt(fh, *args, **kwargs)
+
+    def spy_by_line(path, lines=None):
+        paths.append(str(path))
+        return by_line(path, lines)
+
+    monkeypatch.setattr(np, "loadtxt", spy_loadtxt)
+    monkeypatch.setattr(formats, "_read_matrix_by_line", spy_by_line)
+    return paths
+
+
+def _int64(bits):
+    return bits - (1 << 64) if bits >= 1 << 63 else bits
+
+
+# Any float64 bit pattern; NaNs of either sign and any payload; and the
+# patterns a random draw seldom hits.
+_BITS = (
+    st.integers(-(1 << 63), (1 << 63) - 1)
+    | st.builds(lambda sign, payload: _int64(sign << 63 | 0x7FF << 52 | payload),
+                st.integers(0, 1), st.integers(1, (1 << 52) - 1))
+    | st.sampled_from(np.array(_SPECIAL + [-5e-324, 2.2e-308, -1e308]).view(np.int64).tolist())
+)
+
+
+@st.composite
+def bit_pattern_arrays(draw):
+    """A float64 array of arbitrary bit patterns, often repeated, and
+    sometimes equal to its transpose bit for bit."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    pool = draw(st.lists(_BITS, min_size=1, max_size=4))
+    bits = draw(arrays(np.int64, (rows, cols), elements=st.sampled_from(pool) | _BITS))
+    if rows == cols and draw(st.booleans()):
+        lower = np.tril_indices(rows, -1)
+        bits[lower] = bits.T[lower]
+    return bits.view(np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bit_pattern_arrays(), st.integers(1, 50))
+def test_twin_holds_what_the_text_parses_to(tmp_path_factory, values, block_floats):
+    path = tmp_path_factory.mktemp("twin") / "m.tsv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_BLOCK_FLOATS", block_floats)
+        patch.setattr(formats, "_TWIN_VALUES", 1)
+        write_matrix(values, path)
+    expected = formats._read_matrix_by_line(path)
+    # Every NaN reads back as the one "nan" parses to; every other value as written.
+    assert expected.tobytes() == np.where(np.isnan(values), np.nan, values).tobytes()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "loadtxt", _no_parse)
+        patch.setattr(formats, "_read_matrix_by_line", _no_parse)
+        from_twin = read_matrix(path)
+    twin(path).unlink()
+    from_text = read_matrix(path)
+    for back in (from_twin, from_text):
+        assert back.dtype == expected.dtype and back.shape == expected.shape
+        assert back.tobytes() == expected.tobytes()
+
+
+def test_small_matrix_has_no_twin(tmp_path):
+    path = tmp_path / "m.tsv"
+    write_matrix(np.ones((8, 8)), path)
+    assert twin(path).is_file()
+    write_matrix(np.ones((7, 9)), path)  # 63 values: parsed as fast as a twin is checked
+    assert [p.name for p in tmp_path.iterdir()] == ["m.tsv"]
+
+
+def _edit_a_digit(path, other):
+    text = path.read_bytes()
+    at = text.index(b"1")
+    path.write_bytes(text[:at] + b"2" + text[at + 1:])
+
+
+def _cut(keep):
+    def cut(path, other):
+        twin(path).write_bytes(twin(path).read_bytes()[:keep])
+    return cut
+
+
+def _numpy_file(path, other):
+    with open(twin(path), "wb") as fh:
+        np.save(fh, read_matrix(path))
+
+
+def _flip_magic(path, other):
+    data = bytearray(twin(path).read_bytes())
+    data[0] ^= 1
+    twin(path).write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        _edit_a_digit,
+        lambda path, other: path.write_bytes(other.read_bytes()),
+        _cut(-8),
+        _cut(40),
+        lambda path, other: twin(path).write_bytes(twin(path).read_bytes() + bytes(8)),
+        _numpy_file,
+        _flip_magic,
+        lambda path, other: twin(path).write_bytes(twin(other).read_bytes()),
+    ],
+    ids=["text-edited-to-same-size", "text-of-another-matrix", "twin-cut-in-values",
+         "twin-cut-in-header", "twin-with-a-value-too-many", "twin-with-npy-header", "twin-with-other-magic",
+         "twin-of-another-matrix"],
+)
+def test_twin_that_does_not_match_is_not_read(tmp_path, parsed, spoil):
+    path, other = tmp_path / "m.tsv", tmp_path / "o.tsv"
+    values = np.arange(100.0).reshape(10, 10) / 8
+    write_matrix(values, path)
+    write_matrix(values[::-1] + 1, other)
+    spoil(path, other)
+    expected = formats._read_matrix_by_line(path)
+    parsed.clear()
+    assert read_matrix(path).tobytes() == expected.tobytes()
+    assert parsed == [str(path)]
+
+
+def test_twin_that_matches_is_read(tmp_path, parsed):
+    path = tmp_path / "m.tsv"
+    values = np.arange(100.0).reshape(10, 10) / 8
+    write_matrix(values, path)
+    assert read_matrix(path).tobytes() == values.tobytes()
+    assert parsed == []
+
+
+def test_fifo_beside_a_twin_is_parsed(tmp_path, monkeypatch, parsed):
+    # The writer is done and gone before the text is parsed: a reader that
+    # opened the FIFO a second time would then wait for another writer.
+    path, other = tmp_path / "m.tsv", tmp_path / "o.tsv"
+    values = np.arange(100.0).reshape(10, 10)
+    write_matrix(values, path)
+    write_matrix(-values, other)
+    text = other.read_bytes()
+    path.unlink()
+    os.mkfifo(path)
+
+    def feed():
+        with open(path, "wb") as fh:
+            fh.write(text)
+
+    by_line = formats._read_matrix_by_line
+
+    def after_writer(*args):
+        writer.join(timeout=30)
+        return by_line(*args)
+
+    monkeypatch.setattr(formats, "_read_matrix_by_line", after_writer)
+    read = []
+    writer = threading.Thread(target=feed)
+    reader = threading.Thread(target=lambda: read.append(read_matrix(path)), daemon=True)
+    writer.start()
+    reader.start()
+    reader.join(timeout=30)
+    if reader.is_alive():  # a writer that comes and goes ends its wait
+        with open(path, "wb"):
+            pass
+    writer.join(timeout=30)
+    assert not writer.is_alive() and not reader.is_alive()
+    assert np.array_equal(read[0], -values)
+    assert parsed == [str(path)]
+
+
+@pytest.mark.parametrize("over_old_twin", [False, True], ids=["first-write", "rewrite"])
+def test_failed_twin_write_leaves_no_twin_that_matches(tmp_path, fail_writing, parsed,
+                                                       over_old_twin):
+    path = tmp_path / "m.tsv"
+    values = np.arange(100.0).reshape(10, 10)
+    if over_old_twin:
+        write_matrix(-values, path)
+    fail_writing(".m.tsv.twin", writes=1)
+    with pytest.raises(OSError, match="disk full"):
+        write_matrix(values, path)
+    # The text is in place; a twin left from before holds another text's digest.
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".m.tsv.twin", "m.tsv"][not over_old_twin:]
+    assert read_matrix(path).tobytes() == values.tobytes()
+    assert parsed == [str(path)]
+
+
+def test_move_matrix_takes_the_twin_along(tmp_path):
+    big, small, dest = tmp_path / "big.tsv", tmp_path / "small.tsv", tmp_path / "d.tsv"
+    write_matrix(np.eye(10), big)
+    write_matrix(np.eye(2), small)
+    write_matrix(np.ones((10, 10)), dest)
+    formats.move_matrix(big, dest)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".d.tsv.twin", "d.tsv", "small.tsv"]
+    assert np.array_equal(read_matrix(dest), np.eye(10))
+    formats.move_matrix(small, dest)  # no twin to move: the old one goes
+    assert [p.name for p in tmp_path.iterdir()] == ["d.tsv"]
+    assert np.array_equal(read_matrix(dest), np.eye(2))
+
+
+def test_twin_read_peak_memory_is_bounded(tmp_path, parsed):
+    # The values go straight from the twin into the result, and the text is
+    # hashed a fixed-size chunk at a time: one n x n array, plus that chunk.
+    hops = np.random.default_rng(22).integers(0, 7, size=(1000, 1000)).astype(float)
+    path = tmp_path / "m.tsv"
+    write_matrix(hops, path)
+    tracemalloc.start()
+    try:
+        back = read_matrix(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed == []
+    assert back.tobytes() == hops.tobytes()
+    assert peak < hops.nbytes + formats._HASH_BYTES
+
+
 def test_write_json_bytes_and_no_leftovers(tmp_path):
     path = tmp_path / "meta.json"
     write_json({"b": [1, 2], "a": None}, path)
