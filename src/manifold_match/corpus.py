@@ -209,7 +209,11 @@ class LabeledCorpus:
         registered graph matrix whose manifest records another ``cap`` or
         ``max_hops`` is a ``ConfigError`` (unrecorded settings are not
         compared). Otherwise the geodesic view of the domain's edges or the
-        cosine view of its features is built on first use and kept.
+        cosine view of its features is built on first use and kept. A built
+        geodesic view holds its hop counts in ``np.min_scalar_type(cap)``
+        (one byte per entry when ``cap`` is at most 255; float64 when no
+        unsigned type holds ``cap``), so cast it to float before any
+        arithmetic that could wrap.
         """
         data = self.domain(domain)
         if kind in data.dissimilarities:
@@ -232,10 +236,14 @@ class LabeledCorpus:
             )
         key = _view_key(domain, kind, cap, max_hops)
         if key not in self._views:
-            self._views[key] = (
-                graph_geodesic(source, self.n_total, cap=cap, max_hops=max_hops)
-                if kind == "graph" else cosine_dissimilarity(source)
-            )
+            if kind == "graph":
+                dtype = np.min_scalar_type(cap)
+                self._views[key] = graph_geodesic(
+                    source, self.n_total, cap=cap, max_hops=max_hops,
+                    dtype=dtype if dtype.kind == "u" else np.float64,
+                )
+            else:
+                self._views[key] = cosine_dissimilarity(source)
         return self._views[key]
 
     def class_sizes(self) -> dict[int, int]:

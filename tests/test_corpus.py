@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,21 @@ class TestView:
         text = corpus.view("domain1", "text", 6, 4)
         assert corpus.view("domain1", "text", 32, 30) is text
         assert np.array_equal(text, cosine_dissimilarity(corpus.domains[1].features))
+
+    def test_built_geodesic_view_is_narrow(self):
+        # A kept geodesic view holds one byte per entry at cap <= 255, and its
+        # build never holds the n x n float64 array a float result would be.
+        corpus = synthesize_corpus(31, 1382, 2, 5, 0.8)
+        n = corpus.n_total
+        tracemalloc.start()
+        try:
+            graph = corpus.view("domain0", "graph", 32, 30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * n * n
+        assert graph.nbytes < 2 * n * n
+        assert graph.dtype == np.uint8
 
     def test_unknown_kind_or_missing_source_is_config_error(self):
         corpus = synthesize_corpus(5, 40, 2, 3, 0.2)

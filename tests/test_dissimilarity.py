@@ -180,6 +180,28 @@ class TestGraphGeodesicProperties:
             graph_geodesic(varied, n, cap=cap, max_hops=max_hops), expected
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs())
+    def test_narrow_dtype_holds_the_float_result(self, graph):
+        edges, n, cap, max_hops = graph
+        dtype = np.min_scalar_type(cap)
+        narrow = graph_geodesic(edges, n, cap=cap, max_hops=max_hops, dtype=dtype)
+        assert narrow.dtype == dtype
+        assert not narrow.flags.writeable
+        assert np.array_equal(narrow, graph_geodesic(edges, n, cap=cap, max_hops=max_hops))
+
+
+@pytest.mark.parametrize("dtype, cap, max_hops, n", [
+    (np.uint8, 300, 4, 2),
+    (np.float64, 2**53 + 1, 4, 2),
+    (bool, 6, 4, 2),
+    # float16 holds 4096 but not the hop count 2049
+    (np.float16, 4096, 4000, 2050),
+])
+def test_dtype_that_cannot_hold_cap_or_a_hop_count_rejected(dtype, cap, max_hops, n):
+    with pytest.raises(ValidationError, match=f"cannot hold cap={cap} and every hop count"):
+        graph_geodesic([(0, 1)], n, cap=cap, max_hops=max_hops, dtype=dtype)
+
 
 @st.composite
 def feature_rows(draw):

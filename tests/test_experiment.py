@@ -769,6 +769,32 @@ class TestViewsKeptOnCorpus:
             config, corpus=golden_corpus()
         )
 
+    @pytest.mark.parametrize("cap", [32, 2**70], ids=["narrow", "float"])
+    @pytest.mark.parametrize("method", ["gcca", "cca"])
+    def test_built_views_give_the_report_of_float_matrices(self, cap, method):
+        # The corpus keeps a geodesic view as hop counts in the narrowest
+        # unsigned type that holds cap, float64 when none does; the report
+        # (cells and warnings) is that of the same views given as float64.
+        overrides = {"combinations": ("GF->GE", "TF->GE"), "averaged_views": {}}
+        config = make_config(
+            cap=cap, shared_dim=7, method=method, **(overrides if method == "cca" else {})
+        )
+        built = golden_corpus()
+        domains = tuple(
+            DomainData(d.name, d.features, d.edges, {
+                "graph": graph_geodesic(d.edges, built.n_total, cap=cap, max_hops=30),
+            })
+            for d in built.domains
+        )
+        given = LabeledCorpus(built.object_ids, built.labels, domains)
+        report = run_experiment(config, corpus=built)
+        assert report.warnings
+        assert report == run_experiment(config, corpus=given)
+        assert built.view("domain0", "graph", cap, 30).dtype == (
+            np.uint8 if cap == 32 else np.float64
+        )
+        assert given.view("domain0", "graph", cap, 30).dtype == np.float64
+
 
 class TestWholePoolFitsKeptOnCorpus:
     WHOLE_POOL = dict(replicates=1, schedule=((1.0, 8),))
