@@ -6,23 +6,19 @@ rest on tabs; a log, whose lines are compared as written, by :func:`read_lines`;
 a JSON file (manifest, metadata, config) by :func:`read_json`.
 Text that is not UTF-8, or not JSON where JSON is expected, is a ``FormatError``
 naming the file, and a malformed line one naming ``path:line``.
-:func:`read_matrix` accepts exactly what that line loop accepts: rows of
-tab-separated reals that Python's ``float`` parses, all of one length. It
-parses with ``np.loadtxt``, which accepts a subset of those files (no ``1_0``,
-no non-ASCII digits, no trailing tab, no whitespace-only line) and gives the
-same bits on it, and runs the line loop only on what ``np.loadtxt`` refuses,
-a blank file and a pipe.
+A matrix file is rows of tab-separated reals that Python's ``float`` parses,
+all of one length; :func:`read_matrix` parses it in one pass of that line
+loop, unless its twin matches.
 
-A matrix file of at least ``_TWIN_VALUES`` values that :func:`write_matrix`
-wrote has a binary twin beside it, ``.<name>.twin``: the byte size and
-SHA-256 of the text, its shape, and the float64 values a parse of the text
-gives (every NaN as ``nan`` reads), 8 bytes a value. :func:`read_matrix`
-returns the twin's values when its recorded size and digest match the file
-as it is on disk, which it hashes ``_HASH_BYTES`` at a time, and parses the
-text otherwise: a file the toolkit did not write, a pipe, a twin that is
-stale, short or not a twin. A twin that matches is trusted as the toolkit's
-own file: its values are not checked against the text. Deleting one is
-always safe.
+A matrix file that :func:`write_matrix` wrote has a binary twin beside it,
+``.<name>.twin``: the byte size and SHA-256 of the text, its shape, and the
+float64 values a parse of the text gives (every NaN as ``nan`` reads), 8
+bytes a value. :func:`read_matrix` returns the twin's values when its
+recorded size and digest match the file as it is on disk, which it hashes
+``_HASH_BYTES`` at a time, and parses the text otherwise: a file the toolkit
+did not write, a pipe, a twin that is stale, short or not a twin. A twin that
+matches is trusted as the toolkit's own file: its values are not checked
+against the text. Deleting one is always safe.
 
 Writing: every file, twins too, is written to a temporary sibling renamed
 over it (:func:`write_lines`), so a failed write leaves the previous file (or
@@ -52,9 +48,6 @@ __all__ = ["move_matrix", "read_json", "read_lines", "read_matrix", "read_record
 
 # Values per block of rows formatted together by write_matrix.
 _BLOCK_FLOATS = 1 << 16
-# Values a matrix needs for write_matrix to give it a twin: below this,
-# parsing the text costs about what checking a twin does (tens of us).
-_TWIN_VALUES = 64
 # Bytes of a matrix file hashed at a time.
 _HASH_BYTES = 1 << 18
 # A twin's header: magic, the text's byte size and SHA-256, rows, columns.
@@ -65,23 +58,17 @@ _TWIN_MAGIC = b"MMTWIN1\n"
 def read_lines(path):
     """Yield each line of ``path`` without its newline."""
     with open(path, "r", encoding="utf-8") as fh:
-        yield from _lines(fh, path)
+        try:
+            for line in fh:
+                yield line.rstrip("\n")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
-def _lines(fh, path):
-    """``read_lines`` of ``fh``, a text handle open on ``path``."""
-    try:
-        for line in fh:
-            yield line.rstrip("\n")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-
-
-def read_records(path, lines=None):
+def read_records(path):
     """Yield ``(line number, tab-separated fields)`` for each non-blank line
-    of ``path`` (or of its ``lines``, when they are already being read),
-    stripped of surrounding whitespace."""
-    for lineno, line in enumerate(read_lines(path) if lines is None else lines, start=1):
+    of ``path``, stripped of surrounding whitespace."""
+    for lineno, line in enumerate(read_lines(path), start=1):
         line = line.strip()
         if line:
             yield lineno, line.split("\t")
@@ -97,26 +84,11 @@ def read_json(path):
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a float matrix file, from its twin when that matches it;
-    malformed input raises ``FormatError`` naming ``path:line``."""
+    """Read a float matrix file, from its twin when that matches it and by
+    the line loop otherwise; malformed input raises ``FormatError`` naming
+    ``path:line``."""
     values = _read_twin(path)
-    if values is not None:
-        return values
-    with open(path, "r", encoding="utf-8") as fh:
-        # The line loop alone reads a pipe, which cannot be rewound, and a
-        # blank file, on which np.loadtxt would warn that it found no data.
-        # It reads ``fh`` itself: a FIFO opened again after its writer closed
-        # would wait for another writer. np.loadtxt gets the handle, not the
-        # path: given a path it would read a ``.gz`` name decompressed, and a URL.
-        if fh.seekable():
-            try:
-                if any(chunk.strip() for chunk in iter(lambda: fh.read(1 << 16), "")):
-                    fh.seek(0)
-                    return np.loadtxt(fh, dtype=float, delimiter="\t", comments=None, ndmin=2)
-            except ValueError:  # a UnicodeDecodeError too
-                pass
-            fh.seek(0)
-        return _read_matrix_by_line(path, _lines(fh, path))
+    return _read_matrix_by_line(path) if values is None else values
 
 
 def _twin_path(path):
@@ -159,11 +131,11 @@ def _read_twin(path):
         return None
 
 
-def _read_matrix_by_line(path, lines=None):
-    """``read_matrix`` for the files np.loadtxt refuses: the line loop states
-    what a matrix file is, and names the line that breaks it."""
+def _read_matrix_by_line(path):
+    """``read_matrix`` of the text: the line loop states what a matrix file
+    is, and names the line that breaks it."""
     rows = []
-    for lineno, fields in read_records(path, lines):
+    for lineno, fields in read_records(path):
         try:
             row = np.array(fields, dtype=float)
         except ValueError as exc:
@@ -210,8 +182,7 @@ def _replace(path, mode, fill):
 
 def write_matrix(values, path):
     """Write a non-empty 2-D array as a matrix file (round-trip exact), then
-    its twin if it has ``_TWIN_VALUES`` values or more. A failed twin write
-    raises with the text in place."""
+    its twin. A failed twin write raises with the text in place."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or 0 in values.shape:
         raise ValidationError(
@@ -219,10 +190,7 @@ def write_matrix(values, path):
             f"got shape {values.shape}"
         )
     write_lines(path, _matrix_lines(values))
-    if values.size >= _TWIN_VALUES:
-        _write_twin(values, path)
-    else:
-        _twin_path(path).unlink(missing_ok=True)
+    _write_twin(values, path)
 
 
 def _write_twin(values, path):
@@ -245,12 +213,9 @@ def _write_twin(values, path):
 
 def move_matrix(source, path):
     """Rename the matrix file ``source`` over ``path``, and its twin over
-    ``path``'s (a twin of ``path`` that ``source`` lacks is removed)."""
+    ``path``'s."""
     Path(source).replace(path)
-    try:
-        _twin_path(source).replace(_twin_path(path))
-    except FileNotFoundError:
-        _twin_path(path).unlink(missing_ok=True)
+    _twin_path(source).replace(_twin_path(path))
 
 
 def _matrix_lines(values):

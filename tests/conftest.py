@@ -46,3 +46,13 @@ def fail_writing(monkeypatch):
         monkeypatch.setattr(formats, "open", failing_open, raising=False)
 
     return arm
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """The paths whose text ``read_matrix`` parses rather than reads from a twin."""
+    paths = []
+    by_line = formats._read_matrix_by_line
+    monkeypatch.setattr(formats, "_read_matrix_by_line",
+                        lambda path: paths.append(str(path)) or by_line(path))
+    return paths

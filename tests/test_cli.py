@@ -155,7 +155,8 @@ class TestDissim:
     ):
         # A re-registration at 3/1 writes the manifest twice: without the old
         # 6/4 entry, then with the new one. Whichever write fails, a 6/4 view
-        # must not read the 3/1 matrix.
+        # must not read the 3/1 matrix, the matrix left in place has its own
+        # twin beside it, and no staged file is left.
         corpus_dir = path_graph_corpus(tmp_path)
         assert main(["dissim", str(corpus_dir), "--domain", "eng", "--kind", "graph"]) == 0
         matrix = corpus_dir / "eng" / "dissim_graph.tsv"
@@ -169,39 +170,16 @@ class TestDissim:
         assert code == 2
         assert "error: disk full" in capsys.readouterr().err
         assert read_matrix(matrix)[0, 2] == (2, 3)[skip]
+        from_twin = formats._read_twin(matrix)
+        assert from_twin is not None and from_twin[0, 2] == (2, 3)[skip]
         corpus = load_corpus(corpus_dir)
         assert ("graph" in corpus.domains[0].dissimilarities) == (skip == 0)
         view = corpus.view("eng", "graph", 6, 4)
         assert np.array_equal(view, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         assert sorted(p.name for p in (corpus_dir / "eng").iterdir()) == [
-            "dissim_graph.tsv", "edges.tsv", "features.tsv",
-        ]
-
-    @pytest.mark.parametrize("skip", [0, 1], ids=["dropping_old_entry", "recording_new_entry"])
-    def test_failed_reregistration_keeps_each_twin_with_its_matrix(
-        self, tmp_path, monkeypatch, capsys, fail_writing, skip
-    ):
-        # As above, with a twin for every matrix file: the matrix left in place
-        # has its own twin beside it, and no staged file is left.
-        monkeypatch.setattr(formats, "_TWIN_VALUES", 1)
-        corpus_dir = path_graph_corpus(tmp_path)
-        assert main(["dissim", str(corpus_dir), "--domain", "eng", "--kind", "graph"]) == 0
-        matrix = corpus_dir / "eng" / "dissim_graph.tsv"
-
-        fail_writing("manifest.json", writes=1, skip=skip)
-        code = main([
-            "dissim", str(corpus_dir), "--domain", "eng", "--kind", "graph",
-            "--cap", "3", "--max-hops", "1",
-        ])
-        assert code == 2
-        assert "error: disk full" in capsys.readouterr().err
-        assert sorted(p.name for p in (corpus_dir / "eng").iterdir()) == [
             ".dissim_graph.tsv.twin", ".features.tsv.twin",
             "dissim_graph.tsv", "edges.tsv", "features.tsv",
         ]
-        monkeypatch.setattr(np, "loadtxt", _no_parse)
-        monkeypatch.setattr(formats, "_read_matrix_by_line", _no_parse)
-        assert formats.read_matrix(matrix)[0, 2] == (2, 3)[skip]
 
     def test_reregistration_replaces_matrix_and_settings(self, tmp_path):
         corpus_dir = path_graph_corpus(tmp_path)
@@ -492,10 +470,6 @@ class TestPipelineFlow:
         assert not out.exists()
 
 
-def _no_parse(*args, **kwargs):
-    raise AssertionError("the text was parsed")
-
-
 def experiment_config(tmp_path, corpus_dir, **overrides):
     config = {
         "corpus": str(corpus_dir),
@@ -660,9 +634,10 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
 
 
-def test_registered_matrices_are_read_from_their_twins(tmp_path, monkeypatch, capsys):
-    # dissim -> mds -> experiment: every matrix read after the writes comes
-    # from a twin, and the experiment writes the same bytes with the twins gone.
+def test_registered_matrices_are_read_from_their_twins(tmp_path, parsed, capsys):
+    # dissim -> mds -> align -> classify -> experiment: every matrix read
+    # after the writes comes from a twin, and the experiment writes the same
+    # bytes with the twins gone.
     corpus_dir = tmp_path / "corpus"
     main([
         "synth", "--seed", "21", "--objects", "120", "--domains", "2",
@@ -672,15 +647,19 @@ def test_registered_matrices_are_read_from_their_twins(tmp_path, monkeypatch, ca
         argv = ["dissim", str(corpus_dir), "--domain", domain, "--kind", kind]
         assert main(argv + ["--cap", "32", "--max-hops", "30"]) == 0
     config = experiment_config(tmp_path, corpus_dir)
-    parsed = []
-    loadtxt, by_line = np.loadtxt, formats._read_matrix_by_line
-    monkeypatch.setattr(np, "loadtxt", lambda fh, *a, **k: parsed.append(fh.name) or loadtxt(fh, *a, **k))
-    monkeypatch.setattr(formats, "_read_matrix_by_line",
-                        lambda p, lines=None: parsed.append(p) or by_line(p, lines))
+    labels = tmp_path / "labels.txt"
+    labels.write_text("".join(f"{x}\n" for x in load_corpus(corpus_dir).labels))
+    parsed.clear()
 
-    argv = ["mds", str(corpus_dir / "domain0" / "dissim_graph.tsv"), "--dim", "8",
-            "--out", str(tmp_path / "emb.tsv")]
+    for domain, kind in (("domain0", "graph"), ("domain1", "text")):
+        argv = ["mds", str(corpus_dir / domain / f"dissim_{kind}.tsv"), "--dim", "8",
+                "--out", str(tmp_path / f"emb_{kind}.tsv")]
+        assert main(argv) == 0
+    embeddings = [str(tmp_path / "emb_graph.tsv"), str(tmp_path / "emb_text.tsv")]
+    argv = ["align", *embeddings, "--method", "gcca", "--dim", "5", "--out", str(tmp_path / "maps")]
     assert main(argv) == 0
+    assert main(["classify", "--train", embeddings[1], "--test", embeddings[0],
+                 "--labels", str(labels), "--maps", str(tmp_path / "maps")]) == 0
     assert main(["experiment", "--config", str(config), "--out", str(tmp_path / "run1")]) == 0
     assert parsed == []
 

@@ -4,6 +4,7 @@ import os
 import re
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,8 +186,8 @@ def test_malformed_input_names_line(tmp_path, text, where):
         read_matrix(path)
 
 
-# Tokens np.loadtxt parses as Python's float does, then tokens only the line
-# loop accepts (an underscore, a full-width digit) or neither does.
+# Tokens Python's float parses in their plain form, then tokens it parses in
+# another form (an underscore, a full-width digit) or refuses.
 _GOOD_TOKENS = ["0", "1.5", "-2e-3", "nan", "-nan", "inf", "-inf", "-0.0", "5e-324", "1e999",
                 " 7", "8 "]
 _TOKENS = [*_GOOD_TOKENS, "1_0", "\uff11", "x", "", "1 2", "0x1p3", "#1"]
@@ -227,23 +228,45 @@ def matrix_files(draw):
 @example("1\t2\n\n \n3\tx\n")
 @example("1\t2\r\n\t\r\n3\r\n")
 def test_reader_matches_line_loop(tmp_path_factory, text):
-    # read_matrix gives the line loop's array bit for bit, or its error.
+    # read_matrix gives the oracle's array bit for bit, or an error naming
+    # the oracle's first bad line.
     path = tmp_path_factory.mktemp("diff") / "m.tsv"
     path.write_bytes(text.encode("utf-8"))
-    try:
-        expected = formats._read_matrix_by_line(path)
-    except FormatError as exc:
+    expected, bad = _oracle(text)
+    if bad is not None:
         with pytest.raises(FormatError) as raised:
             read_matrix(path)
-        assert str(raised.value) == str(exc)
-        return
-    values = read_matrix(path)
-    assert values.dtype == expected.dtype and values.shape == expected.shape
-    assert values.tobytes() == expected.tobytes()
+        assert str(raised.value).startswith(f"{path}:{bad}: ")
+    elif not expected:
+        with pytest.raises(FormatError, match="no matrix rows"):
+            read_matrix(path)
+    else:
+        expected = np.array(expected, dtype=np.float64)
+        values = read_matrix(path)
+        assert values.dtype == expected.dtype and values.shape == expected.shape
+        assert values.tobytes() == expected.tobytes()
+
+
+def _oracle(text):
+    """The rows of floats the matrix file ``text`` holds and None, or None
+    and the number of its first bad line."""
+    rows = []
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = [float(token) for token in line.split("\t")]
+        except ValueError:
+            return None, lineno
+        if rows and len(row) != len(rows[0]):
+            return None, lineno
+        rows.append(row)
+    return rows, None
 
 
 def test_reader_reads_a_gz_name_as_text(tmp_path):
-    # np.loadtxt given a path would open it decompressed.
+    # A .gz name is read as the bytes it holds, which are not UTF-8 text.
     path = tmp_path / "m.gz"
     with gzip.open(path, "wt") as fh:
         fh.write("1\t2\n")
@@ -273,29 +296,6 @@ def test_reader_reads_a_pipe_once():
 
 def twin(path):
     return path.with_name(f".{path.name}.twin")
-
-
-def _no_parse(*args, **kwargs):
-    raise AssertionError("the text was parsed")
-
-
-@pytest.fixture
-def parsed(monkeypatch):
-    """The paths whose text read_matrix parses, by np.loadtxt or the line loop."""
-    paths = []
-    loadtxt, by_line = np.loadtxt, formats._read_matrix_by_line
-
-    def spy_loadtxt(fh, *args, **kwargs):
-        paths.append(str(fh.name))
-        return loadtxt(fh, *args, **kwargs)
-
-    def spy_by_line(path, lines=None):
-        paths.append(str(path))
-        return by_line(path, lines)
-
-    monkeypatch.setattr(np, "loadtxt", spy_loadtxt)
-    monkeypatch.setattr(formats, "_read_matrix_by_line", spy_by_line)
-    return paths
 
 
 def _int64(bits):
@@ -331,28 +331,16 @@ def test_twin_holds_what_the_text_parses_to(tmp_path_factory, values, block_floa
     path = tmp_path_factory.mktemp("twin") / "m.tsv"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(formats, "_BLOCK_FLOATS", block_floats)
-        patch.setattr(formats, "_TWIN_VALUES", 1)
         write_matrix(values, path)
     expected = formats._read_matrix_by_line(path)
     # Every NaN reads back as the one "nan" parses to; every other value as written.
     assert expected.tobytes() == np.where(np.isnan(values), np.nan, values).tobytes()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np, "loadtxt", _no_parse)
-        patch.setattr(formats, "_read_matrix_by_line", _no_parse)
-        from_twin = read_matrix(path)
+    from_twin = formats._read_twin(path)
     twin(path).unlink()
     from_text = read_matrix(path)
     for back in (from_twin, from_text):
         assert back.dtype == expected.dtype and back.shape == expected.shape
         assert back.tobytes() == expected.tobytes()
-
-
-def test_small_matrix_has_no_twin(tmp_path):
-    path = tmp_path / "m.tsv"
-    write_matrix(np.ones((8, 8)), path)
-    assert twin(path).is_file()
-    write_matrix(np.ones((7, 9)), path)  # 63 values: parsed as fast as a twin is checked
-    assert [p.name for p in tmp_path.iterdir()] == ["m.tsv"]
 
 
 def _edit_a_digit(path, other):
@@ -415,8 +403,8 @@ def test_twin_that_matches_is_read(tmp_path, parsed):
 
 
 def test_fifo_beside_a_twin_is_parsed(tmp_path, monkeypatch, parsed):
-    # The writer is done and gone before the text is parsed: a reader that
-    # opened the FIFO a second time would then wait for another writer.
+    # The writer is done and gone once the reader has opened the FIFO: a
+    # reader that opened it a second time would then wait for another writer.
     path, other = tmp_path / "m.tsv", tmp_path / "o.tsv"
     values = np.arange(100.0).reshape(10, 10)
     write_matrix(values, path)
@@ -429,13 +417,13 @@ def test_fifo_beside_a_twin_is_parsed(tmp_path, monkeypatch, parsed):
         with open(path, "wb") as fh:
             fh.write(text)
 
-    by_line = formats._read_matrix_by_line
+    def open_then_wait(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        if Path(file) == path:
+            writer.join(timeout=30)
+        return fh
 
-    def after_writer(*args):
-        writer.join(timeout=30)
-        return by_line(*args)
-
-    monkeypatch.setattr(formats, "_read_matrix_by_line", after_writer)
+    monkeypatch.setattr(formats, "open", open_then_wait, raising=False)
     read = []
     writer = threading.Thread(target=feed)
     reader = threading.Thread(target=lambda: read.append(read_matrix(path)), daemon=True)
@@ -467,17 +455,20 @@ def test_failed_twin_write_leaves_no_twin_that_matches(tmp_path, fail_writing, p
     assert parsed == [str(path)]
 
 
-def test_move_matrix_takes_the_twin_along(tmp_path):
+def test_move_matrix_takes_the_twin_along(tmp_path, parsed):
     big, small, dest = tmp_path / "big.tsv", tmp_path / "small.tsv", tmp_path / "d.tsv"
     write_matrix(np.eye(10), big)
     write_matrix(np.eye(2), small)
     write_matrix(np.ones((10, 10)), dest)
     formats.move_matrix(big, dest)
-    assert sorted(p.name for p in tmp_path.iterdir()) == [".d.tsv.twin", "d.tsv", "small.tsv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        ".d.tsv.twin", ".small.tsv.twin", "d.tsv", "small.tsv",
+    ]
     assert np.array_equal(read_matrix(dest), np.eye(10))
-    formats.move_matrix(small, dest)  # no twin to move: the old one goes
-    assert [p.name for p in tmp_path.iterdir()] == ["d.tsv"]
+    formats.move_matrix(small, dest)  # a matrix of any size has a twin
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".d.tsv.twin", "d.tsv"]
     assert np.array_equal(read_matrix(dest), np.eye(2))
+    assert parsed == []
 
 
 def test_twin_read_peak_memory_is_bounded(tmp_path, parsed):
