@@ -155,8 +155,7 @@ class TestDissim:
     ):
         # A re-registration at 3/1 writes the manifest twice: without the old
         # 6/4 entry, then with the new one. Whichever write fails, a 6/4 view
-        # must not read the 3/1 matrix, the matrix left in place has its own
-        # twin beside it, and no staged file is left.
+        # must not read the 3/1 matrix.
         corpus_dir = path_graph_corpus(tmp_path)
         assert main(["dissim", str(corpus_dir), "--domain", "eng", "--kind", "graph"]) == 0
         matrix = corpus_dir / "eng" / "dissim_graph.tsv"
@@ -170,16 +169,41 @@ class TestDissim:
         assert code == 2
         assert "error: disk full" in capsys.readouterr().err
         assert read_matrix(matrix)[0, 2] == (2, 3)[skip]
-        from_twin = formats._read_twin(matrix)
-        assert from_twin is not None and from_twin[0, 2] == (2, 3)[skip]
         corpus = load_corpus(corpus_dir)
         assert ("graph" in corpus.domains[0].dissimilarities) == (skip == 0)
         view = corpus.view("eng", "graph", 6, 4)
         assert np.array_equal(view, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+
+    @pytest.mark.parametrize("skip", [0, 1], ids=["dropping_old_entry", "recording_new_entry"])
+    def test_failed_reregistration_keeps_each_twin_with_its_matrix(
+        self, tmp_path, monkeypatch, capsys, fail_writing, skip
+    ):
+        # As above: the matrix left in place has its own twin beside it, is
+        # read back from that twin, and no staged file is left.
+        corpus_dir = path_graph_corpus(tmp_path)
+        assert main(["dissim", str(corpus_dir), "--domain", "eng", "--kind", "graph"]) == 0
+        matrix = corpus_dir / "eng" / "dissim_graph.tsv"
+
+        fail_writing("manifest.json", writes=1, skip=skip)
+        code = main([
+            "dissim", str(corpus_dir), "--domain", "eng", "--kind", "graph",
+            "--cap", "3", "--max-hops", "1",
+        ])
+        monkeypatch.undo()
+        assert code == 2
+        assert "error: disk full" in capsys.readouterr().err
         assert sorted(p.name for p in (corpus_dir / "eng").iterdir()) == [
             ".dissim_graph.tsv.twin", ".features.tsv.twin",
             "dissim_graph.tsv", "edges.tsv", "features.tsv",
         ]
+        from_twin = formats._read_twin(matrix)
+        assert from_twin is not None and from_twin[0, 2] == (2, 3)[skip]
+        parsed = []
+        by_line = formats._read_matrix_by_line
+        monkeypatch.setattr(formats, "_read_matrix_by_line",
+                            lambda path: parsed.append(path) or by_line(path))
+        assert formats.read_matrix(matrix)[0, 2] == (2, 3)[skip]
+        assert parsed == []
 
     def test_reregistration_replaces_matrix_and_settings(self, tmp_path):
         corpus_dir = path_graph_corpus(tmp_path)
