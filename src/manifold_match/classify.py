@@ -16,15 +16,8 @@ neighbors come by distance, then by smallest training index.
 
 Distances are built one coordinate at a time: the training points are held
 transposed, one contiguous row per coordinate, and each coordinate's squared
-differences form one (queries, m) array. They add up in the order
-``np.add.reduce`` adds a contiguous row of p squares (numpy's pairwise
-summation), so every distance has the bits of ``np.linalg.norm`` of the
-C-ordered difference, whatever the layout of the inputs:
-
-- p < 8: left to right;
-- 8 <= p <= 128: eight interleaved partial sums, combined as
-  ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the last ``p % 8`` one by one;
-- p > 128: the two halves split at ``p//2 - (p//2) % 8``, each summed alike.
+differences form one (queries, m) array. They add into one running total left
+to right, coordinate 0 first, whatever the layout of the inputs.
 """
 
 from __future__ import annotations
@@ -43,14 +36,10 @@ __all__ = [
     "average_views",
 ]
 
-# Floats per (queries, m) block of distances. Summing p >= 8 coordinates holds
-# nine such arrays at once (eight partial sums and a temporary), one more per
-# halving above 128 coordinates; nothing holds an m^2 * p temporary.
+# Floats per (queries, m) block of distances. Summing the coordinates holds two
+# such arrays at once (the running total and one coordinate's squares); nothing
+# holds an m^2 * p temporary.
 _BLOCK_FLOATS = 1 << 16
-# np.add.reduce's pairwise summation: how its eight partial sums combine, and
-# the longest run it sums without splitting in two.
-_LANE_PAIRS = ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4))
-_PAIRWISE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -111,28 +100,12 @@ def _square(cols, queries, k, out=None):
     return np.multiply(out, out, out=out)
 
 
-def _squared_distances(cols, queries, lo, hi):
-    """Squared distances from each query row to each column of ``cols`` (p, m)
-    over coordinates lo..hi-1, added as ``np.add.reduce`` adds a contiguous
-    row."""
-    n = hi - lo
-    if n > _PAIRWISE_BLOCK:
-        half = lo + n // 2 - (n // 2) % 8
-        total = _squared_distances(cols, queries, lo, half)
-        total += _squared_distances(cols, queries, half, hi)
-        return total
+def _squared_distances(cols, queries):
+    """Squared distances from each query row to each column of ``cols`` (p, m),
+    the coordinates' squared differences added left to right."""
     buf = np.empty((len(queries), cols.shape[1]))
-    if n < 8:
-        total = _square(cols, queries, lo) if n else np.zeros_like(buf)
-        tail = lo + 1
-    else:
-        lanes = [_square(cols, queries, k) for k in range(lo, lo + 8)]
-        for k in range(lo + 8, hi - n % 8):
-            lanes[(k - lo) % 8] += _square(cols, queries, k, buf)
-        for a, b in _LANE_PAIRS:
-            lanes[a] += lanes[b]
-        total, tail = lanes[0], hi - n % 8
-    for k in range(tail, hi):
+    total = _square(cols, queries, 0) if len(cols) else np.zeros_like(buf)
+    for k in range(1, len(cols)):
         total += _square(cols, queries, k, buf)
     return total
 
@@ -150,7 +123,7 @@ def _knn(points, labels, queries, kappa, leave_one_out):
     near_dist = np.empty((q, kappa))
     for start in range(0, q, rows):
         block = slice(start, start + rows)
-        dist = _squared_distances(cols, queries[block], 0, len(cols))
+        dist = _squared_distances(cols, queries[block])
         np.sqrt(dist, out=dist)
         if leave_one_out:
             np.fill_diagonal(dist[:, start:], np.inf)

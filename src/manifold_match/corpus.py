@@ -331,10 +331,18 @@ def register_dissimilarity(path, domain_name, kind, values, cap=None, max_hops=N
     manifest = read_json(manifest_path)
     ddir = _domain_dir(domain_name)
     rel = f"{ddir}/dissim_{kind}.tsv"
-    domain = next((d for d in manifest["domains"] if d["name"] == domain_name), None)
+    try:
+        domain = next((d for d in manifest["domains"] if d["name"] == domain_name), None)
+    except (KeyError, TypeError) as exc:
+        raise FormatError(f"{manifest_path}: missing or malformed field {exc}") from None
     if domain is None:
         raise ValidationError(f"{manifest_path}: no domain named {domain_name!r}")
-    entries = domain.setdefault("dissimilarities", {})
+    entries = domain.get("dissimilarities") or {}
+    if not isinstance(entries, dict):
+        raise FormatError(
+            f"{manifest_path}: domain {domain_name!r} dissimilarities {entries!r} is not an object"
+        )
+    domain["dissimilarities"] = entries
     with tempfile.TemporaryDirectory(dir=root / ddir) as stage:
         staged = Path(stage) / f"dissim_{kind}.tsv"
         save_dissimilarity_tsv(values, staged)
@@ -359,11 +367,14 @@ def load_corpus(path) -> LabeledCorpus:
     manifest = read_json(manifest_path)
     try:
         objects = manifest["objects"]
-        ids = [str(i) for i in objects["ids"]]
-        labels = objects["labels"]
+        ids, labels = objects["ids"], objects["labels"]
         domain_entries = manifest["domains"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{manifest_path}: missing or malformed field {exc}") from None
+    for key, value in (("ids", ids), ("labels", labels)):
+        if not isinstance(value, list):
+            raise FormatError(f"{manifest_path}: objects.{key} is not a list: {value!r}")
+    ids = [str(i) for i in ids]
     if len(ids) == 0:
         raise IntegrityError(f"{manifest_path}: corpus has zero objects")
     if len(labels) != len(ids):

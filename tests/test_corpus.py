@@ -420,6 +420,51 @@ class TestLoaderErrors:
         assert str(path) in err
         assert f"domain 'd0' {key} entry" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("ids", "abc"), ("ids", {"a": 0, "b": 1, "c": 2}), ("labels", "010"), ("labels", {"a": 0}),
+    ], ids=["ids_string", "ids_object", "labels_string", "labels_object"])
+    def test_object_ids_and_labels_must_be_lists(self, tmp_path, key, value):
+        # A string or an object would otherwise iterate as its characters or keys.
+        save_corpus(small_corpus(), tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["objects"][key] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=f"objects.{key} is not a list") as info:
+            load_corpus(tmp_path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.pop("domains"),
+        lambda m: m.update(domains=7),
+        lambda m: m["domains"].insert(0, "d0"),
+        lambda m: m["domains"][0].pop("name"),
+        lambda m: m["domains"][0].update(dissimilarities=["graph"]),
+        lambda m: m["domains"][0].update(dissimilarities="graph"),
+    ], ids=["no_domains", "domains_not_a_list", "string_domain", "nameless_domain",
+            "dissimilarities_list", "dissimilarities_string"])
+    def test_register_reports_a_malformed_manifest(self, tmp_path, edit):
+        save_corpus(small_corpus(), tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        with pytest.raises(FormatError) as info:
+            register_dissimilarity(tmp_path, "d0", "text", np.zeros((3, 3)))
+        assert str(path) in str(info.value)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_register_into_null_dissimilarities(self, tmp_path):
+        # load_corpus reads a null entry as no matrices; registration does too.
+        save_corpus(small_corpus(), tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["domains"][0]["dissimilarities"] = None
+        path.write_text(json.dumps(manifest))
+        register_dissimilarity(tmp_path, "d0", "text", np.ones((3, 3)) - np.eye(3))
+        assert "text" in load_corpus(tmp_path).domain("d0").dissimilarities
+
     def test_feature_row_count_checked(self, tmp_path):
         corpus = small_corpus()
         save_corpus(corpus, tmp_path)
