@@ -129,7 +129,8 @@ class LabeledCorpus:
     The geodesic and cosine views :meth:`view` builds from a domain are kept
     in ``_views`` for later calls on the same object. ``_fits`` keeps the
     read-only MDS fits of whole relation pools that ``run_experiment`` makes
-    on this object, keyed by view, pool and dimension, for the same reuse.
+    on this object, each with the prescale factor its view took, keyed by
+    view, pool and dimension, for the same reuse.
     """
 
     object_ids: tuple[str, ...]
@@ -314,6 +315,36 @@ def save_corpus(corpus, path):
     write_json(manifest, root / "manifest.json")
 
 
+_EXPECTED = {dict: "an object", list: "a list"}
+# Labels are kept as int64.
+_LABEL_MAX = np.iinfo(np.int64).max
+
+
+def _field(manifest_path, parent, key, expected, name):
+    """``parent[key]`` when it is of type ``expected``; a missing field or
+    one of another type is a ``FormatError`` naming ``name`` and the type
+    expected."""
+    if key not in parent:
+        raise FormatError(f"{manifest_path}: missing field {name}")
+    value = parent[key]
+    if not isinstance(value, expected):
+        raise FormatError(f"{manifest_path}: {name} is not {_EXPECTED[expected]}: {value!r}")
+    return value
+
+
+def _domain_entries(manifest_path, manifest):
+    """The manifest's domain entries, each an object with a name."""
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{manifest_path}: the manifest is not an object: {manifest!r}")
+    entries = _field(manifest_path, manifest, "domains", list, "domains")
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise FormatError(f"{manifest_path}: domains[{k}] is not an object: {entry!r}")
+        if "name" not in entry:
+            raise FormatError(f"{manifest_path}: missing field domains[{k}].name")
+    return entries
+
+
 def register_dissimilarity(path, domain_name, kind, values, cap=None, max_hops=None) -> Path:
     """Add ``values`` to a saved corpus as ``domain_name``'s ``kind`` matrix.
 
@@ -331,10 +362,8 @@ def register_dissimilarity(path, domain_name, kind, values, cap=None, max_hops=N
     manifest = read_json(manifest_path)
     ddir = _domain_dir(domain_name)
     rel = f"{ddir}/dissim_{kind}.tsv"
-    try:
-        domain = next((d for d in manifest["domains"] if d["name"] == domain_name), None)
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{manifest_path}: missing or malformed field {exc}") from None
+    domains = _domain_entries(manifest_path, manifest)
+    domain = next((d for d in domains if d["name"] == domain_name), None)
     if domain is None:
         raise ValidationError(f"{manifest_path}: no domain named {domain_name!r}")
     entries = domain.get("dissimilarities") or {}
@@ -365,15 +394,16 @@ def load_corpus(path) -> LabeledCorpus:
     if not manifest_path.is_file():
         raise FormatError(f"{manifest_path}: manifest not found")
     manifest = read_json(manifest_path)
-    try:
-        objects = manifest["objects"]
-        ids, labels = objects["ids"], objects["labels"]
-        domain_entries = manifest["domains"]
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"{manifest_path}: missing or malformed field {exc}") from None
-    for key, value in (("ids", ids), ("labels", labels)):
-        if not isinstance(value, list):
-            raise FormatError(f"{manifest_path}: objects.{key} is not a list: {value!r}")
+    domain_entries = _domain_entries(manifest_path, manifest)
+    objects = _field(manifest_path, manifest, "objects", dict, "objects")
+    ids = _field(manifest_path, objects, "ids", list, "objects.ids")
+    labels = _field(manifest_path, objects, "labels", list, "objects.labels")
+    bad = [x for x in labels if type(x) is not int or not 0 <= x <= _LABEL_MAX]
+    if bad:
+        raise FormatError(
+            f"{manifest_path}: objects.labels holds {bad[0]!r}; labels are nonnegative "
+            "integer class ids"
+        )
     ids = [str(i) for i in ids]
     if len(ids) == 0:
         raise IntegrityError(f"{manifest_path}: corpus has zero objects")
@@ -385,10 +415,7 @@ def load_corpus(path) -> LabeledCorpus:
 
     domains = []
     for entry in domain_entries:
-        try:
-            name = str(entry["name"])
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"{manifest_path}: malformed domain entry: {exc}") from None
+        name = str(entry["name"])
         for key in ("features", "edges"):
             if not isinstance(entry.get(key), (str, type(None))):
                 raise FormatError(

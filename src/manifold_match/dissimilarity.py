@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .formats import read_matrix, write_matrix
+from .numerics import symmetrize
 
 __all__ = [
     "as_dissimilarity",
@@ -200,7 +201,9 @@ def cosine_dissimilarity(features) -> np.ndarray:
 
     Self-similarity is forced to one before the subtraction so the diagonal
     is exactly zero, entries are clipped to the cosine range [0, 2], and the
-    result is averaged with its transpose so it is exactly symmetric.
+    result is averaged with its transpose so it is exactly symmetric. Every
+    step after the product of the unit rows works in place on that one n x n
+    float64 array, so the working set is n² values beside the feature rows.
     """
     f = np.asarray(features, dtype=float)
     if f.ndim != 2:
@@ -212,11 +215,11 @@ def cosine_dissimilarity(features) -> np.ndarray:
     if zero_rows.size:
         raise ValidationError(f"feature row {zero_rows[0]} has zero norm")
     unit = f / norms[:, None]
-    similarity = unit @ unit.T
-    np.fill_diagonal(similarity, 1.0)
-    d = 1.0 - similarity
+    d = unit @ unit.T
+    np.fill_diagonal(d, 1.0)
+    np.subtract(1.0, d, out=d)
     np.clip(d, 0.0, 2.0, out=d)
-    return _read_only(0.5 * (d + d.T))
+    return _read_only(symmetrize(d))
 
 
 def frobenius_prescale(target, reference) -> float:

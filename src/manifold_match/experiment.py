@@ -290,7 +290,9 @@ class _PreparedRun:
     labels_clf: np.ndarray
     ref_tag: str | None
     fit_keys: dict[str, tuple]  # view tag -> what its whole-pool fit depends on
-    fits: dict  # the corpus's whole-pool fits, by fit key and dimension
+    # The corpus's whole-pool fits by fit key and dimension, each kept as
+    # (MdsModel, prescale factor or None).
+    fits: dict
     # Held while a whole-pool fit is looked up and made, so that rows running
     # at once fit each one once.
     fits_lock: threading.Lock = field(default_factory=threading.Lock)
@@ -355,51 +357,72 @@ def draw_training_sample(replicate_seed, relation_indices, n_prime) -> np.ndarra
     return np.sort(rng.choice(relation_indices, size=n_prime, replace=False))
 
 
+# Rows per slice that _block gathers: its only temporary is one slice of
+# whole rows of the view.
+_BLOCK_ROWS = 64
+
+
+def _block(matrix, rows, cols):
+    """``matrix[np.ix_(rows, cols)]``, gathered with ``take`` along rows and
+    then columns, a slice of rows at a time, straight into the result."""
+    out = np.empty((rows.size, cols.size), matrix.dtype)
+    for start in range(0, rows.size, _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        matrix.take(rows[start:stop], axis=0).take(cols, axis=1, out=out[start:stop])
+    return out
+
+
+def _fit_view(prepared, view, sample, dim):
+    """One view's MDS fit of a drawn sample, and the Frobenius prescale
+    factor its dissimilarities took (None for a view that is not
+    prescaled). A text view is prescaled onto the reference view's training
+    block; its classifier rows take the same factor."""
+    train = _block(prepared.full[view.tag], sample, sample)
+    factor = None
+    if view.kind == "text" and prepared.ref_tag is not None:
+        factor = frobenius_prescale(train, _block(prepared.full[prepared.ref_tag], sample, sample))
+        train *= factor
+    return mds_fit(train, dim), factor
+
+
 def _run_single(prepared, row, sample):
     """Embed every view of one drawn sample, then align, project and score
     every combination: one GCCA fit of all views serves every combination
     (and the averaged views), while CCA fits each combination's (test,
     train) pair. A sample that is the whole relation pool takes each view's
-    MDS fit from the corpus's kept fits, or fits it and keeps it there. The
-    fits themselves go to the alignment, which whitens each view by the
+    MDS fit and prescale factor from the corpus's kept fits, or fits it and
+    keeps both there, so a kept fit gathers no training block. The fits
+    themselves go to the alignment, which whitens each view by the
     factorization MDS already computed instead of an SVD."""
     config = prepared.config
     labels = prepared.labels_clf
     warnings = []
     whole_pool = row.n_prime == prepared.rel_idx.size
 
-    ref_train = None
-    if prepared.ref_tag is not None:
-        ref_train = prepared.full[prepared.ref_tag][np.ix_(sample, sample)]
-
     train_fit = {}
     clf_emb = {}
     for view in config.views:
-        matrix = prepared.full[view.tag]
-        train = matrix[np.ix_(sample, sample)]
-        oos = matrix[np.ix_(prepared.clf_idx, sample)]
-        if view.kind == "text" and prepared.ref_tag is not None:
-            # Frobenius prescale onto the reference view's training block;
-            # the classifier rows share the training block's factor.
-            factor = frobenius_prescale(train, ref_train)
-            train, oos = train * factor, oos * factor
         if whole_pool:
             key = (prepared.fit_keys[view.tag], row.mds_dim)
             with prepared.fits_lock:
-                model = prepared.fits.get(key)
-                if model is None:
-                    model = mds_fit(train, row.mds_dim)
-                    for array in (model.embedding, model.eigenvalues, model.row_means):
+                kept = prepared.fits.get(key)
+                if kept is None:
+                    kept = _fit_view(prepared, view, sample, row.mds_dim)
+                    for array in (kept[0].embedding, kept[0].eigenvalues, kept[0].row_means):
                         array.setflags(write=False)
-                    prepared.fits[key] = model
+                    prepared.fits[key] = kept
+            model, factor = kept
         else:
-            model = mds_fit(train, row.mds_dim)
+            model, factor = _fit_view(prepared, view, sample, row.mds_dim)
         if model.effective_dim < config.shared_dim:
             warnings.append(
                 f"S={row.fraction:g}: view {view.tag} effective MDS dimension "
                 f"{model.effective_dim} is below shared_dim {config.shared_dim}"
             )
         train_fit[view.tag] = model
+        oos = _block(prepared.full[view.tag], prepared.clf_idx, sample)
+        if factor is not None:
+            oos *= factor
         clf_emb[view.tag] = mds_out_of_sample(model, oos)
     d_shared = min(config.shared_dim, *(model.effective_dim for model in train_fit.values()))
 
@@ -610,8 +633,9 @@ def run_experiment(config, corpus=None, on_row=None) -> AccuracyReport:
     kept on that corpus object, keyed by domain (and ``cap``/``max_hops``
     for geodesics), so a later call on the same object does not rebuild
     them. So are the MDS fits of the whole relation pool, one per view and
-    dimension, so a later call on the same pool (a CCA run after a GCCA
-    run, say) fits its S = 100 % rows no more; it still projects, aligns
+    dimension, each with its view's prescale factor, so a later call on the
+    same pool (a CCA run after a GCCA run, say) neither fits nor gathers
+    the training blocks of its S = 100 % rows; it still projects, aligns
     and scores them.
     """
     prepared = _prepare(config, corpus)

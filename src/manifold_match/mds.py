@@ -5,7 +5,12 @@ factoring the double-centered squared-dissimilarity matrix, keeps only the
 strictly positive part of the spectrum, and extends to new points by Gower
 interpolation using the stored centering statistics.
 
-Embeddings are plain ``(n, p)`` float arrays, rows = objects.
+Embeddings are plain ``(n, p)`` float arrays, rows = objects. Dissimilarities
+may come as float arrays or as narrow unsigned hop counts; each is squared
+straight into float64. Working set: a fit holds one n x n float64 array (the
+Gram matrix, centred and symmetrised in place) beside the n x n eigenvectors
+and LAPACK workspace of ``eigh``; an out-of-sample call holds one (m, n)
+float64 array for m new points.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import eig_sym
+from .numerics import eig_sym, symmetrize
 
 __all__ = ["MdsModel", "mds_fit", "mds_out_of_sample", "fidelity_error", "scree"]
 
@@ -24,11 +29,18 @@ __all__ = ["MdsModel", "mds_fit", "mds_out_of_sample", "fidelity_error", "scree"
 _POSITIVE_RTOL = 1e-10
 
 
+def _real(values):
+    """``values`` as an array: integers keep their type (no copy, always
+    finite), anything else becomes float64."""
+    arr = np.asarray(values)
+    return arr if arr.dtype.kind in "ui" else np.asarray(arr, dtype=float)
+
+
 def _dissim_values(delta, name="delta"):
-    arr = np.asarray(delta, dtype=float)
+    arr = _real(delta)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
 
@@ -81,7 +93,7 @@ def mds_fit(delta, p) -> MdsModel:
 
     # Double-centre the squared dissimilarities in place, in the order
     # -0.5 * (squared - row_mean_i - row_mean_j + grand_mean).
-    gram = d * d
+    gram = np.multiply(d, d, dtype=float)
     row_means = gram.mean(axis=1)
     grand_mean = float(gram.mean())
     gram -= row_means[:, None]
@@ -90,12 +102,12 @@ def mds_fit(delta, p) -> MdsModel:
     gram *= -0.5
     # Rounding leaves the double-centred matrix asymmetric in its last bits,
     # and eig_sym reads one triangle: average the two.
-    gram += gram.T
-    gram *= 0.5
-    eigenvalues, eigenvectors = eig_sym(gram)
+    symmetrize(gram)
+    eigenvalues, eigenvectors = eig_sym(gram, p)
+    # The leading eigenvalue sets the cutoff; the p leading ones are sorted,
+    # so those above it come first.
     cutoff = max(float(eigenvalues[0]), 0.0) * _POSITIVE_RTOL
-    positive = int(np.sum(eigenvalues > cutoff))
-    keep = min(p, positive)
+    keep = int(np.sum(eigenvalues > cutoff))
     values = eigenvalues[:keep].copy()
     coords = eigenvectors[:, :keep] * np.sqrt(values)
     model = MdsModel(coords, values, row_means, grand_mean)
@@ -115,25 +127,26 @@ def mds_out_of_sample(model, delta_new):
     Euclidean configurations. Accepts one dissimilarity vector of length n
     or a matrix of such rows; the output matches the input's ndim.
     """
-    arr = np.asarray(delta_new, dtype=float)
+    arr = _real(delta_new)
     single = arr.ndim == 1
     rows = np.atleast_2d(arr)
     if rows.ndim != 2 or rows.shape[1] != model.n:
         raise ValidationError(
             f"expected dissimilarities to {model.n} training objects, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(rows)):
+    if rows.dtype.kind == "f" and not np.all(np.isfinite(rows)):
         raise ValidationError("new dissimilarities contain non-finite entries")
     if rows.size and rows.min() < 0:
         raise ValidationError("new dissimilarities must be nonnegative")
 
-    squared = rows * rows
-    b = -0.5 * (
-        squared
-        - model.row_means[None, :]
-        - squared.mean(axis=1, keepdims=True)
-        + model.grand_mean
-    )
+    # b = -0.5 * (squared - row_means - mean(squared) + grand_mean), built
+    # in place in the one (m, n) float array, in that order.
+    b = np.multiply(rows, rows, dtype=float)
+    means = b.mean(axis=1, keepdims=True)
+    b -= model.row_means
+    b -= means
+    b += model.grand_mean
+    b *= -0.5
     # X = V sqrt(L), so L^{-1/2} V^T b = L^{-1} X^T b.
     coords = (b @ model.embedding) / model.eigenvalues
     return coords[0] if single else coords

@@ -3,14 +3,18 @@
 Symmetric eigendecomposition with a fixed eigenvalue ordering, and the sign
 convention it applies to eigenvector columns (also used by the alignment
 solver), so that downstream embeddings are reproducible run to run on one
-platform.
+platform; and the in-place average of a square matrix with its transpose
+that makes a matrix symmetric to the bit before it is factored.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["eig_sym"]
+__all__ = ["eig_sym", "symmetrize"]
+
+# Rows per block of symmetrize: its one temporary is this many rows wide.
+_SYM_ROWS = 64
 
 
 def _fix_signs(vectors):
@@ -24,14 +28,19 @@ def _fix_signs(vectors):
     return vectors * signs
 
 
-def eig_sym(a):
-    """Full decomposition of a symmetric matrix.
+def eig_sym(a, count=None):
+    """Leading eigenpairs of a symmetric matrix.
 
     Parameters
     ----------
     a : (n, n) ndarray
         Symmetric; not checked. Only the lower triangle is read, so a caller
         whose matrix is symmetric only up to rounding symmetrises it first.
+    count : int, optional
+        How many of the largest eigenpairs to return; all n by default. The
+        whole spectrum is computed either way (``eigh`` holds an n x n
+        eigenvector array and its own workspace), but only these columns
+        are ordered and sign-fixed, with the bits a full call gives them.
 
     Returns
     -------
@@ -40,7 +49,26 @@ def eig_sym(a):
         column's largest-magnitude entry positive.
     """
     values, vectors = np.linalg.eigh(a)
-    order = np.argsort(-values, kind="stable")
+    order = np.argsort(-values, kind="stable")[:count]
     # Rebinding frees the unordered vectors before the signs are fixed.
     vectors = vectors[:, order]
     return values[order], _fix_signs(vectors)
+
+
+def symmetrize(a):
+    """Replace a square float array by ``(a + a.T) * 0.5`` in place.
+
+    Each entry is the bits of ``(a[i, j] + a[j, i]) * 0.5``, as the whole-array
+    expression gives them (addition commutes exactly), but the only temporary
+    is one block of ``_SYM_ROWS`` rows: a block's rows and the matching
+    columns below it are averaged together, and no later block reads either.
+    Returns ``a``.
+    """
+    n = a.shape[0]
+    for start in range(0, n, _SYM_ROWS):
+        stop = min(start + _SYM_ROWS, n)
+        mean = a[start:stop, start:] + a[start:, start:stop].T
+        mean *= 0.5
+        a[start:stop, start:] = mean
+        a[start:, start:stop] = mean.T
+    return a

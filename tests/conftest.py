@@ -1,8 +1,21 @@
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from manifold_match import formats
+
+
+def traced_peak(fn):
+    """``(peak, result)``: the most memory ``tracemalloc`` traced at once
+    while ``fn()`` ran, in bytes, and what it returned."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
 
 
 class _FailAfter:

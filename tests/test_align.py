@@ -1,11 +1,10 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from manifold_match.align import (
     AlignmentMaps,
     cca_fit,
@@ -423,12 +422,7 @@ class TestFactoredWhitening:
         models = [mds_fit(delta, 200) for delta in deltas]
         assert [m.effective_dim for m in models] == [174, 173, 6]
         gcca_fit(models, 6)
-        tracemalloc.start()
-        try:
-            gcca_fit(models, 6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(lambda: gcca_fit(models, 6))
         assert peak < 4e6
 
 

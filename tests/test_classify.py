@@ -1,10 +1,9 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from manifold_match import classify
 from manifold_match.classify import (
     LabeledEmbedding,
@@ -236,12 +235,7 @@ class TestLooCrossViewAccuracy:
         m, p = 553, 15
         train = LabeledEmbedding(rng.normal(size=(m, p)), rng.integers(0, 2, size=m), "a")
         test = LabeledEmbedding(train.points + rng.normal(size=(m, p)), train.labels, "b")
-        tracemalloc.start()
-        try:
-            loo_cross_view_accuracy(train, test, 5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(lambda: loo_cross_view_accuracy(train, test, 5))
         assert peak < 3e6
 
     def test_label_mismatch_rejected(self):

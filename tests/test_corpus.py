@@ -1,10 +1,10 @@
 import json
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from manifold_match import corpus as corpus_module
 from manifold_match.align import gcca_fit
 from manifold_match.cli import main
@@ -331,12 +331,7 @@ class TestView:
         # build never holds the n x n float64 array a float result would be.
         corpus = synthesize_corpus(31, 1382, 2, 5, 0.8)
         n = corpus.n_total
-        tracemalloc.start()
-        try:
-            graph = corpus.view("domain0", "graph", 32, 30)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, graph = traced_peak(lambda: corpus.view("domain0", "graph", 32, 30))
         assert peak < 6 * n * n
         assert graph.nbytes < 2 * n * n
         assert graph.dtype == np.uint8
@@ -434,26 +429,68 @@ class TestLoaderErrors:
             load_corpus(tmp_path)
         assert str(path) in str(info.value)
 
-    @pytest.mark.parametrize("edit", [
-        lambda m: m.pop("domains"),
-        lambda m: m.update(domains=7),
-        lambda m: m["domains"].insert(0, "d0"),
-        lambda m: m["domains"][0].pop("name"),
-        lambda m: m["domains"][0].update(dissimilarities=["graph"]),
-        lambda m: m["domains"][0].update(dissimilarities="graph"),
-    ], ids=["no_domains", "domains_not_a_list", "string_domain", "nameless_domain",
-            "dissimilarities_list", "dissimilarities_string"])
-    def test_register_reports_a_malformed_manifest(self, tmp_path, edit):
+    @pytest.mark.parametrize("labels", [
+        [0.0, 1.0, 0.0], [True, False, True], [0, "1", 0], [0, -1, 0], [0, None, 1], [0, 2**63, 1],
+    ], ids=["floats", "booleans", "string", "negative", "null", "too_large"])
+    def test_bad_labels_name_the_manifest_field(self, tmp_path, labels):
+        save_corpus(small_corpus(), tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["objects"]["labels"] = labels
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="objects.labels holds .*nonnegative integer") as info:
+            load_corpus(tmp_path)
+        assert str(path) in str(info.value)
+
+    # A manifest field of the wrong type, what load_corpus and
+    # register_dissimilarity both say of it, and whether load_corpus reads it.
+    MALFORMED = [
+        (lambda m: m.pop("domains"), r"missing field domains$"),
+        (lambda m: m.update(domains=7), r"domains is not a list: 7"),
+        (lambda m: m["domains"].insert(0, "d0"), r"domains\[0\] is not an object: 'd0'"),
+        (lambda m: m["domains"][0].pop("name"), r"missing field domains\[0\]\.name"),
+        (lambda m: m["domains"][0].update(dissimilarities=["graph"]),
+         r"domain 'd0' dissimilarities \['graph'\] is not an object"),
+        (lambda m: m["domains"][0].update(dissimilarities="graph"),
+         r"domain 'd0' dissimilarities 'graph' is not an object"),
+    ]
+    MALFORMED_IDS = ["no_domains", "domains_not_a_list", "string_domain", "nameless_domain",
+                     "dissimilarities_list", "dissimilarities_string"]
+
+    @pytest.mark.parametrize("edit, message", MALFORMED, ids=MALFORMED_IDS)
+    def test_register_reports_a_malformed_manifest(self, tmp_path, edit, message):
         save_corpus(small_corpus(), tmp_path)
         path = tmp_path / "manifest.json"
         manifest = json.loads(path.read_text())
         edit(manifest)
         path.write_text(json.dumps(manifest))
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-        with pytest.raises(FormatError) as info:
+        with pytest.raises(FormatError, match=message) as info:
             register_dissimilarity(tmp_path, "d0", "text", np.zeros((3, 3)))
         assert str(path) in str(info.value)
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("edit, message", MALFORMED + [
+        (lambda m: m.pop("objects"), r"missing field objects$"),
+        (lambda m: m.update(objects=["a", "b", "c"]), r"objects is not an object: \['a'"),
+        (lambda m: m["objects"].pop("labels"), r"missing field objects\.labels"),
+    ], ids=MALFORMED_IDS + ["no_objects", "objects_list", "no_labels"])
+    def test_load_names_a_malformed_field(self, tmp_path, edit, message):
+        save_corpus(small_corpus(), tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=message) as info:
+            load_corpus(tmp_path)
+        assert str(path) in str(info.value)
+
+    def test_manifest_that_is_not_an_object(self, tmp_path):
+        (tmp_path / "manifest.json").write_text("[1, 2]")
+        with pytest.raises(FormatError, match=r"the manifest is not an object: \[1, 2\]"):
+            load_corpus(tmp_path)
+        with pytest.raises(FormatError, match=r"the manifest is not an object"):
+            register_dissimilarity(tmp_path, "d0", "text", np.zeros((3, 3)))
 
     def test_register_into_null_dissimilarities(self, tmp_path):
         # load_corpus reads a null entry as no matrices; registration does too.

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from conftest import traced_peak
 from manifold_match.corpus import synthesize_corpus
 from manifold_match.dissimilarity import (
     as_dissimilarity,
@@ -231,7 +230,42 @@ class TestCosineDissimilarityProperties:
         assert not d.flags.writeable
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([np.uint8, np.uint16, np.float64]),
+        st.integers(1, 80),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_has_the_bits_of_the_whole_array_formula(self, dtype, n, width, seed):
+        # Term counts or real rows, n past symmetrize's first row block.
+        rng = np.random.default_rng(seed)
+        if dtype == np.float64:
+            features = rng.normal(size=(n, width))
+        else:
+            features = rng.integers(0, np.iinfo(dtype).max, size=(n, width), endpoint=True)
+            features[:, 0] |= 1
+            features = features.astype(dtype)
+        f = np.asarray(features, dtype=float)
+        unit = f / np.linalg.norm(f, axis=1)[:, None]
+        similarity = unit @ unit.T
+        np.fill_diagonal(similarity, 1.0)
+        d = 1.0 - similarity
+        np.clip(d, 0.0, 2.0, out=d)
+        expected = 0.5 * (d + d.T)
+        assert cosine_dissimilarity(features).tobytes() == expected.tobytes()
+
+
 class TestCosineDissimilarity:
+    def test_working_set_about_one_matrix(self):
+        # The product of the unit rows is made the result in place; only a
+        # row block of it is ever copied.
+        n = 1000
+        features = np.random.default_rng(34).normal(size=(n, 6))
+        peak, d = traced_peak(lambda: cosine_dissimilarity(features))
+        assert d.shape == (n, n)
+        assert peak < 1.25 * n * n * 8
+
     def test_orthogonal_rows(self):
         dm = cosine_dissimilarity([[1.0, 0.0], [0.0, 1.0]])
         assert np.allclose(dm, [[0.0, 1.0], [1.0, 0.0]])
@@ -363,12 +397,7 @@ class TestAsDissimilarity:
         np.fill_diagonal(hops, 0.0)
         path = tmp_path / "dissim_graph.tsv"
         save_dissimilarity_tsv(hops, path)
-        tracemalloc.start()
-        try:
-            back = load_dissimilarity_tsv(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, back = traced_peak(lambda: load_dissimilarity_tsv(path))
         assert np.array_equal(back, hops)
         assert peak < 2.25 * hops.nbytes
 

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from manifold_match import corpus as corpus_module
 from manifold_match import experiment
 from manifold_match.align import cca_fit, project
@@ -854,10 +855,40 @@ class TestWholePoolFitsKeptOnCorpus:
         corpus = golden_corpus()
         run_experiment(make_config(**self.WHOLE_POOL), corpus=corpus)
         assert corpus._fits
-        for model in corpus._fits.values():
+        # Each view is kept as (model, prescale factor); TF alone is prescaled.
+        factors = {}
+        for (key, _), (model, factor) in corpus._fits.items():
+            factors[key[0][1]] = factor
             for array in (model.embedding, model.eigenvalues, model.row_means):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0.0
+        assert factors["graph"] is None
+        assert isinstance(factors["text"], float)
+
+    def test_a_kept_fit_gathers_no_training_block(self, calls, monkeypatch):
+        # 540 relation objects and 60 classifier objects. A CCA call on the
+        # pool a GCCA call fit takes each view's fit and prescale factor as
+        # kept: it gathers only the classifier rows of each view, far less
+        # than one n' x n' float block, and prescales nothing.
+        corpus = synthesize_corpus(43, 600, 2, 20, 0.8)
+        pool = dict(
+            relation_classes=tuple(range(18)), classifier_classes=(18, 19),
+            schedule=((1.0, 8),), replicates=1,
+        )
+        gcca = make_config(**pool)
+        cca = make_config(method="cca", combinations=("GF->GE", "TF->GE"), averaged_views={}, **pool)
+        run_experiment(gcca, corpus=corpus)
+        n = int(np.isin(corpus.labels, pool["relation_classes"]).sum())
+        assert n == 540
+        prescaled = []
+        prescale = experiment.frobenius_prescale
+        monkeypatch.setattr(experiment, "frobenius_prescale",
+                            lambda *args: prescaled.append(args) or prescale(*args))
+        peak, report = traced_peak(lambda: run_experiment(cca, corpus=corpus))
+        assert calls["mds_fit"] == 3
+        assert prescaled == []
+        assert peak < n * n * 8
+        assert report == run_experiment(cca, corpus=synthesize_corpus(43, 600, 2, 20, 0.8))
 
     def test_rows_running_the_whole_pool_at_once_fit_each_view_once(self, calls, cores):
         # Six rows round to the whole 10-object pool, one task each, on six

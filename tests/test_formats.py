@@ -3,7 +3,6 @@ import json
 import os
 import re
 import threading
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from conftest import traced_peak
 from manifold_match import formats
 from manifold_match.corpus import DomainData, LabeledCorpus, load_corpus, save_corpus
 from manifold_match.errors import FormatError, ValidationError
@@ -63,12 +63,7 @@ def test_writer_peak_memory_is_bounded(tmp_path):
     # whole-matrix tolist() alone would take about 32 MB.
     rng = np.random.default_rng(18)
     hops = rng.integers(0, 7, size=(1000, 1000)).astype(float)
-    tracemalloc.start()
-    try:
-        write_matrix(hops, tmp_path / "hops.tsv")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: write_matrix(hops, tmp_path / "hops.tsv"))
     assert peak < 8e6
 
 
@@ -86,12 +81,7 @@ def test_symmetric_writer_peak_memory_is_bounded(tmp_path, kind, cap):
     else:
         values = rng.random((1000, 1000))
         values = values + values.T
-    tracemalloc.start()
-    try:
-        write_matrix(values, tmp_path / "m.tsv")
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, _ = traced_peak(lambda: write_matrix(values, tmp_path / "m.tsv"))
     assert peak < cap
 
 
@@ -477,12 +467,7 @@ def test_twin_read_peak_memory_is_bounded(tmp_path, parsed):
     hops = np.random.default_rng(22).integers(0, 7, size=(1000, 1000)).astype(float)
     path = tmp_path / "m.tsv"
     write_matrix(hops, path)
-    tracemalloc.start()
-    try:
-        back = read_matrix(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak, back = traced_peak(lambda: read_matrix(path))
     assert parsed == []
     assert back.tobytes() == hops.tobytes()
     assert peak < hops.nbytes + formats._HASH_BYTES

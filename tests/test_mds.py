@@ -1,11 +1,11 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import orthogonal_procrustes
 
+from conftest import traced_peak
+from manifold_match.corpus import synthesize_corpus
 from manifold_match.dissimilarity import cosine_dissimilarity
 from manifold_match.errors import ValidationError
 from manifold_match.mds import MdsModel, fidelity_error, mds_fit, mds_out_of_sample, scree
@@ -25,6 +25,12 @@ def fidelity_oracle(embedding, delta):
         for j in range(i + 1, n):
             total += (np.linalg.norm(embedding[i] - embedding[j]) - delta[i, j]) ** 2
     return total / (n * (n - 1) / 2)
+
+
+@pytest.fixture(scope="module")
+def hop_block():
+    """A 900 x 900 uint8 geodesic view, as a run keeps its graph views."""
+    return synthesize_corpus(31, 900, 2, 5, 0.8).view("domain0", "graph", 32, 30)
 
 
 class TestMdsFit:
@@ -161,21 +167,17 @@ class TestMdsFit:
         assert np.array_equal(model.row_means, row_means)
         assert model.grand_mean == grand_mean
 
-    def test_working_set_below_four_gram_matrices(self):
-        # At most three n x n arrays at once: the centred matrix, eigh's
-        # vectors and their reordered copy (LAPACK's workspace is not
-        # traced). Centring out of place held six.
-        n = 360
-        rng = np.random.default_rng(148)
-        delta = euclidean_distances(rng.normal(size=(n, 5)))
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64], ids=["uint8", "float"])
+    def test_working_set_below_two_and_a_half_gram_matrices(self, hop_block, dtype):
+        # The Gram matrix, squared straight from the block and centred and
+        # symmetrised in place, beside eigh's vectors and the p leading
+        # columns (LAPACK's workspace is not traced). A float cast, a
+        # transposed copy and a reordered copy of every column held 4.
+        delta = hop_block[:500, :500].astype(dtype)
+        n = delta.shape[0]
         mds_fit(delta, 100)
-        tracemalloc.start()
-        try:
-            mds_fit(delta, 100)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * n * n * 8
+        peak, _ = traced_peak(lambda: mds_fit(delta, 100))
+        assert peak < 2.5 * n * n * 8
 
     def test_p_out_of_range(self):
         delta = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -270,6 +272,93 @@ class TestOutOfSample:
             mds_out_of_sample(model, np.array([-1.0, 1.0]))
 
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64], ids=["uint8", "float"])
+    def test_holds_one_float_array_of_the_new_rows(self, hop_block, dtype):
+        # The squared rows are centred and scaled in place: one (m, n) float
+        # array, beside the (m, p) coordinates and the fixed-size buffers
+        # numpy casts narrow inputs through.
+        model = mds_fit(hop_block[:600, :600], 10)
+        rows = hop_block[600:, :600].astype(dtype)
+        m, n = rows.shape
+        peak, _ = traced_peak(lambda: mds_out_of_sample(model, rows))
+        assert peak < 1.25 * m * n * 8
+
+
+def whole_array_mds_fit(delta, p):
+    """mds_fit as whole-array expressions: a float cast, a squared copy, a
+    transposed copy to symmetrise, and every eigenpair sorted and
+    sign-fixed."""
+    d = np.asarray(delta, dtype=float)
+    gram = d * d
+    row_means = gram.mean(axis=1)
+    grand_mean = float(gram.mean())
+    gram -= row_means[:, None]
+    gram -= row_means[None, :]
+    gram += grand_mean
+    gram *= -0.5
+    gram += gram.T
+    gram *= 0.5
+    values, vectors = np.linalg.eigh(gram)
+    order = np.argsort(-values, kind="stable")
+    values, vectors = values[order], vectors[:, order]
+    signs = np.sign(vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])])
+    signs[signs == 0] = 1.0
+    vectors = vectors * signs
+    cutoff = max(float(values[0]), 0.0) * 1e-10
+    keep = min(p, int(np.sum(values > cutoff)))
+    return MdsModel(vectors[:, :keep] * np.sqrt(values[:keep]), values[:keep].copy(),
+                    row_means, grand_mean)
+
+
+def whole_array_out_of_sample(model, delta_new):
+    rows = np.atleast_2d(np.asarray(delta_new, dtype=float))
+    squared = rows * rows
+    b = -0.5 * (
+        squared
+        - model.row_means[None, :]
+        - squared.mean(axis=1, keepdims=True)
+        + model.grand_mean
+    )
+    return (b @ model.embedding) / model.eigenvalues
+
+
+@st.composite
+def dissimilarity_blocks(draw):
+    """A symmetric zero-diagonal training block, new rows to it, and a
+    dimension, as hop counts (uint8, uint16) or cosine-range floats; n
+    reaches past symmetrize's first row block."""
+    dtype = draw(st.sampled_from([np.uint8, np.uint16, np.float64]))
+    n = draw(st.integers(2, 80))
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if dtype == np.float64:
+        upper = 2.0 * rng.random((n, n))
+        rows = 2.0 * rng.random((m, n))
+    else:
+        top = int(np.iinfo(dtype).max)
+        upper = rng.integers(1, top, size=(n, n), endpoint=True)
+        rows = rng.integers(0, top, size=(m, n), endpoint=True).astype(dtype)
+    delta = np.triu(upper, 1)
+    delta = (delta + delta.T).astype(dtype)
+    return delta, rows, draw(st.integers(1, n - 1))
+
+
+class TestBitsOfTheWholeArrayFormulas:
+    @settings(max_examples=60, deadline=None)
+    @given(dissimilarity_blocks())
+    def test_fit_and_out_of_sample(self, case):
+        delta, rows, p = case
+        model = mds_fit(delta, p)
+        expected = whole_array_mds_fit(delta, p)
+        for name in ("embedding", "eigenvalues", "row_means"):
+            assert getattr(model, name).tobytes() == getattr(expected, name).tobytes()
+        assert model.grand_mean == expected.grand_mean
+        coords = mds_out_of_sample(model, rows)
+        assert coords.tobytes() == whole_array_out_of_sample(expected, rows).tobytes()
+        single = whole_array_out_of_sample(expected, rows[0])[0]
+        assert mds_out_of_sample(model, rows[0]).tobytes() == single.tobytes()
+
+
 class TestFidelityError:
     def test_exact_embedding_zero(self):
         rng = np.random.default_rng(71)
@@ -307,12 +396,7 @@ class TestFidelityError:
         rng = np.random.default_rng(74)
         embedding = rng.normal(size=(n, p))
         delta = euclidean_distances(rng.normal(size=(n, 3)))
-        tracemalloc.start()
-        try:
-            fidelity_error(embedding, delta)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(lambda: fidelity_error(embedding, delta))
         assert peak < 1.5 * n * n * 8
 
     def test_size_mismatch(self):

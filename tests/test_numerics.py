@@ -1,6 +1,11 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from manifold_match.numerics import eig_sym
+from manifold_match import numerics
+from manifold_match.numerics import eig_sym, symmetrize
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -50,3 +55,58 @@ class TestEigSym:
         values2, vectors2 = eig_sym(a.copy())
         assert np.array_equal(values1, values2)
         assert np.array_equal(vectors1, vectors2)
+
+    @pytest.mark.parametrize("count", [0, 1, 4, 7])
+    def test_leading_count_has_the_bits_of_the_full_call(self, count):
+        rng = np.random.default_rng(31)
+        a = random_symmetric(rng, 7)
+        a[:, 2] = a[2, :] = 0.0  # an exact zero eigenvalue's column
+        values, vectors = eig_sym(a)
+        top_values, top_vectors = eig_sym(a, count)
+        assert top_values.tobytes() == values[:count].tobytes()
+        assert top_vectors.tobytes() == vectors[:, :count].tobytes()
+
+
+# Finite floats with the values where averaging is delicate: signed zeros,
+# subnormals, and pairs near the top of the range whose sum overflows to inf.
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5e-323,
+                1.7976931348623157e308, -1.7976931348623157e308, 1.2e308, 1.0, -3.5]
+_ENTRIES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_VALUES)
+)
+
+
+@st.composite
+def blocked_squares(draw):
+    """A square float array and a block height, with n at 1 and at one block
+    and a half-block around every multiple."""
+    rows = draw(st.sampled_from([1, 2, 3, 5]))
+    n = draw(st.sampled_from([1, rows - 1, rows, rows + 1, 2 * rows + 1]).filter(lambda k: k >= 1))
+    return rows, draw(arrays(np.float64, (n, n), elements=_ENTRIES))
+
+
+class TestSymmetrize:
+    @settings(max_examples=200, deadline=None)
+    @given(blocked_squares())
+    def test_has_the_bits_of_the_whole_array_average(self, case):
+        rows, a = case
+        with np.errstate(over="ignore"):
+            expected = (a + a.T) * 0.5
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore"):
+            patch.setattr(numerics, "_SYM_ROWS", rows)
+            result = symmetrize(a)
+        assert result is a
+        assert a.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_default_block_edges(self, offset):
+        n = numerics._SYM_ROWS + offset
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-300, 300, size=(n, n))
+        a[rng.random((n, n)) < 0.05] = -0.0
+        a[0, -1], a[-1, 0] = 1.7e308, 1.6e308
+        with np.errstate(over="ignore"):
+            expected = (a + a.T) * 0.5
+            symmetrize(a)
+        assert np.isinf(a[0, -1])
+        assert a.tobytes() == expected.tobytes()
