@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConditioningError, FormatError, ValidationError
-from .formats import read_json, read_matrix, write_json, write_matrix
+from .formats import _int, _number, _str, read_fields, read_matrix, write_json, write_matrix
 from .mds import MdsModel
 from .numerics import _fix_signs
 
@@ -261,17 +261,26 @@ def save_alignment(maps, out_dir):
     write_json(meta, out / "meta.json")
 
 
+def _method(value):
+    if _str(value) not in ("cca", "gcca"):
+        raise ValueError(value)
+    return value
+
+
+# The meta.json fields load_alignment reads, each with its conversion.
+_ALIGNMENT_META = {"K": _int, "method": _method, "ridge": lambda ridge: float(_number(ridge))}
+
+
 def load_alignment(in_dir) -> AlignmentMaps:
-    """Inverse of :func:`save_alignment`."""
+    """Inverse of :func:`save_alignment`. A ``meta.json`` field that is
+    missing or not of its type (``K`` an integer, ``method`` ``"cca"`` or
+    ``"gcca"``, ``ridge`` a number) is a ``FormatError`` naming the file and
+    the field."""
     src = Path(in_dir)
     meta_path = src / "meta.json"
-    meta = read_json(meta_path)
-    try:
-        K, method, ridge = int(meta["K"]), str(meta["method"]), float(meta["ridge"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{meta_path}: missing or malformed field {exc}") from None
-    projections = tuple(read_matrix(src / f"U_{k}.tsv") for k in range(1, K + 1))
+    meta = read_fields(meta_path, _ALIGNMENT_META)
+    projections = tuple(read_matrix(src / f"U_{k}.tsv") for k in range(1, meta["K"] + 1))
     correlations = read_matrix(src / "correlations.tsv")
     if correlations.shape[1] != 1:
         raise FormatError(f"{src / 'correlations.tsv'}: expected one value per line")
-    return AlignmentMaps(projections, correlations[:, 0], method, ridge)
+    return AlignmentMaps(projections, correlations[:, 0], meta["method"], meta["ridge"])

@@ -211,10 +211,9 @@ class LabeledCorpus:
         ``max_hops`` is a ``ConfigError`` (unrecorded settings are not
         compared). Otherwise the geodesic view of the domain's edges or the
         cosine view of its features is built on first use and kept. A built
-        geodesic view holds its hop counts in ``np.min_scalar_type(cap)``
-        (one byte per entry when ``cap`` is at most 255; float64 when no
-        unsigned type holds ``cap``), so cast it to float before any
-        arithmetic that could wrap.
+        geodesic view is :func:`graph_geodesic`'s hop counts in
+        ``np.min_scalar_type(cap)`` (one byte per entry when ``cap`` is at
+        most 255), so cast it to float before any arithmetic that could wrap.
         """
         data = self.domain(domain)
         if kind in data.dissimilarities:
@@ -238,11 +237,7 @@ class LabeledCorpus:
         key = _view_key(domain, kind, cap, max_hops)
         if key not in self._views:
             if kind == "graph":
-                dtype = np.min_scalar_type(cap)
-                self._views[key] = graph_geodesic(
-                    source, self.n_total, cap=cap, max_hops=max_hops,
-                    dtype=dtype if dtype.kind == "u" else np.float64,
-                )
+                self._views[key] = graph_geodesic(source, self.n_total, cap, max_hops)
             else:
                 self._views[key] = cosine_dissimilarity(source)
         return self._views[key]

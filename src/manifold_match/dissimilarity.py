@@ -8,11 +8,11 @@ factor that rescales one matrix onto another's norm so matrices of different
 kinds can be fused downstream.
 
 A dissimilarity is a read-only square array of real numbers: float64, or
-hop counts in the narrower type a geodesic is asked to build (cast one to
-float before arithmetic that could wrap). The constructions here build
-theirs exactly symmetric, with a zero diagonal and nonnegative entries; a
-matrix from anywhere else (a file, a caller's array) is checked once by
-:func:`as_dissimilarity` where it enters, as float64.
+a geodesic's hop counts in the narrowest unsigned type that holds its cap
+(cast one to float before arithmetic that could wrap). The constructions
+here build theirs exactly symmetric, with a zero diagonal and nonnegative
+entries; a matrix from anywhere else (a file, a caller's array) is checked
+once by :func:`as_dissimilarity` where it enters, as float64.
 """
 
 from __future__ import annotations
@@ -79,15 +79,16 @@ def _checked(v):
     return _read_only(v)
 
 
-def graph_geodesic(edges, n, cap=6, max_hops=4, dtype=np.float64) -> np.ndarray:
+def graph_geodesic(edges, n, cap=6, max_hops=4) -> np.ndarray:
     """Hop-count dissimilarity on an unweighted undirected graph.
 
     Entry (i, j) is the shortest-path hop count when it is at most
     ``max_hops``; longer or unreachable pairs get ``cap``. Hop counts of an
-    undirected graph make the result exactly symmetric. The result has type
-    ``dtype``, which must hold ``cap`` and every hop count exactly:
-    ``np.min_scalar_type(cap)`` keeps it at one byte per entry when ``cap``
-    is at most 255.
+    undirected graph make the result exactly symmetric. The result holds
+    them in ``np.min_scalar_type(cap)``, one byte per entry when ``cap`` is
+    at most 255; cast it to float before arithmetic that could wrap.
+    ``cap`` must be an integer (not a bool) no larger than 2**53, the
+    largest that every matrix file, float64 text and twin, holds exactly.
 
     The search is one breadth-first search from every source at once
     (Then et al., "The More the Merrier: Efficient Multi-Source Graph
@@ -97,14 +98,12 @@ def graph_geodesic(edges, n, cap=6, max_hops=4, dtype=np.float64) -> np.ndarray:
     symmetric adjacency lists) and keeps the bits not yet reached, so every
     source's search shares each scan of the adjacency. The loop stops after
     ``max_hops`` hops or when no source reaches a new vertex. A pair's hop
-    count is the number of hops it stayed unreached.
+    count is the number of hops it stayed unreached, counted straight into
+    the result.
 
     Memory: the reached, frontier and next-level bitsets (n²/8 bytes each)
     and the gathered frontier rows of every vertex's neighbours (2E·n/8
-    bytes at most); an n² byte unpacked level and an n² hop counter (one
-    byte, two when ``max_hops`` and n - 1 both pass 255); the n² result of
-    ``dtype`` (8n² bytes for float64), except that a counter already of
-    ``dtype`` becomes the result in place.
+    bytes at most); an n² byte unpacked level; and the n² result.
 
     Parameters
     ----------
@@ -117,24 +116,15 @@ def graph_geodesic(edges, n, cap=6, max_hops=4, dtype=np.float64) -> np.ndarray:
         Value assigned to pairs farther than ``max_hops``; must exceed it.
     max_hops : int, optional
         Largest path length kept exact.
-    dtype : data-type, optional
-        Type of the result: an integer or float type that holds ``cap``
-        exactly (float64 by default).
     """
     if n <= 0:
         raise ValidationError(f"vertex count must be positive, got {n}")
+    if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap > 2**53:
+        raise ValidationError(f"cap must be an integer no larger than 2**53, got {cap!r}")
     if max_hops < 1 or cap <= max_hops:
         raise ValidationError(
             f"need cap > max_hops >= 1, got cap={cap}, max_hops={max_hops}"
         )
-    dtype = np.dtype(dtype)
-    # Hop counts run up to min(max_hops, n - 1) < cap. An integer type that
-    # holds cap holds them all; a float type holds every integer only up to
-    # 2**(nmant + 1).
-    if not _exact(dtype, cap) or (
-        dtype.kind == "f" and min(max_hops, n - 1) > 2 ** (np.finfo(dtype).nmant + 1)
-    ):
-        raise ValidationError(f"{dtype} cannot hold cap={cap} and every hop count exactly")
     e = np.asarray(edges, dtype=int)
     if e.size == 0:
         e = e.reshape(0, 2)
@@ -163,31 +153,19 @@ def graph_geodesic(edges, n, cap=6, max_hops=4, dtype=np.float64) -> np.ndarray:
     frontier = reached.copy()
     level = np.zeros_like(reached)
     gathered = np.empty((neighbour.size, reached.shape[1]), dtype=reached.dtype)
-    # A level is non-empty at most n - 1 times, so this width counts exactly.
-    hops = np.zeros((n, n), dtype=np.min_scalar_type(min(max_hops, n - 1)))
+    # Hop counts stay below cap, so the type that holds cap holds them.
+    result = np.zeros((n, n), dtype=np.min_scalar_type(cap))
     for _ in range(max_hops):
         np.take(frontier, neighbour, axis=0, out=gathered)
         level[linked] = np.bitwise_or.reduceat(gathered, starts, axis=0)
         level &= ~reached
         if not level.any():
             break
-        hops += _unpack(~reached, n)
+        result += _unpack(~reached, n)
         reached |= level
         frontier, level = level, frontier
-    result = hops if hops.dtype == dtype else hops.astype(dtype)
-    np.copyto(result, dtype.type(cap), where=_unpack(~reached, n))
+    np.copyto(result, result.dtype.type(cap), where=_unpack(~reached, n))
     return _read_only(result)
-
-
-def _exact(dtype, value):
-    """Whether ``value`` converts to the real type ``dtype`` and back unchanged."""
-    if dtype.kind not in "uif":
-        return False
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return dtype.type(value).item() == value
-    except (OverflowError, ValueError):
-        return False
 
 
 def _unpack(bitset, n):

@@ -26,7 +26,9 @@ from .classify import LabeledEmbedding, average_views, loo_cross_view_accuracy
 from .corpus import _NAME_RE, _view_key, load_corpus
 from .dissimilarity import frobenius_prescale
 from .errors import ConfigError, FormatError
-from .formats import read_json, read_lines, write_json, write_lines
+from .formats import (
+    _int, _list, _number, _of, _str, read_fields, read_json, read_lines, write_json, write_lines,
+)
 from .mds import mds_fit, mds_out_of_sample
 
 __all__ = [
@@ -85,24 +87,11 @@ def _parse_combination(text):
     return parts[0], parts[1]
 
 
-def _of(*types):
-    """A converter passing values of exactly ``types`` (so ``true`` is not an
-    integer and ``2.7`` is not truncated to one) and rejecting the rest."""
-    def convert(value):
-        if type(value) not in types:
-            raise TypeError(value)
-        return value
-    return convert
-
-
-_int, _number, _str, _str_or_none = _of(int), _of(int, float), _of(str), _of(str, type(None))
-
-
 # The fields of a JSON config and their conversions; an absent field takes
 # the ExperimentConfig default.
 _REQUIRED_FIELDS = ("views", "combinations", "relation_classes", "classifier_classes")
 _FIELDS = {
-    "corpus": _str_or_none,
+    "corpus": _of(str, type(None)),
     "views": lambda views: tuple(
         ViewSpec(_str(v["tag"]), _str(v["domain"]), _str(v["kind"])) for v in views
     ),
@@ -571,14 +560,14 @@ class AccuracyReport:
 # The report settings meta.json records, each with the conversion
 # reconstruct_report applies when it reads them back.
 _META = {
-    "method": str,
-    "feature": str,
-    "fractions": lambda fractions: tuple(float(f) for f in fractions),
-    "combinations": tuple,
-    "m_classifier": int,
-    "seed": int,
-    "bootstrap_samples": int,
-    "replicates": int,
+    "method": _str,
+    "feature": _str,
+    "fractions": lambda fractions: tuple(float(_number(f)) for f in _list(fractions)),
+    "combinations": lambda combos: tuple(_str(c) for c in _list(combos)),
+    "m_classifier": _int,
+    "seed": _int,
+    "bootstrap_samples": _int,
+    "replicates": _int,
 }
 
 
@@ -733,19 +722,16 @@ def reconstruct_report(out_dir) -> AccuracyReport:
     """Rebuild a report from meta.json plus replicates.log (for audits).
 
     Each cell's accuracies are taken in replicate-index order, so the log's
-    line order does not matter. A malformed or incomplete meta.json is a
-    ``FormatError`` naming it, and a malformed log line one naming
-    ``replicates.log:line``. So is a log whose cells do not each hold
-    replicates 0..R-1 once, with R the ``replicates`` of meta.json, a log
-    record outside meta.json's cells, and a log that is not UTF-8.
+    line order does not matter. A meta.json field that is missing or not of
+    its exact type is a ``FormatError`` naming the file and the field, and a
+    malformed log line one naming ``replicates.log:line``. So is a log whose
+    cells do not each hold replicates 0..R-1 once, with R the ``replicates``
+    of meta.json, a log record outside meta.json's cells, and a log that is
+    not UTF-8.
     """
     out = Path(out_dir)
     meta_path, log_path = out / "meta.json", out / "replicates.log"
-    try:
-        raw = read_json(meta_path)
-        meta = {name: convert(raw[name]) for name, convert in _META.items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{meta_path}: missing or malformed field {exc}") from None
+    meta = read_fields(meta_path, _META)
     replicates = meta["replicates"]
     if replicates < 1:
         raise FormatError(f"{meta_path}: replicates must be positive, got {replicates}")

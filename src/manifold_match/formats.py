@@ -3,7 +3,8 @@
 Reading: a line file (matrix, edge list, labels) is read by :func:`read_records`,
 which numbers its lines from 1, strips each, skips blank ones and splits the
 rest on tabs; a log, whose lines are compared as written, by :func:`read_lines`;
-a JSON file (manifest, metadata, config) by :func:`read_json`.
+a JSON file (manifest, metadata, config) by :func:`read_json`, and a
+metadata file whose fields must each have one JSON type by :func:`read_fields`.
 Text that is not UTF-8, or not JSON where JSON is expected, is a ``FormatError``
 naming the file, and a malformed line one naming ``path:line``.
 A matrix file is rows of tab-separated reals that Python's ``float`` parses,
@@ -43,8 +44,8 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 
-__all__ = ["move_matrix", "read_json", "read_lines", "read_matrix", "read_records",
-           "write_json", "write_lines", "write_matrix"]
+__all__ = ["move_matrix", "read_fields", "read_json", "read_lines", "read_matrix",
+           "read_records", "write_json", "write_lines", "write_matrix"]
 
 # Values per block of rows formatted together by write_matrix.
 _BLOCK_FLOATS = 1 << 16
@@ -81,6 +82,34 @@ def read_json(path):
             return json.load(fh)
         except ValueError as exc:  # a JSONDecodeError or UnicodeDecodeError
             raise FormatError(f"{path}: {exc}") from None
+
+
+def _of(*types):
+    """A converter passing values of exactly ``types`` (so ``true`` is not an
+    integer and ``2.7`` is not truncated to one) and rejecting the rest."""
+    def convert(value):
+        if type(value) not in types:
+            raise TypeError(value)
+        return value
+    return convert
+
+
+_int, _number, _str, _list = _of(int), _of(int, float), _of(str), _of(list)
+
+
+def read_fields(path, fields):
+    """``{name: convert(value)}`` for each ``name: convert`` of ``fields``,
+    with ``value`` that field of the JSON object in ``path``. A missing
+    field, or one its converter rejects, is a ``FormatError`` naming
+    ``path`` and the field."""
+    raw = read_json(path)
+    values = {}
+    for name, convert in fields.items():
+        try:
+            values[name] = convert(raw[name])
+        except (KeyError, OverflowError, TypeError, ValueError):
+            raise FormatError(f"{path}: missing or malformed field {name!r}") from None
+    return values
 
 
 def read_matrix(path) -> np.ndarray:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from manifold_match import formats
+from manifold_match import experiment, formats
 
 
 def traced_peak(fn):
@@ -69,3 +69,17 @@ def parsed(monkeypatch):
     monkeypatch.setattr(formats, "_read_matrix_by_line",
                         lambda path: paths.append(str(path)) or by_line(path))
     return paths
+
+
+@pytest.fixture
+def one_blas_thread():
+    """Runs the test with OpenBLAS on one thread, set through the setter the
+    experiment's pool uses, and gives the caller's count back afterwards.
+    BLAS's bits depend on its thread count, so results compared bit for bit
+    need one count on both sides. Skips the test where there is no setter."""
+    setter = experiment._blas_threads_setter()
+    if setter is None:
+        pytest.skip("numpy's OpenBLAS setter is absent")
+    previous = setter(1)
+    yield
+    setter(previous)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -619,6 +621,26 @@ class TestSerialization:
         save_alignment(gcca_fit([centered(rng, 12, 3) for _ in range(3)], 2), tmp_path)
         (tmp_path / "meta.json").write_text(meta)
         with pytest.raises(FormatError, match="meta.json"):
+            load_alignment(tmp_path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("K", 2.7),
+        ("K", "2"),
+        ("K", True),
+        ("method", 5),
+        ("method", ["cca"]),
+        ("method", "pls"),
+        ("ridge", "1e-3"),
+        ("ridge", True),
+    ], ids=["K-float", "K-string", "K-bool", "method-int", "method-list", "method-unknown",
+            "ridge-string", "ridge-bool"])
+    def test_meta_field_of_another_type_names_file_and_field(self, tmp_path, field, value):
+        # Nothing is coerced: K 2.7 would read two of three views, true one.
+        rng = np.random.default_rng(123)
+        save_alignment(gcca_fit([centered(rng, 12, 3) for _ in range(3)], 2), tmp_path)
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        with pytest.raises(FormatError, match=f"meta.json: missing or malformed field '{field}'"):
             load_alignment(tmp_path)
 
     def test_correlation_order_validated(self):

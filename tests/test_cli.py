@@ -701,7 +701,8 @@ def test_registered_matrices_are_read_from_their_twins(tmp_path, parsed, capsys)
         assert (tmp_path / "run1" / name).read_bytes() == (tmp_path / "run2" / name).read_bytes()
 
 
-# The matrix files three commands write from `synth --seed 0 --objects 300`.
+# The matrix files, and their twins, that four commands write from
+# `synth --seed 0 --objects 300`; the cap-300 geodesic is built as uint16.
 # The cosine product and MDS's eigh go through BLAS, whose bits depend on its
 # thread count, so the commands run in a child process at one BLAS thread.
 PINNED_SCRIPT = r"""
@@ -710,6 +711,8 @@ from manifold_match.cli import main
 for argv in (["synth", "--seed", "0", "--objects", "300", "--out", "corpus"],
              ["dissim", "corpus", "--domain", "domain0", "--kind", "graph"],
              ["dissim", "corpus", "--domain", "domain1", "--kind", "text"],
+             ["dissim", "corpus", "--domain", "domain0", "--kind", "graph",
+              "--cap", "300", "--max-hops", "280", "--out", "g300.tsv"],
              ["mds", "corpus/domain0/dissim_graph.tsv", "--dim", "10", "--out", "emb.tsv"]):
     assert main(argv) == 0, argv
 """
@@ -717,9 +720,16 @@ for argv in (["synth", "--seed", "0", "--objects", "300", "--out", "corpus"],
 PINNED_SHA256 = {
     "corpus/domain0/dissim_graph.tsv":
         "ff4775c16cb803b3339553111bf63520a7334ee6b88a645c7a8988ec881981ac",
+    "corpus/domain0/.dissim_graph.tsv.twin":
+        "4fe0d3717d998a0d508df11c9592b2401529633184b53913e3e8fbb90c2d2a32",
     "corpus/domain1/dissim_text.tsv":
         "58fbbd28141cda34d1cb45faed91020decf8c934bb75be1e6065322cb23ad816",
+    "corpus/domain1/.dissim_text.tsv.twin":
+        "4cfb54ccbc21b3cfa80190c5420e41e7cbf163437e5f5d827c8f168d8e92d2d5",
+    "g300.tsv": "15cf1beefc1a0d8d2242267b655d949ac6c53d27c64ad65d931b2c2fcd9bd015",
+    ".g300.tsv.twin": "a5f6b7a912682dcf59aad392262ded5f0e2b5744dbbc17a6ddc12e243700ab85",
     "emb.tsv": "0c085781383bbc4107abbb8f001b4d7be78d2cc3b251a8140981e498b2494552",
+    ".emb.tsv.twin": "d89a4081eca4588a7533967a5977dfb9e49657e00740dbf65182826cd5112b57",
 }
 
 

@@ -124,15 +124,15 @@ def geometric_edges():
 @pytest.mark.parametrize("cap, max_hops", [(32, 30), (6, 4)])
 def test_matches_dijkstra_on_geometric_graph(geometric_edges, cap, max_hops):
     # The hop-limited scipy search that graph_geodesic replaced is the oracle:
-    # same dtype and the same bits.
+    # cast to float, the one-byte hop counts have its bits.
     n = 1382
     e = geometric_edges
     graph = csr_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
     expected = dijkstra(graph, directed=False, unweighted=True, limit=max_hops)
     expected[np.isinf(expected)] = cap
     dm = graph_geodesic(e, n, cap=cap, max_hops=max_hops)
-    assert dm.dtype == expected.dtype
-    assert np.array_equal(dm.view(np.uint64), expected.view(np.uint64))
+    assert dm.dtype == np.uint8
+    assert np.array_equal(dm.astype(float).view(np.uint64), expected.view(np.uint64))
 
 
 @st.composite
@@ -143,7 +143,8 @@ def small_graphs(draw):
     vertex = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
     max_hops = draw(st.integers(1, n))
-    cap = max_hops + draw(st.integers(1, 3))
+    # Caps past 255 take the wider unsigned types, up to uint64 at 2**53.
+    cap = max_hops + draw(st.integers(1, 3) | st.sampled_from([255, 2**16, 2**53 - n]))
     return np.array(edges, dtype=int).reshape(-1, 2), n, cap, max_hops
 
 
@@ -182,24 +183,32 @@ class TestGraphGeodesicProperties:
     @settings(max_examples=200, deadline=None)
     @given(small_graphs())
     def test_narrow_dtype_holds_the_float_result(self, graph):
+        # The result takes the narrowest unsigned type that holds cap, and
+        # cast to float it has the bits of the float oracle.
         edges, n, cap, max_hops = graph
-        dtype = np.min_scalar_type(cap)
-        narrow = graph_geodesic(edges, n, cap=cap, max_hops=max_hops, dtype=dtype)
-        assert narrow.dtype == dtype
+        narrow = graph_geodesic(edges, n, cap=cap, max_hops=max_hops)
+        assert narrow.dtype == np.min_scalar_type(cap)
         assert not narrow.flags.writeable
-        assert np.array_equal(narrow, graph_geodesic(edges, n, cap=cap, max_hops=max_hops))
+        expected = floyd_warshall_capped(edges, n, cap, max_hops)
+        assert np.array_equal(narrow.astype(float).view(np.uint64), expected.view(np.uint64))
 
 
-@pytest.mark.parametrize("dtype, cap, max_hops, n", [
-    (np.uint8, 300, 4, 2),
-    (np.float64, 2**53 + 1, 4, 2),
-    (bool, 6, 4, 2),
-    # float16 holds 4096 but not the hop count 2049
-    (np.float16, 4096, 4000, 2050),
-])
-def test_dtype_that_cannot_hold_cap_or_a_hop_count_rejected(dtype, cap, max_hops, n):
-    with pytest.raises(ValidationError, match=f"cannot hold cap={cap} and every hop count"):
-        graph_geodesic([(0, 1)], n, cap=cap, max_hops=max_hops, dtype=dtype)
+@pytest.mark.parametrize("cap", [2**53 + 1, 6.0, True], ids=["above-2**53", "float", "bool"])
+def test_cap_that_is_not_an_integer_up_to_2_53_rejected(cap):
+    with pytest.raises(ValidationError, match="cap must be an integer no larger than 2"):
+        graph_geodesic([(0, 1)], 3, cap=cap, max_hops=1)
+
+
+@pytest.mark.parametrize("cap, dtype", [
+    (np.int64(6), np.uint8),
+    (300, np.uint16),
+    # The largest cap: every uint64 up to 2**53 casts to float exactly.
+    (2**53, np.uint64),
+], ids=["numpy-int-6", "300", "2**53"])
+def test_cap_sets_the_narrowest_unsigned_type(cap, dtype):
+    dm = graph_geodesic([(0, 1)], 3, cap=cap, max_hops=1)
+    assert dm.dtype == dtype
+    assert np.array_equal(dm.astype(float), [[0, 1, cap], [1, 0, cap], [cap, cap, 0]])
 
 
 @st.composite
