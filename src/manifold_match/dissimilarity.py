@@ -3,7 +3,9 @@
 Two kinds are supported: hop-count graph geodesics with far pairs capped, and
 cosine dissimilarity of feature rows. The geodesics come from one
 breadth-first search over packed bitsets that advances every source
-together, in NumPy with no per-source loop. Frobenius prescaling gives the
+together, in NumPy with no per-source loop: each hop gathers neighbours'
+rows by degree-ordered slots and ORs the new level into the bit planes of
+its hop count. Frobenius prescaling gives the
 factor that rescales one matrix onto another's norm so matrices of different
 kinds can be fused downstream.
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .formats import read_matrix, write_matrix
-from .numerics import symmetrize
+from .numerics import mirror_blocks, symmetrize
 
 __all__ = [
     "as_dissimilarity",
@@ -33,6 +35,10 @@ __all__ = [
 ]
 
 _SYM_ATOL = 1e-12
+
+# Neighbour slots a geodesic hop gathers one by one; a vertex's later
+# neighbours are gathered together and ORed by reduceat.
+_SLOTS = 16
 
 
 def _read_only(array):
@@ -52,14 +58,14 @@ def as_dissimilarity(values) -> np.ndarray:
 
 def _checked(v):
     """:func:`as_dissimilarity` of a float array the caller owns, made exact
-    and read-only in place."""
+    and read-only in place, one block of :func:`mirror_blocks` at a time: a
+    valid matrix that is already exact gets no n x n temporary."""
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValidationError(f"dissimilarity matrix must be square, got {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValidationError("dissimilarity matrix contains non-finite entries")
     if v.size:
-        # v - v.T is antisymmetric: its largest entry is its largest magnitude.
-        if np.max(v - v.T) > _SYM_ATOL:
+        if max(np.max(np.abs(upper - lower)) for upper, lower in mirror_blocks(v)) > _SYM_ATOL:
             raise ValidationError(
                 f"dissimilarity matrix is not symmetric within {_SYM_ATOL:g}"
             )
@@ -67,13 +73,15 @@ def _checked(v):
             raise ValidationError("dissimilarity matrix has a nonzero diagonal")
         if v.min() < -_SYM_ATOL:
             raise ValidationError("dissimilarity matrix has negative entries")
-    # In place, because these n x n matrices are the largest arrays a run holds.
     # Only pairs whose bits differ are averaged: an equal pair is its own mean,
     # and x + x can overflow where x does not.
-    pattern = v.view(np.int64)
-    differ = pattern != pattern.T
-    np.add(v, v.T, out=v, where=differ)
-    np.multiply(v, 0.5, out=v, where=differ)
+    for upper, lower in mirror_blocks(v):
+        differ = upper.view(np.int64) != lower.view(np.int64)
+        if differ.any():
+            mean = np.add(upper, lower, out=upper.copy(), where=differ)
+            np.multiply(mean, 0.5, out=mean, where=differ)
+            upper[...] = mean
+            lower[...] = mean
     np.fill_diagonal(v, 0.0)
     np.clip(v, 0.0, None, out=v)
     return _read_only(v)
@@ -92,18 +100,27 @@ def graph_geodesic(edges, n, cap=6, max_hops=4) -> np.ndarray:
 
     The search is one breadth-first search from every source at once
     (Then et al., "The More the Merrier: Efficient Multi-Source Graph
-    Traversal", PVLDB 8(4), 2014). Row v of a packed bitset holds the sources
-    within k hops of v, one bit per source. One hop ORs together the
-    frontier rows of v's neighbours (one ``np.bitwise_or.reduceat`` over the
-    symmetric adjacency lists) and keeps the bits not yet reached, so every
-    source's search shares each scan of the adjacency. The loop stops after
-    ``max_hops`` hops or when no source reaches a new vertex. A pair's hop
-    count is the number of hops it stayed unreached, counted straight into
-    the result.
+    Traversal", PVLDB 8(4), 2014). Row v of a packed bitset holds one bit
+    per source: its frontier row, the sources exactly k hops from v after k
+    hops. One hop ORs together the frontier rows of v's neighbours and keeps
+    the bits not yet reached, so every source's search shares each scan of
+    the adjacency. The vertices are relabelled once, by descending degree,
+    so that the vertices with a j-th neighbour are a prefix of the rows: a
+    hop gathers the frontier rows of every such j-th neighbour with one
+    ``np.take`` into one reused buffer and ORs it into that prefix. The
+    neighbours past the sixteenth are gathered together and ORed by one
+    ``np.bitwise_or.reduceat``, so the numpy calls per hop do not grow with
+    the largest degree. The loop stops after ``max_hops`` hops or when no
+    source reaches a new vertex. Each level is ORed into the packed bit
+    planes of its hop count, and the pairs never reached into those of
+    ``cap``; the result is built from the planes at the end, in the
+    vertices' own row order, by doubling and ORing in each unpacked n² byte
+    plane (integer arithmetic only).
 
-    Memory: the reached, frontier and next-level bitsets (n²/8 bytes each)
-    and the gathered frontier rows of every vertex's neighbours (2E·n/8
-    bytes at most); an n² byte unpacked level; and the n² result.
+    Memory: the unreached, frontier, next-level and gather-buffer bitsets
+    and one bit plane per bit of ``cap`` (n²/8 bytes each); the tail
+    gather's rows (n/8 bytes per neighbour past the sixteenth); one unpacked
+    plane (n² bytes) and the result.
 
     Parameters
     ----------
@@ -136,41 +153,77 @@ def graph_geodesic(edges, n, cap=6, max_hops=4) -> np.ndarray:
         )
 
     # Symmetric adjacency lists (CSR, sorted by vertex) without self-loops
-    # or duplicates.
+    # or duplicates; slot j of an arc is its place in its vertex's list.
+    # Sorted and deduplicated by hand: np.unique hashes first, several times
+    # slower at this size.
     e = e[e[:, 0] != e[:, 1]]
-    arcs = np.unique(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+    arcs = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
+    arcs = arcs[np.diff(arcs, prepend=-1) != 0]
     vertex, neighbour = np.divmod(arcs, n)
     degree = np.bincount(vertex, minlength=n)
-    # reduceat returns the element at an empty segment's index, not zero, so
-    # vertices without neighbours are left out of it.
-    linked = degree > 0
-    starts = (np.cumsum(degree) - degree)[linked]
+    slot = np.arange(arcs.size) - np.repeat(np.cumsum(degree) - degree, degree)
+    # Relabel by descending degree (row i is vertex order[i]), so that the
+    # vertices with a slot j are the first rows.
+    order = np.argsort(-degree, kind="stable")
+    row = np.argsort(order)
+    vertex, neighbour = row[vertex], row[neighbour]
+    # The arcs of each slot below _SLOTS in row order, then every later arc
+    # in one tail grouped by row, so the numpy calls per hop stay bounded.
+    group = np.minimum(slot, _SLOTS)
+    parts = np.split(np.argsort(group * n + vertex), np.cumsum(np.bincount(group))[:-1])
+    slots = [neighbour[arcs] for arcs in parts[:_SLOTS]]
+    tails = [
+        (neighbour[arcs], np.flatnonzero(np.diff(vertex[arcs], prepend=-1)))
+        for arcs in parts[_SLOTS:]
+    ]
+    linked = slots[0].size
 
-    # Little-endian words, so a uint8 view unpacks to bits in source order.
-    v = np.arange(n)
-    reached = np.zeros((n, -(-n // 64)), dtype="<u8")
-    reached[v, v // 64] = np.left_shift(np.uint64(1), (v % 64).astype(np.uint64))
-    frontier = reached.copy()
-    level = np.zeros_like(reached)
-    gathered = np.empty((neighbour.size, reached.shape[1]), dtype=reached.dtype)
-    # Hop counts stay below cap, so the type that holds cap holds them.
-    result = np.zeros((n, n), dtype=np.min_scalar_type(cap))
-    for _ in range(max_hops):
-        np.take(frontier, neighbour, axis=0, out=gathered)
-        level[linked] = np.bitwise_or.reduceat(gathered, starts, axis=0)
-        level &= ~reached
+    # Row r of a bitset holds one bit per source, in the vertices' own order
+    # and laid out as _unpack reads them.
+    words = -(-n // 64)
+    unreached = np.full((n, words), np.uint64(2**64 - 1), dtype="<u8")
+    unreached[np.arange(n), order // 64] ^= np.left_shift(
+        np.uint64(1), (order % 64 ^ 7).astype(np.uint64)
+    )
+    frontier = ~unreached[:linked]
+    level = np.empty_like(frontier)
+    gathered = np.empty_like(frontier)
+    # Bit plane b holds the pairs whose hop count (or cap) has bit b set; hop
+    # counts stay below cap, so cap's bit length covers them.
+    planes = np.zeros((int(cap).bit_length(), n, words), dtype=frontier.dtype)
+    for hop in range(1, max_hops + 1):
+        # mode="clip" only skips the bounds check's buffer: every index is a row.
+        np.take(frontier, slots[0], axis=0, out=level, mode="clip")
+        for part in slots[1:]:
+            np.take(frontier, part, axis=0, out=gathered[:part.size], mode="clip")
+            level[:part.size] |= gathered[:part.size]
+        for tail, starts in tails:
+            tail_rows = np.take(frontier, tail, axis=0, mode="clip")
+            level[:starts.size] |= np.bitwise_or.reduceat(tail_rows, starts, axis=0)
+        level &= unreached[:linked]
         if not level.any():
             break
-        result += _unpack(~reached, n)
-        reached |= level
+        for b in range(hop.bit_length()):
+            if hop >> b & 1:
+                planes[b, :linked] |= level
+        unreached[:linked] ^= level
         frontier, level = level, frontier
-    np.copyto(result, result.dtype.type(cap), where=_unpack(~reached, n))
+    for b in range(len(planes)):
+        if cap >> b & 1:
+            planes[b] |= unreached
+    # Hop counts stay below cap, so the type that holds cap holds them.
+    result = np.zeros((n, n), dtype=np.min_scalar_type(cap))
+    for plane in planes[::-1]:
+        result += result
+        result |= _unpack(plane[row], n)
     return _read_only(result)
 
 
 def _unpack(bitset, n):
-    """The (n, n) bool matrix of a packed (n, words) little-endian bitset."""
-    bits = np.unpackbits(bitset.view(np.uint8), axis=1, count=n, bitorder="little")
+    """The (n, n) bool matrix of a packed (n, words) bitset whose bit s is
+    bit ``s ^ 7`` of little-endian word ``s // 64``: byte ``s // 8``, most
+    significant bit first, numpy's fastest order to unpack."""
+    bits = np.unpackbits(bitset.view(np.uint8), axis=1, count=n)
     return bits.view(bool)
 
 

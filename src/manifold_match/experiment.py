@@ -93,20 +93,20 @@ _REQUIRED_FIELDS = ("views", "combinations", "relation_classes", "classifier_cla
 _FIELDS = {
     "corpus": _of(str, type(None)),
     "views": lambda views: tuple(
-        ViewSpec(_str(v["tag"]), _str(v["domain"]), _str(v["kind"])) for v in views
+        ViewSpec(_str(v["tag"]), _str(v["domain"]), _str(v["kind"])) for v in _list(views)
     ),
-    "combinations": lambda combos: tuple(_str(c) for c in combos),
-    "relation_classes": lambda classes: tuple(_int(c) for c in classes),
-    "classifier_classes": lambda classes: tuple(_int(c) for c in classes),
+    "combinations": lambda combos: tuple(_str(c) for c in _list(combos)),
+    "relation_classes": lambda classes: tuple(_int(c) for c in _list(classes)),
+    "classifier_classes": lambda classes: tuple(_int(c) for c in _list(classes)),
     "method": _str, "shared_dim": _int, "kappa": _int, "replicates": _int, "seed": _int,
     "feature": _str, "cap": _int, "max_hops": _int, "bootstrap_samples": _int,
     "regularized": _of(bool),
     "ridge": lambda r: r if r is None else float(_number(r)),
     "averaged_views": lambda views: {
-        tag: (_str(a), _str(b)) for tag, (a, b) in (views or {}).items()
+        tag: (_str(a), _str(b)) for tag, pair in (views or {}).items() for a, b in [_list(pair)]
     },
     "schedule": lambda rows: rows if rows is None else tuple(
-        (float(_number(r["fraction"])), _int(r["mds_dim"])) for r in rows
+        (float(_number(r["fraction"])), _int(r["mds_dim"])) for r in _list(rows)
     ),
 }
 

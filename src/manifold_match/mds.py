@@ -125,7 +125,10 @@ def mds_out_of_sample(model, delta_new):
 
     which reproduces training rows exactly and recovers held-out points of
     Euclidean configurations. Accepts one dissimilarity vector of length n
-    or a matrix of such rows; the output matches the input's ndim.
+    or a matrix of such rows; the output matches the input's ndim. One row
+    goes to BLAS's matrix-vector kernel, several to its matrix-matrix
+    kernel, so a row projected alone may differ in its last bits from the
+    same row projected in a batch.
     """
     arr = _real(delta_new)
     single = arr.ndim == 1

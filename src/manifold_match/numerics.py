@@ -4,16 +4,18 @@ Symmetric eigendecomposition with a fixed eigenvalue ordering, and the sign
 convention it applies to eigenvector columns (also used by the alignment
 solver), so that downstream embeddings are reproducible run to run on one
 platform; and the in-place average of a square matrix with its transpose
-that makes a matrix symmetric to the bit before it is factored.
+that makes a matrix symmetric to the bit before it is factored, walked one
+block of rows and their mirror columns at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["eig_sym", "symmetrize"]
+__all__ = ["eig_sym", "mirror_blocks", "symmetrize"]
 
-# Rows per block of symmetrize: its one temporary is this many rows wide.
+# Rows per block of mirror_blocks: a temporary of one block is this many
+# rows wide.
 _SYM_ROWS = 64
 
 
@@ -60,15 +62,26 @@ def symmetrize(a):
 
     Each entry is the bits of ``(a[i, j] + a[j, i]) * 0.5``, as the whole-array
     expression gives them (addition commutes exactly), but the only temporary
-    is one block of ``_SYM_ROWS`` rows: a block's rows and the matching
-    columns below it are averaged together, and no later block reads either.
-    Returns ``a``.
+    is one block of :func:`mirror_blocks`. Returns ``a``.
+    """
+    for upper, lower in mirror_blocks(a):
+        mean = upper + lower
+        mean *= 0.5
+        upper[...] = mean
+        lower[...] = mean
+    return a
+
+
+def mirror_blocks(a):
+    """Walk a square array as ``(upper, lower)`` pairs of writable views.
+
+    ``upper`` is a block of ``_SYM_ROWS`` rows from the diagonal rightwards,
+    ``lower`` the matching columns from the diagonal down, transposed, so
+    ``lower[i, j]`` is the mirror of ``upper[i, j]``. Each mirror pair falls
+    in exactly one block, and no later block reads a pair an earlier one
+    wrote; a pair on a block's diagonal square is in both views.
     """
     n = a.shape[0]
     for start in range(0, n, _SYM_ROWS):
         stop = min(start + _SYM_ROWS, n)
-        mean = a[start:stop, start:] + a[start:, start:stop].T
-        mean *= 0.5
-        a[start:stop, start:] = mean
-        a[start:, start:stop] = mean.T
-    return a
+        yield a[start:stop, start:], a[start:, start:stop].T

@@ -6,6 +6,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from conftest import traced_peak
+from manifold_match import dissimilarity
 from manifold_match.corpus import synthesize_corpus
 from manifold_match.dissimilarity import (
     as_dissimilarity,
@@ -94,10 +95,13 @@ class TestGraphGeodesic:
         iu = np.triu_indices(n, k=1)
         mask = rng.random(iu[0].size) < 1.5 / n
         edges = np.column_stack([iu[0][mask], iu[1][mask]])
-        isolated = [v for v in (63, 64, 127, 128) if v < n]
+        # The degree sort moves isolated vertices to the last rows, so the
+        # first and last vertices are isolated too.
+        isolated = [v for v in (0, 63, 64, 127, 128, 191, 192, n - 1) if v < n]
         edges = edges[~np.isin(edges, isolated).any(axis=1)]
         for max_hops in (4, n - 1):
             dm = graph_geodesic(edges, n, cap=max_hops + 2, max_hops=max_hops)
+            assert dm.dtype == np.uint8
             assert np.array_equal(
                 dm, floyd_warshall_capped(edges, n, max_hops + 2, max_hops)
             )
@@ -115,6 +119,53 @@ class TestGraphGeodesic:
         assert dm[0, 300] == 300
         assert dm[0, 399] == (max_hops + 1 if max_hops < 399 else 399)
 
+    @pytest.mark.parametrize("max_hops", [250, 310])
+    def test_broom_matches_dijkstra(self, max_hops):
+        # A hub of degree 1001 (1000 leaves and a path) gathers most of its
+        # neighbours in the tail; the path is 300 hops, 301 from a leaf.
+        leaves, length = 1000, 300
+        n = 1 + leaves + length
+        edges = [(0, leaf) for leaf in range(1, leaves + 1)]
+        edges += [(v, v + 1) for v in [0, *range(leaves + 1, n - 1)]]
+        assert_matches_dijkstra(edges, n, max_hops + 1, max_hops)
+
+    def test_hubs_of_equal_degree(self):
+        # Three hubs of degree 20 in a triangle, and ties among their leaves,
+        # some of which are chained: the degree sort breaks every tie by label.
+        n = 64
+        edges = [(0, 1), (1, 2), (2, 0)]
+        edges += [(hub, 3 + 19 * hub + k) for hub in range(3) for k in range(18)]
+        edges += [(v, v + 1) for v in range(3, n - 2, 4)]
+        degree = np.bincount(np.ravel(edges), minlength=n)
+        assert list(degree[:3]) == [20, 20, 20]
+        for max_hops in (2, 5, n - 1):
+            dm = graph_geodesic(edges, n, cap=max_hops + 1, max_hops=max_hops)
+            assert np.array_equal(dm, floyd_warshall_capped(edges, n, max_hops + 1, max_hops))
+
+    @pytest.mark.parametrize("n", [2, 70])
+    def test_complete_graph(self, n):
+        iu = np.triu_indices(n, k=1)
+        dm = graph_geodesic(np.column_stack(iu), n, cap=32, max_hops=30)
+        assert dm.dtype == np.uint8
+        assert np.array_equal(dm, 1 - np.eye(n, dtype=np.uint8))
+
+    @pytest.mark.parametrize("edges", [[], [(0, 0)]], ids=["no-edge", "self-loop"])
+    def test_single_vertex(self, edges):
+        dm = graph_geodesic(edges, 1, cap=300, max_hops=4)
+        assert dm.dtype == np.uint16 and dm.tolist() == [[0]]
+
+
+def assert_matches_dijkstra(edges, n, cap, max_hops):
+    # scipy's hop-limited search is the oracle: cast to float, the hop counts
+    # have its bits.
+    e = np.asarray(edges)
+    graph = csr_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
+    expected = dijkstra(graph, directed=False, unweighted=True, limit=max_hops)
+    expected[np.isinf(expected)] = cap
+    dm = graph_geodesic(e, n, cap=cap, max_hops=max_hops)
+    assert dm.dtype == np.min_scalar_type(cap)
+    assert np.array_equal(dm.astype(float).view(np.uint64), expected.view(np.uint64))
+
 
 @pytest.fixture(scope="module")
 def geometric_edges():
@@ -123,25 +174,32 @@ def geometric_edges():
 
 @pytest.mark.parametrize("cap, max_hops", [(32, 30), (6, 4)])
 def test_matches_dijkstra_on_geometric_graph(geometric_edges, cap, max_hops):
-    # The hop-limited scipy search that graph_geodesic replaced is the oracle:
-    # cast to float, the one-byte hop counts have its bits.
+    # The hop-limited scipy search that graph_geodesic replaced is the oracle.
+    assert_matches_dijkstra(geometric_edges, 1382, cap, max_hops)
+
+
+def test_working_set_at_paper_scale(geometric_edges):
+    # A guard: bitsets, bit planes, one unpacked plane and the one-byte
+    # result, below the 4.3 n^2 bytes the per-hop count once took.
     n = 1382
-    e = geometric_edges
-    graph = csr_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
-    expected = dijkstra(graph, directed=False, unweighted=True, limit=max_hops)
-    expected[np.isinf(expected)] = cap
-    dm = graph_geodesic(e, n, cap=cap, max_hops=max_hops)
-    assert dm.dtype == np.uint8
-    assert np.array_equal(dm.astype(float).view(np.uint64), expected.view(np.uint64))
+    peak, dm = traced_peak(lambda: graph_geodesic(geometric_edges, n, cap=32, max_hops=30))
+    assert dm.shape == (n, n)
+    assert peak < 4.35 * n * n
 
 
 @st.composite
 def small_graphs(draw):
     """Random graph as (edges, n, cap, max_hops) with self-loops, duplicates
     and isolated vertices allowed and either orientation of each edge."""
-    n = draw(st.integers(1, 14))
+    # A hub joined to up to 2n drawn vertices reaches past the neighbour
+    # slots graph_geodesic gathers one by one.
+    hub = draw(st.booleans())
+    n = draw(st.integers(1, 40 if hub else 14))
     vertex = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    if hub:
+        centre = draw(vertex)
+        edges += [(centre, v) for v in draw(st.lists(vertex, max_size=2 * n))]
     max_hops = draw(st.integers(1, n))
     # Caps past 255 take the wider unsigned types, up to uint64 at 2**53.
     cap = max_hops + draw(st.integers(1, 3) | st.sampled_from([255, 2**16, 2**53 - n]))
@@ -191,6 +249,16 @@ class TestGraphGeodesicProperties:
         assert not narrow.flags.writeable
         expected = floyd_warshall_capped(edges, n, cap, max_hops)
         assert np.array_equal(narrow.astype(float).view(np.uint64), expected.view(np.uint64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(), st.integers(1, 3))
+    def test_any_slot_count_matches_floyd_warshall(self, graph, slots):
+        # Fewer slots gathered one by one send most neighbours to the tail.
+        edges, n, cap, max_hops = graph
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dissimilarity, "_SLOTS", slots)
+            dm = graph_geodesic(edges, n, cap=cap, max_hops=max_hops)
+        assert np.array_equal(dm, floyd_warshall_capped(edges, n, cap, max_hops))
 
 
 @pytest.mark.parametrize("cap", [2**53 + 1, 6.0, True], ids=["above-2**53", "float", "bool"])
@@ -345,7 +413,72 @@ class TestFrobeniusPrescale:
             frobenius_prescale(zero, ref)
 
 
+def whole_array_checked(v):
+    # The check as one expression over the whole array, before it went
+    # block by block.
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        raise ValidationError(f"dissimilarity matrix must be square, got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError("dissimilarity matrix contains non-finite entries")
+    if v.size:
+        if np.max(v - v.T) > 1e-12:
+            raise ValidationError("dissimilarity matrix is not symmetric within 1e-12")
+        if np.max(np.abs(np.diag(v))) > 1e-12:
+            raise ValidationError("dissimilarity matrix has a nonzero diagonal")
+        if v.min() < -1e-12:
+            raise ValidationError("dissimilarity matrix has negative entries")
+    pattern = v.view(np.int64)
+    differ = pattern != pattern.T
+    np.add(v, v.T, out=v, where=differ)
+    np.multiply(v, 0.5, out=v, where=differ)
+    np.fill_diagonal(v, 0.0)
+    np.clip(v, 0.0, None, out=v)
+    return v
+
+
+@st.composite
+def near_symmetric(draw):
+    """A square matrix whose mirror pairs are equal, a bit apart, -0.0 and
+    0.0, subnormal or near the largest double, with one drawn fault."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 129]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    palette = np.array([0.0, -0.0, 5e-324, 2.5e-320, 1.0, 3.0, 1e308, 1.7e308])
+    a = np.where(rng.random((n, n)) < 0.5, rng.choice(palette, (n, n)), rng.uniform(0, 9, (n, n)))
+    i, j = np.triu_indices(n, k=1)
+    a[j, i] = a[i, j]
+    # A pair a bit apart within the tolerance, on either side of the diagonal.
+    pick = rng.random(i.size)
+    near = (pick < 0.3) & (a[i, j] < 10.0)
+    side = rng.random(i.size) < 0.5
+    a[j, i] = np.where(near & side, np.nextafter(a[i, j], np.inf), a[j, i])
+    a[i, j] = np.where(near & ~side, np.nextafter(a[j, i], np.inf), a[i, j])
+    a[j, i] = np.where((pick > 0.9) & (a[i, j] == 0.0), -0.0, a[j, i])
+    a[np.diag_indices(n)] = rng.choice([0.0, -0.0], n)
+    fault = draw(st.sampled_from(["none", "asymmetric", "diagonal", "negative"]))
+    # The corner pairs lie in different row blocks once n passes one block.
+    k, m = (n - 1, 0) if draw(st.booleans()) else (0, n - 1)
+    if fault == "asymmetric" and n > 1:
+        a[k, m] += 1e-6
+    elif fault == "diagonal":
+        a[k, k] = 1e-6
+    elif fault == "negative" and n > 1:
+        a[k, m] = a[m, k] = -1e-3
+    return a
+
+
 class TestAsDissimilarity:
+    @settings(max_examples=100, deadline=None)
+    @given(near_symmetric())
+    def test_has_the_bits_and_errors_of_the_whole_array_formula(self, a):
+        def outcome(check):
+            try:
+                with np.errstate(over="ignore"):
+                    return check(a.copy()).tobytes()
+            except ValidationError as exc:
+                return str(exc)
+
+        assert outcome(as_dissimilarity) == outcome(whole_array_checked)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError, match="symmetric"):
             as_dissimilarity(np.array([[0.0, 1.0], [2.0, 0.0]]))
@@ -399,8 +532,8 @@ class TestAsDissimilarity:
 
     def test_tsv_load_checks_the_array_it_read_in_place(self, tmp_path):
         # The array read from the file (here from its twin) is checked and
-        # made exact without a copy: it, one n x n temporary of the symmetry
-        # check and n^2 bytes of masks.
+        # made exact without a copy: it, the n^2 byte finiteness mask and
+        # one row block of the symmetry check.
         hops = np.random.default_rng(46).integers(0, 7, size=(1000, 1000)).astype(float)
         hops = np.maximum(hops, hops.T)
         np.fill_diagonal(hops, 0.0)
@@ -408,7 +541,7 @@ class TestAsDissimilarity:
         save_dissimilarity_tsv(hops, path)
         peak, back = traced_peak(lambda: load_dissimilarity_tsv(path))
         assert np.array_equal(back, hops)
-        assert peak < 2.25 * hops.nbytes
+        assert peak < 1.25 * hops.nbytes
 
     def test_tsv_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -246,6 +246,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=name):
             ExperimentConfig.from_dict(raw_config(**{name: value}), source="inline")
 
+    @pytest.mark.parametrize("name, value", [
+        ("views", ""),
+        ("combinations", "GF->GE"),
+        ("relation_classes", ""),
+        ("classifier_classes", ""),
+        ("schedule", ""),
+        ("averaged_views", {"GTF": "GF"}),
+    ])
+    def test_from_dict_string_for_a_list_names_the_field(self, name, value):
+        # A JSON string is not read character by character as a list.
+        with pytest.raises(ConfigError, match=f"malformed field '{name}'"):
+            ExperimentConfig.from_dict(raw_config(**{name: value}), source="inline")
+
     def test_from_dict_malformed_averaged_views(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw_config(averaged_views=["GTF"]), source="inline")
