@@ -30,6 +30,7 @@ from .formats import (
     _int, _list, _number, _of, _str, read_fields, read_json, read_lines, write_json, write_lines,
 )
 from .mds import mds_fit, mds_out_of_sample
+from .numerics import _openblas
 
 __all__ = [
     "CANONICAL_SCHEDULE",
@@ -353,11 +354,13 @@ _BLOCK_ROWS = 64
 
 def _block(matrix, rows, cols):
     """``matrix[np.ix_(rows, cols)]``, gathered with ``take`` along rows and
-    then columns, a slice of rows at a time, straight into the result."""
+    then columns, a slice of rows at a time, straight into the result. The
+    indices are in range, so ``mode="clip"`` changes nothing but spares
+    ``take`` the buffer its default mode fills before copying into ``out``."""
     out = np.empty((rows.size, cols.size), matrix.dtype)
     for start in range(0, rows.size, _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
-        matrix.take(rows[start:stop], axis=0).take(cols, axis=1, out=out[start:stop])
+        matrix.take(rows[start:stop], axis=0).take(cols, axis=1, out=out[start:stop], mode="clip")
     return out
 
 
@@ -365,13 +368,15 @@ def _fit_view(prepared, view, sample, dim):
     """One view's MDS fit of a drawn sample, and the Frobenius prescale
     factor its dissimilarities took (None for a view that is not
     prescaled). A text view is prescaled onto the reference view's training
-    block; its classifier rows take the same factor."""
+    block; its classifier rows take the same factor. The training block is
+    this call's own, so a float one is squared into the fit's Gram matrix
+    in place rather than into a second n' x n' array."""
     train = _block(prepared.full[view.tag], sample, sample)
     factor = None
     if view.kind == "text" and prepared.ref_tag is not None:
         factor = frobenius_prescale(train, _block(prepared.full[prepared.ref_tag], sample, sample))
         train *= factor
-    return mds_fit(train, dim), factor
+    return mds_fit(train, dim, _overwrite=True), factor
 
 
 def _run_single(prepared, row, sample):
@@ -382,11 +387,16 @@ def _run_single(prepared, row, sample):
     MDS fit and prescale factor from the corpus's kept fits, or fits it and
     keeps both there, so a kept fit gathers no training block. The fits
     themselves go to the alignment, which whitens each view by the
-    factorization MDS already computed instead of an SVD."""
+    factorization MDS already computed instead of an SVD. Every view is
+    fitted, and its fit sets the shared dimension and any shrink warning,
+    but only the views some combination or averaged view reads are
+    projected out of sample and into the shared space."""
     config = prepared.config
     labels = prepared.labels_clf
     warnings = []
     whole_pool = row.n_prime == prepared.rel_idx.size
+    read = {tag for combo in config.combinations for tag in _parse_combination(combo)}
+    read.update(*config.averaged_views.values())
 
     train_fit = {}
     clf_emb = {}
@@ -409,23 +419,23 @@ def _run_single(prepared, row, sample):
                 f"{model.effective_dim} is below shared_dim {config.shared_dim}"
             )
         train_fit[view.tag] = model
+        if view.tag not in read:
+            continue
         oos = _block(prepared.full[view.tag], prepared.clf_idx, sample)
         if factor is not None:
             oos *= factor
         clf_emb[view.tag] = mds_out_of_sample(model, oos)
     d_shared = min(config.shared_dim, *(model.effective_dim for model in train_fit.values()))
 
-    def aligned(maps, tags):
-        """Each fit view's classifier objects in the shared space, in fit order."""
-        return [
-            LabeledEmbedding(project(maps, k, clf_emb[tag]), labels, tag)
-            for k, tag in enumerate(tags)
-        ]
+    def aligned(maps, k, tag):
+        """The classifier objects of view ``tag``, the fit's view k, in the
+        shared space."""
+        return LabeledEmbedding(project(maps, k, clf_emb[tag]), labels, tag)
 
     if config.method == "gcca":
         tags = [v.tag for v in config.views]
         maps = gcca_fit([train_fit[tag] for tag in tags], d_shared, ridge=config.ridge)
-        shared = dict(zip(tags, aligned(maps, tags)))
+        shared = {tag: aligned(maps, k, tag) for k, tag in enumerate(tags) if tag in read}
         for avg_tag, (a, b) in config.averaged_views.items():
             shared[avg_tag] = average_views(shared[a], shared[b], view_tag=avg_tag)
     accuracies = {}
@@ -437,7 +447,7 @@ def _run_single(prepared, row, sample):
             maps = cca_fit(
                 train_fit[test_tag], train_fit[train_tag], d_shared, ridge=config.ridge
             )
-            test_view, train_view = aligned(maps, (test_tag, train_tag))
+            test_view, train_view = aligned(maps, 0, test_tag), aligned(maps, 1, train_tag)
         accuracies[combo] = loo_cross_view_accuracy(train_view, test_view, config.kappa)
     return accuracies, warnings
 
@@ -456,15 +466,10 @@ def _blas_threads_setter():
     numpy, or None where there is none. It sets the calling thread's count
     in an OpenMP build and the process's in a pthreads one (numpy's wheels),
     and returns the count it replaced."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*")):
-        try:
-            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
+    setter = _openblas("openblas_set_num_threads_local")
+    if setter is not None:
         setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-        return setter
-    return None
+    return setter
 
 
 def _run_tasks(prepared, tasks):

@@ -8,9 +8,11 @@ interpolation using the stored centering statistics.
 Embeddings are plain ``(n, p)`` float arrays, rows = objects. Dissimilarities
 may come as float arrays or as narrow unsigned hop counts; each is squared
 straight into float64. Working set: a fit holds one n x n float64 array (the
-Gram matrix, centred and symmetrised in place) beside the n x n eigenvectors
-and LAPACK workspace of ``eigh``; an out-of-sample call holds one (m, n)
-float64 array for m new points.
+Gram matrix, centred, symmetrised and factored in place by
+:func:`~manifold_match.numerics.eig_sym`, which overwrites it with the
+eigenvectors) beside LAPACK's workspace of about 2n^2 floats, about 3n^2
+floats in all; an out-of-sample call holds one (m, n) float64 array for m
+new points.
 """
 
 from __future__ import annotations
@@ -78,13 +80,16 @@ class MdsModel:
         return self.embedding.shape[1]
 
 
-def mds_fit(delta, p) -> MdsModel:
+def mds_fit(delta, p, *, _overwrite=False) -> MdsModel:
     """Embed a dissimilarity matrix into at most ``p`` Euclidean dimensions.
 
     The squared dissimilarities are double-centered into a Gram matrix
     whose top eigenpairs give coordinates ``V_p sqrt(L_p)``. Negative
     eigenvalues (non-Euclidean input) are dropped, never clamped, so the
-    Gram identity on the retained eigenspace holds exactly.
+    Gram identity on the retained eigenspace holds exactly. ``_overwrite``
+    is for a caller that gathered a float64 ``delta`` for this fit alone:
+    the Gram matrix is then built and factored in ``delta``'s memory, which
+    is left overwritten.
     """
     d = _dissim_values(delta)
     n = d.shape[0]
@@ -93,7 +98,7 @@ def mds_fit(delta, p) -> MdsModel:
 
     # Double-centre the squared dissimilarities in place, in the order
     # -0.5 * (squared - row_mean_i - row_mean_j + grand_mean).
-    gram = np.multiply(d, d, dtype=float)
+    gram = np.multiply(d, d, out=d if _overwrite and d.dtype == float else None, dtype=float)
     row_means = gram.mean(axis=1)
     grand_mean = float(gram.mean())
     gram -= row_means[:, None]
@@ -101,7 +106,8 @@ def mds_fit(delta, p) -> MdsModel:
     gram += grand_mean
     gram *= -0.5
     # Rounding leaves the double-centred matrix asymmetric in its last bits,
-    # and eig_sym reads one triangle: average the two.
+    # and eig_sym reads one triangle: average the two. eig_sym then factors
+    # the matrix in its own memory.
     symmetrize(gram)
     eigenvalues, eigenvectors = eig_sym(gram, p)
     # The leading eigenvalue sets the cutoff; the p leading ones are sorted,

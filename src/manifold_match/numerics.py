@@ -6,9 +6,19 @@ solver), so that downstream embeddings are reproducible run to run on one
 platform; and the in-place average of a square matrix with its transpose
 that makes a matrix symmetric to the bit before it is factored, walked one
 block of rows and their mirror columns at a time.
+
+A factorization runs in place on the caller's matrix: LAPACK's ``dsyevd``,
+the routine ``np.linalg.eigh`` calls, is called through the OpenBLAS that
+numpy bundles, without ``eigh``'s copy of the matrix in and of the
+eigenvectors out. Working set of an n x n factorization: the matrix itself
+and LAPACK's workspace of about 2n^2 floats.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +27,74 @@ __all__ = ["eig_sym", "mirror_blocks", "symmetrize"]
 # Rows per block of mirror_blocks: a temporary of one block is this many
 # rows wide.
 _SYM_ROWS = 64
+
+
+def _openblas(symbol):
+    """``symbol`` from the OpenBLAS bundled with numpy, or None where there
+    is none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            return getattr(ctypes.CDLL(str(path)), symbol)
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
+# LAPACKE's matrix_layout value for column-major storage, which LAPACKE's
+# _work routines pass straight to LAPACK.
+_COL_MAJOR = 102
+
+
+@functools.cache
+def _dsyevd():
+    """LAPACKE's ``dsyevd_work`` with 64-bit integers, as numpy's
+    scipy-openblas wheels export it, or None where there is none."""
+    fn = _openblas("scipy_LAPACKE_dsyevd_work64_")
+    if fn is not None:
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        fn.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, ptr, i64, ptr,
+                       ptr, i64, ptr, i64]
+        fn.restype = i64
+    return fn
+
+
+def _eigh_rows(a):
+    """Every eigenpair of a symmetric matrix, in ``a``'s own memory.
+
+    ``a`` is a writable C-contiguous square float64 array whose lower
+    triangle holds the matrix; it is overwritten. Returns ``(values,
+    rows)``: eigenvalues ascending and ``rows``, which is ``a``, holding
+    eigenvector k in row k, with the bits ``np.linalg.eigh(a)`` gives its
+    values and its vectors' columns. LAPACK reads the C array as its
+    transpose, so the lower triangle is first copied over the upper one,
+    and ``dsyevd`` then runs as ``eigh`` runs it (``'V'``, ``'L'``, the
+    workspace it asks for); a call releases the GIL. Without numpy's
+    OpenBLAS, ``eigh`` itself gives the same bits through its copies.
+    """
+    if not (a.ndim == 2 and a.shape[0] == a.shape[1] and a.dtype == np.float64
+            and a.flags.c_contiguous and a.flags.writeable):
+        raise ValueError("expected a writable C-contiguous square float64 array")
+    dsyevd = _dsyevd()
+    if dsyevd is None:
+        values, vectors = np.linalg.eigh(a)
+        return values, vectors.T
+    for upper, lower in mirror_blocks(a):
+        for i in range(upper.shape[0]):
+            upper[i, i + 1 :] = lower[i, i + 1 :]
+    n = a.shape[0]
+    values = np.empty(n)
+    size, isize = np.empty(1), np.empty(1, np.int64)
+
+    def call(work, iwork, lwork, liwork):
+        return dsyevd(_COL_MAJOR, b"V", b"L", n, a.ctypes.data, max(1, n),
+                      values.ctypes.data, work.ctypes.data, lwork, iwork.ctypes.data, liwork)
+
+    call(size, isize, -1, -1)  # the workspace query
+    work, iwork = np.empty(int(size[0])), np.empty(int(isize[0]), np.int64)
+    if call(work, iwork, work.size, iwork.size) != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return values, a
 
 
 def _fix_signs(vectors):
@@ -31,30 +109,30 @@ def _fix_signs(vectors):
 
 
 def eig_sym(a, count=None):
-    """Leading eigenpairs of a symmetric matrix.
+    """Leading eigenpairs of a symmetric matrix, factored in place.
 
     Parameters
     ----------
     a : (n, n) ndarray
-        Symmetric; not checked. Only the lower triangle is read, so a caller
+        Writable, C-contiguous float64, and overwritten: the factorization
+        runs in its memory. Only the lower triangle is read, so a caller
         whose matrix is symmetric only up to rounding symmetrises it first.
     count : int, optional
         How many of the largest eigenpairs to return; all n by default. The
-        whole spectrum is computed either way (``eigh`` holds an n x n
-        eigenvector array and its own workspace), but only these columns
-        are ordered and sign-fixed, with the bits a full call gives them.
+        whole spectrum is computed either way (in ``a`` and about 2n^2
+        floats of LAPACK workspace), but only these columns are ordered and
+        sign-fixed, with the bits a full call gives them.
 
     Returns
     -------
     values, vectors : ndarray
         Eigenvalues descending; orthonormal eigenvector columns with each
-        column's largest-magnitude entry positive.
+        column's largest-magnitude entry positive, in the Fortran order
+        (and with the bits) that ``np.linalg.eigh``'s ordered columns have.
     """
-    values, vectors = np.linalg.eigh(a)
+    values, rows = _eigh_rows(a)
     order = np.argsort(-values, kind="stable")[:count]
-    # Rebinding frees the unordered vectors before the signs are fixed.
-    vectors = vectors[:, order]
-    return values[order], _fix_signs(vectors)
+    return values[order], _fix_signs(rows[order].T)
 
 
 def symmetrize(a):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import traced_peak
 from manifold_match import corpus as corpus_module
 from manifold_match import experiment
+from manifold_match import mds as mds_module
 from manifold_match.align import cca_fit, gcca_fit, project
 from manifold_match.classify import LabeledEmbedding, average_views, loo_cross_view_accuracy
 from manifold_match.corpus import (
@@ -375,9 +376,9 @@ class TestRunReplicate:
         # one factor onto the norm of the first graph view's training block.
         fits, rows = [], []
 
-        def spy_fit(delta, p):
-            fits.append(delta)
-            return experiment_mds_fit(delta, p)
+        def spy_fit(delta, p, **kwargs):
+            fits.append(delta.copy())  # the fit overwrites its own block
+            return experiment_mds_fit(delta, p, **kwargs)
 
         def spy_oos(model, delta_new):
             rows.append(delta_new)
@@ -431,6 +432,78 @@ class TestRunReplicate:
         expected = loo_cross_view_accuracy(train, test, 5)
         assert one_replicate(config, corpus) == {"GE->GE": expected}
         assert scored == [(1, 0)]
+
+    @pytest.mark.parametrize("method, combinations, averaged, projected", [
+        ("cca", ("GF->GE",), {}, ["GE", "GF"]),
+        ("cca", ("TF->TF",), {}, ["TF"]),
+        ("gcca", ("GF->GE",), {}, ["GE", "GF"]),
+        ("gcca", ("GF->GE",), {"GTF": ("GF", "TF")}, ["GE", "GF", "TF"]),
+        ("gcca", ("GTF->GE",), {"GTF": ("GF", "TF")}, ["GE", "GF", "TF"]),
+    ], ids=["cca-text-unread", "cca-text-only", "gcca-text-unread", "gcca-text-averaged",
+            "gcca-averaged-scored"])
+    def test_projects_only_the_views_something_reads(
+        self, monkeypatch, method, combinations, averaged, projected
+    ):
+        # Every view is still fitted: its fit sets the shared dimension.
+        fitted, models = [], {}
+
+        def spy_fit(delta, p, **kwargs):
+            model = experiment_mds_fit(delta, p, **kwargs)
+            models[id(model)] = THREE_VIEWS[len(fitted)].tag
+            fitted.append(model)
+            return model
+
+        def spy_oos(model, delta_new):
+            calls.append(models[id(model)])
+            return experiment_oos(model, delta_new)
+
+        calls = []
+        experiment_mds_fit, experiment_oos = experiment.mds_fit, experiment.mds_out_of_sample
+        monkeypatch.setattr(experiment, "mds_fit", spy_fit)
+        monkeypatch.setattr(experiment, "mds_out_of_sample", spy_oos)
+        config = make_config(
+            method=method, combinations=combinations, averaged_views=averaged,
+            schedule=((1.0, 8),), replicates=1,
+        )
+        report = run_experiment(config, corpus=golden_corpus())
+        assert len(fitted) == 3
+        assert calls == projected
+        assert report.combinations == combinations
+
+
+class TestFitView:
+    def test_text_view_is_factored_in_its_own_training_block(self, monkeypatch):
+        # The float training block a text view gathers becomes its fit's Gram
+        # matrix: the fit holds no second n' x n' float array, only LAPACK's
+        # workspace of about 2n'^2 floats beside it (3.03n'^2 traced; a
+        # separate Gram matrix and eigh's vectors traced 3.25n'^2).
+        corpus = synthesize_corpus(5, 700, 2, 5, 0.8)
+        prepared = experiment._prepare(make_config(), corpus)
+        sample = prepared.rel_idx
+        n = sample.size
+        blocks, factored = [], []
+
+        def spy_block(matrix, rows, cols):
+            blocks.append(block(matrix, rows, cols))
+            return blocks[-1]
+
+        def spy_eig_sym(a, count=None):
+            factored.append(a)
+            return eig_sym(a, count)
+
+        block, eig_sym = experiment._block, mds_module.eig_sym
+        monkeypatch.setattr(experiment, "_block", spy_block)
+        monkeypatch.setattr(mds_module, "eig_sym", spy_eig_sym)
+        model, factor = experiment._fit_view(prepared, THREE_VIEWS[2], sample, 100)
+        assert blocks[0].dtype == np.float64 and factor is not None
+        assert len(factored) == 1 and factored[0] is blocks[0]
+        monkeypatch.undo()
+        blocks.clear()
+        peak, (again, _) = traced_peak(
+            lambda: experiment._fit_view(prepared, THREE_VIEWS[2], sample, 100)
+        )
+        assert again.embedding.tobytes() == model.embedding.tobytes()
+        assert peak < 3.1 * n * n * 8
 
 
 class TestRunExperiment:
