@@ -310,7 +310,7 @@ def save_corpus(corpus, path):
     write_json(manifest, root / "manifest.json")
 
 
-_EXPECTED = {dict: "an object", list: "a list"}
+_EXPECTED = {dict: "an object", list: "a list", str: "a string"}
 # Labels are kept as int64.
 _LABEL_MAX = np.iinfo(np.int64).max
 
@@ -328,16 +328,26 @@ def _field(manifest_path, parent, key, expected, name):
 
 
 def _domain_entries(manifest_path, manifest):
-    """The manifest's domain entries, each an object with a name."""
+    """The manifest's domain entries, each an object with a string name."""
     if not isinstance(manifest, dict):
         raise FormatError(f"{manifest_path}: the manifest is not an object: {manifest!r}")
     entries = _field(manifest_path, manifest, "domains", list, "domains")
     for k, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise FormatError(f"{manifest_path}: domains[{k}] is not an object: {entry!r}")
-        if "name" not in entry:
-            raise FormatError(f"{manifest_path}: missing field domains[{k}].name")
+        _field(manifest_path, entry, "name", str, f"domains[{k}].name")
     return entries
+
+
+def _dissimilarity_refs(manifest_path, entry):
+    """A domain entry's ``dissimilarities`` object; a null or missing one is
+    empty."""
+    refs = entry.get("dissimilarities") or {}
+    if not isinstance(refs, dict):
+        raise FormatError(
+            f"{manifest_path}: domain {entry['name']!r} dissimilarities {refs!r} is not an object"
+        )
+    return refs
 
 
 def register_dissimilarity(path, domain_name, kind, values, cap=None, max_hops=None) -> Path:
@@ -361,11 +371,7 @@ def register_dissimilarity(path, domain_name, kind, values, cap=None, max_hops=N
     domain = next((d for d in domains if d["name"] == domain_name), None)
     if domain is None:
         raise ValidationError(f"{manifest_path}: no domain named {domain_name!r}")
-    entries = domain.get("dissimilarities") or {}
-    if not isinstance(entries, dict):
-        raise FormatError(
-            f"{manifest_path}: domain {domain_name!r} dissimilarities {entries!r} is not an object"
-        )
+    entries = _dissimilarity_refs(manifest_path, domain)
     domain["dissimilarities"] = entries
     with tempfile.TemporaryDirectory(dir=root / ddir) as stage:
         staged = Path(stage) / f"dissim_{kind}.tsv"
@@ -410,7 +416,7 @@ def load_corpus(path) -> LabeledCorpus:
 
     domains = []
     for entry in domain_entries:
-        name = str(entry["name"])
+        name = entry["name"]
         for key in ("features", "edges"):
             if not isinstance(entry.get(key), (str, type(None))):
                 raise FormatError(
@@ -423,13 +429,8 @@ def load_corpus(path) -> LabeledCorpus:
         edges = None
         if entry.get("edges"):
             edges = _read_edges_tsv(root / entry["edges"], id_to_index)
-        refs = entry.get("dissimilarities") or {}
-        if not isinstance(refs, dict):
-            raise FormatError(
-                f"{manifest_path}: domain {name!r} dissimilarities {refs!r} is not an object"
-            )
         files = {}
-        for kind, ref in refs.items():
+        for kind, ref in _dissimilarity_refs(manifest_path, entry).items():
             where = f"{manifest_path}: domain {name!r} {kind} dissimilarity entry {ref!r}"
             if isinstance(ref, str):
                 ref = {"file": ref}

@@ -57,9 +57,10 @@ def as_dissimilarity(values) -> np.ndarray:
 
 
 def _checked(v):
-    """:func:`as_dissimilarity` of a float array the caller owns, made exact
-    and read-only in place, one block of :func:`mirror_blocks` at a time: a
-    valid matrix that is already exact gets no n x n temporary."""
+    """:func:`as_dissimilarity` of a float array the caller owns, checked one
+    block of :func:`mirror_blocks` at a time and made exact and read-only in
+    place (its mirror pairs by :func:`symmetrize`): a valid matrix gets no
+    n x n temporary."""
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValidationError(f"dissimilarity matrix must be square, got {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -73,15 +74,7 @@ def _checked(v):
             raise ValidationError("dissimilarity matrix has a nonzero diagonal")
         if v.min() < -_SYM_ATOL:
             raise ValidationError("dissimilarity matrix has negative entries")
-    # Only pairs whose bits differ are averaged: an equal pair is its own mean,
-    # and x + x can overflow where x does not.
-    for upper, lower in mirror_blocks(v):
-        differ = upper.view(np.int64) != lower.view(np.int64)
-        if differ.any():
-            mean = np.add(upper, lower, out=upper.copy(), where=differ)
-            np.multiply(mean, 0.5, out=mean, where=differ)
-            upper[...] = mean
-            lower[...] = mean
+    symmetrize(v)
     np.fill_diagonal(v, 0.0)
     np.clip(v, 0.0, None, out=v)
     return _read_only(v)
@@ -96,7 +89,8 @@ def graph_geodesic(edges, n, cap=6, max_hops=4) -> np.ndarray:
     them in ``np.min_scalar_type(cap)``, one byte per entry when ``cap`` is
     at most 255; cast it to float before arithmetic that could wrap.
     ``cap`` must be an integer (not a bool) no larger than 2**53, the
-    largest that every matrix file, float64 text and twin, holds exactly.
+    largest that every matrix file, float64 text and twin, holds exactly;
+    ``max_hops`` must be an integer (not a bool) too.
 
     The search is one breadth-first search from every source at once
     (Then et al., "The More the Merrier: Efficient Multi-Source Graph
@@ -138,6 +132,8 @@ def graph_geodesic(edges, n, cap=6, max_hops=4) -> np.ndarray:
         raise ValidationError(f"vertex count must be positive, got {n}")
     if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap > 2**53:
         raise ValidationError(f"cap must be an integer no larger than 2**53, got {cap!r}")
+    if isinstance(max_hops, bool) or not isinstance(max_hops, (int, np.integer)):
+        raise ValidationError(f"max_hops must be an integer, got {max_hops!r}")
     if max_hops < 1 or cap <= max_hops:
         raise ValidationError(
             f"need cap > max_hops >= 1, got cap={cap}, max_hops={max_hops}"
@@ -231,10 +227,12 @@ def cosine_dissimilarity(features) -> np.ndarray:
     """Cosine dissimilarity ``1 - <f_i, f_j> / (|f_i| |f_j|)`` of feature rows.
 
     Self-similarity is forced to one before the subtraction so the diagonal
-    is exactly zero, entries are clipped to the cosine range [0, 2], and the
-    result is averaged with its transpose so it is exactly symmetric. Every
-    step after the product of the unit rows works in place on that one n x n
-    float64 array, so the working set is n² values beside the feature rows.
+    is exactly zero, and entries are clipped to the cosine range [0, 2]. The
+    result is exactly symmetric: numpy forms the product of the unit rows
+    with their transpose by BLAS's ``syrk``, which computes one triangle and
+    mirrors it, and every later step works entry by entry, in place on that
+    one n x n float64 array, so the working set is n² values beside the
+    feature rows.
     """
     f = np.asarray(features, dtype=float)
     if f.ndim != 2:
@@ -250,7 +248,7 @@ def cosine_dissimilarity(features) -> np.ndarray:
     np.fill_diagonal(d, 1.0)
     np.subtract(1.0, d, out=d)
     np.clip(d, 0.0, 2.0, out=d)
-    return _read_only(symmetrize(d))
+    return _read_only(d)
 
 
 def frobenius_prescale(target, reference) -> float:

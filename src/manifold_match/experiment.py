@@ -11,8 +11,6 @@ and serialize to CSV.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import os
 import threading
 from collections import deque
@@ -30,7 +28,7 @@ from .formats import (
     _int, _list, _number, _of, _str, read_fields, read_json, read_lines, write_json, write_lines,
 )
 from .mds import mds_fit, mds_out_of_sample
-from .numerics import _openblas
+from .numerics import _blas_threads_setter
 
 __all__ = [
     "CANONICAL_SCHEDULE",
@@ -458,18 +456,6 @@ def _usable_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has affinity
         return os.cpu_count() or 1
-
-
-@functools.cache
-def _blas_threads_setter():
-    """``openblas_set_num_threads_local`` from the OpenBLAS bundled with
-    numpy, or None where there is none. It sets the calling thread's count
-    in an OpenMP build and the process's in a pthreads one (numpy's wheels),
-    and returns the count it replaced."""
-    setter = _openblas("openblas_set_num_threads_local")
-    if setter is not None:
-        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-    return setter
 
 
 def _run_tasks(prepared, tasks):

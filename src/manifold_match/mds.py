@@ -8,11 +8,11 @@ interpolation using the stored centering statistics.
 Embeddings are plain ``(n, p)`` float arrays, rows = objects. Dissimilarities
 may come as float arrays or as narrow unsigned hop counts; each is squared
 straight into float64. Working set: a fit holds one n x n float64 array (the
-Gram matrix, centred, symmetrised and factored in place by
-:func:`~manifold_match.numerics.eig_sym`, which overwrites it with the
-eigenvectors) beside LAPACK's workspace of about 2n^2 floats, about 3n^2
-floats in all; an out-of-sample call holds one (m, n) float64 array for m
-new points.
+Gram matrix, centred in place, then averaged with its transpose and factored
+in place by :func:`~manifold_match.numerics.eig_sym`, which overwrites it
+with the eigenvectors) beside LAPACK's workspace of about 2n^2 floats, about
+3n^2 floats in all; an out-of-sample call holds one (m, n) float64 array for
+m new points.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import eig_sym, symmetrize
+from .numerics import eig_sym
 
 __all__ = ["MdsModel", "mds_fit", "mds_out_of_sample", "fidelity_error", "scree"]
 
@@ -105,10 +105,6 @@ def mds_fit(delta, p, *, _overwrite=False) -> MdsModel:
     gram -= row_means[None, :]
     gram += grand_mean
     gram *= -0.5
-    # Rounding leaves the double-centred matrix asymmetric in its last bits,
-    # and eig_sym reads one triangle: average the two. eig_sym then factors
-    # the matrix in its own memory.
-    symmetrize(gram)
     eigenvalues, eigenvectors = eig_sym(gram, p)
     # The leading eigenvalue sets the cutoff; the p leading ones are sorted,
     # so those above it come first.

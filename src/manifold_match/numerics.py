@@ -3,15 +3,16 @@
 Symmetric eigendecomposition with a fixed eigenvalue ordering, and the sign
 convention it applies to eigenvector columns (also used by the alignment
 solver), so that downstream embeddings are reproducible run to run on one
-platform; and the in-place average of a square matrix with its transpose
-that makes a matrix symmetric to the bit before it is factored, walked one
-block of rows and their mirror columns at a time.
+platform; and the one in-place average of a square matrix with its
+transpose, walked one block of rows and their mirror columns at a time,
+which every factorization applies to its matrix first.
 
 A factorization runs in place on the caller's matrix: LAPACK's ``dsyevd``,
 the routine ``np.linalg.eigh`` calls, is called through the OpenBLAS that
 numpy bundles, without ``eigh``'s copy of the matrix in and of the
 eigenvectors out. Working set of an n x n factorization: the matrix itself
-and LAPACK's workspace of about 2n^2 floats.
+and LAPACK's workspace of about 2n^2 floats. The same OpenBLAS gives the
+experiment's pool its thread-count setter.
 """
 
 from __future__ import annotations
@@ -41,6 +42,18 @@ def _openblas(symbol):
     return None
 
 
+@functools.cache
+def _blas_threads_setter():
+    """``openblas_set_num_threads_local`` from the OpenBLAS bundled with
+    numpy, or None where there is none. It sets the calling thread's count
+    in an OpenMP build and the process's in a pthreads one (numpy's wheels),
+    and returns the count it replaced."""
+    setter = _openblas("openblas_set_num_threads_local")
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
 # LAPACKE's matrix_layout value for column-major storage, which LAPACKE's
 # _work routines pass straight to LAPACK.
 _COL_MAJOR = 102
@@ -60,28 +73,25 @@ def _dsyevd():
 
 
 def _eigh_rows(a):
-    """Every eigenpair of a symmetric matrix, in ``a``'s own memory.
+    """Every eigenpair of ``(a + a.T) / 2``, in ``a``'s own memory.
 
-    ``a`` is a writable C-contiguous square float64 array whose lower
-    triangle holds the matrix; it is overwritten. Returns ``(values,
-    rows)``: eigenvalues ascending and ``rows``, which is ``a``, holding
-    eigenvector k in row k, with the bits ``np.linalg.eigh(a)`` gives its
-    values and its vectors' columns. LAPACK reads the C array as its
-    transpose, so the lower triangle is first copied over the upper one,
-    and ``dsyevd`` then runs as ``eigh`` runs it (``'V'``, ``'L'``, the
-    workspace it asks for); a call releases the GIL. Without numpy's
-    OpenBLAS, ``eigh`` itself gives the same bits through its copies.
+    ``a`` is a writable C-contiguous square float64 array; it is made
+    symmetric by :func:`symmetrize` and then overwritten. Returns
+    ``(values, rows)``: eigenvalues ascending and ``rows``, which is ``a``,
+    holding eigenvector k in row k, with the bits ``np.linalg.eigh`` gives
+    the symmetrised matrix's values and its vectors' columns. ``dsyevd``
+    runs as ``eigh`` runs it (``'V'``, ``'L'``, the workspace it asks for);
+    a call releases the GIL. Without numpy's OpenBLAS, ``eigh`` itself gives
+    the same bits through its copies.
     """
     if not (a.ndim == 2 and a.shape[0] == a.shape[1] and a.dtype == np.float64
             and a.flags.c_contiguous and a.flags.writeable):
         raise ValueError("expected a writable C-contiguous square float64 array")
+    symmetrize(a)
     dsyevd = _dsyevd()
     if dsyevd is None:
         values, vectors = np.linalg.eigh(a)
         return values, vectors.T
-    for upper, lower in mirror_blocks(a):
-        for i in range(upper.shape[0]):
-            upper[i, i + 1 :] = lower[i, i + 1 :]
     n = a.shape[0]
     values = np.empty(n)
     size, isize = np.empty(1), np.empty(1, np.int64)
@@ -109,14 +119,14 @@ def _fix_signs(vectors):
 
 
 def eig_sym(a, count=None):
-    """Leading eigenpairs of a symmetric matrix, factored in place.
+    """Leading eigenpairs of ``(a + a.T) / 2``, factored in place.
 
     Parameters
     ----------
     a : (n, n) ndarray
-        Writable, C-contiguous float64, and overwritten: the factorization
-        runs in its memory. Only the lower triangle is read, so a caller
-        whose matrix is symmetric only up to rounding symmetrises it first.
+        Writable, C-contiguous float64, and overwritten: it is averaged with
+        its transpose by :func:`symmetrize`, and the factorization runs in
+        its memory.
     count : int, optional
         How many of the largest eigenpairs to return; all n by default. The
         whole spectrum is computed either way (in ``a`` and about 2n^2
@@ -138,15 +148,19 @@ def eig_sym(a, count=None):
 def symmetrize(a):
     """Replace a square float array by ``(a + a.T) * 0.5`` in place.
 
-    Each entry is the bits of ``(a[i, j] + a[j, i]) * 0.5``, as the whole-array
-    expression gives them (addition commutes exactly), but the only temporary
-    is one block of :func:`mirror_blocks`. Returns ``a``.
+    Only the mirror pairs whose bits differ are averaged, each to the bits of
+    ``(a[i, j] + a[j, i]) * 0.5`` (addition commutes exactly); a pair whose
+    bits agree is its own mean and keeps them, so ``x + x`` cannot overflow
+    where ``x`` does not. The only temporaries are one block of
+    :func:`mirror_blocks`. Returns ``a``.
     """
     for upper, lower in mirror_blocks(a):
-        mean = upper + lower
-        mean *= 0.5
-        upper[...] = mean
-        lower[...] = mean
+        differ = upper.view(np.int64) != lower.view(np.int64)
+        if differ.any():
+            mean = np.add(upper, lower, out=upper.copy(), where=differ)
+            np.multiply(mean, 0.5, out=mean, where=differ)
+            upper[...] = mean
+            lower[...] = mean
     return a
 
 

@@ -83,3 +83,10 @@ def one_blas_thread():
     previous = setter(1)
     yield
     setter(previous)
+
+
+@pytest.fixture(params=["one-blas-thread", "default-blas-threads"])
+def blas_threads(request):
+    """Runs the test at one BLAS thread and at BLAS's default count."""
+    if request.param == "one-blas-thread":
+        request.getfixturevalue("one_blas_thread")

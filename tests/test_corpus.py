@@ -449,13 +449,14 @@ class TestLoaderErrors:
         (lambda m: m.update(domains=7), r"domains is not a list: 7"),
         (lambda m: m["domains"].insert(0, "d0"), r"domains\[0\] is not an object: 'd0'"),
         (lambda m: m["domains"][0].pop("name"), r"missing field domains\[0\]\.name"),
+        (lambda m: m["domains"][0].update(name=5), r"domains\[0\]\.name is not a string: 5$"),
         (lambda m: m["domains"][0].update(dissimilarities=["graph"]),
          r"domain 'd0' dissimilarities \['graph'\] is not an object"),
         (lambda m: m["domains"][0].update(dissimilarities="graph"),
          r"domain 'd0' dissimilarities 'graph' is not an object"),
     ]
     MALFORMED_IDS = ["no_domains", "domains_not_a_list", "string_domain", "nameless_domain",
-                     "dissimilarities_list", "dissimilarities_string"]
+                     "number_name", "dissimilarities_list", "dissimilarities_string"]
 
     @pytest.mark.parametrize("edit, message", MALFORMED, ids=MALFORMED_IDS)
     def test_register_reports_a_malformed_manifest(self, tmp_path, edit, message):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
@@ -267,6 +267,18 @@ def test_cap_that_is_not_an_integer_up_to_2_53_rejected(cap):
         graph_geodesic([(0, 1)], 3, cap=cap, max_hops=1)
 
 
+@pytest.mark.parametrize("max_hops", [2.5, 2.0, True, "2"],
+                         ids=["fraction", "float", "bool", "string"])
+def test_max_hops_that_is_not_an_integer_rejected(max_hops):
+    with pytest.raises(ValidationError, match="max_hops must be an integer"):
+        graph_geodesic([(0, 1)], 3, cap=6, max_hops=max_hops)
+
+
+def test_numpy_integer_max_hops_accepted():
+    dm = graph_geodesic([(0, 1), (1, 2)], 3, cap=6, max_hops=np.int64(1))
+    assert np.array_equal(dm, [[0, 1, 6], [1, 0, 1], [6, 1, 0]])
+
+
 @pytest.mark.parametrize("cap, dtype", [
     (np.int64(6), np.uint8),
     (300, np.uint16),
@@ -297,9 +309,12 @@ def feature_rows(draw):
 
 
 class TestCosineDissimilarityProperties:
-    @settings(max_examples=200, deadline=None)
+    # Exact symmetry comes from numpy's syrk product, which BLAS may split
+    # over threads: checked at one thread and at the default count.
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(feature_rows())
-    def test_exactly_symmetric_zero_diagonal_in_range_and_read_only(self, features):
+    def test_exactly_symmetric_zero_diagonal_in_range_and_read_only(self, blas_threads, features):
         d = cosine_dissimilarity(features)
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0.0)
@@ -315,7 +330,7 @@ class TestCosineDissimilarityProperties:
         st.integers(0, 2**32 - 1),
     )
     def test_has_the_bits_of_the_whole_array_formula(self, dtype, n, width, seed):
-        # Term counts or real rows, n past symmetrize's first row block.
+        # Term counts or real rows.
         rng = np.random.default_rng(seed)
         if dtype == np.float64:
             features = rng.normal(size=(n, width))
@@ -335,8 +350,7 @@ class TestCosineDissimilarityProperties:
 
 class TestCosineDissimilarity:
     def test_working_set_about_one_matrix(self):
-        # The product of the unit rows is made the result in place; only a
-        # row block of it is ever copied.
+        # The product of the unit rows is made the result in place.
         n = 1000
         features = np.random.default_rng(34).normal(size=(n, 6))
         peak, d = traced_peak(lambda: cosine_dissimilarity(features))

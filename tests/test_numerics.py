@@ -110,30 +110,24 @@ def symmetric_inputs(draw):
     return np.ascontiguousarray(a), draw(st.one_of(st.none(), st.integers(0, n)))
 
 
-@pytest.fixture(params=["one-blas-thread", "default-blas-threads"])
-def blas_threads(request):
-    """Runs the test at one BLAS thread and at BLAS's default count."""
-    if request.param == "one-blas-thread":
-        request.getfixturevalue("one_blas_thread")
-
-
 class TestInPlaceFactorization:
-    """eig_sym factors in place through LAPACK's dsyevd, as np.linalg.eigh
-    does through its copies, with the same bits."""
+    """eig_sym factors (a + a.T) / 2 in place through LAPACK's dsyevd, as
+    np.linalg.eigh does through its copies, with the same bits."""
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(symmetric_inputs())
     def test_has_the_bits_and_strides_of_numpys_eigh(self, blas_threads, case):
         a, count = case
-        expected_values, expected_vectors = numpy_eig_sym(a, count)
+        symmetric = (a + a.T) * 0.5
+        expected_values, expected_vectors = numpy_eig_sym(symmetric, count)
         values, vectors = eig_sym(a.copy(), count)
         assert values.tobytes() == expected_values.tobytes()
         assert vectors.tobytes() == expected_vectors.tobytes()
         assert vectors.shape == expected_vectors.shape
         assert vectors.strides == expected_vectors.strides
         all_values, rows = numerics._eigh_rows(a.copy())
-        numpy_values, numpy_vectors = np.linalg.eigh(a)
+        numpy_values, numpy_vectors = np.linalg.eigh(symmetric)
         assert all_values.tobytes() == numpy_values.tobytes()
         assert rows.T.tobytes() == numpy_vectors.tobytes()
 
@@ -181,13 +175,20 @@ def blocked_squares(draw):
     return rows, draw(arrays(np.float64, (n, n), elements=_ENTRIES))
 
 
+def pairwise_mean(a):
+    """``(a + a.T) * 0.5`` over the whole array where a mirror pair's bits
+    differ; ``a`` itself where they agree."""
+    bits = a.view(np.int64)
+    with np.errstate(over="ignore"):
+        return np.where(bits != bits.T, (a + a.T) * 0.5, a)
+
+
 class TestSymmetrize:
     @settings(max_examples=200, deadline=None)
     @given(blocked_squares())
     def test_has_the_bits_of_the_whole_array_average(self, case):
         rows, a = case
-        with np.errstate(over="ignore"):
-            expected = (a + a.T) * 0.5
+        expected = pairwise_mean(a)
         with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore"):
             patch.setattr(numerics, "_SYM_ROWS", rows)
             result = symmetrize(a)
@@ -201,8 +202,11 @@ class TestSymmetrize:
         a = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-300, 300, size=(n, n))
         a[rng.random((n, n)) < 0.05] = -0.0
         a[0, -1], a[-1, 0] = 1.7e308, 1.6e308
+        a[1, -1] = a[-1, 1] = 1.7e308
+        expected = pairwise_mean(a)
         with np.errstate(over="ignore"):
-            expected = (a + a.T) * 0.5
             symmetrize(a)
+        # A differing pair's sum overflows; an equal pair keeps its value.
         assert np.isinf(a[0, -1])
+        assert a[1, -1] == a[-1, 1] == 1.7e308
         assert a.tobytes() == expected.tobytes()
