@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConditioningError, FormatError, ValidationError
 from .formats import _int, _number, _str, read_fields, read_matrix, write_json, write_matrix
 from .mds import MdsModel
-from .numerics import _eigh_rows, _fix_signs
+from .numerics import _fix_signs, eig_sym
 
 __all__ = [
     "AlignmentMaps",
@@ -150,19 +150,18 @@ def _fit(views, d, ridge, method):
     gram = t.T @ t
     del t
     gram[np.diag_indices_from(gram)] -= np.concatenate(shrink)
-    # Factored in place: gram's rows become its eigenvectors.
-    values, rows = _eigh_rows(gram)
-    leading = np.argsort(-values, kind="stable")[:d]
+    # Factored in place. A column's sign is fixed again on the stacked map
+    # below, which negating it beforehand leaves exactly as it is.
+    values, top = eig_sym(gram, d)
+    del gram
     # A dimension without positive cross-correlation is not shared; it
     # appears once the views' ranks fall below d (all-zero views included).
-    if len(leading) < d or values[leading[-1]] <= 0:
+    if len(values) < d or values[-1] <= 0:
         raise ConditioningError(
             f"the views share {int(np.count_nonzero(values > 0))} positively "
             f"correlated dimensions, fewer than the shared dimension {d}; "
             "reduce the shared dimension"
         )
-    top = rows[leading].T
-    del gram, rows
     whitened = np.split(top, np.cumsum(ranks)[:-1])
     stacked = _fix_signs(np.vstack([b @ a for b, a in zip(back, whitened)]))
 

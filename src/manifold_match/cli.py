@@ -17,12 +17,7 @@ from . import __version__
 from .align import cca_fit, gcca_fit, load_alignment, project, save_alignment
 from .classify import LabeledEmbedding, loo_cross_view_accuracy
 from .corpus import load_corpus, register_dissimilarity, save_corpus, synthesize_corpus
-from .dissimilarity import (
-    cosine_dissimilarity,
-    graph_geodesic,
-    load_dissimilarity_tsv,
-    save_dissimilarity_tsv,
-)
+from .dissimilarity import load_dissimilarity_tsv, save_dissimilarity_tsv
 from .errors import ConditioningError, FormatError, ManifoldMatchError, ValidationError
 from .experiment import ExperimentConfig, emit_curves, run_experiment
 from .formats import read_matrix, read_records, write_lines, write_matrix
@@ -57,21 +52,9 @@ def _read_labels(path):
 
 
 def _cmd_dissim(args):
-    corpus = load_corpus(args.corpus)
-    domain = corpus.domain(args.domain)
-    if args.kind == "graph":
-        if domain.edges is None:
-            raise ValidationError(f"domain {args.domain!r} has no edge list")
-        dm = graph_geodesic(
-            domain.edges, corpus.n_total, cap=args.cap, max_hops=args.max_hops
-        )
-        settings = {"cap": args.cap, "max_hops": args.max_hops}
-    else:
-        if domain.features is None:
-            raise ValidationError(f"domain {args.domain!r} has no features")
-        dm = cosine_dissimilarity(domain.features)
-        settings = {}
-
+    # Built afresh: a matrix registered earlier is what this call replaces.
+    dm = load_corpus(args.corpus).build(args.domain, args.kind, args.cap, args.max_hops)
+    settings = {"cap": args.cap, "max_hops": args.max_hops} if args.kind == "graph" else {}
     if args.out:
         save_dissimilarity_tsv(dm, args.out)
         print(f"wrote {args.out}")

@@ -126,8 +126,8 @@ def _view_key(domain, kind, cap, max_hops):
 class LabeledCorpus:
     """Matched objects with integer class labels, observed in every domain.
 
-    The geodesic and cosine views :meth:`view` builds from a domain are kept
-    in ``_views`` for later calls on the same object. ``_fits`` keeps the
+    The geodesic and cosine views :meth:`view` takes from :meth:`build` are
+    kept in ``_views`` for later calls on the same object. ``_fits`` keeps the
     read-only MDS fits of whole relation pools that ``run_experiment`` makes
     on this object, each with the prescale factor its view took, keyed by
     view, pool and dimension, for the same reuse.
@@ -203,17 +203,34 @@ class LabeledCorpus:
                 return d
         raise ValidationError(f"no domain named {name!r}")
 
+    def build(self, domain, kind, cap, max_hops) -> np.ndarray:
+        """A new n x n ``kind`` dissimilarity of ``domain``, built from its
+        sources whatever matrices are registered: the geodesic view of its
+        edges (``kind`` ``"graph"``) or the cosine view of its features
+        (``"text"``). Another kind, or a domain without the source, is a
+        ``ConfigError``. A geodesic view is :func:`graph_geodesic`'s hop
+        counts in ``np.min_scalar_type(cap)`` (one byte per entry when
+        ``cap`` is at most 255), so cast it to float before any arithmetic
+        that could wrap.
+        """
+        source_name = {"graph": "edges", "text": "features"}.get(kind)
+        if source_name is None:
+            raise ConfigError(f"unknown dissimilarity kind {kind!r}")
+        source = getattr(self.domain(domain), source_name)
+        if source is None:
+            raise ConfigError(f"domain {domain!r} has no {source_name}")
+        if kind == "graph":
+            return graph_geodesic(source, self.n_total, cap, max_hops)
+        return cosine_dissimilarity(source)
+
     def view(self, domain, kind, cap, max_hops) -> np.ndarray:
         """The n x n ``kind`` dissimilarity of ``domain``.
 
         A registered or in-memory matrix of that kind is used as it is; a
         registered graph matrix whose manifest records another ``cap`` or
         ``max_hops`` is a ``ConfigError`` (unrecorded settings are not
-        compared). Otherwise the geodesic view of the domain's edges or the
-        cosine view of its features is built on first use and kept. A built
-        geodesic view is :func:`graph_geodesic`'s hop counts in
-        ``np.min_scalar_type(cap)`` (one byte per entry when ``cap`` is at
-        most 255), so cast it to float before any arithmetic that could wrap.
+        compared). Otherwise what :meth:`build` returns is kept on first use
+        and returned by later calls.
         """
         data = self.domain(domain)
         if kind in data.dissimilarities:
@@ -226,20 +243,9 @@ class LabeledCorpus:
                     f"but the config asks for cap={cap}, max_hops={max_hops}"
                 )
             return data.dissimilarities[kind]
-        if kind not in ("graph", "text"):
-            raise ConfigError(f"unknown dissimilarity kind {kind!r}")
-        source = data.edges if kind == "graph" else data.features
-        if source is None:
-            raise ConfigError(
-                f"domain {domain!r} has no {'edges' if kind == 'graph' else 'features'} "
-                f"or precomputed {kind} dissimilarity"
-            )
         key = _view_key(domain, kind, cap, max_hops)
         if key not in self._views:
-            if kind == "graph":
-                self._views[key] = graph_geodesic(source, self.n_total, cap, max_hops)
-            else:
-                self._views[key] = cosine_dissimilarity(source)
+            self._views[key] = self.build(domain, kind, cap, max_hops)
         return self._views[key]
 
     def class_sizes(self) -> dict[int, int]:

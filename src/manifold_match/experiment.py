@@ -136,10 +136,12 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "views", tuple(self.views))
         object.__setattr__(self, "combinations", tuple(self.combinations))
-        object.__setattr__(
-            self, "averaged_views",
-            {str(k): (str(a), str(b)) for k, (a, b) in dict(self.averaged_views).items()},
-        )
+        averaged = dict(self.averaged_views)
+        for avg_tag, pair in averaged.items():
+            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                    and all(isinstance(name, str) for name in pair)):
+                raise ConfigError(f"averaged view {avg_tag!r} must name two views, got {pair!r}")
+        object.__setattr__(self, "averaged_views", {k: tuple(pair) for k, pair in averaged.items()})
         if not isinstance(self.feature, str) or not _NAME_RE.match(self.feature):
             raise ConfigError(f"feature {self.feature!r} is not a safe file-name component")
         if self.method not in ("cca", "gcca"):
@@ -281,9 +283,6 @@ class _PreparedRun:
     # The corpus's whole-pool fits by fit key and dimension, each kept as
     # (MdsModel, prescale factor or None).
     fits: dict
-    # Held while a whole-pool fit is looked up and made, so that rows running
-    # at once fit each one once.
-    fits_lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 def _prepare(config, corpus) -> _PreparedRun:
@@ -377,22 +376,24 @@ def _fit_view(prepared, view, sample, dim):
     return mds_fit(train, dim, _overwrite=True), factor
 
 
-def _run_single(prepared, row, sample):
-    """Embed every view of one drawn sample, then align, project and score
-    every combination: one GCCA fit of all views serves every combination
-    (and the averaged views), while CCA fits each combination's (test,
-    train) pair. A sample that is the whole relation pool takes each view's
-    MDS fit and prescale factor from the corpus's kept fits, or fits it and
-    keeps both there, so a kept fit gathers no training block. The fits
-    themselves go to the alignment, which whitens each view by the
-    factorization MDS already computed instead of an SVD. Every view is
-    fitted, and its fit sets the shared dimension and any shrink warning,
-    but only the views some combination or averaged view reads are
-    projected out of sample and into the shared space."""
+def _run_single(prepared, sample, mds_dim):
+    """Embed every view of one drawn sample at ``mds_dim``, then align,
+    project and score every combination: one GCCA fit of all views serves
+    every combination (and the averaged views), while CCA fits each
+    combination's (test, train) pair. A sample that is the whole relation
+    pool takes each view's MDS fit and prescale factor from the corpus's
+    kept fits, or fits it and keeps both there, so a kept fit gathers no
+    training block. The fits themselves go to the alignment, which whitens
+    each view by the factorization MDS already computed instead of an SVD.
+    Every view is fitted, and its fit sets the shared dimension, but only
+    the views some combination or averaged view reads are projected out of
+    sample and into the shared space. Returns the accuracies by combination
+    and, for each view whose effective MDS dimension falls below
+    ``shared_dim``, its ``(tag, effective dimension)``."""
     config = prepared.config
     labels = prepared.labels_clf
-    warnings = []
-    whole_pool = row.n_prime == prepared.rel_idx.size
+    shortfalls = []
+    whole_pool = sample.size == prepared.rel_idx.size
     read = {tag for combo in config.combinations for tag in _parse_combination(combo)}
     read.update(*config.averaged_views.values())
 
@@ -400,22 +401,20 @@ def _run_single(prepared, row, sample):
     clf_emb = {}
     for view in config.views:
         if whole_pool:
-            key = (prepared.fit_keys[view.tag], row.mds_dim)
-            with prepared.fits_lock:
-                kept = prepared.fits.get(key)
-                if kept is None:
-                    kept = _fit_view(prepared, view, sample, row.mds_dim)
-                    for array in (kept[0].embedding, kept[0].eigenvalues, kept[0].row_means):
-                        array.setflags(write=False)
-                    prepared.fits[key] = kept
+            # No two tasks of a run share a key: one task holds each sample
+            # at each dimension.
+            key = (prepared.fit_keys[view.tag], mds_dim)
+            kept = prepared.fits.get(key)
+            if kept is None:
+                kept = _fit_view(prepared, view, sample, mds_dim)
+                for array in (kept[0].embedding, kept[0].eigenvalues, kept[0].row_means):
+                    array.setflags(write=False)
+                prepared.fits[key] = kept
             model, factor = kept
         else:
-            model, factor = _fit_view(prepared, view, sample, row.mds_dim)
+            model, factor = _fit_view(prepared, view, sample, mds_dim)
         if model.effective_dim < config.shared_dim:
-            warnings.append(
-                f"S={row.fraction:g}: view {view.tag} effective MDS dimension "
-                f"{model.effective_dim} is below shared_dim {config.shared_dim}"
-            )
+            shortfalls.append((view.tag, model.effective_dim))
         train_fit[view.tag] = model
         if view.tag not in read:
             continue
@@ -447,7 +446,7 @@ def _run_single(prepared, row, sample):
             )
             test_view, train_view = aligned(maps, 0, test_tag), aligned(maps, 1, train_tag)
         accuracies[combo] = loo_cross_view_accuracy(train_view, test_view, config.kappa)
-    return accuracies, warnings
+    return accuracies, shortfalls
 
 
 def _usable_cores() -> int:
@@ -459,7 +458,8 @@ def _usable_cores() -> int:
 
 
 def _run_tasks(prepared, tasks):
-    """``_run_single`` on each ``(row, sample)`` task, results in task order.
+    """``_run_single`` on each ``(sample, mds_dim)`` task, results in task
+    order.
 
     A task that raises leaves its exception as its result. The calling
     thread takes the task with the largest n' first and ``cores - 1``
@@ -474,7 +474,7 @@ def _run_tasks(prepared, tasks):
     a serial run raises.
     """
     results = [None] * len(tasks)
-    queue = deque(sorted(range(len(tasks)), key=lambda i: tasks[i][0].n_prime))
+    queue = deque(sorted(range(len(tasks)), key=lambda i: tasks[i][0].size))
     first_failure = len(tasks)
     lock = threading.Lock()
 
@@ -602,27 +602,28 @@ def run_experiment(config, corpus=None, on_row=None) -> AccuracyReport:
     Deterministic in (config, corpus): replicate seeds derive from
     ``config.seed`` and the (row, replicate) position only.
 
-    Each distinct result is computed once. A replicate that draws a sample
-    already drawn in its schedule row replays that fit's accuracies and
-    warnings (at S = 100 % every replicate draws the whole pool, so one fit
-    serves them all), and still gets its own records and warning lines. The
-    distinct (row, sample) fits run on every usable core (see
-    ``_run_tasks``) and are merged back in (row, replicate) order, so the
-    report, the records and the first error raised do not depend on the
-    core count. The geodesic and cosine views built from ``corpus`` are
-    kept on that corpus object, keyed by domain (and ``cap``/``max_hops``
-    for geodesics), so a later call on the same object does not rebuild
-    them. So are the MDS fits of the whole relation pool, one per view and
-    dimension, each with its view's prescale factor, so a later call on the
-    same pool (a CCA run after a GCCA run, say) neither fits nor gathers
-    the training blocks of its S = 100 % rows; it still projects, aligns
-    and scores them.
+    Each distinct result is computed once. A task is a drawn sample at one
+    MDS dimension, and a replicate whose sample and dimension match an
+    earlier replicate's, in its own row or another, replays that task's
+    accuracies and shortfalls (at S = 100 % every replicate draws the whole
+    pool, so one task serves all of them at each dimension). It still gets
+    its own records and warning lines, which name its own row's S. The
+    distinct tasks run on every usable core (see ``_run_tasks``) and are
+    merged back in (row, replicate) order, so the report, the records and
+    the first error raised do not depend on the core count. The geodesic
+    and cosine views built from ``corpus`` are kept on that corpus object,
+    keyed by domain (and ``cap``/``max_hops`` for geodesics), so a later
+    call on the same object does not rebuild them. So are the MDS fits of
+    the whole relation pool, one per view and dimension, each with its
+    view's prescale factor, so a later call on the same pool (a CCA run
+    after a GCCA run, say) neither fits nor gathers the training blocks of
+    its S = 100 % rows; it still projects, aligns and scores them.
     """
     prepared = _prepare(config, corpus)
-    tasks = []  # distinct (row, sample) pairs in (row, first replicate) order
+    tasks = []  # distinct (sample, mds_dim) pairs in order of first use
+    seen = {}  # (drawn sample's bytes, mds_dim) -> task index
     draws = []  # per row, each replicate's task index
     for row_index, row in enumerate(prepared.schedule):
-        seen = {}  # drawn sample's bytes -> task index
         draws.append([])
         for rep in range(config.replicates):
             sample = draw_training_sample(
@@ -630,10 +631,10 @@ def run_experiment(config, corpus=None, on_row=None) -> AccuracyReport:
                 prepared.rel_idx,
                 row.n_prime,
             )
-            key = sample.tobytes()
+            key = (sample.tobytes(), row.mds_dim)
             if key not in seen:
                 seen[key] = len(tasks)
-                tasks.append((row, sample))
+                tasks.append((sample, row.mds_dim))
             draws[-1].append(seen[key])
     results = _run_tasks(prepared, tasks)
 
@@ -644,9 +645,12 @@ def run_experiment(config, corpus=None, on_row=None) -> AccuracyReport:
         for rep, task in enumerate(row_draws):
             if isinstance(results[task], Exception):
                 raise results[task]
-            scores, warns = results[task]
-            for w in warns:
-                warnings.append(f"replicate {rep}: {w}")
+            scores, shortfalls = results[task]
+            for tag, dim in shortfalls:
+                warnings.append(
+                    f"replicate {rep}: S={row.fraction:g}: view {tag} effective MDS "
+                    f"dimension {dim} is below shared_dim {config.shared_dim}"
+                )
             for combo in config.combinations:
                 accuracies.setdefault((combo, row.fraction), []).append(scores[combo])
                 row_records.append(

@@ -219,7 +219,7 @@ class TestDissim:
         assert np.array_equal(view, [[0, 1, 3], [1, 0, 1], [3, 1, 0]])
 
     @pytest.mark.parametrize(
-        "kind, lacks", [("graph", "edge list"), ("text", "features")]
+        "kind, lacks", [("graph", "edges"), ("text", "features")]
     )
     def test_domain_without_source_is_data_error(self, tmp_path, capsys, kind, lacks):
         corpus_dir = tmp_path / "corpus"

@@ -308,6 +308,24 @@ class TestView:
         assert text is corpus.domain("domain1").dissimilarities["text"]
         assert corpus._views == {}
 
+    def test_build_makes_a_new_view_whatever_is_registered(self, registered):
+        corpus = load_corpus(registered)
+        d0, d1 = corpus.domains
+        # domain0's graph is registered at 32/30, which view holds to.
+        graph = corpus.build("domain0", "graph", 6, 4)
+        assert np.array_equal(graph, graph_geodesic(d0.edges, corpus.n_total, 6, 4))
+        assert corpus.build("domain0", "graph", 6, 4) is not graph
+        text = corpus.build("domain1", "text", 6, 4)
+        assert np.array_equal(text, cosine_dissimilarity(d1.features))
+        assert corpus.build("domain1", "text", 6, 4) is not text
+        assert text is not d1.dissimilarities["text"]
+        assert corpus._views == {}
+        # view returns a registered matrix, and keeps what build returns.
+        assert corpus.view("domain1", "text", 6, 4) is d1.dissimilarities["text"]
+        built = corpus.view("domain0", "text", 6, 4)
+        assert corpus.view("domain0", "text", 6, 4) is built
+        assert np.array_equal(built, corpus.build("domain0", "text", 6, 4))
+
     def test_in_memory_matrix_is_not_compared(self):
         corpus = small_corpus()
         d0 = corpus.domains[0]

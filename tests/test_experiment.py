@@ -1,8 +1,6 @@
 import dataclasses
 import json
-import sys
 import threading
-import time
 from unittest import mock
 
 import numpy as np
@@ -180,6 +178,21 @@ class TestConfigValidation:
         raw = raw_config(averaged_views={tag: ["GF", "TF"]}, combinations=[f"{tag}->GE"])
         with pytest.raises(ConfigError, match="view tag"):
             ExperimentConfig.from_dict(raw, source="inline")
+
+    @pytest.mark.parametrize(
+        "averaged, named",
+        [
+            ({5: ("GF", "TF")}, "view tag 5 "),
+            ({"GTF": ("GF",)}, "averaged view 'GTF' must name two views"),
+            ({"GTF": ("GF", "TF", "GE")}, "averaged view 'GTF' must name two views"),
+            ({"GTF": "GF"}, "averaged view 'GTF' must name two views, got 'GF'"),
+        ],
+        ids=["int-tag", "one-view", "three-views", "string"],
+    )
+    def test_malformed_averaged_view_is_named(self, averaged, named):
+        # Built in Python, not read from JSON: nothing is coerced or split.
+        with pytest.raises(ConfigError, match=named):
+            make_config(averaged_views=averaged)
 
     def test_bad_combination_syntax(self):
         with pytest.raises(ConfigError, match="TRAIN->TEST"):
@@ -1004,34 +1017,73 @@ class TestWholePoolFitsKeptOnCorpus:
         assert peak < n * n * 8
         assert report == run_experiment(cca, corpus=synthesize_corpus(43, 600, 2, 20, 0.8))
 
-    def test_rows_running_the_whole_pool_at_once_fit_each_view_once(self, calls, cores):
-        # Six rows round to the whole 10-object pool, one task each, on six
-        # threads; a slow fit keeps every thread inside it at once unless
-        # the fits are looked up and made under one lock.
-        corpus = synthesize_corpus(41, 50, 2, 5, 0.8)
-        config = make_config(
+    # Six rows round to the whole 10-object pool; at shared_dim 8 the text
+    # view (rank at most its 6 feature columns) falls short at every MDS
+    # dimension.
+    SIX_WHOLE_POOL_ROWS = (0.95, 0.96, 0.97, 0.98, 0.99, 1.0)
+
+    def whole_pool_rows(self, dims):
+        return make_config(
             relation_classes=(0,),
             replicates=2,
-            schedule=tuple((fraction, 8) for fraction in (0.95, 0.96, 0.97, 0.98, 0.99, 1.0)),
+            shared_dim=8,
+            schedule=tuple(zip(self.SIX_WHOLE_POOL_ROWS, dims)),
         )
+
+    def spied_run(self, config, corpus, monkeypatch):
+        """The report, and the MDS dimension of each ``_run_single`` call."""
+        run_single = experiment._run_single
+        tasks = []
+
+        def spy(prepared, sample, mds_dim):
+            tasks.append(mds_dim)
+            return run_single(prepared, sample, mds_dim)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(experiment, "_run_single", spy)
+            report = run_experiment(config, corpus=corpus)
+        return report, tasks
+
+    def assert_warnings_name_their_rows(self, report):
+        # Each replicate repeats the first one's shortfalls under its own S.
+        first = "replicate 0: S=0.95: "
+        tails = [w[len(first):] for w in report.warnings if w.startswith(first)]
+        assert any(tail.startswith("view TF ") for tail in tails)
+        assert report.warnings == [
+            f"replicate {rep}: S={fraction:g}: {tail}"
+            for fraction in self.SIX_WHOLE_POOL_ROWS
+            for rep in range(2)
+            for tail in tails
+        ]
+
+    def test_rows_running_the_whole_pool_at_once_fit_each_view_once(
+        self, calls, cores, monkeypatch
+    ):
+        # Every row draws the same sample at the same dimension, so one task
+        # serves all twelve replicates.
+        corpus = synthesize_corpus(41, 50, 2, 5, 0.8)
+        config = self.whole_pool_rows([9] * 6)
         assert {row.n_prime for row in _schedule(config, 10)} == {10}
-        counted = experiment.mds_fit
-
-        def slow(*args, **kwargs):
-            time.sleep(0.05)
-            return counted(*args, **kwargs)
-
         cores(8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(experiment, "mds_fit", slow)
-                report = run_experiment(config, corpus=corpus)
-        finally:
-            sys.setswitchinterval(interval)
+        report, tasks = self.spied_run(config, corpus, monkeypatch)
+        assert tasks == [9]
         assert calls["mds_fit"] == 3
         assert len(corpus._fits) == 3
+        self.assert_warnings_name_their_rows(report)
+        cores(1)
+        assert report == run_experiment(config, corpus=synthesize_corpus(41, 50, 2, 5, 0.8))
+
+    def test_whole_pool_rows_at_two_dimensions_run_two_tasks(self, calls, cores, monkeypatch):
+        corpus = synthesize_corpus(41, 50, 2, 5, 0.8)
+        config = self.whole_pool_rows([9, 9, 9, 8, 8, 8])
+        cores(8)
+        report, tasks = self.spied_run(config, corpus, monkeypatch)
+        assert sorted(tasks) == [8, 9]
+        assert calls["mds_fit"] == 6
+        assert len(corpus._fits) == 6
+        assert {w.split(": ")[1] for w in report.warnings} == {
+            f"S={fraction:g}" for fraction in self.SIX_WHOLE_POOL_ROWS
+        }
         cores(1)
         assert report == run_experiment(config, corpus=synthesize_corpus(41, 50, 2, 5, 0.8))
 
@@ -1106,13 +1158,13 @@ class TestPool:
         threads = []
         helper_ran = threading.Event()
 
-        def spy(prepared, row, sample):
+        def spy(prepared, sample, mds_dim):
             threads.append(threading.current_thread())
             if threading.current_thread() is threading.main_thread():
                 helper_ran.wait(timeout=30)
             else:
                 helper_ran.set()
-            return run_single(prepared, row, sample)
+            return run_single(prepared, sample, mds_dim)
 
         monkeypatch.setattr(experiment, "_run_single", spy)
         before = set(threading.enumerate())
@@ -1135,9 +1187,9 @@ class TestPool:
         threads = []
         run_single = experiment._run_single
 
-        def spy(prepared, row, sample):
+        def spy(prepared, sample, mds_dim):
             threads.append(threading.current_thread())
-            return run_single(prepared, row, sample)
+            return run_single(prepared, sample, mds_dim)
 
         monkeypatch.setattr(experiment, "_run_single", spy)
         cores(2)
@@ -1160,9 +1212,9 @@ class TestPool:
         run_single = experiment._run_single
         caller_failed, helper_failed = threading.Event(), threading.Event()
 
-        def failing(prepared, row, sample):
+        def failing(prepared, sample, mds_dim):
             in_helper = threading.current_thread() is not threading.main_thread()
-            if row.fraction == 1.0:
+            if sample.size == rel_idx.size:
                 caller_failed.set()
                 raise ValueError("the whole pool")
             if np.array_equal(sample, draws[1]):
@@ -1170,7 +1222,7 @@ class TestPool:
                     helper_failed.set()
                 raise ValueError("S=0.5 replicate 1")
             (caller_failed if in_helper else helper_failed).wait(timeout=30)
-            return run_single(prepared, row, sample)
+            return run_single(prepared, sample, mds_dim)
 
         monkeypatch.setattr(experiment, "_run_single", failing)
         rows = []
@@ -1191,12 +1243,12 @@ class TestPool:
         run_single = experiment._run_single
         started, caller_started, helper_failed = [], threading.Event(), threading.Event()
 
-        def failing(prepared, row, sample):
-            started.append(row.fraction)
+        def failing(prepared, sample, mds_dim):
+            started.append(sample.size)
             if threading.current_thread() is threading.main_thread():
                 caller_started.set()
                 helper_failed.wait(timeout=30)
-                return run_single(prepared, row, sample)
+                return run_single(prepared, sample, mds_dim)
             caller_started.wait(timeout=30)
             helper_failed.set()
             raise ValueError("first task")
@@ -1205,7 +1257,7 @@ class TestPool:
         cores(2)
         with pytest.raises(ValueError, match="first task"):
             run_experiment(make_config(replicates=3), corpus=golden_corpus())
-        assert sorted(started) == [0.5, 1.0]
+        assert sorted(started) == [36, 72]  # S=0.5 and S=1 of the 72-object pool
 
     @pytest.mark.skipif(
         experiment._blas_threads_setter() is None, reason="numpy's OpenBLAS setter is absent"

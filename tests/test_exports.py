@@ -35,8 +35,7 @@ BENCH_HOOKS = [
     ("corpus", "cosine_dissimilarity", "dissimilarity"),
     ("experiment", "frobenius_prescale", "dissimilarity"),
     ("cli", "save_dissimilarity_tsv", "dissimilarity"),
-    ("cli", "graph_geodesic", "dissimilarity"),
-    ("cli", "cosine_dissimilarity", "dissimilarity"),
+    ("align", "eig_sym", "numerics"),
 ]
 
 
