@@ -65,8 +65,9 @@ def _cmd_dissim(args):
 
 
 def _cmd_mds(args):
-    dm = load_dissimilarity_tsv(args.input)
-    model = mds_fit(dm, args.dim)
+    # The command owns the matrix it read, so the fit factors it in place.
+    dm = load_dissimilarity_tsv(args.input, _writable=True)
+    model = mds_fit(dm, args.dim, _overwrite=True)
     write_matrix(model.embedding, args.out)
     print(
         f"embedded {model.n} objects at effective dimension {model.effective_dim} "

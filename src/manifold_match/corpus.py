@@ -5,8 +5,9 @@ class labels and per-domain file references; per-domain ``features.tsv``
 (one row of tab-separated reals per object), ``edges.tsv`` (two object-id
 columns per line, undirected), and optional precomputed ``dissim_<kind>.tsv``
 square matrices, each read the first time it is used (the manifest records
-the ``cap`` and ``max_hops`` a graph matrix was built with). Plain text
-throughout so corpora are diff-able and language neutral.
+the ``cap`` and ``max_hops`` a graph matrix was built with, and a graph
+matrix within its recorded ``cap`` is kept as hop counts, as a built one
+is). Plain text throughout so corpora are diff-able and language neutral.
 """
 
 from __future__ import annotations
@@ -54,11 +55,30 @@ def _read_only(array):
     return copy
 
 
+def _hop_counts(values, cap):
+    """A checked float64 graph matrix as the hop counts it holds, in
+    ``np.min_scalar_type(cap)``, the type :func:`graph_geodesic` gives, when
+    every entry is an integer in [0, ``cap``] and ``cap`` is at most 2**53;
+    ``values`` itself otherwise. Squares, norms and gathers of the counts
+    give the float64 bits the entries do (a checked matrix has no -0.0)."""
+    if not values.max(initial=0.0) <= cap <= 2**53:
+        return values
+    counts = values.astype(np.min_scalar_type(int(cap)))
+    if not np.array_equal(counts, values):
+        return values
+    counts.setflags(write=False)
+    return counts
+
+
 class _RegisteredMatrices(Mapping):
     """A loaded domain's registered matrices, each read on first use and kept.
 
     ``files`` maps each kind to ``(path, cap, max_hops)``: its path and the
     graph settings the manifest records for it, None where none is recorded.
+    A graph matrix recorded with a ``cap`` is kept as its hop counts when it
+    holds exact ones (see :func:`_hop_counts`), so it takes n² bytes at
+    ``cap`` <= 255, as a built geodesic view does; any other matrix is kept
+    as read, float64.
     """
 
     def __init__(self, files, n):
@@ -68,13 +88,15 @@ class _RegisteredMatrices(Mapping):
 
     def __getitem__(self, kind):
         if kind not in self._read:
-            path = self.files[kind][0]
+            path, cap, _ = self.files[kind]
             values = load_dissimilarity_tsv(path)
             if values.shape[0] != self._n:
                 raise IntegrityError(
                     f"{path}: {values.shape[0]}x{values.shape[0]} matrix for "
                     f"{self._n} objects"
                 )
+            if kind == "graph" and cap is not None:
+                values = _hop_counts(values, cap)
             self._read[kind] = values
         return self._read[kind]
 
@@ -94,7 +116,10 @@ class DomainData:
 
     Features and edges are kept as read-only copies, so a view built from
     them stays valid for the life of the corpus. A precomputed matrix given
-    in memory is checked and kept by :func:`as_dissimilarity`.
+    in memory is checked and kept by :func:`as_dissimilarity`; a ``graph``
+    one whose entries are all integers is kept as those hop counts, in the
+    narrowest unsigned type that holds its largest (see
+    :func:`_hop_counts`), as a registered one is.
     """
 
     name: str
@@ -110,9 +135,12 @@ class DomainData:
         checked = {}
         for kind, values in self.dissimilarities.items():
             try:
-                checked[kind] = as_dissimilarity(values)
+                values = as_dissimilarity(values)
             except ValidationError as exc:
                 raise ValidationError(f"domain {self.name!r} {kind} {exc}") from None
+            if kind == "graph":
+                values = _hop_counts(values, values.max(initial=0.0))
+            checked[kind] = values
         object.__setattr__(self, "dissimilarities", checked)
 
 
@@ -230,7 +258,10 @@ class LabeledCorpus:
         registered graph matrix whose manifest records another ``cap`` or
         ``max_hops`` is a ``ConfigError`` (unrecorded settings are not
         compared). Otherwise what :meth:`build` returns is kept on first use
-        and returned by later calls.
+        and returned by later calls. A graph view, built or given, is hop
+        counts in a narrow unsigned type whenever its entries are exact hop
+        counts (a registered one needs its ``cap`` recorded), and float64
+        otherwise, so cast it to float before arithmetic that could wrap.
         """
         data = self.domain(domain)
         if kind in data.dissimilarities:

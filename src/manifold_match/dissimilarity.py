@@ -14,7 +14,9 @@ a geodesic's hop counts in the narrowest unsigned type that holds its cap
 (cast one to float before arithmetic that could wrap). The constructions
 here build theirs exactly symmetric, with a zero diagonal and nonnegative
 entries; a matrix from anywhere else (a file, a caller's array) is checked
-once by :func:`as_dissimilarity` where it enters, as float64.
+once by :func:`as_dissimilarity` where it enters, as float64 (a corpus then
+keeps a graph matrix of exact hop counts in the type :func:`graph_geodesic`
+gives).
 """
 
 from __future__ import annotations
@@ -53,14 +55,14 @@ def as_dissimilarity(values) -> np.ndarray:
     negative entries, each within ``1e-12``. Returns a read-only copy made
     exact in all three, so spectral code never sees tolerance-level asymmetry.
     """
-    return _checked(np.array(values, dtype=float))
+    return _read_only(_checked(np.array(values, dtype=float)))
 
 
 def _checked(v):
     """:func:`as_dissimilarity` of a float array the caller owns, checked one
-    block of :func:`mirror_blocks` at a time and made exact and read-only in
-    place (its mirror pairs by :func:`symmetrize`): a valid matrix gets no
-    n x n temporary."""
+    block of :func:`mirror_blocks` at a time and made exact in place (its
+    mirror pairs by :func:`symmetrize`): a valid matrix gets no n x n
+    temporary."""
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValidationError(f"dissimilarity matrix must be square, got {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -77,7 +79,7 @@ def _checked(v):
     symmetrize(v)
     np.fill_diagonal(v, 0.0)
     np.clip(v, 0.0, None, out=v)
-    return _read_only(v)
+    return v
 
 
 def graph_geodesic(edges, n, cap=6, max_hops=4) -> np.ndarray:
@@ -272,15 +274,18 @@ def save_dissimilarity_tsv(matrix, path):
     write_matrix(matrix, path)
 
 
-def load_dissimilarity_tsv(path) -> np.ndarray:
-    """Read a square matrix file and check it with :func:`as_dissimilarity`;
-    a failed check names ``path``."""
+def load_dissimilarity_tsv(path, *, _writable=False) -> np.ndarray:
+    """Read a square matrix file and check it as :func:`as_dissimilarity`
+    does; a failed check names ``path``. The result is read-only, unless
+    ``_writable`` is set by a caller that owns the array from then on (the
+    ``mds`` command, which factors it in place)."""
     values = read_matrix(path)
     if values.shape[0] != values.shape[1]:
         raise FormatError(
             f"{path}: expected a square matrix, got {values.shape[0]}x{values.shape[1]}"
         )
     try:
-        return _checked(values)
+        values = _checked(values)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
+    return values if _writable else _read_only(values)

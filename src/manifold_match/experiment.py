@@ -110,6 +110,18 @@ _FIELDS = {
 }
 
 
+# The fields of a config built in Python, checked with the exact types of
+# _FIELDS (a tuple stands for a JSON list; a view is a ViewSpec and a
+# schedule row a (fraction, mds_dim) pair); averaged views are checked
+# in ExperimentConfig.__post_init__.
+_PYTHON_FIELDS = {
+    **{name: convert for name, convert in _FIELDS.items()
+       if name not in ("corpus", "averaged_views")},
+    "views": lambda views: [(_str(v.tag), _str(v.domain), _str(v.kind)) for v in _list(views)],
+    "schedule": lambda rows: rows if rows is None else [(_number(f), _int(d)) for f, d in rows],
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a reproducible efficiency run needs."""
@@ -134,6 +146,12 @@ class ExperimentConfig:
     bootstrap_samples: int = 1000
 
     def __post_init__(self):
+        for name, convert in _PYTHON_FIELDS.items():
+            value = getattr(self, name)
+            try:
+                convert(list(value) if isinstance(value, tuple) else value)
+            except (AttributeError, OverflowError, TypeError, ValueError):
+                raise ConfigError(f"malformed field {name!r}: {value!r}") from None
         object.__setattr__(self, "views", tuple(self.views))
         object.__setattr__(self, "combinations", tuple(self.combinations))
         averaged = dict(self.averaged_views)
@@ -142,12 +160,10 @@ class ExperimentConfig:
                     and all(isinstance(name, str) for name in pair)):
                 raise ConfigError(f"averaged view {avg_tag!r} must name two views, got {pair!r}")
         object.__setattr__(self, "averaged_views", {k: tuple(pair) for k, pair in averaged.items()})
-        if not isinstance(self.feature, str) or not _NAME_RE.match(self.feature):
+        if not _NAME_RE.match(self.feature):
             raise ConfigError(f"feature {self.feature!r} is not a safe file-name component")
         if self.method not in ("cca", "gcca"):
             raise ConfigError(f"method must be 'cca' or 'gcca', got {self.method!r}")
-        if not isinstance(self.regularized, bool):
-            raise ConfigError(f"regularized must be true or false, got {self.regularized!r}")
         if not self.views:
             raise ConfigError("no views configured")
         tags = [v.tag for v in self.views]

@@ -11,8 +11,11 @@ straight into float64. Working set: a fit holds one n x n float64 array (the
 Gram matrix, centred in place, then averaged with its transpose and factored
 in place by :func:`~manifold_match.numerics.eig_sym`, which overwrites it
 with the eigenvectors) beside LAPACK's workspace of about 2n^2 floats, about
-3n^2 floats in all; an out-of-sample call holds one (m, n) float64 array for
-m new points.
+3n^2 floats in all beside its input. A caller that owns a float64 input it
+needs no longer (an experiment's training block, the matrix the ``mds``
+command read) has the Gram matrix built in the input's memory, so input and
+fit together hold about 3n^2 floats. An out-of-sample call holds one (m, n)
+float64 array for m new points.
 """
 
 from __future__ import annotations
@@ -87,9 +90,10 @@ def mds_fit(delta, p, *, _overwrite=False) -> MdsModel:
     whose top eigenpairs give coordinates ``V_p sqrt(L_p)``. Negative
     eigenvalues (non-Euclidean input) are dropped, never clamped, so the
     Gram identity on the retained eigenspace holds exactly. ``_overwrite``
-    is for a caller that gathered a float64 ``delta`` for this fit alone:
-    the Gram matrix is then built and factored in ``delta``'s memory, which
-    is left overwritten.
+    is for a caller that owns a writable float64 ``delta`` it needs no
+    longer (an experiment's gathered training block, the matrix the ``mds``
+    command read): the Gram matrix is then built and factored in
+    ``delta``'s memory, which is left overwritten.
     """
     d = _dissim_values(delta)
     n = d.shape[0]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import manifold_match
+from conftest import traced_peak
 from manifold_match import formats
 from manifold_match.cli import main
 from manifold_match.corpus import (
@@ -17,9 +18,16 @@ from manifold_match.corpus import (
     load_corpus,
     register_dissimilarity,
     save_corpus,
+    synthesize_corpus,
+)
+from manifold_match.dissimilarity import (
+    graph_geodesic,
+    load_dissimilarity_tsv,
+    save_dissimilarity_tsv,
 )
 from manifold_match.errors import ConfigError
 from manifold_match.experiment import ExperimentConfig, run_experiment
+from manifold_match.mds import mds_fit
 
 
 def path_graph_corpus(tmp_path):
@@ -458,6 +466,23 @@ class TestPipelineFlow:
         code = main(["mds", str(d), "--dim", "9", "--out", str(tmp_path / "e.tsv")])
         assert code == 2
         assert not (tmp_path / "e.tsv").exists()
+
+    def test_mds_factors_the_matrix_it_read_in_place(self, tmp_path, capsys):
+        # The matrix read from its twin becomes the fit's Gram matrix and then
+        # its eigenvectors, so the command holds it beside LAPACK's workspace,
+        # about 3n^2 floats (4.04n^2 with the Gram matrix built beside it).
+        n = 600
+        corpus = synthesize_corpus(5, n, 2, 5, 0.8)
+        path, out = tmp_path / "g.tsv", tmp_path / "emb.tsv"
+        save_dissimilarity_tsv(graph_geodesic(corpus.domains[0].edges, n, 32, 30), path)
+        argv = ["mds", str(path), "--dim", "40", "--out", str(out)]
+        assert main(argv) == 0
+        peak, code = traced_peak(lambda: main(argv))
+        assert code == 0
+        assert peak < 3.25 * n * n * 8
+        expected = mds_fit(load_dissimilarity_tsv(path), 40).embedding
+        assert np.array_equal(formats.read_matrix(out), expected)
+        assert not load_dissimilarity_tsv(path).flags.writeable
 
     def test_embedding_without_columns_is_data_error(self, tmp_path, capsys):
         # An all-zero matrix has effective dimension 0: its embedding has no

@@ -18,7 +18,9 @@ from manifold_match.corpus import (
 )
 from manifold_match.dissimilarity import cosine_dissimilarity, graph_geodesic
 from manifold_match.errors import ConfigError, FormatError, IntegrityError, ValidationError
-from manifold_match.experiment import ExperimentConfig, ViewSpec, _prepare, run_experiment
+from manifold_match.experiment import (
+    ExperimentConfig, ViewSpec, _prepare, emit_curves, run_experiment,
+)
 from manifold_match.mds import mds_fit
 
 # class sizes of the five-class reference corpus used in the protocol
@@ -363,6 +365,94 @@ class TestView:
             bare.view("d", "text", 6, 4)
         with pytest.raises(ConfigError, match="domain 'd' has no edges"):
             bare.view("d", "graph", 6, 4)
+
+
+class TestHopCounts:
+    """A graph matrix of exact hop counts is held as a built geodesic view is."""
+
+    def test_registered_graph_matrix_reads_back_as_hop_counts(self, registered):
+        corpus = load_corpus(registered)
+        n = corpus.n_total
+        graph = corpus.domain("domain0").dissimilarities["graph"]
+        built = graph_geodesic(corpus.domains[0].edges, n, 32, 30)
+        assert graph.dtype == built.dtype == np.uint8
+        assert np.array_equal(graph, built)
+        assert graph.nbytes < 2 * n * n
+        assert not graph.flags.writeable
+        assert corpus.view("domain0", "graph", 32, 30) is graph
+
+    @pytest.mark.parametrize("case", ["fraction", "above-cap", "no-cap"])
+    def test_registered_graph_matrix_of_other_values_stays_float(self, tmp_path, case):
+        corpus = synthesize_corpus(21, 60, 2, 5, 0.3)
+        values = graph_geodesic(corpus.domains[0].edges, 60, 32, 30).astype(float)
+        settings = {"cap": 32, "max_hops": 30}
+        if case == "fraction":
+            values[0, 1] = values[1, 0] = 2.5
+        elif case == "above-cap":
+            values[0, 1] = values[1, 0] = 33.0
+        else:
+            settings = {}
+        save_corpus(corpus, tmp_path)
+        register_dissimilarity(tmp_path, "domain0", "graph", values, **settings)
+        graph = load_corpus(tmp_path).domain("domain0").dissimilarities["graph"]
+        assert graph.dtype == np.float64
+        assert np.array_equal(graph, values)
+
+    def test_experiment_over_registered_geodesics_writes_the_bytes_of_built_ones(
+        self, tmp_path
+    ):
+        corpus = synthesize_corpus(21, 90, 2, 5, 0.3)
+        for name in ("plain", "registered"):
+            save_corpus(corpus, tmp_path / name)
+        for domain in ("domain0", "domain1"):
+            argv = ["dissim", str(tmp_path / "registered"), "--domain", domain, "--kind", "graph"]
+            assert main(argv + ["--cap", "32", "--max-hops", "30"]) == 0
+        config = ExperimentConfig(
+            views=(ViewSpec("GE", "domain0", "graph"), ViewSpec("GF", "domain1", "graph"),
+                   ViewSpec("TF", "domain1", "text")),
+            combinations=("GF->GE", "TF->GE", "GTF->GE"),
+            averaged_views={"GTF": ("GF", "TF")},
+            relation_classes=(0, 2, 4),
+            classifier_classes=(1, 3),
+            shared_dim=2,
+            replicates=2,
+            schedule=((0.5, 8), (1.0, 8)),
+            cap=32,
+            max_hops=30,
+        )
+        outputs = {}
+        for name in ("plain", "registered"):
+            loaded = load_corpus(tmp_path / name)
+            emit_curves(run_experiment(config, corpus=loaded), tmp_path / f"out_{name}")
+            outputs[name] = {
+                path.name: path.read_bytes() for path in (tmp_path / f"out_{name}").iterdir()
+            }
+        assert len(outputs["plain"]) == 5
+        assert outputs["registered"] == outputs["plain"]
+
+    def test_saving_held_hop_counts_writes_the_same_bytes(self, registered, tmp_path):
+        # Held as hop counts (test_registered_graph_matrix_reads_back_as_hop_counts).
+        save_corpus(load_corpus(registered), tmp_path / "copy")
+        for name in ("dissim_graph.tsv", ".dissim_graph.tsv.twin"):
+            written = (tmp_path / "copy" / "domain0" / name).read_bytes()
+            assert written == (registered / "domain0" / name).read_bytes()
+
+    @pytest.mark.parametrize("cap, dtype", [(6, np.uint8), (300, np.uint16)])
+    def test_in_memory_graph_matrix_kept_in_the_narrowest_type(self, cap, dtype):
+        corpus = synthesize_corpus(21, 60, 2, 5, 0.3)
+        counts = graph_geodesic(corpus.domains[0].edges, 60, cap, 4)
+        assert counts.max() == cap
+        values = counts.astype(float)
+        kept = DomainData("d", dissimilarities={"graph": values}).dissimilarities["graph"]
+        assert kept.dtype == dtype and not kept.flags.writeable
+        assert np.array_equal(kept, values)
+        # Another kind, or a graph matrix that is not all integers, stays float64.
+        text = DomainData("d", dissimilarities={"text": values}).dissimilarities["text"]
+        assert text.dtype == np.float64
+        values[0, 1] = values[1, 0] = 0.5
+        kept = DomainData("d", dissimilarities={"graph": values}).dissimilarities["graph"]
+        assert kept.dtype == np.float64
+        assert np.array_equal(kept, values)
 
 
 class TestLoaderErrors:

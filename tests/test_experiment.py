@@ -194,6 +194,32 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=named):
             make_config(averaged_views=averaged)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("combinations", (5,)),
+            ("shared_dim", "3"),
+            ("relation_classes", ("0",)),
+            ("shared_dim", True),
+            ("kappa", np.int64(5)),
+            ("classifier_classes", (1, 3.0)),
+            ("schedule", ((0.5, "8"), (1.0, 8))),
+            ("views", ("GE", "GF", "TF")),
+            ("ridge", "abc"),
+        ],
+        ids=["combinations-int", "shared_dim-string", "relation_classes-string",
+             "shared_dim-bool", "kappa-numpy-int", "classifier_classes-float",
+             "schedule-string", "views-strings", "ridge-string"],
+    )
+    def test_python_built_field_of_another_type_is_named(self, name, value):
+        # The exact types of a JSON config's fields; a tuple stands for a list.
+        with pytest.raises(ConfigError, match=f"malformed field '{name}'"):
+            make_config(**{name: value})
+
+    def test_python_built_lists_pass_as_tuples_do(self):
+        config = make_config(relation_classes=[0, 2, 4], combinations=["GF->GE"])
+        assert config.combinations == ("GF->GE",)
+
     def test_bad_combination_syntax(self):
         with pytest.raises(ConfigError, match="TRAIN->TEST"):
             make_config(combinations=("GFGE",), averaged_views={})
@@ -899,29 +925,35 @@ class TestViewsKeptOnCorpus:
 
     @pytest.mark.parametrize("cap", [32], ids=["narrow"])
     @pytest.mark.parametrize("method", ["gcca", "cca"])
-    def test_built_views_give_the_report_of_float_matrices(self, cap, method):
+    def test_built_views_give_the_report_of_float_matrices(self, cap, method, tmp_path):
         # The corpus keeps a geodesic view as hop counts in the narrowest
-        # unsigned type that holds cap; the report (cells and warnings) is
-        # that of the same views given as float64.
+        # unsigned type that holds cap, and so it keeps the same counts given
+        # in memory as float64; the report (cells and warnings) is that of
+        # the same views read as float64, registered with no cap recorded.
         overrides = {"combinations": ("GF->GE", "TF->GE"), "averaged_views": {}}
         config = make_config(
             cap=cap, shared_dim=7, method=method, **(overrides if method == "cca" else {})
         )
         built = golden_corpus()
+        save_corpus(built, tmp_path)
+        graphs = {
+            d.name: graph_geodesic(d.edges, built.n_total, cap=cap, max_hops=30).astype(float)
+            for d in built.domains
+        }
         domains = tuple(
-            DomainData(d.name, d.features, d.edges, {
-                "graph": graph_geodesic(
-                    d.edges, built.n_total, cap=cap, max_hops=30
-                ).astype(float),
-            })
+            DomainData(d.name, d.features, d.edges, {"graph": graphs[d.name]})
             for d in built.domains
         )
         given = LabeledCorpus(built.object_ids, built.labels, domains)
+        for name, graph in graphs.items():
+            corpus_module.register_dissimilarity(tmp_path, name, "graph", graph)
+        read = load_corpus(tmp_path)
         report = run_experiment(config, corpus=built)
         assert report.warnings
-        assert report == run_experiment(config, corpus=given)
+        assert report == run_experiment(config, corpus=given) == run_experiment(config, corpus=read)
         assert built.view("domain0", "graph", cap, 30).dtype == np.uint8
-        assert given.view("domain0", "graph", cap, 30).dtype == np.float64
+        assert given.view("domain0", "graph", cap, 30).dtype == np.uint8
+        assert read.view("domain0", "graph", cap, 30).dtype == np.float64
 
 
 class TestWholePoolFitsKeptOnCorpus:
