@@ -105,12 +105,12 @@ def _factor(view, x):
     """Thin SVD ``(U, s, V^T)`` of the centered view ``x``.
 
     A fit made by ``mds_fit`` has orthogonal columns, so its singular values
-    are the column norms (not necessarily sorted) and no SVD is needed. Any
-    other view, a hand-built ``MdsModel`` included, is factored by SVD.
+    are the column norms (not necessarily sorted), ``V^T`` is the identity
+    (None) and no SVD is needed. Any other view is factored by SVD.
     """
     if isinstance(view, MdsModel) and view._orthogonal:
         s = np.linalg.norm(x, axis=0)
-        return x / s, s, np.eye(x.shape[1])
+        return x / s, s, None
     return np.linalg.svd(x, full_matrices=False)
 
 
@@ -141,7 +141,7 @@ def _fit(views, d, ridge, method):
         s = s[keep]
         w = np.sqrt(s * s + ridge)
         bases.append(left[:, keep] * (s / w))
-        back.append(vt[keep].T / w)
+        back.append((vt, keep, w))
         shrink.append((s / w) ** 2)
     ranks = [len(s) for s in shrink]
     # One copy of the stacked bases at a time, and none once T^T T exists.
@@ -163,9 +163,14 @@ def _fit(views, d, ridge, method):
             "reduce the shared dimension"
         )
     whitened = np.split(top, np.cumsum(ranks)[:-1])
-    stacked = _fix_signs(np.vstack([b @ a for b, a in zip(back, whitened)]))
-
-    maps = np.split(stacked, np.cumsum(widths)[:-1])
+    # Each view's map is V w^-1 a: with V the identity, a row scaling into the kept rows.
+    stacked = np.zeros((sum(widths), d))
+    for (vt, keep, w), a, u in zip(back, whitened, np.split(stacked, np.cumsum(widths)[:-1])):
+        if vt is None:
+            u[keep] = a * (1 / w)[:, None]
+        else:
+            u[:] = (vt[keep].T / w) @ a
+    maps = np.split(_fix_signs(stacked), np.cumsum(widths)[:-1])
     projected = [x @ u for x, u in zip(xs, maps)]
 
     # Normalize each dimension to unit averaged projected energy:

@@ -4,10 +4,10 @@ A corpus on disk is a directory: ``manifest.json`` with object ids, integer
 class labels and per-domain file references; per-domain ``features.tsv``
 (one row of tab-separated reals per object), ``edges.tsv`` (two object-id
 columns per line, undirected), and optional precomputed ``dissim_<kind>.tsv``
-square matrices, each read the first time it is used (the manifest records
-the ``cap`` and ``max_hops`` a graph matrix was built with, and a graph
-matrix within its recorded ``cap`` is kept as hop counts, as a built one
-is). Plain text throughout so corpora are diff-able and language neutral.
+square matrices, with the ``cap`` and ``max_hops`` a graph matrix was built
+with. A domain's matrices, given in memory or registered, are held by one
+store that checks each once: when given, or when first read. Plain text
+throughout so corpora are diff-able and language neutral.
 """
 
 from __future__ import annotations
@@ -70,44 +70,44 @@ def _hop_counts(values, cap):
     return counts
 
 
-class _RegisteredMatrices(Mapping):
-    """A loaded domain's registered matrices, each read on first use and kept.
+class _Matrices(Mapping):
+    """A domain's precomputed matrices by kind, each checked once and kept.
 
-    ``files`` maps each kind to ``(path, cap, max_hops)``: its path and the
-    graph settings the manifest records for it, None where none is recorded.
-    A graph matrix recorded with a ``cap`` is kept as its hop counts when it
-    holds exact ones (see :func:`_hop_counts`), so it takes n² bytes at
-    ``cap`` <= 255, as a built geodesic view does; any other matrix is kept
-    as read, float64.
+    ``settings`` maps each kind to ``(path, cap, max_hops)``, None where the
+    manifest records none (all three for a matrix given in memory). ``held``
+    has a given matrix from the start and a registered one from its first
+    use, read and size-checked against ``n`` objects then. A graph matrix
+    given, or registered with a ``cap``, is held as its hop counts when it
+    holds exact ones (see :func:`_hop_counts`): n² bytes at ``cap`` <= 255.
     """
 
-    def __init__(self, files, n):
-        self.files = files
-        self._n = n
-        self._read = {}
+    def __init__(self, settings, n, held):
+        self.settings = {**dict.fromkeys(held, (None, None, None)), **settings}
+        self.n = n
+        self.held = held
 
     def __getitem__(self, kind):
-        if kind not in self._read:
-            path, cap, _ = self.files[kind]
+        if kind not in self.held:
+            path, cap, _ = self.settings[kind]
             values = load_dissimilarity_tsv(path)
-            if values.shape[0] != self._n:
+            if values.shape[0] != self.n:
                 raise IntegrityError(
                     f"{path}: {values.shape[0]}x{values.shape[0]} matrix for "
-                    f"{self._n} objects"
+                    f"{self.n} objects"
                 )
             if kind == "graph" and cap is not None:
                 values = _hop_counts(values, cap)
-            self._read[kind] = values
-        return self._read[kind]
+            self.held[kind] = values
+        return self.held[kind]
 
     def __contains__(self, kind):
-        return kind in self.files  # Mapping's default would read the file
+        return kind in self.settings  # Mapping's default would read the file
 
     def __iter__(self):
-        return iter(self.files)
+        return iter(self.settings)
 
     def __len__(self):
-        return len(self.files)
+        return len(self.settings)
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,10 @@ class DomainData:
     """One domain's feature rows, graph edges and precomputed matrices by kind.
 
     Features and edges are kept as read-only copies, so a view built from
-    them stays valid for the life of the corpus. A precomputed matrix given
-    in memory is checked and kept by :func:`as_dissimilarity`; a ``graph``
-    one whose entries are all integers is kept as those hop counts, in the
-    narrowest unsigned type that holds its largest (see
-    :func:`_hop_counts`), as a registered one is.
+    them stays valid for the life of the corpus. ``dissimilarities`` is one
+    store; a mapping given becomes one holding each matrix as
+    :func:`as_dissimilarity` checks it, a ``graph`` one of integers as hop
+    counts in the narrowest unsigned type that holds its largest.
     """
 
     name: str
@@ -130,9 +129,9 @@ class DomainData:
     def __post_init__(self):
         object.__setattr__(self, "features", _read_only(self.features))
         object.__setattr__(self, "edges", _read_only(self.edges))
-        if isinstance(self.dissimilarities, _RegisteredMatrices):
-            return  # each matrix is checked when first read
-        checked = {}
+        if isinstance(self.dissimilarities, _Matrices):
+            return  # load_corpus's store
+        held = {}
         for kind, values in self.dissimilarities.items():
             try:
                 values = as_dissimilarity(values)
@@ -140,8 +139,8 @@ class DomainData:
                 raise ValidationError(f"domain {self.name!r} {kind} {exc}") from None
             if kind == "graph":
                 values = _hop_counts(values, values.max(initial=0.0))
-            checked[kind] = values
-        object.__setattr__(self, "dissimilarities", checked)
+            held[kind] = values
+        object.__setattr__(self, "dissimilarities", _Matrices({}, None, held))
 
 
 def _view_key(domain, kind, cap, max_hops):
@@ -211,9 +210,7 @@ class LabeledCorpus:
                     raise IntegrityError(
                         f"domain {domain.name!r} has edge endpoints outside [0, {n})"
                     )
-            if isinstance(domain.dissimilarities, _RegisteredMatrices):
-                continue  # checked when each matrix is first read
-            for kind, values in domain.dissimilarities.items():
+            for kind, values in domain.dissimilarities.held.items():
                 m = values.shape[0]
                 if m != n:
                     raise IntegrityError(
@@ -254,8 +251,8 @@ class LabeledCorpus:
     def view(self, domain, kind, cap, max_hops) -> np.ndarray:
         """The n x n ``kind`` dissimilarity of ``domain``.
 
-        A registered or in-memory matrix of that kind is used as it is; a
-        registered graph matrix whose manifest records another ``cap`` or
+        A matrix of that kind in the domain's store is used as it is; a
+        graph matrix whose ``settings`` record another ``cap`` or
         ``max_hops`` is a ``ConfigError`` (unrecorded settings are not
         compared). Otherwise what :meth:`build` returns is kept on first use
         and returned by later calls. A graph view, built or given, is hop
@@ -265,7 +262,7 @@ class LabeledCorpus:
         """
         data = self.domain(domain)
         if kind in data.dissimilarities:
-            path, *recorded = getattr(data.dissimilarities, "files", {}).get(kind, (None,) * 3)
+            path, *recorded = data.dissimilarities.settings[kind]
             if kind == "graph" and any(
                 value not in (None, asked) for value, asked in zip(recorded, (cap, max_hops))
             ):
@@ -330,9 +327,8 @@ def save_corpus(corpus, path):
             ids = corpus.object_ids
             write_lines(root / rel, (f"{ids[i]}\t{ids[j]}" for i, j in domain.edges))
             entry["edges"] = rel
-        recorded = getattr(domain.dissimilarities, "files", {})
         for kind, values in sorted(domain.dissimilarities.items()):
-            _, cap, max_hops = recorded.get(kind, (None,) * 3)
+            _, cap, max_hops = domain.dissimilarities.settings[kind]
             rel = f"{ddir}/dissim_{kind}.tsv"
             save_dissimilarity_tsv(values, root / rel)
             entry["dissimilarities"][kind] = {"file": rel, "cap": cap, "max_hops": max_hops}
@@ -425,7 +421,8 @@ def load_corpus(path) -> LabeledCorpus:
     """Load and validate a corpus directory (layout in the module docstring).
 
     Features and edges are read here; registered dissimilarity matrices are
-    read when first used. A ``roles`` list in older manifests is ignored.
+    read when first used. :class:`LabeledCorpus` checks the counts; its
+    ``IntegrityError`` names the manifest. Older manifests' ``roles`` are ignored.
     """
     root = Path(path)
     manifest_path = root / "manifest.json"
@@ -443,12 +440,6 @@ def load_corpus(path) -> LabeledCorpus:
             "integer class ids"
         )
     ids = [str(i) for i in ids]
-    if len(ids) == 0:
-        raise IntegrityError(f"{manifest_path}: corpus has zero objects")
-    if len(labels) != len(ids):
-        raise IntegrityError(
-            f"{manifest_path}: {len(labels)} labels for {len(ids)} object ids"
-        )
     id_to_index = {oid: k for k, oid in enumerate(ids)}
 
     domains = []
@@ -466,7 +457,7 @@ def load_corpus(path) -> LabeledCorpus:
         edges = None
         if entry.get("edges"):
             edges = _read_edges_tsv(root / entry["edges"], id_to_index)
-        files = {}
+        settings = {}
         for kind, ref in _dissimilarity_refs(manifest_path, entry).items():
             where = f"{manifest_path}: domain {name!r} {kind} dissimilarity entry {ref!r}"
             if isinstance(ref, str):
@@ -475,14 +466,17 @@ def load_corpus(path) -> LabeledCorpus:
                 raise FormatError(
                     f"{where} is not a file name or {{\"file\": ..., \"cap\": ...}}"
                 )
-            settings = (ref.get("cap"), ref.get("max_hops"))
-            if any(v is not None and type(v) is not int for v in settings):
+            recorded = (ref.get("cap"), ref.get("max_hops"))
+            if any(v is not None and type(v) is not int for v in recorded):
                 raise FormatError(f"{where}: cap and max_hops must be integers or null")
-            files[kind] = (root / ref["file"], *settings)
-        dissims = _RegisteredMatrices(files, len(ids))
+            settings[kind] = (root / ref["file"], *recorded)
+        dissims = _Matrices(settings, len(ids), {})
         domains.append(DomainData(name, features=features, edges=edges, dissimilarities=dissims))
 
-    return LabeledCorpus(tuple(ids), np.asarray(labels), tuple(domains))
+    try:
+        return LabeledCorpus(tuple(ids), np.asarray(labels), tuple(domains))
+    except IntegrityError as exc:
+        raise IntegrityError(f"{manifest_path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

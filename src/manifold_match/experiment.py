@@ -396,11 +396,11 @@ def _run_single(prepared, sample, mds_dim):
     """Embed every view of one drawn sample at ``mds_dim``, then align,
     project and score every combination: one GCCA fit of all views serves
     every combination (and the averaged views), while CCA fits each
-    combination's (test, train) pair. A sample that is the whole relation
-    pool takes each view's MDS fit and prescale factor from the corpus's
-    kept fits, or fits it and keeps both there, so a kept fit gathers no
-    training block. The fits themselves go to the alignment, which whitens
-    each view by the factorization MDS already computed instead of an SVD.
+    combination's (test, train) pair. Each view's MDS fit and prescale
+    factor are looked up by fit key and dimension: in the corpus's kept
+    (read-only) fits for a whole-pool sample, so a kept fit gathers no
+    training block, and in this call's own store otherwise. The alignment
+    whitens each view by the factorization MDS computed instead of an SVD.
     Every view is fitted, and its fit sets the shared dimension, but only
     the views some combination or averaged view reads are projected out of
     sample and into the shared space. Returns the accuracies by combination
@@ -409,26 +409,18 @@ def _run_single(prepared, sample, mds_dim):
     config = prepared.config
     labels = prepared.labels_clf
     shortfalls = []
-    whole_pool = sample.size == prepared.rel_idx.size
+    # No two tasks of a run share a key: one holds each sample at each dimension.
+    fits = prepared.fits if sample.size == prepared.rel_idx.size else {}
     read = {tag for combo in config.combinations for tag in _parse_combination(combo)}
     read.update(*config.averaged_views.values())
 
     train_fit = {}
     clf_emb = {}
     for view in config.views:
-        if whole_pool:
-            # No two tasks of a run share a key: one task holds each sample
-            # at each dimension.
-            key = (prepared.fit_keys[view.tag], mds_dim)
-            kept = prepared.fits.get(key)
-            if kept is None:
-                kept = _fit_view(prepared, view, sample, mds_dim)
-                for array in (kept[0].embedding, kept[0].eigenvalues, kept[0].row_means):
-                    array.setflags(write=False)
-                prepared.fits[key] = kept
-            model, factor = kept
-        else:
-            model, factor = _fit_view(prepared, view, sample, mds_dim)
+        key = (prepared.fit_keys[view.tag], mds_dim)
+        if key not in fits:
+            fits[key] = _fit_view(prepared, view, sample, mds_dim)
+        model, factor = fits[key]
         if model.effective_dim < config.shared_dim:
             shortfalls.append((view.tag, model.effective_dim))
         train_fit[view.tag] = model

@@ -211,8 +211,10 @@ def _replace(path, mode, fill):
 
 def write_matrix(values, path):
     """Write a non-empty 2-D array as a matrix file (round-trip exact), then
-    its twin. A failed twin write raises with the text in place."""
-    values = np.asarray(values, dtype=float)
+    its twin. A failed twin write raises with the text in place. Integers
+    are cast to float a block of rows at a time."""
+    values = np.asarray(values)
+    values = values if values.dtype.kind in "ui" else values.astype(float, copy=False)
     if values.ndim != 2 or 0 in values.shape:
         raise ValidationError(
             f"{path}: a matrix file holds a 2-D array with rows and columns, "
@@ -231,7 +233,7 @@ def _write_twin(values, path):
     def fill(fh):
         fh.write(head)
         for start in range(0, len(values), step):
-            block = values[start:start + step]
+            block = np.asarray(values[start:start + step], dtype=float)
             nan = np.isnan(block)
             if nan.any():  # the text holds "nan" for every NaN
                 block = np.where(nan, np.nan, block)
@@ -258,12 +260,12 @@ def _matrix_lines(values):
     written, so each value is formatted once and at most about n²/4 values'
     text is held at a time."""
     n_rows, n_cols = values.shape
-    pattern = values.view(np.int64)
+    pattern = values.view(np.int64) if values.dtype == float else values
     symmetric = n_rows == n_cols and np.array_equal(pattern, pattern.T)
     step = max(1, _BLOCK_FLOATS // n_cols)
     above = {}  # column -> its text in each earlier block, tab-joined
     for start in range(0, n_rows, step):
-        block = np.ascontiguousarray(values[start:start + step, start if symmetric else 0:])
+        block = np.ascontiguousarray(values[start:start + step, start if symmetric else 0:], float)
         bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
         text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)
         text = text[inverse].reshape(block.shape)

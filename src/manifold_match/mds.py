@@ -93,7 +93,8 @@ def mds_fit(delta, p, *, _overwrite=False) -> MdsModel:
     is for a caller that owns a writable float64 ``delta`` it needs no
     longer (an experiment's gathered training block, the matrix the ``mds``
     command read): the Gram matrix is then built and factored in
-    ``delta``'s memory, which is left overwritten.
+    ``delta``'s memory, which is left overwritten. The fit's arrays are
+    read-only, so it can be kept and shared as returned.
     """
     d = _dissim_values(delta)
     n = d.shape[0]
@@ -116,6 +117,8 @@ def mds_fit(delta, p, *, _overwrite=False) -> MdsModel:
     keep = int(np.sum(eigenvalues > cutoff))
     values = eigenvalues[:keep].copy()
     coords = eigenvectors[:, :keep] * np.sqrt(values)
+    for array in (coords, values, row_means):
+        array.setflags(write=False)
     model = MdsModel(coords, values, row_means, grand_mean)
     object.__setattr__(model, "_orthogonal", True)
     return model

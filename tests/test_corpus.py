@@ -455,6 +455,13 @@ class TestHopCounts:
         assert np.array_equal(kept, values)
 
 
+def _edit_manifest(root, edit):
+    path = root / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
 class TestLoaderErrors:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError, match="manifest"):
@@ -475,6 +482,20 @@ class TestLoaderErrors:
         manifest = {"objects": {"ids": ["a", "b"], "labels": [0]}, "domains": []}
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(IntegrityError, match="labels"):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda root: _edit_manifest(
+            root, lambda m: m["objects"].update(ids=["a", "b", "c", "a"], labels=[0, 1, 0, 0])),
+         "object ids are not unique"),
+        (lambda root: (root / "d1" / "features.tsv").write_text("1.0\t2.0\n"),
+         "domain 'd1' has 1 feature rows for 3 objects"),
+    ], ids=["duplicate_ids", "feature_rows"])
+    def test_count_error_names_the_manifest(self, tmp_path, damage, message):
+        # The counts are checked once, by LabeledCorpus; a load names the file.
+        save_corpus(small_corpus(), tmp_path)
+        damage(tmp_path)
+        with pytest.raises(IntegrityError, match=rf"manifest\.json: {message}"):
             load_corpus(tmp_path)
 
     def test_feature_parse_error_names_line(self, tmp_path):

@@ -13,7 +13,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from conftest import traced_peak
 from manifold_match import formats
-from manifold_match.corpus import DomainData, LabeledCorpus, load_corpus, save_corpus
+from manifold_match.corpus import (DomainData, LabeledCorpus, load_corpus, save_corpus,
+                                   synthesize_corpus)
+from manifold_match.dissimilarity import graph_geodesic, save_dissimilarity_tsv
 from manifold_match.errors import FormatError, ValidationError
 from manifold_match.formats import (
     read_json,
@@ -83,6 +85,22 @@ def test_symmetric_writer_peak_memory_is_bounded(tmp_path, kind, cap):
         values = values + values.T
     peak, _ = traced_peak(lambda: write_matrix(values, tmp_path / "m.tsv"))
     assert peak < cap
+
+
+def test_hop_counts_are_cast_a_block_at_a_time(tmp_path):
+    # A geodesic held as one byte per hop count: cast to float whole, it
+    # made an 8n^2 temporary, a 1.56 x 8n^2 peak; a block of rows at a time,
+    # 0.56 x 8n^2. The text and twin are those of the float matrix.
+    corpus = synthesize_corpus(3, 1000, 2, 5, 0.8)
+    n = corpus.n_total
+    hops = graph_geodesic(corpus.domains[0].edges, n, cap=6, max_hops=4)
+    assert hops.dtype == np.uint8
+    peak, _ = traced_peak(lambda: save_dissimilarity_tsv(hops, tmp_path / "hops.tsv"))
+    assert peak < 0.75 * 8 * n * n
+    write_matrix(hops.astype(float), tmp_path / "float.tsv")
+    for name in ("{}.tsv", ".{}.tsv.twin"):
+        written = (tmp_path / name.format("hops")).read_bytes()
+        assert written == (tmp_path / name.format("float")).read_bytes()
 
 
 def test_writer_formats_each_value_of_a_symmetric_array_once(tmp_path, monkeypatch):

@@ -149,6 +149,15 @@ class TestMdsFit:
         assert np.asarray(model) is model.embedding
         assert np.shape(model) == (8, 2)
 
+    def test_fit_arrays_are_read_only(self):
+        # A fit can be kept and shared as mds_fit returns it.
+        rng = np.random.default_rng(58)
+        model = mds_fit(euclidean_distances(rng.normal(size=(8, 2))), 2)
+        for array in (model.embedding, model.eigenvalues, model.row_means):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            np.asarray(model)[0, 0] = 1.0
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_in_place_gram_has_the_bits_of_the_expression(self, seed):
         rng = np.random.default_rng(seed)
