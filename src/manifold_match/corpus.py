@@ -200,12 +200,19 @@ class LabeledCorpus:
                         f"domain {domain.name!r} has {f.shape[0] if f.ndim == 2 else f.shape} "
                         f"feature rows for {n} objects"
                     )
+                if f.dtype.kind not in "iuf":
+                    raise ValidationError(f"domain {domain.name!r} features are not real numbers")
                 if not np.all(np.isfinite(f)):
                     raise ValidationError(
                         f"domain {domain.name!r} features contain non-finite entries"
                     )
             if domain.edges is not None:
                 e = domain.edges
+                if e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu":
+                    raise ValidationError(
+                        f"domain {domain.name!r} edges are a {e.dtype} array of shape "
+                        f"{e.shape}, not an (E, 2) array of integers"
+                    )
                 if e.size and (e.min() < 0 or e.max() >= n):
                     raise IntegrityError(
                         f"domain {domain.name!r} has edge endpoints outside [0, {n})"

@@ -86,40 +86,43 @@ def _parse_combination(text):
     return parts[0], parts[1]
 
 
-# The fields of a JSON config and their conversions; an absent field takes
-# the ExperimentConfig default.
-_REQUIRED_FIELDS = ("views", "combinations", "relation_classes", "classifier_classes")
+def _tuple(check):
+    """A converter taking a tuple or list to the tuple of ``check`` of each item."""
+    return lambda items: tuple(map(check, _of(tuple, list)(items)))
+
+
+def _averaged(views):
+    """Each averaged view's two view tags as a tuple; None is none."""
+    for tag, pair in ({} if views is None else _of(dict)(views)).items():
+        if type(pair) not in (tuple, list) or [type(name) for name in pair] != [str, str]:
+            raise ConfigError(f"averaged view {tag!r} must name two views, got {pair!r}")
+    return {tag: tuple(pair) for tag, pair in (views or {}).items()}
+
+
+# Every field of an ExperimentConfig, built in Python or read from JSON, and
+# the converter that checks it: the exact JSON types, a tuple or list where
+# JSON has a list, a ViewSpec per view and a (fraction, mds_dim) pair per row.
 _FIELDS = {
-    "corpus": _of(str, type(None)),
-    "views": lambda views: tuple(
-        ViewSpec(_str(v["tag"]), _str(v["domain"]), _str(v["kind"])) for v in _list(views)
-    ),
-    "combinations": lambda combos: tuple(_str(c) for c in _list(combos)),
-    "relation_classes": lambda classes: tuple(_int(c) for c in _list(classes)),
-    "classifier_classes": lambda classes: tuple(_int(c) for c in _list(classes)),
-    "method": _str, "shared_dim": _int, "kappa": _int, "replicates": _int, "seed": _int,
-    "feature": _str, "cap": _int, "max_hops": _int, "bootstrap_samples": _int,
-    "regularized": _of(bool),
-    "ridge": lambda r: r if r is None else float(_number(r)),
-    "averaged_views": lambda views: {
-        tag: (_str(a), _str(b)) for tag, pair in (views or {}).items() for a, b in [_list(pair)]
-    },
+    "views": _tuple(lambda v: ViewSpec(_str(v.tag), _str(v.domain), _str(v.kind))),
+    "combinations": _tuple(_str), "relation_classes": _tuple(_int),
+    "classifier_classes": _tuple(_int), "corpus_path": _of(str, type(None)),
+    "averaged_views": _averaged, "method": _str, "regularized": _of(bool),
+    "shared_dim": _int, "kappa": _int, "replicates": _int, "seed": _int,
     "schedule": lambda rows: rows if rows is None else tuple(
-        (float(_number(r["fraction"])), _int(r["mds_dim"])) for r in _list(rows)
+        (_number(f), _int(d)) for f, d in map(_of(tuple, list), _of(tuple, list)(rows))
     ),
+    "feature": _str, "ridge": lambda r: r if r is None else float(_number(r)),
+    "cap": _int, "max_hops": _int, "bootstrap_samples": _int,
 }
+_REQUIRED_FIELDS = ("views", "combinations", "relation_classes", "classifier_classes")
 
 
-# The fields of a config built in Python, checked with the exact types of
-# _FIELDS (a tuple stands for a JSON list; a view is a ViewSpec and a
-# schedule row a (fraction, mds_dim) pair); averaged views are checked
-# in ExperimentConfig.__post_init__.
-_PYTHON_FIELDS = {
-    **{name: convert for name, convert in _FIELDS.items()
-       if name not in ("corpus", "averaged_views")},
-    "views": lambda views: [(_str(v.tag), _str(v.domain), _str(v.kind)) for v in _list(views)],
-    "schedule": lambda rows: rows if rows is None else [(_number(f), _int(d)) for f, d in rows],
-}
+def _objects(items, make, *keys):
+    """``make`` of each object's values in ``keys`` order if ``items`` is a JSON
+    list of objects with exactly ``keys``; else ``items``, for _FIELDS to reject."""
+    if type(items) is list and all(type(i) is dict and i.keys() == set(keys) for i in items):
+        return [make(*(item[key] for key in keys)) for item in items]
+    return items
 
 
 @dataclass(frozen=True)
@@ -146,20 +149,13 @@ class ExperimentConfig:
     bootstrap_samples: int = 1000
 
     def __post_init__(self):
-        for name, convert in _PYTHON_FIELDS.items():
+        for name, convert in _FIELDS.items():
             value = getattr(self, name)
             try:
-                convert(list(value) if isinstance(value, tuple) else value)
-            except (AttributeError, OverflowError, TypeError, ValueError):
-                raise ConfigError(f"malformed field {name!r}: {value!r}") from None
-        object.__setattr__(self, "views", tuple(self.views))
-        object.__setattr__(self, "combinations", tuple(self.combinations))
-        averaged = dict(self.averaged_views)
-        for avg_tag, pair in averaged.items():
-            if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-                    and all(isinstance(name, str) for name in pair)):
-                raise ConfigError(f"averaged view {avg_tag!r} must name two views, got {pair!r}")
-        object.__setattr__(self, "averaged_views", {k: tuple(pair) for k, pair in averaged.items()})
+                object.__setattr__(self, name, convert(value))
+            except (AttributeError, ConfigError, OverflowError, TypeError, ValueError) as exc:
+                detail = exc if isinstance(exc, ConfigError) else repr(value)
+                raise ConfigError(f"malformed field {name!r}: {detail}") from None
         if not _NAME_RE.match(self.feature):
             raise ConfigError(f"feature {self.feature!r} is not a safe file-name component")
         if self.method not in ("cca", "gcca"):
@@ -205,6 +201,8 @@ class ExperimentConfig:
             raise ConfigError(f"kappa must be positive, got {self.kappa}")
         if self.replicates < 1:
             raise ConfigError(f"replicates must be positive, got {self.replicates}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.bootstrap_samples < 1:
             raise ConfigError("bootstrap_samples must be positive")
         if self.schedule is not None:
@@ -230,24 +228,25 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw, source="config") -> "ExperimentConfig":
+        """A JSON object's config, with ``corpus`` as ``corpus_path`` and each view
+        and schedule-row object as a ``ViewSpec`` or pair; errors name ``source``."""
         if not isinstance(raw, dict):
             raise ConfigError(f"{source}: the config must be a JSON object")
-        unknown = set(raw) - set(_FIELDS)
+        names = {("corpus" if name == "corpus_path" else name): name for name in _FIELDS}
+        unknown = set(raw) - set(names)
         if unknown:
             raise ConfigError(f"{source}: unknown fields {sorted(unknown)}")
         missing = [name for name in _REQUIRED_FIELDS if name not in raw]
         if missing:
             raise ConfigError(f"{source}: missing fields {missing}")
-        fields = {}
-        for name, convert in _FIELDS.items():
-            if name in raw:
-                try:
-                    fields[name] = convert(raw[name])
-                except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
-                    raise ConfigError(
-                        f"{source}: malformed field {name!r}: {raw[name]!r}"
-                    ) from None
-        return ExperimentConfig(corpus_path=fields.pop("corpus", None), **fields)
+        fields = {names[name]: value for name, value in raw.items()}
+        fields["views"] = _objects(fields["views"], ViewSpec, "tag", "domain", "kind")
+        rows = fields.get("schedule")
+        fields["schedule"] = _objects(rows, lambda *row: row, "fraction", "mds_dim")
+        try:
+            return ExperimentConfig(**fields)
+        except ConfigError as exc:
+            raise ConfigError(f"{source}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -619,6 +619,34 @@ class TestExperimentCommand:
         assert name in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "name, value, named",
+        [
+            ("views", [{"tag": "GE", "domain": "domain0", "kind": "graph", "oops": 1},
+                       {"tag": "GF", "domain": "domain1", "kind": "graph"},
+                       {"tag": "TF", "domain": "domain1", "kind": "text"}],
+             "malformed field 'views'"),
+            ("schedule", [{"fraction": 1.0, "mds_dim": 8, "typo": 9}],
+             "malformed field 'schedule'"),
+            ("seed", -1, "seed must be non-negative"),
+        ],
+        ids=["view-extra-key", "row-extra-key", "negative-seed"],
+    )
+    def test_config_error_on_a_runnable_corpus_writes_nothing(
+        self, tmp_path, capsys, name, value, named
+    ):
+        corpus_dir = tmp_path / "corpus"
+        main([
+            "synth", "--seed", "21", "--objects", "120", "--domains", "2",
+            "--classes", "5", "--noise", "0.5", "--out", str(corpus_dir),
+        ])
+        config = experiment_config(tmp_path, corpus_dir, **{name: value})
+        out = tmp_path / "run"
+        code = main(["experiment", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert f"error: {config}: {named}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("tag", ["G,E", "G\tE"])
     def test_unsafe_view_tag_is_data_error(self, tmp_path, capsys, tag):
         views = [

@@ -85,6 +85,27 @@ class TestLabeledCorpus:
                 (DomainData("d", edges=np.array([[0, 2]])),),
             )
 
+    @pytest.mark.parametrize(
+        "edges",
+        [[[0, 1.5], [1, 2]], [[0, 1, 2]], [0, 1], [[True, False]]],
+        ids=["float-pair", "three-columns", "flat", "bool"],
+    )
+    def test_edges_must_be_pairs_of_integers(self, edges):
+        # A float endpoint is not truncated to the edge it rounds down to.
+        with pytest.raises(ValidationError, match="domain 'd' edges .* not an \\(E, 2\\) array"):
+            LabeledCorpus(("a", "b", "c"), np.array([0, 1, 0]), (DomainData("d", edges=edges),))
+
+    @pytest.mark.parametrize(
+        "features", [[[1.0, "a"], [2.0, 3.0]], [[1 + 1j, 0.0], [0.0, 1.0]]], ids=["str", "complex"]
+    )
+    def test_features_must_be_real_numbers(self, features):
+        with pytest.raises(ValidationError, match="domain 'd' features are not real numbers"):
+            LabeledCorpus(("a", "b"), np.array([0, 1]), (DomainData("d", features=features),))
+
+    def test_integer_edges_and_features_pass(self):
+        domain = DomainData("d", features=[[1, 0], [0, 1]], edges=np.array([[0, 1]], np.uint8))
+        LabeledCorpus(("a", "b"), np.array([0, 1]), (domain,))
+
     def test_dissimilarity_size_mismatch(self):
         with pytest.raises(IntegrityError, match="'d' graph dissimilarity is 2x2 for 3"):
             LabeledCorpus(

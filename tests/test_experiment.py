@@ -216,6 +216,47 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"malformed field '{name}'"):
             make_config(**{name: value})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("averaged_views", ["GTF"]), ("averaged_views", 5), ("corpus_path", 5)],
+        ids=["averaged_views-list", "averaged_views-int", "corpus_path-int"],
+    )
+    def test_python_built_field_outside_the_json_types_is_named(self, name, value):
+        with pytest.raises(ConfigError, match=f"malformed field '{name}'"):
+            make_config(**{name: value})
+
+    def test_python_built_averaged_views_none_means_none(self):
+        config = make_config(averaged_views=None, combinations=("GF->GE",))
+        assert config.averaged_views == {}
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            make_config(seed=-1)
+        with pytest.raises(ConfigError, match="inline: seed must be non-negative"):
+            ExperimentConfig.from_dict(raw_config(seed=-1), source="inline")
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("views", [{"tag": "GE", "domain": "domain0", "kind": "graph", "oops": 1}]),
+            ("views", [{"tag": "GE", "domain": "domain0"}]),
+            ("schedule", [{"fraction": 1.0, "mds_dim": 8, "typo": 9}]),
+            ("schedule", [{"fraction": 1.0}]),
+        ],
+        ids=["view-extra-key", "view-missing-key", "row-extra-key", "row-missing-key"],
+    )
+    def test_from_dict_object_takes_exactly_its_keys(self, name, value):
+        with pytest.raises(ConfigError, match=f"inline: malformed field '{name}'"):
+            ExperimentConfig.from_dict(raw_config(**{name: value}), source="inline")
+
+    def test_from_dict_of_the_json_of_a_config_gives_the_config(self):
+        config = make_config()
+        raw = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+        raw["corpus"] = raw.pop("corpus_path")
+        raw["views"] = [dataclasses.asdict(view) for view in config.views]
+        raw["schedule"] = [{"fraction": f, "mds_dim": d} for f, d in config.schedule]
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(raw))) == config
+
     def test_python_built_lists_pass_as_tuples_do(self):
         config = make_config(relation_classes=[0, 2, 4], combinations=["GF->GE"])
         assert config.combinations == ("GF->GE",)
@@ -1212,8 +1253,8 @@ class TestPool:
 
     def test_one_task_leaves_blas_threads_alone(self, cores, monkeypatch):
         # S = 100 % alone draws one distinct sample: it runs on the caller at
-        # BLAS's own thread count, which on two threads beat one by about a
-        # fifth on paper-scale replicates.
+        # BLAS's own thread count; forcing one thread on two cores cost
+        # paper-scale about a quarter of its replicate rate (25.3 -> 19.1/s).
         blas = FakeBlas(3)
         monkeypatch.setattr(experiment, "_blas_threads_setter", lambda: blas)
         threads = []
