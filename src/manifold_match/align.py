@@ -57,8 +57,9 @@ class AlignmentMaps:
     """Per-view projection matrices into the shared space.
 
     ``projections[k]`` maps view k's coordinates (p_k columns) onto the d
-    shared dimensions; ``correlations`` holds the per-dimension alignment
-    correlations, descending in [-1, 1].
+    shared dimensions: at least two 2-D arrays (exactly two for ``cca``)
+    with the same d >= 1 columns. ``correlations`` holds the d
+    per-dimension alignment correlations, descending in [-1, 1].
     """
 
     projections: tuple[np.ndarray, ...]
@@ -67,7 +68,17 @@ class AlignmentMaps:
     ridge: float
 
     def __post_init__(self):
+        shapes = [np.shape(u) for u in self.projections]
+        if (len(shapes) < 2 or any(len(shape) != 2 for shape in shapes)
+                or len({shape[1] for shape in shapes}) != 1 or shapes[0][1] < 1):
+            raise ValidationError(
+                f"need two or more 2-D projections of one width d >= 1, got shapes {shapes}"
+            )
+        if self.method == "cca" and len(shapes) != 2:
+            raise ValidationError(f"cca maps have two projections, got {len(shapes)}")
         rho = np.asarray(self.correlations, dtype=float)
+        if rho.shape != (shapes[0][1],):
+            raise ValidationError(f"{rho.size} correlations for d={shapes[0][1]} dimensions")
         if np.any(np.abs(rho) > 1.0 + _DESCENDING_SLACK):
             raise ValidationError("correlations must lie in [-1, 1]")
         if np.any(np.diff(rho) > _DESCENDING_SLACK):
@@ -280,7 +291,8 @@ def load_alignment(in_dir) -> AlignmentMaps:
     """Inverse of :func:`save_alignment`. A ``meta.json`` field that is
     missing or not of its type (``K`` an integer, ``method`` ``"cca"`` or
     ``"gcca"``, ``ridge`` a number) is a ``FormatError`` naming the file and
-    the field."""
+    the field; maps that :class:`AlignmentMaps` rejects (a width or a
+    correlation count that disagrees, say) one naming the directory."""
     src = Path(in_dir)
     meta_path = src / "meta.json"
     meta = read_fields(meta_path, _ALIGNMENT_META)
@@ -288,4 +300,7 @@ def load_alignment(in_dir) -> AlignmentMaps:
     correlations = read_matrix(src / "correlations.tsv")
     if correlations.shape[1] != 1:
         raise FormatError(f"{src / 'correlations.tsv'}: expected one value per line")
-    return AlignmentMaps(projections, correlations[:, 0], meta["method"], meta["ridge"])
+    try:
+        return AlignmentMaps(projections, correlations[:, 0], meta["method"], meta["ridge"])
+    except ValidationError as exc:
+        raise FormatError(f"{src}: {exc}") from None

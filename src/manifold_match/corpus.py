@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dissimilarity import (
+    _check_geodesic,
     as_dissimilarity,
     cosine_dissimilarity,
     graph_geodesic,
@@ -55,30 +56,15 @@ def _read_only(array):
     return copy
 
 
-def _hop_counts(values, cap):
-    """A checked float64 graph matrix as the hop counts it holds, in
-    ``np.min_scalar_type(cap)``, the type :func:`graph_geodesic` gives, when
-    every entry is an integer in [0, ``cap``] and ``cap`` is at most 2**53;
-    ``values`` itself otherwise. Squares, norms and gathers of the counts
-    give the float64 bits the entries do (a checked matrix has no -0.0)."""
-    if not values.max(initial=0.0) <= cap <= 2**53:
-        return values
-    counts = values.astype(np.min_scalar_type(int(cap)))
-    if not np.array_equal(counts, values):
-        return values
-    counts.setflags(write=False)
-    return counts
-
-
 class _Matrices(Mapping):
     """A domain's precomputed matrices by kind, each checked once and kept.
 
     ``settings`` maps each kind to ``(path, cap, max_hops)``, None where the
     manifest records none (all three for a matrix given in memory). ``held``
     has a given matrix from the start and a registered one from its first
-    use, read and size-checked against ``n`` objects then. A graph matrix
-    given, or registered with a ``cap``, is held as its hop counts when it
-    holds exact ones (see :func:`_hop_counts`): n² bytes at ``cap`` <= 255.
+    use, read by :func:`load_dissimilarity_tsv` (in the type its twin holds:
+    a geodesic's hop counts, n² bytes at ``cap`` <= 255) and size-checked
+    against ``n`` objects then.
     """
 
     def __init__(self, settings, n, held):
@@ -88,15 +74,13 @@ class _Matrices(Mapping):
 
     def __getitem__(self, kind):
         if kind not in self.held:
-            path, cap, _ = self.settings[kind]
+            path = self.settings[kind][0]
             values = load_dissimilarity_tsv(path)
             if values.shape[0] != self.n:
                 raise IntegrityError(
                     f"{path}: {values.shape[0]}x{values.shape[0]} matrix for "
                     f"{self.n} objects"
                 )
-            if kind == "graph" and cap is not None:
-                values = _hop_counts(values, cap)
             self.held[kind] = values
         return self.held[kind]
 
@@ -117,8 +101,8 @@ class DomainData:
     Features and edges are kept as read-only copies, so a view built from
     them stays valid for the life of the corpus. ``dissimilarities`` is one
     store; a mapping given becomes one holding each matrix as
-    :func:`as_dissimilarity` checks it, a ``graph`` one of integers as hop
-    counts in the narrowest unsigned type that holds its largest.
+    :func:`as_dissimilarity` checks it: unsigned integers in their type
+    (a geodesic's hop counts), anything else as float64.
     """
 
     name: str
@@ -134,12 +118,9 @@ class DomainData:
         held = {}
         for kind, values in self.dissimilarities.items():
             try:
-                values = as_dissimilarity(values)
+                held[kind] = as_dissimilarity(values)
             except ValidationError as exc:
                 raise ValidationError(f"domain {self.name!r} {kind} {exc}") from None
-            if kind == "graph":
-                values = _hop_counts(values, values.max(initial=0.0))
-            held[kind] = values
         object.__setattr__(self, "dissimilarities", _Matrices({}, None, held))
 
 
@@ -241,9 +222,9 @@ class LabeledCorpus:
         edges (``kind`` ``"graph"``) or the cosine view of its features
         (``"text"``). Another kind, or a domain without the source, is a
         ``ConfigError``. A geodesic view is :func:`graph_geodesic`'s hop
-        counts in ``np.min_scalar_type(cap)`` (one byte per entry when
-        ``cap`` is at most 255), so cast it to float before any arithmetic
-        that could wrap.
+        counts in the narrowest unsigned type that holds ``cap`` (one byte
+        per entry when ``cap`` is at most 255), so cast it to float before
+        any arithmetic that could wrap.
         """
         source_name = {"graph": "edges", "text": "features"}.get(kind)
         if source_name is None:
@@ -262,10 +243,10 @@ class LabeledCorpus:
         graph matrix whose ``settings`` record another ``cap`` or
         ``max_hops`` is a ``ConfigError`` (unrecorded settings are not
         compared). Otherwise what :meth:`build` returns is kept on first use
-        and returned by later calls. A graph view, built or given, is hop
-        counts in a narrow unsigned type whenever its entries are exact hop
-        counts (a registered one needs its ``cap`` recorded), and float64
-        otherwise, so cast it to float before arithmetic that could wrap.
+        and returned by later calls. A view is in the type it was built,
+        given or registered in: a geodesic's hop counts in a narrow unsigned
+        type (float64 if given as floats, or read from a file whose twin does
+        not match), so cast it to float before arithmetic that could wrap.
         """
         data = self.domain(domain)
         if kind in data.dissimilarities:
@@ -400,8 +381,10 @@ def register_dissimilarity(path, domain_name, kind, values, cap=None, max_hops=N
     drops the kind's old entry from the manifest before the new file and twin
     replace the old ones, so a failed step leaves the kind as it was or
     unregistered, never the new matrix recorded under the old settings.
-    Returns the matrix file's path.
+    Settings that :func:`load_corpus` would reject are a ``ValidationError``,
+    and nothing is written. Returns the matrix file's path.
     """
+    _check_geodesic(cap, max_hops)
     root = Path(path)
     manifest_path = root / "manifest.json"
     manifest = read_json(manifest_path)
@@ -446,7 +429,9 @@ def load_corpus(path) -> LabeledCorpus:
             f"{manifest_path}: objects.labels holds {bad[0]!r}; labels are nonnegative "
             "integer class ids"
         )
-    ids = [str(i) for i in ids]
+    bad = [i for i in ids if type(i) is not str]
+    if bad:
+        raise FormatError(f"{manifest_path}: objects.ids holds {bad[0]!r}; object ids are strings")
     id_to_index = {oid: k for k, oid in enumerate(ids)}
 
     domains = []
@@ -474,8 +459,10 @@ def load_corpus(path) -> LabeledCorpus:
                     f"{where} is not a file name or {{\"file\": ..., \"cap\": ...}}"
                 )
             recorded = (ref.get("cap"), ref.get("max_hops"))
-            if any(v is not None and type(v) is not int for v in recorded):
-                raise FormatError(f"{where}: cap and max_hops must be integers or null")
+            try:
+                _check_geodesic(*recorded)
+            except ValidationError as exc:
+                raise FormatError(f"{where}: {exc}") from None
             settings[kind] = (root / ref["file"], *recorded)
         dissims = _Matrices(settings, len(ids), {})
         domains.append(DomainData(name, features=features, edges=edges, dissimilarities=dissims))

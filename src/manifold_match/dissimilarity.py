@@ -10,13 +10,13 @@ factor that rescales one matrix onto another's norm so matrices of different
 kinds can be fused downstream.
 
 A dissimilarity is a read-only square array of real numbers: float64, or
-a geodesic's hop counts in the narrowest unsigned type that holds its cap
-(cast one to float before arithmetic that could wrap). The constructions
-here build theirs exactly symmetric, with a zero diagonal and nonnegative
-entries; a matrix from anywhere else (a file, a caller's array) is checked
-once by :func:`as_dissimilarity` where it enters, as float64 (a corpus then
-keeps a graph matrix of exact hop counts in the type :func:`graph_geodesic`
-gives).
+unsigned integers such as a geodesic's hop counts in the narrowest type
+that holds its cap (cast one to float before arithmetic that could wrap).
+The constructions here build theirs exactly symmetric, with a zero diagonal
+and nonnegative entries; a matrix from anywhere else (a file, a caller's
+array) is checked once by :func:`as_dissimilarity` where it enters, and
+keeps its type if unsigned. A matrix file's twin keeps a geodesic's type,
+so a registered geodesic reads back as the hop counts it was built as.
 """
 
 from __future__ import annotations
@@ -52,34 +52,57 @@ def as_dissimilarity(values) -> np.ndarray:
     """Check a matrix from outside the package and return it as a dissimilarity.
 
     It must be square, finite and symmetric, with a zero diagonal and no
-    negative entries, each within ``1e-12``. Returns a read-only copy made
-    exact in all three, so spectral code never sees tolerance-level asymmetry.
+    negative entries, each within ``1e-12``, or exactly for unsigned
+    integers. Returns a read-only copy, of unsigned integers in their type
+    and of anything else as float64 made exact in all three, so spectral
+    code never sees tolerance-level asymmetry.
     """
-    return _read_only(_checked(np.array(values, dtype=float)))
+    values = np.asarray(values)
+    return _read_only(_checked(np.array(values, None if values.dtype.kind == "u" else float)))
 
 
 def _checked(v):
-    """:func:`as_dissimilarity` of a float array the caller owns, checked one
-    block of :func:`mirror_blocks` at a time and made exact in place (its
-    mirror pairs by :func:`symmetrize`): a valid matrix gets no n x n
-    temporary."""
+    """:func:`as_dissimilarity` of a float or unsigned array the caller
+    owns, checked one block of :func:`mirror_blocks` at a time; a float one
+    is made exact in place (its mirror pairs by :func:`symmetrize`), which a
+    valid unsigned one already is: a valid matrix gets no n x n temporary."""
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ValidationError(f"dissimilarity matrix must be square, got {v.shape}")
-    if not np.all(np.isfinite(v)):
+    exact = v.dtype.kind == "u"
+    if not (exact or np.all(np.isfinite(v))):
         raise ValidationError("dissimilarity matrix contains non-finite entries")
+    tol = 0 if exact else _SYM_ATOL
     if v.size:
-        if max(np.max(np.abs(upper - lower)) for upper, lower in mirror_blocks(v)) > _SYM_ATOL:
-            raise ValidationError(
-                f"dissimilarity matrix is not symmetric within {_SYM_ATOL:g}"
-            )
-        if np.max(np.abs(np.diag(v))) > _SYM_ATOL:
+        # An unsigned difference wraps, but is nonzero exactly when the pair differs.
+        if max(np.max(np.abs(upper - lower)) for upper, lower in mirror_blocks(v)) > tol:
+            raise ValidationError(f"dissimilarity matrix is not symmetric within {tol:g}")
+        if np.max(np.abs(np.diag(v))) > tol:
             raise ValidationError("dissimilarity matrix has a nonzero diagonal")
-        if v.min() < -_SYM_ATOL:
+        if v.min() < -tol:
             raise ValidationError("dissimilarity matrix has negative entries")
-    symmetrize(v)
-    np.fill_diagonal(v, 0.0)
-    np.clip(v, 0.0, None, out=v)
+    if not exact:
+        symmetrize(v)
+        np.fill_diagonal(v, 0.0)
+        np.clip(v, 0.0, None, out=v)
     return v
+
+
+def _check_geodesic(cap, max_hops):
+    """Check a geodesic's settings: integers (not bools) with ``cap >
+    max_hops >= 1`` and ``cap`` no larger than 2**53, the largest that every
+    matrix file, float64 text and twin, holds exactly. None is a setting not
+    known (a manifest may record neither), checked only as far as the other
+    allows: ``max_hops`` at least 1, ``cap`` at least 2."""
+    def integer(value):
+        return value is None or isinstance(value, (int, np.integer)) and type(value) is not bool
+
+    if not integer(cap) or cap is not None and cap > 2**53:
+        raise ValidationError(f"cap must be an integer no larger than 2**53, got {cap!r}")
+    if not integer(max_hops):
+        raise ValidationError(f"max_hops must be an integer, got {max_hops!r}")
+    hops = 1 if max_hops is None else max_hops
+    if hops < 1 or (cap is not None and cap <= hops):
+        raise ValidationError(f"need cap > max_hops >= 1, got cap={cap}, max_hops={max_hops}")
 
 
 def graph_geodesic(edges, n, cap=6, max_hops=4) -> np.ndarray:
@@ -90,9 +113,7 @@ def graph_geodesic(edges, n, cap=6, max_hops=4) -> np.ndarray:
     undirected graph make the result exactly symmetric. The result holds
     them in ``np.min_scalar_type(cap)``, one byte per entry when ``cap`` is
     at most 255; cast it to float before arithmetic that could wrap.
-    ``cap`` must be an integer (not a bool) no larger than 2**53, the
-    largest that every matrix file, float64 text and twin, holds exactly;
-    ``max_hops`` must be an integer (not a bool) too.
+    ``cap`` and ``max_hops`` must pass :func:`_check_geodesic`.
 
     The search is one breadth-first search from every source at once
     (Then et al., "The More the Merrier: Efficient Multi-Source Graph
@@ -132,14 +153,9 @@ def graph_geodesic(edges, n, cap=6, max_hops=4) -> np.ndarray:
     """
     if n <= 0:
         raise ValidationError(f"vertex count must be positive, got {n}")
-    if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap > 2**53:
-        raise ValidationError(f"cap must be an integer no larger than 2**53, got {cap!r}")
-    if isinstance(max_hops, bool) or not isinstance(max_hops, (int, np.integer)):
-        raise ValidationError(f"max_hops must be an integer, got {max_hops!r}")
-    if max_hops < 1 or cap <= max_hops:
-        raise ValidationError(
-            f"need cap > max_hops >= 1, got cap={cap}, max_hops={max_hops}"
-        )
+    if cap is None or max_hops is None:
+        raise ValidationError(f"need cap and max_hops, got cap={cap}, max_hops={max_hops}")
+    _check_geodesic(cap, max_hops)
     e = np.asarray(edges, dtype=int)
     if e.size == 0:
         e = e.reshape(0, 2)
@@ -276,7 +292,9 @@ def save_dissimilarity_tsv(matrix, path):
 
 def load_dissimilarity_tsv(path, *, _writable=False) -> np.ndarray:
     """Read a square matrix file and check it as :func:`as_dissimilarity`
-    does; a failed check names ``path``. The result is read-only, unless
+    does; a failed check names ``path``. A matching twin gives the values
+    in the type it holds (a geodesic's hop counts), the text float64. The
+    result is read-only, unless
     ``_writable`` is set by a caller that owns the array from then on (the
     ``mds`` command, which factors it in place)."""
     values = read_matrix(path)

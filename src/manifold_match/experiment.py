@@ -22,8 +22,8 @@ import numpy as np
 from .align import cca_fit, gcca_fit, project
 from .classify import LabeledEmbedding, average_views, loo_cross_view_accuracy
 from .corpus import _NAME_RE, _view_key, load_corpus
-from .dissimilarity import frobenius_prescale
-from .errors import ConfigError, FormatError
+from .dissimilarity import _check_geodesic, frobenius_prescale
+from .errors import ConfigError, FormatError, ValidationError
 from .formats import (
     _int, _list, _number, _of, _str, read_fields, read_json, read_lines, write_json, write_lines,
 )
@@ -89,6 +89,15 @@ def _parse_combination(text):
 def _tuple(check):
     """A converter taking a tuple or list to the tuple of ``check`` of each item."""
     return lambda items: tuple(map(check, _of(tuple, list)(items)))
+
+
+def _distinct(items):
+    """``items`` if no item repeats, else a ``ValueError`` naming the first
+    item that does."""
+    for k, item in enumerate(items):
+        if item in items[:k]:
+            raise ValueError(f"{item!r} repeats")
+    return items
 
 
 def _averaged(views):
@@ -185,6 +194,10 @@ class ExperimentConfig:
         if not self.combinations:
             raise ConfigError("no train->test combinations configured")
         train_ok = base | set(self.averaged_views)
+        try:
+            _distinct(self.combinations)
+        except ValueError as exc:
+            raise ConfigError(f"combination {exc}") from None
         for combo in self.combinations:
             train, test = _parse_combination(combo)
             if train not in train_ok:
@@ -217,6 +230,10 @@ class ExperimentConfig:
                 raise ConfigError("schedule mds_dim values must be positive")
         if self.ridge is not None and not (np.isfinite(self.ridge) and self.ridge >= 0):
             raise ConfigError(f"ridge must be finite and nonnegative, got {self.ridge}")
+        try:
+            _check_geodesic(self.cap, self.max_hops)
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from None
 
     @staticmethod
     def from_json(path) -> "ExperimentConfig":
@@ -376,6 +393,13 @@ def _block(matrix, rows, cols):
     return out
 
 
+def _scaled(block, factor):
+    """``block * factor``: in place for a float block, which is the caller's
+    own, and into a new float array for an unsigned one, which cannot hold
+    the product."""
+    return np.multiply(block, factor, out=block if block.dtype == float else None)
+
+
 def _fit_view(prepared, view, sample, dim):
     """One view's MDS fit of a drawn sample, and the Frobenius prescale
     factor its dissimilarities took (None for a view that is not
@@ -387,7 +411,7 @@ def _fit_view(prepared, view, sample, dim):
     factor = None
     if view.kind == "text" and prepared.ref_tag is not None:
         factor = frobenius_prescale(train, _block(prepared.full[prepared.ref_tag], sample, sample))
-        train *= factor
+        train = _scaled(train, factor)
     return mds_fit(train, dim, _overwrite=True), factor
 
 
@@ -427,7 +451,7 @@ def _run_single(prepared, sample, mds_dim):
             continue
         oos = _block(prepared.full[view.tag], prepared.clf_idx, sample)
         if factor is not None:
-            oos *= factor
+            oos = _scaled(oos, factor)
         clf_emb[view.tag] = mds_out_of_sample(model, oos)
     d_shared = min(config.shared_dim, *(model.effective_dim for model in train_fit.values()))
 
@@ -560,8 +584,8 @@ class AccuracyReport:
 _META = {
     "method": _str,
     "feature": _str,
-    "fractions": lambda fractions: tuple(float(_number(f)) for f in _list(fractions)),
-    "combinations": lambda combos: tuple(_str(c) for c in _list(combos)),
+    "fractions": lambda items: _distinct(tuple(float(_number(f)) for f in _list(items))),
+    "combinations": lambda combos: _distinct(tuple(_str(c) for c in _list(combos))),
     "m_classifier": _int,
     "seed": _int,
     "bootstrap_samples": _int,
@@ -725,7 +749,8 @@ def reconstruct_report(out_dir) -> AccuracyReport:
 
     Each cell's accuracies are taken in replicate-index order, so the log's
     line order does not matter. A meta.json field that is missing or not of
-    its exact type is a ``FormatError`` naming the file and the field, and a
+    its exact type, or a ``fractions`` or ``combinations`` list that repeats
+    an item, is a ``FormatError`` naming the file and the field, and a
     malformed log line one naming ``replicates.log:line``. So is a log whose
     cells do not each hold replicates 0..R-1 once, with R the ``replicates``
     of meta.json, a log record outside meta.json's cells, and a log that is

@@ -13,8 +13,9 @@ loop, unless its twin matches.
 
 A matrix file that :func:`write_matrix` wrote has a binary twin beside it,
 ``.<name>.twin``: the byte size and SHA-256 of the text, its shape, and the
-float64 values a parse of the text gives (every NaN as ``nan`` reads), 8
-bytes a value. :func:`read_matrix` returns the twin's values when its
+values a parse of the text gives, in the array's type if it is ``uint8``,
+``uint16`` or ``uint32`` (a geodesic's hop counts) and as float64 (every
+NaN as ``nan`` reads) otherwise. :func:`read_matrix` returns them when its
 recorded size and digest match the file as it is on disk, which it hashes
 ``_HASH_BYTES`` at a time, and parses the text otherwise: a file the toolkit
 did not write, a pipe, a twin that is stale, short or not a twin. A twin that
@@ -53,7 +54,9 @@ _BLOCK_FLOATS = 1 << 16
 _HASH_BYTES = 1 << 18
 # A twin's header: magic, the text's byte size and SHA-256, rows, columns.
 _TWIN_HEAD = struct.Struct("<8sQ32sQQ")
-_TWIN_MAGIC = b"MMTWIN1\n"
+# A twin's magic names the type of its values.
+_TWIN_TYPES = {b"MMTWIN1\n": np.dtype("<f8"),
+               **{b"MMTWINu%d" % k: np.dtype(f"<u{k}") for k in (1, 2, 4)}}
 
 
 def read_lines(path):
@@ -113,9 +116,9 @@ def read_fields(path, fields):
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a float matrix file, from its twin when that matches it and by
-    the line loop otherwise; malformed input raises ``FormatError`` naming
-    ``path:line``."""
+    """Read a matrix file, from its twin when that matches it (in the type
+    the twin holds) and as float64 by the line loop otherwise; malformed
+    input raises ``FormatError`` naming ``path:line``."""
     values = _read_twin(path)
     return _read_matrix_by_line(path) if values is None else values
 
@@ -147,12 +150,13 @@ def _read_twin(path):
             if len(head) != _TWIN_HEAD.size:
                 return None
             magic, size, digest, rows, cols = _TWIN_HEAD.unpack(head)
+            dtype = _TWIN_TYPES.get(magic)
             # A pipe's size is 0, which no twin records: it is read once, by the parse.
-            if (magic != _TWIN_MAGIC or size != os.stat(path).st_size
-                    or os.fstat(fh.fileno()).st_size != _TWIN_HEAD.size + 8 * rows * cols
-                    or _digest(path) != (size, digest)):
+            if (dtype is None or size != os.stat(path).st_size
+                    or os.fstat(fh.fileno()).st_size - _TWIN_HEAD.size
+                    != dtype.itemsize * rows * cols or _digest(path) != (size, digest)):
                 return None
-            values = np.empty((rows, cols), dtype="<f8")
+            values = np.empty((rows, cols), dtype)
             if fh.readinto(values.data.cast("B")) != values.nbytes:
                 return None
             return values
@@ -212,7 +216,7 @@ def _replace(path, mode, fill):
 def write_matrix(values, path):
     """Write a non-empty 2-D array as a matrix file (round-trip exact), then
     its twin. A failed twin write raises with the text in place. Integers
-    are cast to float a block of rows at a time."""
+    are written as floats a block of rows at a time."""
     values = np.asarray(values)
     values = values if values.dtype.kind in "ui" else values.astype(float, copy=False)
     if values.ndim != 2 or 0 in values.shape:
@@ -226,18 +230,21 @@ def write_matrix(values, path):
 
 def _write_twin(values, path):
     """Write the twin of the matrix file ``path``, just written from
-    ``values``, a block of rows at a time."""
-    head = _TWIN_HEAD.pack(_TWIN_MAGIC, *_digest(path), *values.shape)
+    ``values``, a block of rows at a time (a ``uint64``, which the text's
+    float parse may round, as float64)."""
+    magic = next((m for m, t in _TWIN_TYPES.items() if t == values.dtype), b"MMTWIN1\n")
+    dtype = _TWIN_TYPES[magic]
+    head = _TWIN_HEAD.pack(magic, *_digest(path), *values.shape)
     step = max(1, _BLOCK_FLOATS // values.shape[1])
 
     def fill(fh):
         fh.write(head)
         for start in range(0, len(values), step):
-            block = np.asarray(values[start:start + step], dtype=float)
+            block = np.asarray(values[start:start + step], dtype)
             nan = np.isnan(block)
             if nan.any():  # the text holds "nan" for every NaN
                 block = np.where(nan, np.nan, block)
-            fh.write(np.ascontiguousarray(block, dtype="<f8"))
+            fh.write(np.ascontiguousarray(block, dtype))
 
     _replace(_twin_path(path), "wb", fill)
 

@@ -12,10 +12,11 @@ Gram matrix, centred in place, then averaged with its transpose and factored
 in place by :func:`~manifold_match.numerics.eig_sym`, which overwrites it
 with the eigenvectors) beside LAPACK's workspace of about 2n^2 floats, about
 3n^2 floats in all beside its input. A caller that owns a float64 input it
-needs no longer (an experiment's training block, the matrix the ``mds``
+needs no longer (an experiment's training block, a float matrix the ``mds``
 command read) has the Gram matrix built in the input's memory, so input and
-fit together hold about 3n^2 floats. An out-of-sample call holds one (m, n)
-float64 array for m new points.
+fit together hold about 3n^2 floats; hop counts (a geodesic file read from
+its twin) add their own n^2 bytes or so. An out-of-sample call holds one
+(m, n) float64 array for m new points.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ def mds_fit(delta, p, *, _overwrite=False) -> MdsModel:
     eigenvalues (non-Euclidean input) are dropped, never clamped, so the
     Gram identity on the retained eigenspace holds exactly. ``_overwrite``
     is for a caller that owns a writable float64 ``delta`` it needs no
-    longer (an experiment's gathered training block, the matrix the ``mds``
-    command read): the Gram matrix is then built and factored in
+    longer (an experiment's gathered training block, a float matrix the
+    ``mds`` command read): the Gram matrix is then built and factored in
     ``delta``'s memory, which is left overwritten. The fit's arrays are
     read-only, so it can be kept and shared as returned.
     """

@@ -650,6 +650,35 @@ class TestSerialization:
         with pytest.raises(FormatError, match=f"meta.json: missing or malformed field '{field}'"):
             load_alignment(tmp_path)
 
+    @pytest.mark.parametrize("projections, correlations, method", [
+        ((np.eye(2), np.ones((3, 5))), [0.9, 0.5], "gcca"),
+        ((np.eye(2),), [0.9, 0.5], "gcca"),
+        ((), [], "gcca"),
+        ((np.ones(2), np.ones(2)), [0.9], "gcca"),
+        ((np.ones((2, 0)), np.ones((2, 0))), [], "gcca"),
+        ((np.eye(2), np.eye(2), np.eye(2)), [0.9, 0.5], "cca"),
+        ((np.eye(2), np.eye(2)), [0.9, 0.5, 0.1], "gcca"),
+        ((np.eye(2), np.eye(2)), [0.9], "cca"),
+    ], ids=["widths-differ", "one-view", "no-views", "one-dimensional", "no-columns",
+            "cca-of-three", "correlations-too-many", "correlations-too-few"])
+    def test_maps_that_disagree_with_themselves_rejected(self, projections, correlations, method):
+        with pytest.raises(ValidationError, match="projections|correlations"):
+            AlignmentMaps(projections, np.array(correlations), method, 0.0)
+
+    @pytest.mark.parametrize("edit", [
+        lambda out: write_matrix(np.array([[0.9], [0.5], [0.1]]), out / "correlations.tsv"),
+        lambda out: write_matrix(np.ones((3, 3)), out / "U_2.tsv"),
+        lambda out: (out / "meta.json").write_text(
+            json.dumps({**json.loads((out / "meta.json").read_text()), "K": 0})),
+    ], ids=["three-correlations-for-d-2", "U_2-wider", "K-0"])
+    def test_maps_that_disagree_are_a_format_error_naming_the_directory(self, tmp_path, edit):
+        rng = np.random.default_rng(124)
+        out = tmp_path / "maps"
+        save_alignment(cca_fit(centered(rng, 12, 3), centered(rng, 12, 3), 2), out)
+        edit(out)
+        with pytest.raises(FormatError, match=f"^{out}: "):
+            load_alignment(out)
+
     def test_correlation_order_validated(self):
         with pytest.raises(ValidationError):
             AlignmentMaps(

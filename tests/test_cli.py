@@ -21,6 +21,7 @@ from manifold_match.corpus import (
     synthesize_corpus,
 )
 from manifold_match.dissimilarity import (
+    cosine_dissimilarity,
     graph_geodesic,
     load_dissimilarity_tsv,
     save_dissimilarity_tsv,
@@ -364,6 +365,24 @@ class TestPipelineFlow:
             assert code == 2
             assert "meta.json" in capsys.readouterr().err
 
+    def test_maps_of_another_width_are_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        e0, e1 = tmp_path / "e0.tsv", tmp_path / "e1.tsv"
+        formats.write_matrix(rng.normal(size=(8, 2)), e0)
+        formats.write_matrix(rng.normal(size=(8, 2)), e1)
+        maps_dir = tmp_path / "maps"
+        assert main(["align", str(e0), str(e1), "--dim", "1", "--out", str(maps_dir)]) == 0
+        formats.write_matrix(np.ones((2, 2)), maps_dir / "U_2.tsv")
+        labels = tmp_path / "l.txt"
+        labels.write_text("\n".join(str(i % 2) for i in range(8)) + "\n")
+        capsys.readouterr()
+        code = main([
+            "classify", "--train", str(e1), "--test", str(e0), "--labels", str(labels),
+            "--kappa", "1", "--maps", str(maps_dir),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {maps_dir}: ")
+
     @pytest.mark.parametrize("option", ["--train-view", "--test-view"])
     @pytest.mark.parametrize("view", ["0", "3"])
     def test_view_number_outside_one_to_k_is_data_error(self, tmp_path, capsys, option, view):
@@ -468,21 +487,26 @@ class TestPipelineFlow:
         assert not (tmp_path / "e.tsv").exists()
 
     def test_mds_factors_the_matrix_it_read_in_place(self, tmp_path, capsys):
-        # The matrix read from its twin becomes the fit's Gram matrix and then
-        # its eigenvectors, so the command holds it beside LAPACK's workspace,
-        # about 3n^2 floats (4.04n^2 with the Gram matrix built beside it).
+        # A float matrix read from its twin becomes the fit's Gram matrix and
+        # then its eigenvectors, so the command holds it beside LAPACK's
+        # workspace, about 3n^2 floats (4.04n^2 with the Gram matrix built
+        # beside it). Hop counts read from their twin as bytes cannot hold
+        # the Gram matrix, which is built beside them: about 3.16n^2 floats.
         n = 600
         corpus = synthesize_corpus(5, n, 2, 5, 0.8)
-        path, out = tmp_path / "g.tsv", tmp_path / "emb.tsv"
-        save_dissimilarity_tsv(graph_geodesic(corpus.domains[0].edges, n, 32, 30), path)
-        argv = ["mds", str(path), "--dim", "40", "--out", str(out)]
-        assert main(argv) == 0
-        peak, code = traced_peak(lambda: main(argv))
-        assert code == 0
-        assert peak < 3.25 * n * n * 8
-        expected = mds_fit(load_dissimilarity_tsv(path), 40).embedding
-        assert np.array_equal(formats.read_matrix(out), expected)
-        assert not load_dissimilarity_tsv(path).flags.writeable
+        hops = graph_geodesic(corpus.domains[0].edges, n, 32, 30)
+        for name, matrix in (("g", hops), ("t", cosine_dissimilarity(corpus.domains[0].features))):
+            path, out = tmp_path / f"{name}.tsv", tmp_path / f"{name}_emb.tsv"
+            save_dissimilarity_tsv(matrix, path)
+            assert load_dissimilarity_tsv(path).dtype == matrix.dtype
+            argv = ["mds", str(path), "--dim", "40", "--out", str(out)]
+            assert main(argv) == 0
+            peak, code = traced_peak(lambda: main(argv))
+            assert code == 0
+            assert peak < 3.25 * n * n * 8
+            expected = mds_fit(load_dissimilarity_tsv(path), 40).embedding
+            assert np.array_equal(formats.read_matrix(out), expected)
+            assert not load_dissimilarity_tsv(path).flags.writeable
 
     def test_embedding_without_columns_is_data_error(self, tmp_path, capsys):
         # An all-zero matrix has effective dimension 0: its embedding has no
@@ -629,8 +653,13 @@ class TestExperimentCommand:
             ("schedule", [{"fraction": 1.0, "mds_dim": 8, "typo": 9}],
              "malformed field 'schedule'"),
             ("seed", -1, "seed must be non-negative"),
+            # Scored twice, the cell's SE was taken over copies.
+            ("combinations", ["GF->GE", "TF->GE", "GF->GE"], "combination 'GF->GE' repeats"),
+            # Checked before the corpus loads, whatever it has registered.
+            ("max_hops", 40, "need cap > max_hops >= 1, got cap=32, max_hops=40"),
         ],
-        ids=["view-extra-key", "row-extra-key", "negative-seed"],
+        ids=["view-extra-key", "row-extra-key", "negative-seed", "repeated-combination",
+             "max_hops-not-below-cap"],
     )
     def test_config_error_on_a_runnable_corpus_writes_nothing(
         self, tmp_path, capsys, name, value, named
@@ -774,13 +803,13 @@ PINNED_SHA256 = {
     "corpus/domain0/dissim_graph.tsv":
         "ff4775c16cb803b3339553111bf63520a7334ee6b88a645c7a8988ec881981ac",
     "corpus/domain0/.dissim_graph.tsv.twin":
-        "4fe0d3717d998a0d508df11c9592b2401529633184b53913e3e8fbb90c2d2a32",
+        "de8e5a5d915e32fca26a94ddbc172d563e74933aecd220037a8cc91f367f7d49",
     "corpus/domain1/dissim_text.tsv":
         "58fbbd28141cda34d1cb45faed91020decf8c934bb75be1e6065322cb23ad816",
     "corpus/domain1/.dissim_text.tsv.twin":
         "4cfb54ccbc21b3cfa80190c5420e41e7cbf163437e5f5d827c8f168d8e92d2d5",
     "g300.tsv": "15cf1beefc1a0d8d2242267b655d949ac6c53d27c64ad65d931b2c2fcd9bd015",
-    ".g300.tsv.twin": "a5f6b7a912682dcf59aad392262ded5f0e2b5744dbbc17a6ddc12e243700ab85",
+    ".g300.tsv.twin": "d85c234c9ae1bd2450a27330525097fdb2c3b3baa8eac349cfe56a6c3187b231",
     "emb.tsv": "0c085781383bbc4107abbb8f001b4d7be78d2cc3b251a8140981e498b2494552",
     ".emb.tsv.twin": "d89a4081eca4588a7533967a5977dfb9e49657e00740dbf65182826cd5112b57",
 }

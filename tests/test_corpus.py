@@ -6,6 +6,7 @@ import pytest
 
 from conftest import traced_peak
 from manifold_match import corpus as corpus_module
+from manifold_match import formats
 from manifold_match.align import gcca_fit
 from manifold_match.cli import main
 from manifold_match.corpus import (
@@ -419,6 +420,23 @@ class TestHopCounts:
         assert graph.dtype == np.float64
         assert np.array_equal(graph, values)
 
+    @pytest.mark.parametrize("recorded", [True, False], ids=["cap-recorded", "none-recorded"])
+    def test_geodesic_registered_by_dissim_reads_back_as_bytes(self, tmp_path, recorded):
+        # Its twin holds the counts as bytes, so they read back as built
+        # whether or not the manifest records the settings.
+        corpus = synthesize_corpus(21, 60, 2, 5, 0.3)
+        n = corpus.n_total
+        save_corpus(corpus, tmp_path)
+        assert main(["dissim", str(tmp_path), "--domain", "domain0", "--kind", "graph"]) == 0
+        twin = tmp_path / "domain0" / ".dissim_graph.tsv.twin"
+        assert twin.stat().st_size == formats._TWIN_HEAD.size + n * n
+        if not recorded:
+            _edit_manifest(tmp_path, lambda m: m["domains"][0]["dissimilarities"].update(
+                graph={"file": "domain0/dissim_graph.tsv"}))
+        graph = load_corpus(tmp_path).domain("domain0").dissimilarities["graph"]
+        assert graph.dtype == np.uint8 and not graph.flags.writeable
+        assert np.array_equal(graph, graph_geodesic(corpus.domains[0].edges, n, 6, 4))
+
     def test_experiment_over_registered_geodesics_writes_the_bytes_of_built_ones(
         self, tmp_path
     ):
@@ -462,18 +480,16 @@ class TestHopCounts:
     def test_in_memory_graph_matrix_kept_in_the_narrowest_type(self, cap, dtype):
         corpus = synthesize_corpus(21, 60, 2, 5, 0.3)
         counts = graph_geodesic(corpus.domains[0].edges, 60, cap, 4)
-        assert counts.max() == cap
-        values = counts.astype(float)
-        kept = DomainData("d", dissimilarities={"graph": values}).dissimilarities["graph"]
+        assert counts.max() == cap and counts.dtype == dtype
+        # Given counts keep their type, as a copy of their own.
+        kept = DomainData("d", dissimilarities={"graph": counts}).dissimilarities["graph"]
         assert kept.dtype == dtype and not kept.flags.writeable
-        assert np.array_equal(kept, values)
-        # Another kind, or a graph matrix that is not all integers, stays float64.
-        text = DomainData("d", dissimilarities={"text": values}).dissimilarities["text"]
-        assert text.dtype == np.float64
-        values[0, 1] = values[1, 0] = 0.5
-        kept = DomainData("d", dissimilarities={"graph": values}).dissimilarities["graph"]
-        assert kept.dtype == np.float64
-        assert np.array_equal(kept, values)
+        assert np.array_equal(kept, counts) and not np.shares_memory(kept, counts)
+        # Given as floats, the same counts stay float64, whatever the kind.
+        values = counts.astype(float)
+        for kind in ("graph", "text"):
+            kept = DomainData("d", dissimilarities={kind: values}).dissimilarities[kind]
+            assert kept.dtype == np.float64 and np.array_equal(kept, values)
 
 
 def _edit_manifest(root, edit):
@@ -551,6 +567,31 @@ class TestLoaderErrors:
         assert str(path) in err
         assert "domain 'd0' graph dissimilarity entry" in err
 
+    @pytest.mark.parametrize("ref, message", [
+        ({"file": "d0/g.tsv", "cap": -1}, r"need cap > max_hops >= 1, got cap=-1, max_hops=None"),
+        ({"file": "d0/g.tsv", "cap": 4, "max_hops": 4}, "need cap > max_hops >= 1"),
+        ({"file": "d0/g.tsv", "max_hops": 0}, "need cap > max_hops >= 1"),
+        ({"file": "d0/g.tsv", "cap": 2**53 + 1}, r"cap must be an integer no larger than 2\*\*53"),
+        ({"file": "d0/g.tsv", "cap": True}, "cap must be an integer"),
+    ], ids=["negative-cap", "cap-not-above-max_hops", "zero-max_hops", "cap-above-2**53",
+            "bool-cap"])
+    def test_recorded_geodesic_settings_are_checked_at_load(self, tmp_path, ref, message):
+        save_corpus(small_corpus(), tmp_path)
+        _edit_manifest(tmp_path, lambda m: m["domains"][0].update(dissimilarities={"graph": ref}))
+        with pytest.raises(FormatError, match=message) as info:
+            load_corpus(tmp_path)
+        assert f"{tmp_path / 'manifest.json'}: domain 'd0' graph dissimilarity entry" in str(
+            info.value
+        )
+
+    def test_register_refuses_settings_the_loader_rejects(self, tmp_path):
+        save_corpus(small_corpus(), tmp_path)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        with pytest.raises(ValidationError, match="need cap > max_hops >= 1, got cap=-1"):
+            register_dissimilarity(tmp_path, "d0", "graph", np.zeros((3, 3)), cap=-1)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        load_corpus(tmp_path)
+
     @pytest.mark.parametrize("key, value", [
         ("features", 5), ("features", ["d0/features.tsv"]), ("features", {"f": 1}), ("edges", 7),
     ])
@@ -625,7 +666,12 @@ class TestLoaderErrors:
         (lambda m: m.pop("objects"), r"missing field objects$"),
         (lambda m: m.update(objects=["a", "b", "c"]), r"objects is not an object: \['a'"),
         (lambda m: m["objects"].pop("labels"), r"missing field objects\.labels"),
-    ], ids=MALFORMED_IDS + ["no_objects", "objects_list", "no_labels"])
+        *[(lambda m, bad=bad: m["objects"]["ids"].__setitem__(1, bad),
+           rf"objects\.ids holds {shown}; object ids are strings")
+          for bad, shown in [(None, "None"), (1, "1"), (2.5, "2.5"), ([3], r"\[3\]"),
+                             ({"a": 1}, r"\{'a': 1\}"), (True, "True")]],
+    ], ids=MALFORMED_IDS + ["no_objects", "objects_list", "no_labels", "id_null", "id_int",
+                            "id_float", "id_list", "id_object", "id_bool"])
     def test_load_names_a_malformed_field(self, tmp_path, edit, message):
         save_corpus(small_corpus(), tmp_path)
         path = tmp_path / "manifest.json"

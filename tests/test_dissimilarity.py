@@ -512,6 +512,32 @@ class TestAsDissimilarity:
         with pytest.raises(ValidationError, match="square|non-finite"):
             as_dissimilarity(values)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint64])
+    def test_unsigned_matrix_keeps_its_type(self, dtype):
+        raw = np.array([[0, 3], [3, 0]], dtype=dtype)
+        dm = as_dissimilarity(raw)
+        assert dm.dtype == dtype and np.array_equal(dm, raw)
+        assert not dm.flags.writeable and not np.shares_memory(dm, raw)
+        assert as_dissimilarity(raw.astype(np.int64)).dtype == np.float64
+
+    @pytest.mark.parametrize("values, message", [
+        ([[0, 1], [2, 0]], "not symmetric within 0"),
+        ([[0, 2], [1, 0]], "not symmetric within 0"),
+        ([[1, 1], [1, 0]], "nonzero diagonal"),
+    ], ids=["upper-below-lower", "upper-above-lower", "diagonal"])
+    def test_unsigned_matrix_checked_exactly(self, values, message):
+        # An unsigned difference wraps, so both orders of a pair are tried.
+        with pytest.raises(ValidationError, match=message):
+            as_dissimilarity(np.array(values, dtype=np.uint8))
+
+    def test_unsigned_asymmetry_past_the_first_block_is_found(self):
+        hops = np.array(graph_geodesic(synthesize_corpus(2, 300, 2, 5, 0.5).domains[0].edges,
+                                       300, cap=6, max_hops=4))
+        assert as_dissimilarity(hops).dtype == np.uint8
+        hops[250, 10] ^= 1
+        with pytest.raises(ValidationError, match="symmetric"):
+            as_dissimilarity(hops)
+
     def test_input_array_left_unchanged(self):
         raw = np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
         before = raw.copy()
@@ -556,6 +582,18 @@ class TestAsDissimilarity:
         peak, back = traced_peak(lambda: load_dissimilarity_tsv(path))
         assert np.array_equal(back, hops)
         assert peak < 1.25 * hops.nbytes
+
+    def test_tsv_load_checks_hop_counts_as_read(self, tmp_path):
+        # Hop counts read from their twin as bytes are checked exactly as
+        # they are: the array and one row block of the symmetry check.
+        n = 1000
+        hops = graph_geodesic(synthesize_corpus(3, n, 2, 5, 0.8).domains[0].edges, n, 6, 4)
+        path = tmp_path / "dissim_graph.tsv"
+        save_dissimilarity_tsv(hops, path)
+        peak, back = traced_peak(lambda: load_dissimilarity_tsv(path))
+        assert back.dtype == np.uint8 and np.array_equal(back, hops)
+        assert not back.flags.writeable
+        assert peak < 1.5 * hops.nbytes
 
     def test_tsv_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.tsv"

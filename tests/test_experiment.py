@@ -261,6 +261,22 @@ class TestConfigValidation:
         config = make_config(relation_classes=[0, 2, 4], combinations=["GF->GE"])
         assert config.combinations == ("GF->GE",)
 
+    def test_repeated_combination_is_named(self):
+        # Listed twice, a cell was scored twice and its SE taken over copies.
+        with pytest.raises(ConfigError, match=r"inline: combination 'GF->GE' repeats"):
+            ExperimentConfig.from_dict(
+                raw_config(combinations=["GF->GE", "TF->GE", "GF->GE"]), source="inline"
+            )
+
+    @pytest.mark.parametrize("cap, max_hops", [(3, 4), (4, 4), (6, 0), (2**53 + 1, 4)],
+                             ids=["cap-below", "cap-equal", "zero-max_hops", "cap-above-2**53"])
+    def test_geodesic_settings_checked_at_construction(self, cap, max_hops):
+        # By graph_geodesic's rule, when the config is made, not once a corpus loads.
+        raw = raw_config(cap=cap, max_hops=max_hops)
+        message = r"inline: (cap must be an integer no larger than 2\*\*53|need cap > max_hops)"
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(raw, source="inline")
+
     def test_bad_combination_syntax(self):
         with pytest.raises(ConfigError, match="TRAIN->TEST"):
             make_config(combinations=("GFGE",), averaged_views={})
@@ -816,6 +832,17 @@ class TestEmission:
         with pytest.raises(FormatError, match=f"meta.json: missing or malformed field '{field}'"):
             reconstruct_report(emitted_three)
 
+    @pytest.mark.parametrize("field, value", [
+        ("fractions", [0.5, 1.0, 0.5]),
+        ("combinations", ["GF->GE", "TF->GE", "GF->GE"]),
+    ])
+    def test_meta_list_that_repeats_an_item_names_file_and_field(self, emitted, field, value):
+        # A repeated cell would take the log's records of the one cell twice.
+        path = emitted / "meta.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        with pytest.raises(FormatError, match=f"meta.json: missing or malformed field '{field}'"):
+            reconstruct_report(emitted)
+
     @pytest.mark.parametrize("name", ["replicates.log", "warnings.log"])
     def test_log_that_is_not_utf8_names_file(self, emitted, name):
         with open(emitted / name, "ab") as fh:
@@ -967,10 +994,10 @@ class TestViewsKeptOnCorpus:
     @pytest.mark.parametrize("cap", [32], ids=["narrow"])
     @pytest.mark.parametrize("method", ["gcca", "cca"])
     def test_built_views_give_the_report_of_float_matrices(self, cap, method, tmp_path):
-        # The corpus keeps a geodesic view as hop counts in the narrowest
-        # unsigned type that holds cap, and so it keeps the same counts given
-        # in memory as float64; the report (cells and warnings) is that of
-        # the same views read as float64, registered with no cap recorded.
+        # The corpus builds a geodesic view as hop counts in the narrowest
+        # unsigned type that holds cap; the report (cells and warnings) is
+        # that of the same counts given in memory as float64, and of them
+        # registered as float64 with no cap recorded.
         overrides = {"combinations": ("GF->GE", "TF->GE"), "averaged_views": {}}
         config = make_config(
             cap=cap, shared_dim=7, method=method, **(overrides if method == "cca" else {})
@@ -993,8 +1020,38 @@ class TestViewsKeptOnCorpus:
         assert report.warnings
         assert report == run_experiment(config, corpus=given) == run_experiment(config, corpus=read)
         assert built.view("domain0", "graph", cap, 30).dtype == np.uint8
-        assert given.view("domain0", "graph", cap, 30).dtype == np.uint8
+        assert given.view("domain0", "graph", cap, 30).dtype == np.float64
         assert read.view("domain0", "graph", cap, 30).dtype == np.float64
+
+    @pytest.mark.parametrize("method", ["gcca", "cca"])
+    def test_unsigned_text_matrix_gives_the_report_of_its_floats(self, method, tmp_path):
+        # A text matrix of unsigned integers is held as given, and registered
+        # it reads back from its twin in its type; prescaled onto the graph
+        # view, its blocks become new float arrays, and the report is that of
+        # the same values given as float64.
+        overrides = {"combinations": ("GF->GE", "TF->GE"), "averaged_views": {}}
+        config = make_config(method=method, **(overrides if method == "cca" else {}))
+        built = golden_corpus()
+        save_corpus(built, tmp_path)
+        texts = {
+            d.name: np.rint(built.view(d.name, "text", config.cap, config.max_hops) * 100)
+            for d in built.domains
+        }
+
+        def given(dtype):
+            domains = tuple(
+                DomainData(d.name, d.features, d.edges, {"text": texts[d.name].astype(dtype)})
+                for d in built.domains
+            )
+            return LabeledCorpus(built.object_ids, built.labels, domains)
+
+        for name, text in texts.items():
+            corpus_module.register_dissimilarity(tmp_path, name, "text", text.astype(np.uint8))
+        narrow, read = given(np.uint8), load_corpus(tmp_path)
+        report = run_experiment(config, corpus=given(np.float64))
+        assert report == run_experiment(config, corpus=narrow) == run_experiment(config, corpus=read)
+        assert narrow.view("domain0", "text", config.cap, config.max_hops).dtype == np.uint8
+        assert read.view("domain0", "text", config.cap, config.max_hops).dtype == np.uint8
 
 
 class TestWholePoolFitsKeptOnCorpus:

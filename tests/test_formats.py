@@ -90,7 +90,8 @@ def test_symmetric_writer_peak_memory_is_bounded(tmp_path, kind, cap):
 def test_hop_counts_are_cast_a_block_at_a_time(tmp_path):
     # A geodesic held as one byte per hop count: cast to float whole, it
     # made an 8n^2 temporary, a 1.56 x 8n^2 peak; a block of rows at a time,
-    # 0.56 x 8n^2. The text and twin are those of the float matrix.
+    # 0.56 x 8n^2. The text is that of the float matrix; the twin keeps the
+    # counts as bytes, n^2 of them beside its header.
     corpus = synthesize_corpus(3, 1000, 2, 5, 0.8)
     n = corpus.n_total
     hops = graph_geodesic(corpus.domains[0].edges, n, cap=6, max_hops=4)
@@ -98,9 +99,41 @@ def test_hop_counts_are_cast_a_block_at_a_time(tmp_path):
     peak, _ = traced_peak(lambda: save_dissimilarity_tsv(hops, tmp_path / "hops.tsv"))
     assert peak < 0.75 * 8 * n * n
     write_matrix(hops.astype(float), tmp_path / "float.tsv")
-    for name in ("{}.tsv", ".{}.tsv.twin"):
-        written = (tmp_path / name.format("hops")).read_bytes()
-        assert written == (tmp_path / name.format("float")).read_bytes()
+    assert (tmp_path / "hops.tsv").read_bytes() == (tmp_path / "float.tsv").read_bytes()
+    assert (tmp_path / ".hops.tsv.twin").stat().st_size == formats._TWIN_HEAD.size + n * n
+    back = formats._read_twin(tmp_path / "hops.tsv")
+    assert back.dtype == np.uint8 and np.array_equal(back, hops)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+def test_unsigned_twin_round_trips_in_its_type(tmp_path, parsed, dtype):
+    values = np.array([[0, 1, np.iinfo(dtype).max], [7, 0, 2]], dtype=dtype)
+    path = tmp_path / "m.tsv"
+    write_matrix(values, path)
+    assert twin(path).stat().st_size == formats._TWIN_HEAD.size + values.nbytes
+    back = read_matrix(path)
+    assert parsed == []
+    assert back.dtype == dtype and np.array_equal(back, values)
+    twin(path).unlink()
+    from_text = read_matrix(path)
+    assert from_text.dtype == np.float64 and np.array_equal(from_text, values)
+
+
+@pytest.mark.parametrize("values", [
+    # The largest uint64 parses from the text as 2**64, which a uint64 twin could not hold.
+    np.array([[0, 2**64 - 1]], dtype=np.uint64),
+    np.array([[0, -3]], dtype=np.int64),
+    np.array([[0.5, 1.0]], dtype=np.float32),
+], ids=["uint64", "int64", "float32"])
+def test_other_twins_hold_float64(tmp_path, parsed, values):
+    path = tmp_path / "m.tsv"
+    write_matrix(values, path)
+    assert twin(path).stat().st_size == formats._TWIN_HEAD.size + 8 * values.size
+    expected = formats._read_matrix_by_line(path)
+    parsed.clear()
+    back = read_matrix(path)
+    assert parsed == []
+    assert back.dtype == np.float64 and back.tobytes() == expected.tobytes()
 
 
 def test_writer_formats_each_value_of_a_symmetric_array_once(tmp_path, monkeypatch):
@@ -399,6 +432,38 @@ def test_twin_that_does_not_match_is_not_read(tmp_path, parsed, spoil):
     expected = formats._read_matrix_by_line(path)
     parsed.clear()
     assert read_matrix(path).tobytes() == expected.tobytes()
+    assert parsed == [str(path)]
+
+
+def _relabel(magic):
+    def relabel(path, other):
+        data = twin(path).read_bytes()
+        twin(path).write_bytes(magic + data[len(magic):])
+    return relabel
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        _cut(-1),
+        lambda path, other: twin(path).write_bytes(twin(path).read_bytes() + bytes(2)),
+        _relabel(b"MMTWINu1"),
+        _relabel(b"MMTWINu4"),
+        _relabel(b"MMTWIN1\n"),
+        lambda path, other: twin(path).write_bytes(twin(other).read_bytes()),
+    ],
+    ids=["cut-in-values", "a-value-too-many", "magic-of-uint8", "magic-of-uint32",
+         "magic-of-float64", "twin-of-another-matrix"],
+)
+def test_integer_twin_that_does_not_match_is_not_read(tmp_path, parsed, spoil):
+    path, other = tmp_path / "m.tsv", tmp_path / "o.tsv"
+    values = np.arange(100, dtype=np.uint16).reshape(10, 10) * 300
+    write_matrix(values, path)
+    write_matrix(values[::-1] + 1, other)
+    spoil(path, other)
+    parsed.clear()
+    back = read_matrix(path)
+    assert back.dtype == np.float64 and np.array_equal(back, values)
     assert parsed == [str(path)]
 
 
