@@ -18,7 +18,8 @@ from .align import cca_fit, gcca_fit, load_alignment, project, save_alignment
 from .classify import LabeledEmbedding, loo_cross_view_accuracy
 from .corpus import load_corpus, register_dissimilarity, save_corpus, synthesize_corpus
 from .dissimilarity import load_dissimilarity_tsv, save_dissimilarity_tsv
-from .errors import ConditioningError, FormatError, ManifoldMatchError, ValidationError
+from .errors import (ConditioningError, ConfigError, FormatError, ManifoldMatchError,
+                     ValidationError)
 from .experiment import ExperimentConfig, emit_curves, run_experiment
 from .formats import read_matrix, read_records, write_lines, write_matrix
 from .mds import mds_fit, scree
@@ -120,7 +121,10 @@ def _cmd_classify(args):
 
 def _cmd_experiment(args):
     config = ExperimentConfig.from_json(args.config)
-    report = run_experiment(config)
+    try:
+        report = run_experiment(config)
+    except ConfigError as exc:  # what the config asks of its corpus
+        raise ConfigError(f"{args.config}: {exc}") from None
     emit_curves(report, args.out)
     for fraction in report.fractions:
         for combo in report.combinations:

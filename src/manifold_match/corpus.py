@@ -29,7 +29,8 @@ from .dissimilarity import (
     save_dissimilarity_tsv,
 )
 from .errors import ConfigError, FormatError, IntegrityError, ValidationError
-from .formats import (move_matrix, read_json, read_matrix, read_records, write_json,
+from .formats import (_each, _fields, _map, _of, _optional, _str, check_fields, move_matrix,
+                      read_fields, read_json, read_matrix, read_records, write_json,
                       write_lines, write_matrix)
 
 __all__ = [
@@ -48,12 +49,38 @@ _NAME_RE = re.compile(r"(?!\.\.?\Z)[A-Za-z0-9_.-]+\Z")
 _ID_RE = re.compile(r"(?=\S)[^\t\n\r\ud800-\udfff]*(?<=\S)\Z")
 
 
-def _read_only(array):
+def _frozen_copy(array):
     if array is None:
         return None
     copy = np.array(array)
     copy.setflags(write=False)
     return copy
+
+
+def _object_ids(ids):
+    """A list or tuple of strings as a tuple: the rule for object ids that
+    :class:`LabeledCorpus` and the manifest keep."""
+    bad = [i for i in _of(list, tuple)(ids) if not isinstance(i, str)]
+    if bad:
+        raise ValidationError(f"object id {bad[0]!r} is not a string")
+    return tuple(ids)
+
+
+def _labels(labels):
+    """Class labels as a read-only int64 array: the rule that
+    :class:`LabeledCorpus` and the manifest keep. A label is an int in
+    [0, 2**63), not a bool; a list or tuple is checked item by item, an
+    array by its type (signed or unsigned integers) and range."""
+    top = np.iinfo(np.int64).max
+    if isinstance(labels, np.ndarray):
+        if labels.dtype.kind not in "iu":
+            raise ValidationError(f"labels of type {labels.dtype} are not integer class ids")
+        bad = labels[(labels < 0) | (labels > top)].tolist()
+    else:
+        bad = [x for x in _of(list, tuple)(labels) if type(x) is not int or not 0 <= x <= top]
+    if bad:
+        raise ValidationError(f"label {bad[0]!r} is not a nonnegative integer class id")
+    return _frozen_copy(np.asarray(labels, np.int64))
 
 
 class _Matrices(Mapping):
@@ -111,8 +138,8 @@ class DomainData:
     dissimilarities: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "features", _read_only(self.features))
-        object.__setattr__(self, "edges", _read_only(self.edges))
+        object.__setattr__(self, "features", _frozen_copy(self.features))
+        object.__setattr__(self, "edges", _frozen_copy(self.edges))
         if isinstance(self.dissimilarities, _Matrices):
             return  # load_corpus's store
         held = {}
@@ -134,6 +161,10 @@ def _view_key(domain, kind, cap, max_hops):
 class LabeledCorpus:
     """Matched objects with integer class labels, observed in every domain.
 
+    Ids and labels keep the manifest's rules (:func:`_object_ids`,
+    :func:`_labels`). An array of labels is checked by its type, so
+    ``np.array([0, True, 1])``, which numpy has made int64, passes.
+
     The geodesic and cosine views :meth:`view` takes from :meth:`build` are
     kept in ``_views`` for later calls on the same object. ``_fits`` keeps the
     read-only MDS fits of whole relation pools that ``run_experiment`` makes
@@ -148,7 +179,7 @@ class LabeledCorpus:
     _fits: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = tuple(str(i) for i in self.object_ids)
+        ids = _object_ids(self.object_ids)
         n = len(ids)
         if n == 0:
             raise IntegrityError("corpus has zero objects")
@@ -156,15 +187,9 @@ class LabeledCorpus:
             raise IntegrityError("object ids are not unique")
         object.__setattr__(self, "object_ids", ids)
 
-        labels = np.asarray(self.labels)
+        labels = _labels(self.labels)
         if labels.shape != (n,):
             raise IntegrityError(f"{labels.shape} labels for {n} objects")
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ValidationError("labels must be integer class ids")
-        if labels.min() < 0:
-            raise ValidationError("labels must be nonnegative")
-        labels = labels.astype(np.int64)
-        labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
 
         if not self.domains:
@@ -214,7 +239,7 @@ class LabeledCorpus:
         for d in self.domains:
             if d.name == name:
                 return d
-        raise ValidationError(f"no domain named {name!r}")
+        raise ConfigError(f"no domain named {name!r}")
 
     def build(self, domain, kind, cap, max_hops) -> np.ndarray:
         """A new n x n ``kind`` dissimilarity of ``domain``, built from its
@@ -331,44 +356,28 @@ def save_corpus(corpus, path):
     write_json(manifest, root / "manifest.json")
 
 
-_EXPECTED = {dict: "an object", list: "a list", str: "a string"}
-# Labels are kept as int64.
-_LABEL_MAX = np.iinfo(np.int64).max
+def _matrix_entry(ref):
+    """A registered matrix's manifest entry, a file name or an object with a
+    ``file`` and the ``cap`` and ``max_hops`` :func:`_check_geodesic` passes
+    (null if not known), as ``(file, cap, max_hops)``."""
+    if type(ref) is str:
+        return ref, None, None
+    entry = _fields({"file": _str})(ref)["file"], ref.get("cap"), ref.get("max_hops")
+    _check_geodesic(*entry[1:])
+    return entry
 
 
-def _field(manifest_path, parent, key, expected, name):
-    """``parent[key]`` when it is of type ``expected``; a missing field or
-    one of another type is a ``FormatError`` naming ``name`` and the type
-    expected."""
-    if key not in parent:
-        raise FormatError(f"{manifest_path}: missing field {name}")
-    value = parent[key]
-    if not isinstance(value, expected):
-        raise FormatError(f"{manifest_path}: {name} is not {_EXPECTED[expected]}: {value!r}")
-    return value
-
-
-def _domain_entries(manifest_path, manifest):
-    """The manifest's domain entries, each an object with a string name."""
-    if not isinstance(manifest, dict):
-        raise FormatError(f"{manifest_path}: the manifest is not an object: {manifest!r}")
-    entries = _field(manifest_path, manifest, "domains", list, "domains")
-    for k, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise FormatError(f"{manifest_path}: domains[{k}] is not an object: {entry!r}")
-        _field(manifest_path, entry, "name", str, f"domains[{k}].name")
-    return entries
-
-
-def _dissimilarity_refs(manifest_path, entry):
-    """A domain entry's ``dissimilarities`` object; a null or missing one is
-    empty."""
-    refs = entry.get("dissimilarities") or {}
-    if not isinstance(refs, dict):
-        raise FormatError(
-            f"{manifest_path}: domain {entry['name']!r} dissimilarities {refs!r} is not an object"
-        )
-    return refs
+# manifest.json's fields, each with the converter that checks it. A field
+# not named here (an older manifest's ``roles``) is ignored.
+_MANIFEST = {
+    "objects": _fields({"ids": _object_ids, "labels": _labels}),
+    "domains": _each(_fields({
+        "name": _str,
+        "features": _optional(_str),
+        "edges": _optional(_str),
+        "dissimilarities": _optional(_map(_matrix_entry)),
+    })),
+}
 
 
 def register_dissimilarity(path, domain_name, kind, values, cap=None, max_hops=None) -> Path:
@@ -381,21 +390,21 @@ def register_dissimilarity(path, domain_name, kind, values, cap=None, max_hops=N
     drops the kind's old entry from the manifest before the new file and twin
     replace the old ones, so a failed step leaves the kind as it was or
     unregistered, never the new matrix recorded under the old settings.
-    Settings that :func:`load_corpus` would reject are a ``ValidationError``,
-    and nothing is written. Returns the matrix file's path.
+    Settings that :func:`load_corpus` would reject are a ``ValidationError``
+    and a manifest it would reject a ``FormatError``; either way nothing is
+    written. Returns the matrix file's path.
     """
     _check_geodesic(cap, max_hops)
     root = Path(path)
     manifest_path = root / "manifest.json"
     manifest = read_json(manifest_path)
+    names = [entry["name"] for entry in check_fields(manifest_path, manifest, _MANIFEST)["domains"]]
     ddir = _domain_dir(domain_name)
     rel = f"{ddir}/dissim_{kind}.tsv"
-    domains = _domain_entries(manifest_path, manifest)
-    domain = next((d for d in domains if d["name"] == domain_name), None)
-    if domain is None:
+    if domain_name not in names:
         raise ValidationError(f"{manifest_path}: no domain named {domain_name!r}")
-    entries = _dissimilarity_refs(manifest_path, domain)
-    domain["dissimilarities"] = entries
+    domain = manifest["domains"][names.index(domain_name)]
+    entries = domain["dissimilarities"] = domain.get("dissimilarities") or {}
     with tempfile.TemporaryDirectory(dir=root / ddir) as stage:
         staged = Path(stage) / f"dissim_{kind}.tsv"
         save_dissimilarity_tsv(values, staged)
@@ -410,65 +419,32 @@ def register_dissimilarity(path, domain_name, kind, values, cap=None, max_hops=N
 def load_corpus(path) -> LabeledCorpus:
     """Load and validate a corpus directory (layout in the module docstring).
 
-    Features and edges are read here; registered dissimilarity matrices are
-    read when first used. :class:`LabeledCorpus` checks the counts; its
-    ``IntegrityError`` names the manifest. Older manifests' ``roles`` are ignored.
+    The manifest is checked against ``_MANIFEST``: a field it rejects is a
+    ``FormatError`` naming the manifest and the field's path. Features and
+    edges are read here; registered dissimilarity matrices are read when
+    first used. :class:`LabeledCorpus` checks the counts; its
+    ``IntegrityError`` names the manifest.
     """
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise FormatError(f"{manifest_path}: manifest not found")
-    manifest = read_json(manifest_path)
-    domain_entries = _domain_entries(manifest_path, manifest)
-    objects = _field(manifest_path, manifest, "objects", dict, "objects")
-    ids = _field(manifest_path, objects, "ids", list, "objects.ids")
-    labels = _field(manifest_path, objects, "labels", list, "objects.labels")
-    bad = [x for x in labels if type(x) is not int or not 0 <= x <= _LABEL_MAX]
-    if bad:
-        raise FormatError(
-            f"{manifest_path}: objects.labels holds {bad[0]!r}; labels are nonnegative "
-            "integer class ids"
-        )
-    bad = [i for i in ids if type(i) is not str]
-    if bad:
-        raise FormatError(f"{manifest_path}: objects.ids holds {bad[0]!r}; object ids are strings")
+    manifest = read_fields(manifest_path, _MANIFEST)
+    ids = manifest["objects"]["ids"]
     id_to_index = {oid: k for k, oid in enumerate(ids)}
-
     domains = []
-    for entry in domain_entries:
-        name = entry["name"]
-        for key in ("features", "edges"):
-            if not isinstance(entry.get(key), (str, type(None))):
-                raise FormatError(
-                    f"{manifest_path}: domain {name!r} {key} entry {entry[key]!r} is not "
-                    "a file name or null"
-                )
-        features = None
-        if entry.get("features"):
-            features = read_matrix(root / entry["features"])
-        edges = None
-        if entry.get("edges"):
-            edges = _read_edges_tsv(root / entry["edges"], id_to_index)
-        settings = {}
-        for kind, ref in _dissimilarity_refs(manifest_path, entry).items():
-            where = f"{manifest_path}: domain {name!r} {kind} dissimilarity entry {ref!r}"
-            if isinstance(ref, str):
-                ref = {"file": ref}
-            if not isinstance(ref, dict) or not isinstance(ref.get("file"), str):
-                raise FormatError(
-                    f"{where} is not a file name or {{\"file\": ..., \"cap\": ...}}"
-                )
-            recorded = (ref.get("cap"), ref.get("max_hops"))
-            try:
-                _check_geodesic(*recorded)
-            except ValidationError as exc:
-                raise FormatError(f"{where}: {exc}") from None
-            settings[kind] = (root / ref["file"], *recorded)
-        dissims = _Matrices(settings, len(ids), {})
-        domains.append(DomainData(name, features=features, edges=edges, dissimilarities=dissims))
-
+    for entry in manifest["domains"]:
+        features, edges = entry["features"], entry["edges"]
+        settings = {kind: (root / file, *recorded)
+                    for kind, (file, *recorded) in (entry["dissimilarities"] or {}).items()}
+        domains.append(DomainData(
+            entry["name"],
+            features=read_matrix(root / features) if features else None,
+            edges=_read_edges_tsv(root / edges, id_to_index) if edges else None,
+            dissimilarities=_Matrices(settings, len(ids), {}),
+        ))
     try:
-        return LabeledCorpus(tuple(ids), np.asarray(labels), tuple(domains))
+        return LabeledCorpus(ids, manifest["objects"]["labels"], tuple(domains))
     except IntegrityError as exc:
         raise IntegrityError(f"{manifest_path}: {exc}") from None
 

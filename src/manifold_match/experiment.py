@@ -25,7 +25,8 @@ from .corpus import _NAME_RE, _view_key, load_corpus
 from .dissimilarity import _check_geodesic, frobenius_prescale
 from .errors import ConfigError, FormatError, ValidationError
 from .formats import (
-    _int, _list, _number, _of, _str, read_fields, read_json, read_lines, write_json, write_lines,
+    _at_least, _int, _list, _number, _of, _str, read_fields, read_json, read_lines, write_json,
+    write_lines,
 )
 from .mds import mds_fit, mds_out_of_sample
 from .numerics import _blas_threads_setter
@@ -586,10 +587,10 @@ _META = {
     "feature": _str,
     "fractions": lambda items: _distinct(tuple(float(_number(f)) for f in _list(items))),
     "combinations": lambda combos: _distinct(tuple(_str(c) for c in _list(combos))),
-    "m_classifier": _int,
-    "seed": _int,
-    "bootstrap_samples": _int,
-    "replicates": _int,
+    "m_classifier": _at_least(1),
+    "seed": _at_least(0),
+    "bootstrap_samples": _at_least(1),
+    "replicates": _at_least(1),
 }
 
 
@@ -749,19 +750,18 @@ def reconstruct_report(out_dir) -> AccuracyReport:
 
     Each cell's accuracies are taken in replicate-index order, so the log's
     line order does not matter. A meta.json field that is missing or not of
-    its exact type, or a ``fractions`` or ``combinations`` list that repeats
-    an item, is a ``FormatError`` naming the file and the field, and a
-    malformed log line one naming ``replicates.log:line``. So is a log whose
-    cells do not each hold replicates 0..R-1 once, with R the ``replicates``
-    of meta.json, a log record outside meta.json's cells, and a log that is
-    not UTF-8.
+    its exact type, a count (``m_classifier``, ``bootstrap_samples``,
+    ``replicates``) below 1 or a negative ``seed``, or a ``fractions`` or
+    ``combinations`` list that repeats an item, is a ``FormatError`` naming
+    the file and the field, and a malformed log line one naming
+    ``replicates.log:line``. So is a log whose cells do not each hold
+    replicates 0..R-1 once, with R the ``replicates`` of meta.json, a log
+    record outside meta.json's cells, and a log that is not UTF-8.
     """
     out = Path(out_dir)
     meta_path, log_path = out / "meta.json", out / "replicates.log"
     meta = read_fields(meta_path, _META)
     replicates = meta["replicates"]
-    if replicates < 1:
-        raise FormatError(f"{meta_path}: replicates must be positive, got {replicates}")
     accuracies = {
         (combo, fraction): [None] * replicates
         for fraction in meta["fractions"]

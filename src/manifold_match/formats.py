@@ -3,10 +3,12 @@
 Reading: a line file (matrix, edge list, labels) is read by :func:`read_records`,
 which numbers its lines from 1, strips each, skips blank ones and splits the
 rest on tabs; a log, whose lines are compared as written, by :func:`read_lines`;
-a JSON file (manifest, metadata, config) by :func:`read_json`, and a
-metadata file whose fields must each have one JSON type by :func:`read_fields`.
+a JSON file (manifest, metadata, config) by :func:`read_json`, and checked
+against a table of each field's converter by :func:`read_fields`, which may
+nest: objects, lists and maps of values, and values that may be null.
 Text that is not UTF-8, or not JSON where JSON is expected, is a ``FormatError``
-naming the file, and a malformed line one naming ``path:line``.
+naming the file, a rejected field one naming the file and the field's path,
+and a malformed line one naming ``path:line``.
 A matrix file is rows of tab-separated reals that Python's ``float`` parses,
 all of one length; :func:`read_matrix` parses it in one pass of that line
 loop, unless its twin matches.
@@ -45,8 +47,8 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 
-__all__ = ["move_matrix", "read_fields", "read_json", "read_lines", "read_matrix",
-           "read_records", "write_json", "write_lines", "write_matrix"]
+__all__ = ["check_fields", "move_matrix", "read_fields", "read_json", "read_lines",
+           "read_matrix", "read_records", "write_json", "write_lines", "write_matrix"]
 
 # Values per block of rows formatted together by write_matrix.
 _BLOCK_FLOATS = 1 << 16
@@ -100,19 +102,73 @@ def _of(*types):
 _int, _number, _str, _list = _of(int), _of(int, float), _of(str), _of(list)
 
 
+def _at_least(low):
+    """A converter passing an integer no less than ``low``."""
+    def convert(value):
+        if _int(value) < low:
+            raise ValueError(value)
+        return value
+    return convert
+
+
+class _Rejected(Exception):
+    """A field its converter rejects: its path and the converter's error."""
+
+
+def _at(key, convert, value):
+    """``convert(value)`` of the field at ``key`` (``.name`` or ``[k]``) of
+    an object or list; a rejection names its path from there."""
+    try:
+        return convert(value)
+    except _Rejected as exc:
+        raise _Rejected(key + exc.args[0], exc.args[1]) from None
+    except (OverflowError, TypeError, ValueError, ValidationError) as exc:
+        raise _Rejected(key, exc) from None
+
+
+def _fields(table):
+    """A converter of a JSON object to ``{name: convert(value)}`` for each
+    ``name: convert`` of ``table``, None standing for a missing field; other
+    fields are ignored."""
+    return lambda obj: {name: _at(f".{name}", convert, _of(dict)(obj).get(name))
+                        for name, convert in table.items()}
+
+
+def _each(convert):
+    """A converter of a JSON list to the list of ``convert`` of each item."""
+    return lambda items: [_at(f"[{k}]", convert, item) for k, item in enumerate(_list(items))]
+
+
+def _map(convert):
+    """A converter of a JSON object to ``{key: convert(value)}`` for each field."""
+    return lambda obj: {key: _at(f".{key}", convert, value)
+                        for key, value in _of(dict)(obj).items()}
+
+
+def _optional(convert):
+    """A converter passing None (null, or missing) and ``convert`` of the rest."""
+    return lambda value: value if value is None else convert(value)
+
+
+def check_fields(path, document, fields):
+    """``_fields(fields)`` of ``document``, the JSON value in ``path``. A
+    document that is not an object is a ``FormatError`` naming ``path``; so
+    is a field missing or rejected, naming also its path (such as
+    ``domains[1].dissimilarities.graph``) and the rule broken where the
+    converter raised a ``ValidationError``."""
+    if type(document) is not dict:
+        raise FormatError(f"{path}: not a JSON object")
+    try:
+        return _fields(fields)(document)
+    except _Rejected as exc:
+        where, cause = exc.args
+        rule = f": {cause}" if isinstance(cause, ValidationError) else ""
+        raise FormatError(f"{path}: missing or malformed field {where[1:]!r}{rule}") from None
+
+
 def read_fields(path, fields):
-    """``{name: convert(value)}`` for each ``name: convert`` of ``fields``,
-    with ``value`` that field of the JSON object in ``path``. A missing
-    field, or one its converter rejects, is a ``FormatError`` naming
-    ``path`` and the field."""
-    raw = read_json(path)
-    values = {}
-    for name, convert in fields.items():
-        try:
-            values[name] = convert(raw[name])
-        except (KeyError, OverflowError, TypeError, ValueError):
-            raise FormatError(f"{path}: missing or malformed field {name!r}") from None
-    return values
+    """:func:`check_fields` of the JSON value in ``path``."""
+    return check_fields(path, read_json(path), fields)
 
 
 def read_matrix(path) -> np.ndarray:

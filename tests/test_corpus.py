@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,48 @@ class TestLabeledCorpus:
                 np.array([0, 1]),
                 (DomainData("d"),),
             )
+
+    @pytest.mark.parametrize("ids, shown", [
+        ((1, None, 2.5), "1"), (("a", None, "c"), "None"), (["a", "b", b"c"], "b'c'"),
+    ], ids=["numbers", "none", "bytes"])
+    def test_non_string_object_id_rejected(self, ids, shown):
+        # The manifest's rule: an id is a string, kept as given, not str() of a value.
+        with pytest.raises(ValidationError, match=f"object id {re.escape(shown)} is not a string"):
+            LabeledCorpus(ids, np.array([0, 1, 0]), (DomainData("d"),))
+
+    @pytest.mark.parametrize("labels, shown", [
+        ([0, True, 1], "True"), ((0, 1, False), "False"), ([0, 1.0, 1], "1.0"),
+        ([0, "1", 1], "'1'"), ([0, -1, 1], "-1"), ([0, 2**63, 1], str(2**63)),
+        (np.array([0, -1, 0]), "-1"), (np.array([0, 2**63, 1], dtype=np.uint64), str(2**63)),
+    ], ids=["list-bool", "tuple-bool", "float", "string", "negative", "too-large",
+            "array-negative", "array-too-large"])
+    def test_label_outside_the_manifest_rule_rejected(self, labels, shown):
+        # The manifest's rule: an int64 that is not negative and not a bool.
+        with pytest.raises(ValidationError,
+                           match=rf"label {re.escape(shown)} is not a nonnegative integer"):
+            LabeledCorpus(("a", "b", "c"), labels, (DomainData("d"),))
+
+    @pytest.mark.parametrize("labels, dtype", [
+        (np.array([0.0, 1.0, 0.0]), "float64"), (np.array([True, False, True]), "bool"),
+    ], ids=["float", "bool"])
+    def test_label_array_of_another_type_rejected(self, labels, dtype):
+        with pytest.raises(ValidationError, match=f"labels of type {dtype} are not integer"):
+            LabeledCorpus(("a", "b", "c"), labels, (DomainData("d"),))
+
+    @pytest.mark.parametrize("ids, labels", [
+        ("abc", [0, 1, 0]), (("a", "b", "c"), "010"), (("a", "b", "c"), {0: 0, 1: 1, 2: 0}),
+    ], ids=["ids-string", "labels-string", "labels-dict"])
+    def test_ids_or_labels_that_are_not_a_list_or_tuple_rejected(self, ids, labels):
+        # A string or dict would otherwise be read as its characters or keys.
+        with pytest.raises(TypeError):
+            LabeledCorpus(ids, labels, (DomainData("d"),))
+
+    def test_lists_of_ids_and_labels_are_kept_as_a_tuple_and_int64(self):
+        corpus = LabeledCorpus(["a", "b", "c"], [0, 2, 0], (DomainData("d"),))
+        assert corpus.object_ids == ("a", "b", "c")
+        assert corpus.labels.dtype == np.int64 and corpus.labels.tolist() == [0, 2, 0]
+        unsigned = LabeledCorpus(("a", "b", "c"), np.array([0, 2, 0], np.uint8), (DomainData("d"),))
+        assert unsigned.labels.dtype == np.int64 and unsigned.labels.tolist() == [0, 2, 0]
 
 
 class TestImmutable:
@@ -565,7 +608,7 @@ class TestLoaderErrors:
         assert main(["dissim", str(tmp_path), "--domain", "d0", "--kind", "graph"]) == 2
         err = capsys.readouterr().err
         assert str(path) in err
-        assert "domain 'd0' graph dissimilarity entry" in err
+        assert "missing or malformed field 'domains[0].dissimilarities.graph" in err
 
     @pytest.mark.parametrize("ref, message", [
         ({"file": "d0/g.tsv", "cap": -1}, r"need cap > max_hops >= 1, got cap=-1, max_hops=None"),
@@ -580,9 +623,8 @@ class TestLoaderErrors:
         _edit_manifest(tmp_path, lambda m: m["domains"][0].update(dissimilarities={"graph": ref}))
         with pytest.raises(FormatError, match=message) as info:
             load_corpus(tmp_path)
-        assert f"{tmp_path / 'manifest.json'}: domain 'd0' graph dissimilarity entry" in str(
-            info.value
-        )
+        assert (f"{tmp_path / 'manifest.json'}: missing or malformed field "
+                "'domains[0].dissimilarities.graph': ") in str(info.value)
 
     def test_register_refuses_settings_the_loader_rejects(self, tmp_path):
         save_corpus(small_corpus(), tmp_path)
@@ -604,7 +646,7 @@ class TestLoaderErrors:
         assert main(["dissim", str(tmp_path), "--domain", "d0", "--kind", "graph"]) == 2
         err = capsys.readouterr().err
         assert str(path) in err
-        assert f"domain 'd0' {key} entry" in err
+        assert f"missing or malformed field 'domains[0].{key}'" in err
 
     @pytest.mark.parametrize("key, value", [
         ("ids", "abc"), ("ids", {"a": 0, "b": 1, "c": 2}), ("labels", "010"), ("labels", {"a": 0}),
@@ -616,7 +658,7 @@ class TestLoaderErrors:
         manifest = json.loads(path.read_text())
         manifest["objects"][key] = value
         path.write_text(json.dumps(manifest))
-        with pytest.raises(FormatError, match=f"objects.{key} is not a list") as info:
+        with pytest.raises(FormatError, match=rf"malformed field 'objects\.{key}'$") as info:
             load_corpus(tmp_path)
         assert str(path) in str(info.value)
 
@@ -629,22 +671,25 @@ class TestLoaderErrors:
         manifest = json.loads(path.read_text())
         manifest["objects"]["labels"] = labels
         path.write_text(json.dumps(manifest))
-        with pytest.raises(FormatError, match="objects.labels holds .*nonnegative integer") as info:
+        with pytest.raises(FormatError, match=r"field 'objects\.labels': label .* is not a "
+                           "nonnegative integer") as info:
             load_corpus(tmp_path)
         assert str(path) in str(info.value)
 
     # A manifest field of the wrong type, what load_corpus and
     # register_dissimilarity both say of it, and whether load_corpus reads it.
     MALFORMED = [
-        (lambda m: m.pop("domains"), r"missing field domains$"),
-        (lambda m: m.update(domains=7), r"domains is not a list: 7"),
-        (lambda m: m["domains"].insert(0, "d0"), r"domains\[0\] is not an object: 'd0'"),
-        (lambda m: m["domains"][0].pop("name"), r"missing field domains\[0\]\.name"),
-        (lambda m: m["domains"][0].update(name=5), r"domains\[0\]\.name is not a string: 5$"),
+        (lambda m: m.pop("domains"), r"missing or malformed field 'domains'$"),
+        (lambda m: m.update(domains=7), r"missing or malformed field 'domains'$"),
+        (lambda m: m["domains"].insert(0, "d0"), r"missing or malformed field 'domains\[0\]'$"),
+        (lambda m: m["domains"][0].pop("name"),
+         r"missing or malformed field 'domains\[0\]\.name'$"),
+        (lambda m: m["domains"][0].update(name=5),
+         r"missing or malformed field 'domains\[0\]\.name'$"),
         (lambda m: m["domains"][0].update(dissimilarities=["graph"]),
-         r"domain 'd0' dissimilarities \['graph'\] is not an object"),
+         r"missing or malformed field 'domains\[0\]\.dissimilarities'$"),
         (lambda m: m["domains"][0].update(dissimilarities="graph"),
-         r"domain 'd0' dissimilarities 'graph' is not an object"),
+         r"missing or malformed field 'domains\[0\]\.dissimilarities'$"),
     ]
     MALFORMED_IDS = ["no_domains", "domains_not_a_list", "string_domain", "nameless_domain",
                      "number_name", "dissimilarities_list", "dissimilarities_string"]
@@ -663,11 +708,12 @@ class TestLoaderErrors:
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize("edit, message", MALFORMED + [
-        (lambda m: m.pop("objects"), r"missing field objects$"),
-        (lambda m: m.update(objects=["a", "b", "c"]), r"objects is not an object: \['a'"),
-        (lambda m: m["objects"].pop("labels"), r"missing field objects\.labels"),
+        (lambda m: m.pop("objects"), r"missing or malformed field 'objects'$"),
+        (lambda m: m.update(objects=["a", "b", "c"]), r"missing or malformed field 'objects'$"),
+        (lambda m: m["objects"].pop("labels"),
+         r"missing or malformed field 'objects\.labels'$"),
         *[(lambda m, bad=bad: m["objects"]["ids"].__setitem__(1, bad),
-           rf"objects\.ids holds {shown}; object ids are strings")
+           rf"missing or malformed field 'objects\.ids': object id {shown} is not a string$")
           for bad, shown in [(None, "None"), (1, "1"), (2.5, "2.5"), ([3], r"\[3\]"),
                              ({"a": 1}, r"\{'a': 1\}"), (True, "True")]],
     ], ids=MALFORMED_IDS + ["no_objects", "objects_list", "no_labels", "id_null", "id_int",
@@ -684,9 +730,9 @@ class TestLoaderErrors:
 
     def test_manifest_that_is_not_an_object(self, tmp_path):
         (tmp_path / "manifest.json").write_text("[1, 2]")
-        with pytest.raises(FormatError, match=r"the manifest is not an object: \[1, 2\]"):
+        with pytest.raises(FormatError, match=r"manifest\.json: not a JSON object$"):
             load_corpus(tmp_path)
-        with pytest.raises(FormatError, match=r"the manifest is not an object"):
+        with pytest.raises(FormatError, match=r"manifest\.json: not a JSON object$"):
             register_dissimilarity(tmp_path, "d0", "text", np.zeros((3, 3)))
 
     def test_register_into_null_dissimilarities(self, tmp_path):

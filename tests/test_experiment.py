@@ -800,7 +800,7 @@ class TestEmission:
         (emitted / "meta.json").write_text(json.dumps({**meta, "replicates": 0}))
         log = emitted / "replicates.log"
         log.write_text(log.read_text().splitlines()[0] + "\n")
-        with pytest.raises(FormatError, match="meta.json: replicates must be positive"):
+        with pytest.raises(FormatError, match="meta.json: missing or malformed field 'replicates'"):
             reconstruct_report(emitted)
 
     @pytest.mark.parametrize(
@@ -831,6 +831,19 @@ class TestEmission:
         path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
         with pytest.raises(FormatError, match=f"meta.json: missing or malformed field '{field}'"):
             reconstruct_report(emitted_three)
+
+    @pytest.mark.parametrize("field, value", [
+        ("m_classifier", 0), ("m_classifier", -1), ("bootstrap_samples", 0), ("replicates", -1),
+        ("seed", -1),
+    ])
+    def test_meta_count_below_one_or_negative_seed_names_file_and_field(
+        self, emitted, field, value
+    ):
+        # Read back, each ended in numpy's ValueError or a warning of a division by 0.
+        path = emitted / "meta.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        with pytest.raises(FormatError, match=f"meta.json: missing or malformed field '{field}'"):
+            reconstruct_report(emitted)
 
     @pytest.mark.parametrize("field, value", [
         ("fractions", [0.5, 1.0, 0.5]),
