@@ -31,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConditioningError, FormatError, ValidationError
-from .formats import _int, _number, _str, read_fields, read_matrix, write_json, write_matrix
+from .formats import (_at_least, _int, _number, _str, read_fields, read_matrix, write_json,
+                      write_matrix)
 from .mds import MdsModel
 from .numerics import _fix_signs, eig_sym
 
@@ -278,21 +279,25 @@ def save_alignment(maps, out_dir):
 
 
 def _method(value):
+    """``value`` if it names an alignment method: the rule for a config's
+    ``method`` and for the one a run's or an alignment's ``meta.json`` records."""
     if _str(value) not in ("cca", "gcca"):
-        raise ValueError(value)
+        raise ValidationError(f"method must be 'cca' or 'gcca', got {value!r}")
     return value
 
 
 # The meta.json fields load_alignment reads, each with its conversion.
-_ALIGNMENT_META = {"K": _int, "method": _method, "ridge": lambda ridge: float(_number(ridge))}
+_ALIGNMENT_META = {"K": _int, "method": _method, "d": _at_least(1),
+                   "ridge": lambda ridge: float(_number(ridge))}
 
 
 def load_alignment(in_dir) -> AlignmentMaps:
     """Inverse of :func:`save_alignment`. A ``meta.json`` field that is
     missing or not of its type (``K`` an integer, ``method`` ``"cca"`` or
-    ``"gcca"``, ``ridge`` a number) is a ``FormatError`` naming the file and
-    the field; maps that :class:`AlignmentMaps` rejects (a width or a
-    correlation count that disagrees, say) one naming the directory."""
+    ``"gcca"``, ``d`` an integer of at least 1, ``ridge`` a number) is a
+    ``FormatError`` naming the file and the field; maps that
+    :class:`AlignmentMaps` rejects (a width or a correlation count that
+    disagrees, say), or whose width is not ``d``, one naming the directory."""
     src = Path(in_dir)
     meta_path = src / "meta.json"
     meta = read_fields(meta_path, _ALIGNMENT_META)
@@ -301,6 +306,9 @@ def load_alignment(in_dir) -> AlignmentMaps:
     if correlations.shape[1] != 1:
         raise FormatError(f"{src / 'correlations.tsv'}: expected one value per line")
     try:
-        return AlignmentMaps(projections, correlations[:, 0], meta["method"], meta["ridge"])
+        maps = AlignmentMaps(projections, correlations[:, 0], meta["method"], meta["ridge"])
     except ValidationError as exc:
         raise FormatError(f"{src}: {exc}") from None
+    if maps.d != meta["d"]:
+        raise FormatError(f"{src}: maps of width {maps.d}, but {meta_path} says d={meta['d']}")
+    return maps

@@ -27,6 +27,7 @@ from numbers import Integral
 
 import numpy as np
 
+from .corpus import _labels
 from .errors import IntegrityError, ValidationError
 
 __all__ = [
@@ -44,7 +45,10 @@ _BLOCK_FLOATS = 1 << 16
 
 @dataclass(frozen=True)
 class LabeledEmbedding:
-    """Shared-space coordinates with class labels and a provenance tag."""
+    """Shared-space coordinates with class labels and a provenance tag.
+
+    The labels keep a corpus's rule (:func:`~manifold_match.corpus._labels`)
+    and are held as a read-only int64 array."""
 
     points: np.ndarray
     labels: np.ndarray
@@ -62,12 +66,8 @@ class LabeledEmbedding:
                 f"{labels.shape[0] if labels.ndim == 1 else labels.shape} labels "
                 f"for {pts.shape[0]} points"
             )
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ValidationError("labels must be integer class ids")
-        if labels.size and labels.min() < 0:
-            raise ValidationError("labels must be nonnegative")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "labels", labels.astype(np.int64))
+        object.__setattr__(self, "labels", _labels(labels))
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -57,12 +57,23 @@ def _frozen_copy(array):
     return copy
 
 
+def _name(name):
+    """``name`` if it is a string that is one safe path component: the rule
+    for domain names, which name a corpus's directories, and for a run's view
+    tags and ``feature``, which name fields and files of its outputs."""
+    if type(name) is not str or not _NAME_RE.match(name):
+        raise ValidationError(f"name {name!r} is not a safe file-name component")
+    return name
+
+
 def _object_ids(ids):
-    """A list or tuple of strings as a tuple: the rule for object ids that
-    :class:`LabeledCorpus` and the manifest keep."""
-    bad = [i for i in _of(list, tuple)(ids) if not isinstance(i, str)]
+    """A list or tuple of strings, each one field of an ``edges.tsv`` record,
+    as a tuple: the rule for object ids that :class:`LabeledCorpus` and the
+    manifest keep."""
+    bad = [i for i in _of(list, tuple)(ids) if not isinstance(i, str) or not _ID_RE.match(i)]
     if bad:
-        raise ValidationError(f"object id {bad[0]!r} is not a string")
+        rule = "one tab-separated field" if isinstance(bad[0], str) else "a string"
+        raise ValidationError(f"object id {bad[0]!r} is not {rule}")
     return tuple(ids)
 
 
@@ -125,11 +136,12 @@ class _Matrices(Mapping):
 class DomainData:
     """One domain's feature rows, graph edges and precomputed matrices by kind.
 
-    Features and edges are kept as read-only copies, so a view built from
-    them stays valid for the life of the corpus. ``dissimilarities`` is one
-    store; a mapping given becomes one holding each matrix as
-    :func:`as_dissimilarity` checks it: unsigned integers in their type
-    (a geodesic's hop counts), anything else as float64.
+    ``name`` keeps the manifest's rule (:func:`_name`): it names the domain's
+    directory. Features and edges are kept as read-only copies, so a view
+    built from them stays valid for the life of the corpus.
+    ``dissimilarities`` is one store; a mapping given becomes one holding
+    each matrix as :func:`as_dissimilarity` checks it: unsigned integers in
+    their type (a geodesic's hop counts), anything else as float64.
     """
 
     name: str
@@ -138,6 +150,7 @@ class DomainData:
     dissimilarities: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
+        _name(self.name)
         object.__setattr__(self, "features", _frozen_copy(self.features))
         object.__setattr__(self, "edges", _frozen_copy(self.edges))
         if isinstance(self.dissimilarities, _Matrices):
@@ -311,24 +324,13 @@ def _read_edges_tsv(path, id_to_index):
     return np.asarray(pairs, dtype=int).reshape(-1, 2)
 
 
-def _domain_dir(name):
-    """``name`` as the directory of its domain's files, relative to the
-    corpus root; a name that is not one safe path component is rejected."""
-    if not isinstance(name, str) or not _NAME_RE.match(name):
-        raise ValidationError(f"domain name {name!r} is not filesystem-safe")
-    return name
-
-
 def save_corpus(corpus, path):
     """Serialize a corpus to a directory (manifest plus per-domain files)."""
-    for oid in corpus.object_ids:  # checked before anything is written
-        if not _ID_RE.match(oid):
-            raise ValidationError(f"object id {oid!r} is not one tab-separated field")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     domain_entries = []
     for domain in corpus.domains:
-        ddir = _domain_dir(domain.name)
+        ddir = domain.name  # one path component, by DomainData's check
         (root / ddir).mkdir(exist_ok=True)
         entry = {"name": domain.name, "features": None, "edges": None, "dissimilarities": {}}
         if domain.features is not None:
@@ -372,7 +374,7 @@ def _matrix_entry(ref):
 _MANIFEST = {
     "objects": _fields({"ids": _object_ids, "labels": _labels}),
     "domains": _each(_fields({
-        "name": _str,
+        "name": _name,
         "features": _optional(_str),
         "edges": _optional(_str),
         "dissimilarities": _optional(_map(_matrix_entry)),
@@ -390,22 +392,22 @@ def register_dissimilarity(path, domain_name, kind, values, cap=None, max_hops=N
     drops the kind's old entry from the manifest before the new file and twin
     replace the old ones, so a failed step leaves the kind as it was or
     unregistered, never the new matrix recorded under the old settings.
-    Settings that :func:`load_corpus` would reject are a ``ValidationError``
-    and a manifest it would reject a ``FormatError``; either way nothing is
-    written. Returns the matrix file's path.
+    Settings that :func:`load_corpus` would reject, or a domain the manifest
+    lacks, are a ``ValidationError`` and a manifest it would reject a
+    ``FormatError``; either way nothing is written. Returns the matrix
+    file's path.
     """
     _check_geodesic(cap, max_hops)
     root = Path(path)
     manifest_path = root / "manifest.json"
     manifest = read_json(manifest_path)
     names = [entry["name"] for entry in check_fields(manifest_path, manifest, _MANIFEST)["domains"]]
-    ddir = _domain_dir(domain_name)
-    rel = f"{ddir}/dissim_{kind}.tsv"
     if domain_name not in names:
         raise ValidationError(f"{manifest_path}: no domain named {domain_name!r}")
+    rel = f"{domain_name}/dissim_{kind}.tsv"
     domain = manifest["domains"][names.index(domain_name)]
     entries = domain["dissimilarities"] = domain.get("dissimilarities") or {}
-    with tempfile.TemporaryDirectory(dir=root / ddir) as stage:
+    with tempfile.TemporaryDirectory(dir=root / domain_name) as stage:
         staged = Path(stage) / f"dissim_{kind}.tsv"
         save_dissimilarity_tsv(values, staged)
         if entries.pop(kind, None) is not None:

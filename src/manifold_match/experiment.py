@@ -19,14 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .align import cca_fit, gcca_fit, project
+from .align import _method, cca_fit, gcca_fit, project
 from .classify import LabeledEmbedding, average_views, loo_cross_view_accuracy
-from .corpus import _NAME_RE, _view_key, load_corpus
+from .corpus import _name, _view_key, load_corpus
 from .dissimilarity import _check_geodesic, frobenius_prescale
 from .errors import ConfigError, FormatError, ValidationError
 from .formats import (
-    _at_least, _int, _list, _number, _of, _str, read_fields, read_json, read_lines, write_json,
-    write_lines,
+    _at_least, _int, _number, _of, _optional, _str, read_fields, read_json, read_lines,
+    write_json, write_lines,
 )
 from .mds import mds_fit, mds_out_of_sample
 from .numerics import _blas_threads_setter
@@ -87,42 +87,71 @@ def _parse_combination(text):
     return parts[0], parts[1]
 
 
-def _tuple(check):
-    """A converter taking a tuple or list to the tuple of ``check`` of each item."""
-    return lambda items: tuple(map(check, _of(tuple, list)(items)))
+def _tuple(check, key=None):
+    """A converter taking a non-empty tuple or list to the tuple of ``check``
+    of each item; with ``key``, no two items may have one ``key``."""
+    def convert(items):
+        items = tuple(map(check, _of(tuple, list)(items)))
+        if not items:
+            raise ValidationError("the list is empty")
+        keys = [key(item) for item in items] if key else []
+        for k, item in enumerate(keys):
+            if item in keys[:k]:
+                raise ValidationError(f"{item!r} repeats")
+        return items
+    return convert
 
 
-def _distinct(items):
-    """``items`` if no item repeats, else a ``ValueError`` naming the first
-    item that does."""
-    for k, item in enumerate(items):
-        if item in items[:k]:
-            raise ValueError(f"{item!r} repeats")
-    return items
+def _fractions(fractions):
+    """``fractions`` if they are strictly increasing in (0, 1]: the rule for
+    a schedule's fractions and for the ones a run's ``meta.json`` records."""
+    if not all(a < b for a, b in zip((0, *fractions), fractions)) or fractions[-1] > 1:
+        raise ValidationError(f"fractions {list(fractions)} are not strictly increasing in (0, 1]")
+    return fractions
+
+
+def _rows(rows):
+    """Schedule rows as (fraction, mds_dim) pairs: at least one row, the
+    fractions :func:`_fractions` passes and each mds_dim at least 1."""
+    rows = tuple((_number(f), _at_least(1)(d)) for f, d in _tuple(_of(tuple, list))(rows))
+    _fractions([fraction for fraction, _ in rows])
+    return rows
+
+
+def _ridge(ridge):
+    """A finite nonnegative number as a float."""
+    ridge = float(_number(ridge))
+    if not (np.isfinite(ridge) and ridge >= 0):
+        raise ValidationError(f"ridge must be finite and nonnegative, got {ridge}")
+    return ridge
 
 
 def _averaged(views):
-    """Each averaged view's two view tags as a tuple; None is none."""
+    """Each averaged view's two view tags as a tuple, keyed by its tag, a
+    name; None is none."""
     for tag, pair in ({} if views is None else _of(dict)(views)).items():
+        _name(tag)
         if type(pair) not in (tuple, list) or [type(name) for name in pair] != [str, str]:
             raise ConfigError(f"averaged view {tag!r} must name two views, got {pair!r}")
     return {tag: tuple(pair) for tag, pair in (views or {}).items()}
 
 
 # Every field of an ExperimentConfig, built in Python or read from JSON, and
-# the converter that checks it: the exact JSON types, a tuple or list where
-# JSON has a list, a ViewSpec per view and a (fraction, mds_dim) pair per row.
+# the one converter that checks it, with every rule that field keeps alone:
+# the exact JSON types, a tuple or list where JSON has a list, a ViewSpec per
+# view and a (fraction, mds_dim) pair per row. View tags, averaged-view tags
+# and ``feature`` name fields and files of the outputs, so each is a name
+# (:func:`~manifold_match.corpus._name`). _META reads a run's settings back
+# with the same converters.
 _FIELDS = {
-    "views": _tuple(lambda v: ViewSpec(_str(v.tag), _str(v.domain), _str(v.kind))),
-    "combinations": _tuple(_str), "relation_classes": _tuple(_int),
+    "views": _tuple(lambda v: ViewSpec(_name(v.tag), _str(v.domain), _str(v.kind)),
+                    key=lambda view: view.tag),
+    "combinations": _tuple(_str, key=str), "relation_classes": _tuple(_int),
     "classifier_classes": _tuple(_int), "corpus_path": _of(str, type(None)),
-    "averaged_views": _averaged, "method": _str, "regularized": _of(bool),
-    "shared_dim": _int, "kappa": _int, "replicates": _int, "seed": _int,
-    "schedule": lambda rows: rows if rows is None else tuple(
-        (_number(f), _int(d)) for f, d in map(_of(tuple, list), _of(tuple, list)(rows))
-    ),
-    "feature": _str, "ridge": lambda r: r if r is None else float(_number(r)),
-    "cap": _int, "max_hops": _int, "bootstrap_samples": _int,
+    "averaged_views": _averaged, "method": _method, "regularized": _of(bool),
+    "shared_dim": _at_least(1), "kappa": _at_least(1), "replicates": _at_least(1),
+    "seed": _at_least(0), "schedule": _optional(_rows), "feature": _name,
+    "ridge": _optional(_ridge), "cap": _int, "max_hops": _int, "bootstrap_samples": _at_least(1),
 }
 _REQUIRED_FIELDS = ("views", "combinations", "relation_classes", "classifier_classes")
 
@@ -163,23 +192,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             try:
                 object.__setattr__(self, name, convert(value))
-            except (AttributeError, ConfigError, OverflowError, TypeError, ValueError) as exc:
-                detail = exc if isinstance(exc, ConfigError) else repr(value)
+            except (AttributeError, OverflowError, TypeError, ValueError, ValidationError) as exc:
+                detail = exc if isinstance(exc, ValidationError) else repr(value)
                 raise ConfigError(f"malformed field {name!r}: {detail}") from None
-        if not _NAME_RE.match(self.feature):
-            raise ConfigError(f"feature {self.feature!r} is not a safe file-name component")
-        if self.method not in ("cca", "gcca"):
-            raise ConfigError(f"method must be 'cca' or 'gcca', got {self.method!r}")
-        if not self.views:
-            raise ConfigError("no views configured")
-        tags = [v.tag for v in self.views]
-        if len(set(tags)) != len(tags):
-            raise ConfigError(f"duplicate view tags in {tags}")
-        for tag in (*tags, *self.averaged_views):
-            # A tag is a field of the CSV and TSV outputs.
-            if not isinstance(tag, str) or not _NAME_RE.match(tag):
-                raise ConfigError(f"view tag {tag!r} is not a safe file-name component")
-        base = set(tags)
+        base = {view.tag for view in self.views}
         for avg_tag, (a, b) in self.averaged_views.items():
             if self.method != "gcca":
                 raise ConfigError(
@@ -192,13 +208,7 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"averaged view {avg_tag!r} references unknown views {a!r}, {b!r}"
                 )
-        if not self.combinations:
-            raise ConfigError("no train->test combinations configured")
         train_ok = base | set(self.averaged_views)
-        try:
-            _distinct(self.combinations)
-        except ValueError as exc:
-            raise ConfigError(f"combination {exc}") from None
         for combo in self.combinations:
             train, test = _parse_combination(combo)
             if train not in train_ok:
@@ -207,30 +217,6 @@ class ExperimentConfig:
                 raise ConfigError(f"combination {combo!r}: unknown testing view {test!r}")
         if not set(self.relation_classes).isdisjoint(self.classifier_classes):
             raise ConfigError("relation and classifier classes overlap")
-        if not self.relation_classes or not self.classifier_classes:
-            raise ConfigError("both class lists must be non-empty")
-        if self.shared_dim < 1:
-            raise ConfigError(f"shared_dim must be positive, got {self.shared_dim}")
-        if self.kappa < 1:
-            raise ConfigError(f"kappa must be positive, got {self.kappa}")
-        if self.replicates < 1:
-            raise ConfigError(f"replicates must be positive, got {self.replicates}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.bootstrap_samples < 1:
-            raise ConfigError("bootstrap_samples must be positive")
-        if self.schedule is not None:
-            fractions = [fraction for fraction, _ in self.schedule]
-            if not fractions:
-                raise ConfigError("schedule has no rows")
-            if not all(a < b for a, b in zip([0.0] + fractions, fractions)) or fractions[-1] > 1:
-                raise ConfigError(
-                    f"schedule fractions {fractions} are not strictly increasing in (0, 1]"
-                )
-            if any(dim < 1 for _, dim in self.schedule):
-                raise ConfigError("schedule mds_dim values must be positive")
-        if self.ridge is not None and not (np.isfinite(self.ridge) and self.ridge >= 0):
-            raise ConfigError(f"ridge must be finite and nonnegative, got {self.ridge}")
         try:
             _check_geodesic(self.cap, self.max_hops)
         except ValidationError as exc:
@@ -581,16 +567,13 @@ class AccuracyReport:
 
 
 # The report settings meta.json records, each with the conversion
-# reconstruct_report applies when it reads them back.
+# reconstruct_report applies when it reads them back: the config's own for
+# the settings a config holds, and the schedule's rule for ``fractions``.
 _META = {
-    "method": _str,
-    "feature": _str,
-    "fractions": lambda items: _distinct(tuple(float(_number(f)) for f in _list(items))),
-    "combinations": lambda combos: _distinct(tuple(_str(c) for c in _list(combos))),
+    **{name: _FIELDS[name] for name in ("method", "feature", "combinations", "seed",
+                                        "bootstrap_samples", "replicates")},
+    "fractions": lambda items: _fractions(_tuple(lambda f: float(_number(f)))(items)),
     "m_classifier": _at_least(1),
-    "seed": _at_least(0),
-    "bootstrap_samples": _at_least(1),
-    "replicates": _at_least(1),
 }
 
 
@@ -750,11 +733,11 @@ def reconstruct_report(out_dir) -> AccuracyReport:
 
     Each cell's accuracies are taken in replicate-index order, so the log's
     line order does not matter. A meta.json field that is missing or not of
-    its exact type, a count (``m_classifier``, ``bootstrap_samples``,
-    ``replicates``) below 1 or a negative ``seed``, or a ``fractions`` or
-    ``combinations`` list that repeats an item, is a ``FormatError`` naming
-    the file and the field, and a malformed log line one naming
-    ``replicates.log:line``. So is a log whose cells do not each hold
+    its exact type, or breaks the rule a config keeps for it (``method``,
+    ``feature``, ``combinations``, ``seed``, ``bootstrap_samples``,
+    ``replicates``), a schedule's rule (``fractions``) or ``m_classifier``'s
+    of at least 1, is a ``FormatError`` naming the file and the field, and a
+    malformed log line one naming ``replicates.log:line``. So is a log whose cells do not each hold
     replicates 0..R-1 once, with R the ``replicates`` of meta.json, a log
     record outside meta.json's cells, and a log that is not UTF-8.
     """

@@ -106,7 +106,7 @@ def _at_least(low):
     """A converter passing an integer no less than ``low``."""
     def convert(value):
         if _int(value) < low:
-            raise ValueError(value)
+            raise ValidationError(f"{value} is less than {low}")
         return value
     return convert
 

@@ -639,14 +639,19 @@ class TestSerialization:
         ("method", "pls"),
         ("ridge", "1e-3"),
         ("ridge", True),
+        ("d", None),
+        ("d", "2"),
+        ("d", ...),
     ], ids=["K-float", "K-string", "K-bool", "method-int", "method-list", "method-unknown",
-            "ridge-string", "ridge-bool"])
+            "ridge-string", "ridge-bool", "d-null", "d-string", "d-missing"])
     def test_meta_field_of_another_type_names_file_and_field(self, tmp_path, field, value):
         # Nothing is coerced: K 2.7 would read two of three views, true one.
+        # A value of ... stands for the field deleted.
         rng = np.random.default_rng(123)
         save_alignment(gcca_fit([centered(rng, 12, 3) for _ in range(3)], 2), tmp_path)
         path = tmp_path / "meta.json"
-        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        meta = {**json.loads(path.read_text()), field: value}
+        path.write_text(json.dumps({key: v for key, v in meta.items() if v is not ...}))
         with pytest.raises(FormatError, match=f"meta.json: missing or malformed field '{field}'"):
             load_alignment(tmp_path)
 
@@ -670,7 +675,9 @@ class TestSerialization:
         lambda out: write_matrix(np.ones((3, 3)), out / "U_2.tsv"),
         lambda out: (out / "meta.json").write_text(
             json.dumps({**json.loads((out / "meta.json").read_text()), "K": 0})),
-    ], ids=["three-correlations-for-d-2", "U_2-wider", "K-0"])
+        lambda out: (out / "meta.json").write_text(
+            json.dumps({**json.loads((out / "meta.json").read_text()), "d": 3})),
+    ], ids=["three-correlations-for-d-2", "U_2-wider", "K-0", "d-3-for-d-2"])
     def test_maps_that_disagree_are_a_format_error_naming_the_directory(self, tmp_path, edit):
         rng = np.random.default_rng(124)
         out = tmp_path / "maps"

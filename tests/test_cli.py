@@ -652,9 +652,10 @@ class TestExperimentCommand:
              "malformed field 'views'"),
             ("schedule", [{"fraction": 1.0, "mds_dim": 8, "typo": 9}],
              "malformed field 'schedule'"),
-            ("seed", -1, "seed must be non-negative"),
+            ("seed", -1, "malformed field 'seed': -1 is less than 0"),
             # Scored twice, the cell's SE was taken over copies.
-            ("combinations", ["GF->GE", "TF->GE", "GF->GE"], "combination 'GF->GE' repeats"),
+            ("combinations", ["GF->GE", "TF->GE", "GF->GE"],
+             "malformed field 'combinations': 'GF->GE' repeats"),
             # Checked before the corpus loads, whatever it has registered.
             ("max_hops", 40, "need cap > max_hops >= 1, got cap=32, max_hops=40"),
         ],
@@ -688,7 +689,7 @@ class TestExperimentCommand:
         )
         code = main(["experiment", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "view tag" in capsys.readouterr().err
+        assert f"malformed field 'views': name {tag!r} is not a safe" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("combo", ["GF\t->GE", "GF->\nGE", "GF ->GE"])

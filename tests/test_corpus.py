@@ -200,11 +200,24 @@ class TestImmutable:
 
 class TestDomainNames:
     @pytest.mark.parametrize("name", ["..", ".", "a/b", "x\n"])
-    def test_save_rejects_a_name_that_is_not_one_path_component(self, tmp_path, name):
-        corpus = LabeledCorpus(("a", "b"), np.array([0, 1]), (DomainData(name),))
-        with pytest.raises(ValidationError, match="not filesystem-safe"):
-            save_corpus(corpus, tmp_path / "corpus")
-        assert list(tmp_path.rglob("*")) == [tmp_path / "corpus"]
+    def test_a_name_that_is_not_one_path_component_is_refused(self, tmp_path, name):
+        # By the constructor, so no corpus holding it can be saved.
+        with pytest.raises(ValidationError,
+                           match=f"^name {re.escape(repr(name))} is not a safe file-name"):
+            DomainData(name)
+        assert list(tmp_path.rglob("*")) == []
+        # And by load_corpus, in a manifest written by hand.
+        root = tmp_path / "corpus"
+        save_corpus(small_corpus(), root)
+        path = root / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["domains"][0]["name"] = name
+        path.write_text(json.dumps(manifest))
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        with pytest.raises(FormatError, match=r"manifest\.json: missing or malformed field "
+                           rf"'domains\[0\]\.name': name {re.escape(repr(name))} is not a safe"):
+            load_corpus(root)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     def test_manifest_name_cannot_send_writes_outside_the_corpus(self, tmp_path, capsys):
         root = tmp_path / "outer" / "inner" / "corpus"
@@ -217,11 +230,12 @@ class TestDomainNames:
         before = sorted(tmp_path.rglob("*"))
         argv = ["dissim", str(root), "--domain", "../../escaped", "--kind", "text"]
         assert main(argv) == 2
-        assert "'../../escaped' is not filesystem-safe" in capsys.readouterr().err
+        assert ("missing or malformed field 'domains[0].name': name '../../escaped' is not "
+                "a safe file-name component") in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
         assert json.loads(path.read_text()) == manifest
-        with pytest.raises(ValidationError, match="not filesystem-safe"):
-            register_dissimilarity(root, "..", "text", np.zeros((3, 3)))
+        with pytest.raises(FormatError, match=r"'domains\[0\]\.name': name '\.\./\.\./escaped'"):
+            register_dissimilarity(root, "../../escaped", "text", np.zeros((3, 3)))
         assert sorted(tmp_path.rglob("*")) == before
 
     def test_register_rejects_a_domain_the_manifest_lacks(self, tmp_path):
@@ -236,12 +250,25 @@ class TestDomainNames:
 
 class TestObjectIds:
     @pytest.mark.parametrize("oid", [" a", "a ", "a\tb", "a\nb", "a\rb", "", "\ud800"])
-    def test_save_rejects_an_id_that_is_not_one_field(self, tmp_path, oid):
+    def test_an_id_that_is_not_one_field_is_refused(self, tmp_path, oid):
+        # By the constructor, so no corpus holding it can be saved.
         edges = np.array([[0, 1], [1, 0]])
-        corpus = LabeledCorpus((oid, "z"), np.array([0, 1]), (DomainData("d", edges=edges),))
-        with pytest.raises(ValidationError, match="object id"):
-            save_corpus(corpus, tmp_path / "corpus")
+        rule = f"object id {re.escape(repr(oid))} is not one tab-separated field$"
+        with pytest.raises(ValidationError, match=f"^{rule}"):
+            LabeledCorpus((oid, "z"), np.array([0, 1]), (DomainData("d", edges=edges),))
         assert list(tmp_path.iterdir()) == []
+        # And by load_corpus, in a manifest written by hand.
+        root = tmp_path / "corpus"
+        save_corpus(small_corpus(), root)
+        path = root / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["objects"]["ids"][1] = oid
+        path.write_text(json.dumps(manifest))
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        where = r"manifest\.json: missing or malformed field 'objects\.ids': "
+        with pytest.raises(FormatError, match=where + rule):
+            load_corpus(root)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 class TestRoundTrip:
@@ -683,9 +710,11 @@ class TestLoaderErrors:
         (lambda m: m.update(domains=7), r"missing or malformed field 'domains'$"),
         (lambda m: m["domains"].insert(0, "d0"), r"missing or malformed field 'domains\[0\]'$"),
         (lambda m: m["domains"][0].pop("name"),
-         r"missing or malformed field 'domains\[0\]\.name'$"),
+         r"missing or malformed field 'domains\[0\]\.name': name None is not a safe "
+         "file-name component$"),
         (lambda m: m["domains"][0].update(name=5),
-         r"missing or malformed field 'domains\[0\]\.name'$"),
+         r"missing or malformed field 'domains\[0\]\.name': name 5 is not a safe "
+         "file-name component$"),
         (lambda m: m["domains"][0].update(dissimilarities=["graph"]),
          r"missing or malformed field 'domains\[0\]\.dissimilarities'$"),
         (lambda m: m["domains"][0].update(dissimilarities="graph"),

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
+from manifold_match import align as align_module
 from manifold_match import corpus as corpus_module
 from manifold_match import experiment
 from manifold_match import mds as mds_module
@@ -111,13 +112,13 @@ class TestSchedule:
             make_config(schedule=((fraction, 8),))
 
     def test_empty_schedule_rejected(self):
-        with pytest.raises(ConfigError, match="schedule has no rows"):
+        with pytest.raises(ConfigError, match="malformed field 'schedule': the list is empty$"):
             make_config(schedule=())
-        with pytest.raises(ConfigError, match="schedule has no rows"):
+        with pytest.raises(ConfigError, match="field 'schedule': the list is empty$"):
             ExperimentConfig.from_dict(raw_config(schedule=[]), source="inline")
 
     def test_non_positive_mds_dim_rejected(self):
-        with pytest.raises(ConfigError, match="mds_dim"):
+        with pytest.raises(ConfigError, match="malformed field 'schedule': 0 is less than 1$"):
             make_config(schedule=((0.5, 0),), shared_dim=1, regularized=True)
 
     def test_dim_must_be_below_n_prime(self):
@@ -162,7 +163,7 @@ class TestConfigValidation:
 
     def test_duplicate_view_tags(self):
         views = (ViewSpec("GE", "domain0", "graph"), ViewSpec("GE", "domain1", "graph"))
-        with pytest.raises(ConfigError, match="duplicate"):
+        with pytest.raises(ConfigError, match="malformed field 'views': 'GE' repeats$"):
             make_config(views=views, combinations=("GE->GE",), averaged_views={})
 
     @pytest.mark.parametrize("tag", ["G,E", "G\tE", "G E", "G\nE", "..", ""])
@@ -170,19 +171,20 @@ class TestConfigValidation:
         # A tag is written as a CSV and TSV field, so it may not split one.
         views = raw_config()["views"]
         views[0]["tag"] = tag
-        with pytest.raises(ConfigError, match="view tag"):
+        with pytest.raises(ConfigError, match="field 'views': name .* is not a safe file-name"):
             ExperimentConfig.from_dict(raw_config(views=views), source="inline")
 
     @pytest.mark.parametrize("tag", ["G,TF", "G\tTF"])
     def test_from_dict_unsafe_averaged_view_tag(self, tag):
         raw = raw_config(averaged_views={tag: ["GF", "TF"]}, combinations=[f"{tag}->GE"])
-        with pytest.raises(ConfigError, match="view tag"):
+        with pytest.raises(ConfigError,
+                           match="field 'averaged_views': name .* is not a safe file-name"):
             ExperimentConfig.from_dict(raw, source="inline")
 
     @pytest.mark.parametrize(
         "averaged, named",
         [
-            ({5: ("GF", "TF")}, "view tag 5 "),
+            ({5: ("GF", "TF")}, "'averaged_views': name 5 is not a safe file-name"),
             ({"GTF": ("GF",)}, "averaged view 'GTF' must name two views"),
             ({"GTF": ("GF", "TF", "GE")}, "averaged view 'GTF' must name two views"),
             ({"GTF": "GF"}, "averaged view 'GTF' must name two views, got 'GF'"),
@@ -230,9 +232,9 @@ class TestConfigValidation:
         assert config.averaged_views == {}
 
     def test_negative_seed_rejected(self):
-        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        with pytest.raises(ConfigError, match="malformed field 'seed': -1 is less than 0$"):
             make_config(seed=-1)
-        with pytest.raises(ConfigError, match="inline: seed must be non-negative"):
+        with pytest.raises(ConfigError, match="inline: malformed field 'seed': -1 is less than 0$"):
             ExperimentConfig.from_dict(raw_config(seed=-1), source="inline")
 
     @pytest.mark.parametrize(
@@ -263,7 +265,8 @@ class TestConfigValidation:
 
     def test_repeated_combination_is_named(self):
         # Listed twice, a cell was scored twice and its SE taken over copies.
-        with pytest.raises(ConfigError, match=r"inline: combination 'GF->GE' repeats"):
+        with pytest.raises(ConfigError,
+                           match=r"inline: malformed field 'combinations': 'GF->GE' repeats$"):
             ExperimentConfig.from_dict(
                 raw_config(combinations=["GF->GE", "TF->GE", "GF->GE"]), source="inline"
             )
@@ -834,16 +837,27 @@ class TestEmission:
 
     @pytest.mark.parametrize("field, value", [
         ("m_classifier", 0), ("m_classifier", -1), ("bootstrap_samples", 0), ("replicates", -1),
-        ("seed", -1),
+        ("seed", -1), ("method", "x"), ("feature", ""), ("feature", "a/b"),
+        ("fractions", [1.0, 0.5]),
     ])
-    def test_meta_count_below_one_or_negative_seed_names_file_and_field(
+    def test_meta_field_outside_the_config_rule_names_file_and_field(
         self, emitted, field, value
     ):
-        # Read back, each ended in numpy's ValueError or a warning of a division by 0.
+        # Read back, a count below 1 or a negative seed ended in numpy's
+        # ValueError or a warning of a division by 0, and the rest in a report
+        # that no config could have made.
         path = emitted / "meta.json"
         path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
         with pytest.raises(FormatError, match=f"meta.json: missing or malformed field '{field}'"):
             reconstruct_report(emitted)
+
+    def test_meta_fields_a_config_holds_keep_the_config_converter(self):
+        # One rule per field: meta.json and an alignment's meta.json read
+        # these back through the very converters a config is built with.
+        for name in ("method", "feature", "combinations", "seed", "bootstrap_samples",
+                     "replicates"):
+            assert experiment._META[name] is experiment._FIELDS[name], name
+        assert align_module._ALIGNMENT_META["method"] is experiment._FIELDS["method"]
 
     @pytest.mark.parametrize("field, value", [
         ("fractions", [0.5, 1.0, 0.5]),
