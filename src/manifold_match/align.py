@@ -34,7 +34,7 @@ from .errors import ConditioningError, FormatError, ValidationError
 from .formats import (_at_least, _int, _number, _str, read_fields, read_matrix, write_json,
                       write_matrix)
 from .mds import MdsModel
-from .numerics import _fix_signs, eig_sym
+from .numerics import _fix_signs, _real_matrix, eig_sym
 
 __all__ = [
     "AlignmentMaps",
@@ -96,21 +96,12 @@ class AlignmentMaps:
 
 def _centered_views(views):
     centered = []
-    n_rows = None
     for k, view in enumerate(views):
-        x = np.asarray(view, dtype=float)
-        if x.ndim != 2:
-            raise ValidationError(f"view {k} must be 2-D, got shape {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValidationError(f"view {k} contains non-finite entries")
-        if n_rows is None:
-            n_rows = x.shape[0]
-        elif x.shape[0] != n_rows:
-            raise ValidationError(
-                f"view {k} has {x.shape[0]} rows, expected {n_rows}"
-            )
+        x = np.asarray(_real_matrix(view, f"view {k} coordinates"), dtype=float)
+        if centered and len(x) != len(centered[0]):
+            raise ValidationError(f"view {k} has {len(x)} rows, expected {len(centered[0])}")
         centered.append(x - x.mean(axis=0))
-    return centered, n_rows
+    return centered, len(centered[0])
 
 
 def _factor(view, x):
@@ -140,8 +131,8 @@ def _fit(views, d, ridge, method):
         raise ValidationError(f"shared dimension {d} needs at least {d + 1} rows, got {n}")
     if ridge is None:
         ridge = _DEFAULT_RIDGE_SCALE * sum(float(np.vdot(x, x)) for x in xs) / sum(widths)
-    elif not (np.isfinite(ridge) and ridge >= 0):
-        raise ValidationError(f"ridge must be finite and nonnegative, got {ridge}")
+    else:
+        ridge = _ridge(ridge)
 
     # Whiten each view by its thin SVD X = U S V^T, dropping singular values
     # at rounding level: with w = (s^2 + ridge)^(1/2), the map u = V w^-1 a
@@ -242,9 +233,9 @@ def project(maps, view_index, points):
     """Project view ``view_index``'s coordinates into the shared space."""
     if not 0 <= view_index < maps.K:
         raise ValidationError(f"view index {view_index} out of range [0, {maps.K})")
-    x = np.asarray(points, dtype=float)
+    x = np.asarray(_real_matrix(points, "points"), dtype=float)
     u = maps.projections[view_index]
-    if x.ndim != 2 or x.shape[1] != u.shape[0]:
+    if x.shape[1] != u.shape[0]:
         raise ValidationError(
             f"points have shape {x.shape}, expected (*, {u.shape[0]}) for view {view_index}"
         )
@@ -257,9 +248,9 @@ def commensurability_error(proj_a, proj_b) -> float:
     ``(1/n) sum_i |a_i - b_i|^2`` — how far apart one object's two
     projections land.
     """
-    a = np.asarray(proj_a, dtype=float)
-    b = np.asarray(proj_b, dtype=float)
-    if a.shape != b.shape or a.ndim != 2:
+    a = np.asarray(_real_matrix(proj_a, "proj_a coordinates"), dtype=float)
+    b = np.asarray(_real_matrix(proj_b, "proj_b coordinates"), dtype=float)
+    if a.shape != b.shape:
         raise ValidationError(
             f"projections must share one 2-D shape, got {a.shape} and {b.shape}"
         )
@@ -276,6 +267,14 @@ def save_alignment(maps, out_dir):
     write_matrix(np.reshape(maps.correlations, (-1, 1)), out / "correlations.tsv")
     meta = {"method": maps.method, "d": maps.d, "K": maps.K, "ridge": maps.ridge}
     write_json(meta, out / "meta.json")
+
+
+def _ridge(ridge):
+    """``ridge`` as a float if it is finite and nonnegative: the rule for an
+    alignment's ridge and for a config's."""
+    if not (np.isfinite(ridge) and ridge >= 0):
+        raise ValidationError(f"ridge must be finite and nonnegative, got {ridge}")
+    return float(ridge)
 
 
 def _method(value):

@@ -29,6 +29,7 @@ import numpy as np
 
 from .corpus import _labels
 from .errors import IntegrityError, ValidationError
+from .numerics import _real_matrix
 
 __all__ = [
     "LabeledEmbedding",
@@ -55,11 +56,7 @@ class LabeledEmbedding:
     view_tag: str = ""
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2:
-            raise ValidationError(f"points must be 2-D, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValidationError("points contain non-finite coordinates")
+        pts = np.asarray(_real_matrix(self.points, "points"), dtype=float)
         labels = np.asarray(self.labels)
         if labels.ndim != 1 or labels.shape[0] != pts.shape[0]:
             raise IntegrityError(
@@ -147,14 +144,13 @@ def _knn(points, labels, queries, kappa, leave_one_out):
 
 def knn_predict(train, query, kappa) -> int:
     """Majority label among the ``kappa`` nearest training rows."""
-    q = np.asarray(query, dtype=float)
+    q = np.asarray(query)
     if q.shape != (train.points.shape[1],):
         raise ValidationError(
             f"query has shape {q.shape}, expected ({train.points.shape[1]},)"
         )
-    if not np.all(np.isfinite(q)):
-        raise ValidationError("query contains non-finite coordinates")
-    return int(_knn(train.points, train.labels, q[None, :], kappa, False)[0])
+    q = np.asarray(_real_matrix(q[None, :], "query coordinates"), dtype=float)
+    return int(_knn(train.points, train.labels, q, kappa, False)[0])
 
 
 def _check_matched(a, b):

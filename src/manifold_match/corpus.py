@@ -22,6 +22,7 @@ import numpy as np
 
 from .dissimilarity import (
     _check_geodesic,
+    _edge_list,
     as_dissimilarity,
     cosine_dissimilarity,
     graph_geodesic,
@@ -32,6 +33,7 @@ from .errors import ConfigError, FormatError, IntegrityError, ValidationError
 from .formats import (_each, _fields, _map, _of, _optional, _str, check_fields, move_matrix,
                       read_fields, read_json, read_matrix, read_records, write_json,
                       write_lines, write_matrix)
+from .numerics import _real_matrix
 
 __all__ = [
     "DomainData",
@@ -59,8 +61,9 @@ def _frozen_copy(array):
 
 def _name(name):
     """``name`` if it is a string that is one safe path component: the rule
-    for domain names, which name a corpus's directories, and for a run's view
-    tags and ``feature``, which name fields and files of its outputs."""
+    for domain names and dissimilarity kinds, which name a corpus's
+    directories and matrix files, and for a run's view tags and ``feature``,
+    which name fields and files of its outputs."""
     if type(name) is not str or not _NAME_RE.match(name):
         raise ValidationError(f"name {name!r} is not a safe file-name component")
     return name
@@ -94,6 +97,15 @@ def _labels(labels):
     return _frozen_copy(np.asarray(labels, np.int64))
 
 
+def _n_by_n(values, n, what):
+    """``values``, a square matrix, if it is ``n`` x ``n``: the check of a
+    domain's matrix against the corpus's object count."""
+    m = values.shape[0]
+    if m != n:
+        raise IntegrityError(f"{what} is {m}x{m} for {n} objects")
+    return values
+
+
 class _Matrices(Mapping):
     """A domain's precomputed matrices by kind, each checked once and kept.
 
@@ -113,13 +125,7 @@ class _Matrices(Mapping):
     def __getitem__(self, kind):
         if kind not in self.held:
             path = self.settings[kind][0]
-            values = load_dissimilarity_tsv(path)
-            if values.shape[0] != self.n:
-                raise IntegrityError(
-                    f"{path}: {values.shape[0]}x{values.shape[0]} matrix for "
-                    f"{self.n} objects"
-                )
-            self.held[kind] = values
+            self.held[kind] = _n_by_n(load_dissimilarity_tsv(path), self.n, f"{path}: matrix")
         return self.held[kind]
 
     def __contains__(self, kind):
@@ -157,6 +163,7 @@ class DomainData:
             return  # load_corpus's store
         held = {}
         for kind, values in self.dissimilarities.items():
+            _name(kind)
             try:
                 held[kind] = as_dissimilarity(values)
             except ValidationError as exc:
@@ -213,36 +220,15 @@ class LabeledCorpus:
                 raise IntegrityError(f"duplicate domain name {domain.name!r}")
             seen.add(domain.name)
             if domain.features is not None:
-                f = domain.features
-                if f.ndim != 2 or f.shape[0] != n:
+                rows = _real_matrix(domain.features, f"domain {domain.name!r} features").shape[0]
+                if rows != n:
                     raise IntegrityError(
-                        f"domain {domain.name!r} has {f.shape[0] if f.ndim == 2 else f.shape} "
-                        f"feature rows for {n} objects"
-                    )
-                if f.dtype.kind not in "iuf":
-                    raise ValidationError(f"domain {domain.name!r} features are not real numbers")
-                if not np.all(np.isfinite(f)):
-                    raise ValidationError(
-                        f"domain {domain.name!r} features contain non-finite entries"
+                        f"domain {domain.name!r} has {rows} feature rows for {n} objects"
                     )
             if domain.edges is not None:
-                e = domain.edges
-                if e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu":
-                    raise ValidationError(
-                        f"domain {domain.name!r} edges are a {e.dtype} array of shape "
-                        f"{e.shape}, not an (E, 2) array of integers"
-                    )
-                if e.size and (e.min() < 0 or e.max() >= n):
-                    raise IntegrityError(
-                        f"domain {domain.name!r} has edge endpoints outside [0, {n})"
-                    )
+                _edge_list(domain.edges, n, f"domain {domain.name!r} edges")
             for kind, values in domain.dissimilarities.held.items():
-                m = values.shape[0]
-                if m != n:
-                    raise IntegrityError(
-                        f"domain {domain.name!r} {kind} dissimilarity is {m}x{m} "
-                        f"for {n} objects"
-                    )
+                _n_by_n(values, n, f"domain {domain.name!r} {kind} dissimilarity")
 
     @property
     def n_total(self) -> int:
@@ -340,7 +326,8 @@ def save_corpus(corpus, path):
         if domain.edges is not None:
             rel = f"{ddir}/edges.tsv"
             ids = corpus.object_ids
-            write_lines(root / rel, (f"{ids[i]}\t{ids[j]}" for i, j in domain.edges))
+            # An empty edge list of any shape is no edges.
+            write_lines(root / rel, (f"{ids[i]}\t{ids[j]}" for i, j in domain.edges.reshape(-1, 2)))
             entry["edges"] = rel
         for kind, values in sorted(domain.dissimilarities.items()):
             _, cap, max_hops = domain.dissimilarities.settings[kind]
@@ -377,7 +364,7 @@ _MANIFEST = {
         "name": _name,
         "features": _optional(_str),
         "edges": _optional(_str),
-        "dissimilarities": _optional(_map(_matrix_entry)),
+        "dissimilarities": _optional(_map(_name, _matrix_entry)),
     })),
 }
 
@@ -392,11 +379,13 @@ def register_dissimilarity(path, domain_name, kind, values, cap=None, max_hops=N
     drops the kind's old entry from the manifest before the new file and twin
     replace the old ones, so a failed step leaves the kind as it was or
     unregistered, never the new matrix recorded under the old settings.
-    Settings that :func:`load_corpus` would reject, or a domain the manifest
+    A ``kind`` that is not a name (:func:`_name`: it names the file),
+    settings that :func:`load_corpus` would reject, or a domain the manifest
     lacks, are a ``ValidationError`` and a manifest it would reject a
     ``FormatError``; either way nothing is written. Returns the matrix
     file's path.
     """
+    _name(kind)
     _check_geodesic(cap, max_hops)
     root = Path(path)
     manifest_path = root / "manifest.json"

@@ -17,15 +17,19 @@ and nonnegative entries; a matrix from anywhere else (a file, a caller's
 array) is checked once by :func:`as_dissimilarity` where it enters, and
 keeps its type if unsigned. A matrix file's twin keeps a geodesic's type,
 so a registered geodesic reads back as the hop counts it was built as.
+
+Feature rows, like every matrix argument of the toolkit, must pass
+:func:`~manifold_match.numerics._real_matrix` (finite reals in a 2-D
+array), and an edge list :func:`_edge_list` (integer vertex pairs).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import IntegrityError, ValidationError
 from .formats import read_matrix, write_matrix
-from .numerics import mirror_blocks, symmetrize
+from .numerics import _real_matrix, mirror_blocks, symmetrize
 
 __all__ = [
     "as_dissimilarity",
@@ -57,20 +61,16 @@ def as_dissimilarity(values) -> np.ndarray:
     and of anything else as float64 made exact in all three, so spectral
     code never sees tolerance-level asymmetry.
     """
-    values = np.asarray(values)
-    return _read_only(_checked(np.array(values, None if values.dtype.kind == "u" else float)))
+    v = _real_matrix(values, "dissimilarities", square=True)
+    return _read_only(_checked(np.array(v, None if v.dtype.kind == "u" else float)))
 
 
 def _checked(v):
-    """:func:`as_dissimilarity` of a float or unsigned array the caller
-    owns, checked one block of :func:`mirror_blocks` at a time; a float one
-    is made exact in place (its mirror pairs by :func:`symmetrize`), which a
-    valid unsigned one already is: a valid matrix gets no n x n temporary."""
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise ValidationError(f"dissimilarity matrix must be square, got {v.shape}")
+    """:func:`as_dissimilarity` of a square float64 or unsigned array that
+    passed ``_real_matrix`` and the caller owns, checked a block of
+    :func:`mirror_blocks` at a time; a float one is made exact in place (by
+    :func:`symmetrize`): a valid matrix gets no n x n temporary."""
     exact = v.dtype.kind == "u"
-    if not (exact or np.all(np.isfinite(v))):
-        raise ValidationError("dissimilarity matrix contains non-finite entries")
     tol = 0 if exact else _SYM_ATOL
     if v.size:
         # An unsigned difference wraps, but is nonzero exactly when the pair differs.
@@ -103,6 +103,23 @@ def _check_geodesic(cap, max_hops):
     hops = 1 if max_hops is None else max_hops
     if hops < 1 or (cap is not None and cap <= hops):
         raise ValidationError(f"need cap > max_hops >= 1, got cap={cap}, max_hops={max_hops}")
+
+
+def _edge_list(edges, n, what):
+    """``edges`` if they are an (E, 2) array of integers in [0, ``n``), in
+    their type; an empty list of any shape is no edges, a (0, 2) array. The
+    rule for an edge list: another array is a ``ValidationError`` naming
+    ``what``, an endpoint out of range an ``IntegrityError``."""
+    e = np.asarray(edges)
+    if e.size == 0:
+        return e.reshape(0, 2)
+    if e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu":
+        raise ValidationError(
+            f"{what} are a {e.dtype} array of shape {e.shape}, not an (E, 2) array of integers"
+        )
+    if e.min() < 0 or e.max() >= n:
+        raise IntegrityError(f"{what} have endpoints out of range [0, {n})")
+    return e
 
 
 def graph_geodesic(edges, n, cap=6, max_hops=4) -> np.ndarray:
@@ -142,8 +159,8 @@ def graph_geodesic(edges, n, cap=6, max_hops=4) -> np.ndarray:
     Parameters
     ----------
     edges : (E, 2) array_like of int
-        Undirected edges over vertices 0..n-1 (duplicates and self-loops
-        are tolerated).
+        Undirected edges over vertices 0..n-1, as :func:`_edge_list` passes
+        them (duplicates and self-loops are tolerated).
     n : int
         Vertex count.
     cap : int, optional
@@ -156,15 +173,7 @@ def graph_geodesic(edges, n, cap=6, max_hops=4) -> np.ndarray:
     if cap is None or max_hops is None:
         raise ValidationError(f"need cap and max_hops, got cap={cap}, max_hops={max_hops}")
     _check_geodesic(cap, max_hops)
-    e = np.asarray(edges, dtype=int)
-    if e.size == 0:
-        e = e.reshape(0, 2)
-    if e.ndim != 2 or e.shape[1] != 2:
-        raise ValidationError(f"edge list must have shape (E, 2), got {e.shape}")
-    if e.size and (e.min() < 0 or e.max() >= n):
-        raise ValidationError(
-            f"edge endpoint out of range [0, {n}) in edge list"
-        )
+    e = np.asarray(_edge_list(edges, n, "edges"), dtype=int)
 
     # Symmetric adjacency lists (CSR, sorted by vertex) without self-loops
     # or duplicates; slot j of an arc is its place in its vertex's list.
@@ -252,11 +261,7 @@ def cosine_dissimilarity(features) -> np.ndarray:
     one n x n float64 array, so the working set is n² values beside the
     feature rows.
     """
-    f = np.asarray(features, dtype=float)
-    if f.ndim != 2:
-        raise ValidationError(f"feature matrix must be 2-D, got shape {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise ValidationError("feature matrix contains non-finite entries")
+    f = np.asarray(_real_matrix(features, "features"), dtype=float)
     norms = np.linalg.norm(f, axis=1)
     zero_rows = np.flatnonzero(norms == 0.0)
     if zero_rows.size:
@@ -298,12 +303,8 @@ def load_dissimilarity_tsv(path, *, _writable=False) -> np.ndarray:
     ``_writable`` is set by a caller that owns the array from then on (the
     ``mds`` command, which factors it in place)."""
     values = read_matrix(path)
-    if values.shape[0] != values.shape[1]:
-        raise FormatError(
-            f"{path}: expected a square matrix, got {values.shape[0]}x{values.shape[1]}"
-        )
     try:
-        values = _checked(values)
+        values = _checked(_real_matrix(values, "dissimilarities", square=True))
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     return values if _writable else _read_only(values)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .align import _method, cca_fit, gcca_fit, project
+from .align import _method, _ridge, cca_fit, gcca_fit, project
 from .classify import LabeledEmbedding, average_views, loo_cross_view_accuracy
 from .corpus import _name, _view_key, load_corpus
 from .dissimilarity import _check_geodesic, frobenius_prescale
@@ -118,14 +118,6 @@ def _rows(rows):
     return rows
 
 
-def _ridge(ridge):
-    """A finite nonnegative number as a float."""
-    ridge = float(_number(ridge))
-    if not (np.isfinite(ridge) and ridge >= 0):
-        raise ValidationError(f"ridge must be finite and nonnegative, got {ridge}")
-    return ridge
-
-
 def _averaged(views):
     """Each averaged view's two view tags as a tuple, keyed by its tag, a
     name; None is none."""
@@ -140,18 +132,20 @@ def _averaged(views):
 # the one converter that checks it, with every rule that field keeps alone:
 # the exact JSON types, a tuple or list where JSON has a list, a ViewSpec per
 # view and a (fraction, mds_dim) pair per row. View tags, averaged-view tags
-# and ``feature`` name fields and files of the outputs, so each is a name
+# and ``feature`` name fields and files of the outputs, and a view's domain
+# and kind name a corpus's directory and matrix file, so each is a name
 # (:func:`~manifold_match.corpus._name`). _META reads a run's settings back
 # with the same converters.
 _FIELDS = {
-    "views": _tuple(lambda v: ViewSpec(_name(v.tag), _str(v.domain), _str(v.kind)),
+    "views": _tuple(lambda v: ViewSpec(_name(v.tag), _name(v.domain), _name(v.kind)),
                     key=lambda view: view.tag),
     "combinations": _tuple(_str, key=str), "relation_classes": _tuple(_int),
     "classifier_classes": _tuple(_int), "corpus_path": _of(str, type(None)),
     "averaged_views": _averaged, "method": _method, "regularized": _of(bool),
     "shared_dim": _at_least(1), "kappa": _at_least(1), "replicates": _at_least(1),
     "seed": _at_least(0), "schedule": _optional(_rows), "feature": _name,
-    "ridge": _optional(_ridge), "cap": _int, "max_hops": _int, "bootstrap_samples": _at_least(1),
+    "ridge": _optional(lambda ridge: _ridge(_number(ridge))), "cap": _int, "max_hops": _int,
+    "bootstrap_samples": _at_least(1),
 }
 _REQUIRED_FIELDS = ("views", "combinations", "relation_classes", "classifier_classes")
 

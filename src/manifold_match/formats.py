@@ -139,10 +139,10 @@ def _each(convert):
     return lambda items: [_at(f"[{k}]", convert, item) for k, item in enumerate(_list(items))]
 
 
-def _map(convert):
-    """A converter of a JSON object to ``{key: convert(value)}`` for each field."""
-    return lambda obj: {key: _at(f".{key}", convert, value)
-                        for key, value in _of(dict)(obj).items()}
+def _map(key, convert):
+    """A converter of a JSON object to ``{key(name): convert(value)}``, field by field."""
+    return lambda obj: {_at(f".{name}", key, name): _at(f".{name}", convert, value)
+                        for name, value in _of(dict)(obj).items()}
 
 
 def _optional(convert):

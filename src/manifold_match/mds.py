@@ -6,7 +6,7 @@ strictly positive part of the spectrum, and extends to new points by Gower
 interpolation using the stored centering statistics.
 
 Embeddings are plain ``(n, p)`` float arrays, rows = objects. Dissimilarities
-may come as float arrays or as narrow unsigned hop counts; each is squared
+are real square matrices (``_real_matrix``), hop counts too; each is squared
 straight into float64. Working set: a fit holds one n x n float64 array (the
 Gram matrix, centred in place, then averaged with its transpose and factored
 in place by :func:`~manifold_match.numerics.eig_sym`, which overwrites it
@@ -26,29 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import eig_sym
+from .numerics import _real_matrix, eig_sym
 
 __all__ = ["MdsModel", "mds_fit", "mds_out_of_sample", "fidelity_error", "scree"]
 
 # Eigenvalues below this fraction of the leading one count as zero, so that
 # rank-deficient configurations report an honest effective dimension.
 _POSITIVE_RTOL = 1e-10
-
-
-def _real(values):
-    """``values`` as an array: integers keep their type (no copy, always
-    finite), anything else becomes float64."""
-    arr = np.asarray(values)
-    return arr if arr.dtype.kind in "ui" else np.asarray(arr, dtype=float)
-
-
-def _dissim_values(delta, name="delta"):
-    arr = _real(delta)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"{name} must be a square matrix, got shape {arr.shape}")
-    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -97,7 +81,7 @@ def mds_fit(delta, p, *, _overwrite=False) -> MdsModel:
     ``delta``'s memory, which is left overwritten. The fit's arrays are
     read-only, so it can be kept and shared as returned.
     """
-    d = _dissim_values(delta)
+    d = _real_matrix(delta, "dissimilarities", square=True)
     n = d.shape[0]
     if not 1 <= p <= n - 1:
         raise ValidationError(f"target dimension must satisfy 1 <= p <= n-1, got p={p}, n={n}")
@@ -140,15 +124,12 @@ def mds_out_of_sample(model, delta_new):
     kernel, so a row projected alone may differ in its last bits from the
     same row projected in a batch.
     """
-    arr = _real(delta_new)
-    single = arr.ndim == 1
-    rows = np.atleast_2d(arr)
-    if rows.ndim != 2 or rows.shape[1] != model.n:
+    arr = np.asarray(delta_new)
+    rows = _real_matrix(np.atleast_2d(arr), "new dissimilarities")
+    if rows.shape[1] != model.n:
         raise ValidationError(
             f"expected dissimilarities to {model.n} training objects, got shape {arr.shape}"
         )
-    if rows.dtype.kind == "f" and not np.all(np.isfinite(rows)):
-        raise ValidationError("new dissimilarities contain non-finite entries")
     if rows.size and rows.min() < 0:
         raise ValidationError("new dissimilarities must be nonnegative")
 
@@ -162,7 +143,7 @@ def mds_out_of_sample(model, delta_new):
     b *= -0.5
     # X = V sqrt(L), so L^{-1/2} V^T b = L^{-1} X^T b.
     coords = (b @ model.embedding) / model.eigenvalues
-    return coords[0] if single else coords
+    return coords[0] if arr.ndim == 1 else coords
 
 
 def fidelity_error(embedding, delta) -> float:
@@ -171,10 +152,8 @@ def fidelity_error(embedding, delta) -> float:
     ``(1 / C(n,2)) * sum_{i<j} (|x_i - x_j| - delta_ij)^2`` — the
     within-domain distortion of an embedding.
     """
-    x = np.asarray(embedding, dtype=float)
-    if x.ndim != 2:
-        raise ValidationError(f"embedding must be 2-D, got shape {x.shape}")
-    d = _dissim_values(delta)
+    x = np.asarray(_real_matrix(embedding, "embedding coordinates"), dtype=float)
+    d = _real_matrix(delta, "dissimilarities", square=True)
     n = d.shape[0]
     if x.shape[0] != n:
         raise ValidationError(

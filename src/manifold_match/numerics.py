@@ -5,7 +5,8 @@ convention it applies to eigenvector columns (also used by the alignment
 solver), so that downstream embeddings are reproducible run to run on one
 platform; and the one in-place average of a square matrix with its
 transpose, walked one block of rows and their mirror columns at a time,
-which every factorization applies to its matrix first.
+which every factorization applies to its matrix first; and
+:func:`_real_matrix`, the one rule for a matrix argument.
 
 A factorization runs in place on the caller's matrix: LAPACK's ``dsyevd``,
 the routine ``np.linalg.eigh`` calls, is called through the OpenBLAS that
@@ -23,11 +24,33 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ValidationError
+
 __all__ = ["eig_sym", "mirror_blocks", "symmetrize"]
 
 # Rows per block of mirror_blocks: a temporary of one block is this many
 # rows wide.
 _SYM_ROWS = 64
+
+
+def _real_matrix(values, what, square=False):
+    """``values`` as a 2-D array of finite reals, square if ``square`` is set:
+    signed or unsigned integers keep their type (no copy, always finite),
+    floats become float64. Any other array (complex, bool, string or
+    object), another shape or a NaN or infinity is a ``ValidationError``
+    naming ``what``, a plural noun such as ``"points"``."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(f"{what} are not real numbers: a {arr.dtype} array")
+    if arr.ndim != 2 or square and arr.shape[0] != arr.shape[1]:
+        raise ValidationError(
+            f"{what} must be a {'square' if square else '2-D'} matrix, got shape {arr.shape}"
+        )
+    if arr.dtype.kind == "f":
+        arr = np.asarray(arr, dtype=float)
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{what} contain non-finite entries")
+    return arr
 
 
 def _openblas(symbol):

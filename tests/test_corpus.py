@@ -108,6 +108,14 @@ class TestLabeledCorpus:
         domain = DomainData("d", features=[[1, 0], [0, 1]], edges=np.array([[0, 1]], np.uint8))
         LabeledCorpus(("a", "b"), np.array([0, 1]), (domain,))
 
+    def test_registered_matrix_size_mismatch_names_the_file(self, tmp_path):
+        save_corpus(small_corpus(), tmp_path)
+        register_dissimilarity(tmp_path, "d0", "text", np.ones((2, 2)) - np.eye(2))
+        corpus = load_corpus(tmp_path)
+        with pytest.raises(IntegrityError,
+                           match=r"d0/dissim_text\.tsv: matrix is 2x2 for 3 objects$"):
+            corpus.view("d0", "text", 6, 4)
+
     def test_dissimilarity_size_mismatch(self):
         with pytest.raises(IntegrityError, match="'d' graph dissimilarity is 2x2 for 3"):
             LabeledCorpus(
@@ -246,6 +254,38 @@ class TestDomainNames:
         with pytest.raises(ValidationError, match="no domain named 'ghost'"):
             register_dissimilarity(root, "ghost", "text", np.zeros((3, 3)))
         assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("kind", ["", "a\tb", "a/b"], ids=["empty", "tab", "slash"])
+class TestDissimilarityKinds:
+    # A kind names a matrix file, dissim_<kind>.tsv, so it keeps the name rule.
+    def test_register_refuses_a_kind_that_is_not_a_name(self, tmp_path, kind):
+        root = tmp_path / "corpus"
+        save_corpus(small_corpus(), root)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        with pytest.raises(ValidationError,
+                           match=f"^name {re.escape(repr(kind))} is not a safe file-name"):
+            register_dissimilarity(root, "d0", kind, np.zeros((3, 3)))
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_manifest_kind_is_a_format_error_naming_the_field(self, tmp_path, kind):
+        root = tmp_path / "corpus"
+        save_corpus(small_corpus(), root)
+        assert register_dissimilarity(root, "d0", "text", np.zeros((3, 3))).is_file()
+        path = root / "manifest.json"
+        manifest = json.loads(path.read_text())
+        entries = manifest["domains"][0]["dissimilarities"]
+        entries[kind] = entries.pop("text")
+        path.write_text(json.dumps(manifest))
+        field = re.escape(repr(f"domains[0].dissimilarities.{kind}"))
+        with pytest.raises(FormatError, match=rf"manifest\.json: missing or malformed field "
+                           rf"{field}: name {re.escape(repr(kind))} is not a safe"):
+            load_corpus(root)
+
+    def test_in_memory_kind_is_refused(self, kind):
+        with pytest.raises(ValidationError,
+                           match=f"^name {re.escape(repr(kind))} is not a safe file-name"):
+            DomainData("d", dissimilarities={kind: np.zeros((3, 3))})
 
 
 class TestObjectIds:

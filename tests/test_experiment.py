@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import threading
 from unittest import mock
 
@@ -172,6 +173,16 @@ class TestConfigValidation:
         views = raw_config()["views"]
         views[0]["tag"] = tag
         with pytest.raises(ConfigError, match="field 'views': name .* is not a safe file-name"):
+            ExperimentConfig.from_dict(raw_config(views=views), source="inline")
+
+    @pytest.mark.parametrize("field", ["domain", "kind"])
+    @pytest.mark.parametrize("name", ["", "a\tb", "a/b"], ids=["empty", "tab", "slash"])
+    def test_view_domain_and_kind_are_names(self, field, name):
+        # They name a corpus's directory and matrix file, dissim_<kind>.tsv.
+        views = raw_config()["views"]
+        views[0][field] = name
+        with pytest.raises(ConfigError, match=rf"^inline: malformed field 'views': name "
+                           rf"{re.escape(repr(name))} is not a safe file-name"):
             ExperimentConfig.from_dict(raw_config(views=views), source="inline")
 
     @pytest.mark.parametrize("tag", ["G,TF", "G\tTF"])
