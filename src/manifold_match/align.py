@@ -34,7 +34,7 @@ from .errors import ConditioningError, FormatError, ValidationError
 from .formats import (_at_least, _int, _number, _str, read_fields, read_matrix, write_json,
                       write_matrix)
 from .mds import MdsModel
-from .numerics import _fix_signs, _real_matrix, eig_sym
+from .numerics import _fix_signs, _integer, _real_matrix, eig_sym
 
 __all__ = [
     "AlignmentMaps",
@@ -58,7 +58,7 @@ class AlignmentMaps:
     """Per-view projection matrices into the shared space.
 
     ``projections[k]`` maps view k's coordinates (p_k columns) onto the d
-    shared dimensions: at least two 2-D arrays (exactly two for ``cca``)
+    shared dimensions: at least two real matrices (exactly two for ``cca``)
     with the same d >= 1 columns. ``correlations`` holds the d
     per-dimension alignment correlations, descending in [-1, 1].
     """
@@ -69,21 +69,23 @@ class AlignmentMaps:
     ridge: float
 
     def __post_init__(self):
-        shapes = [np.shape(u) for u in self.projections]
-        if (len(shapes) < 2 or any(len(shape) != 2 for shape in shapes)
-                or len({shape[1] for shape in shapes}) != 1 or shapes[0][1] < 1):
+        maps = [_real_matrix(u, f"view {k} projections") for k, u in enumerate(self.projections)]
+        shapes = [u.shape for u in maps]
+        if len(shapes) < 2 or len({shape[1] for shape in shapes}) != 1 or shapes[0][1] < 1:
             raise ValidationError(
-                f"need two or more 2-D projections of one width d >= 1, got shapes {shapes}"
+                f"need two or more projections of one width d >= 1, got shapes {shapes}"
             )
         if self.method == "cca" and len(shapes) != 2:
             raise ValidationError(f"cca maps have two projections, got {len(shapes)}")
-        rho = np.asarray(self.correlations, dtype=float)
+        rho = np.asarray(self.correlations)
         if rho.shape != (shapes[0][1],):
             raise ValidationError(f"{rho.size} correlations for d={shapes[0][1]} dimensions")
+        rho = _real_matrix(rho[None], "correlations")[0]
         if np.any(np.abs(rho) > 1.0 + _DESCENDING_SLACK):
             raise ValidationError("correlations must lie in [-1, 1]")
         if np.any(np.diff(rho) > _DESCENDING_SLACK):
             raise ValidationError("correlations must be sorted descending")
+        object.__setattr__(self, "projections", tuple(maps))
 
     @property
     def K(self) -> int:
@@ -121,8 +123,7 @@ def _fit(views, d, ridge, method):
     xs, n = _centered_views(views)
     K = len(xs)
     widths = [x.shape[1] for x in xs]
-    if d < 1:
-        raise ValidationError(f"shared dimension must be positive, got {d}")
+    d = _integer(d, "shared dimension d", 1)
     if d > min(widths):
         raise ValidationError(
             f"shared dimension {d} exceeds the narrowest view width {min(widths)}"
@@ -231,8 +232,7 @@ def gcca_fit(views, d, ridge=None) -> AlignmentMaps:
 
 def project(maps, view_index, points):
     """Project view ``view_index``'s coordinates into the shared space."""
-    if not 0 <= view_index < maps.K:
-        raise ValidationError(f"view index {view_index} out of range [0, {maps.K})")
+    view_index = _integer(view_index, "view_index", 0, maps.K - 1)
     x = np.asarray(_real_matrix(points, "points"), dtype=float)
     u = maps.projections[view_index]
     if x.shape[1] != u.shape[0]:

@@ -23,13 +23,12 @@ to right, coordinate 0 first, whatever the layout of the inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .corpus import _labels
 from .errors import IntegrityError, ValidationError
-from .numerics import _real_matrix
+from .numerics import _integer, _real_matrix
 
 __all__ = [
     "LabeledEmbedding",
@@ -109,10 +108,7 @@ def _squared_distances(cols, queries):
 
 def _knn(points, labels, queries, kappa, leave_one_out):
     """Predicted class per query row; leave-one-out query i skips training row i."""
-    high = len(points) - leave_one_out
-    if (isinstance(kappa, bool) or not isinstance(kappa, Integral)
-            or not 1 <= kappa <= high):
-        raise ValidationError(f"kappa must be an integer in [1, {high}], got {kappa!r}")
+    kappa = _integer(kappa, "kappa", 1, len(points) - leave_one_out)
     q = queries.shape[0]
     cols = np.ascontiguousarray(points.T)
     rows = max(1, _BLOCK_FLOATS // len(points))

@@ -23,6 +23,7 @@ from .errors import (ConditioningError, ConfigError, FormatError, ManifoldMatchE
 from .experiment import ExperimentConfig, emit_curves, run_experiment
 from .formats import read_matrix, read_records, write_lines, write_matrix
 from .mds import mds_fit, scree
+from .numerics import _integer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -107,11 +108,8 @@ def _cmd_classify(args):
         maps = load_alignment(args.maps)
         train_index = 2 if args.train_view is None else args.train_view
         test_index = 1 if args.test_view is None else args.test_view
-        for option, view in (("--train-view", train_index), ("--test-view", test_index)):
-            if not 1 <= view <= maps.K:
-                raise ValidationError(f"{option} {view} out of range 1..{maps.K}")
-        train = project(maps, train_index - 1, train)
-        test = project(maps, test_index - 1, test)
+        train = project(maps, _integer(train_index, "--train-view", 1, maps.K) - 1, train)
+        test = project(maps, _integer(test_index, "--test-view", 1, maps.K) - 1, test)
     train_view = LabeledEmbedding(train, labels, "train")
     test_view = LabeledEmbedding(test, labels, "test")
     accuracy = loo_cross_view_accuracy(train_view, test_view, args.kappa)

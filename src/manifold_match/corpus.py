@@ -33,7 +33,7 @@ from .errors import ConfigError, FormatError, IntegrityError, ValidationError
 from .formats import (_each, _fields, _map, _of, _optional, _str, check_fields, move_matrix,
                       read_fields, read_json, read_matrix, read_records, write_json,
                       write_lines, write_matrix)
-from .numerics import _real_matrix
+from .numerics import _integer, _real_matrix
 
 __all__ = [
     "DomainData",
@@ -509,16 +509,12 @@ def synthesize_corpus(seed, n_objects, k_domains, n_classes, noise) -> LabeledCo
     measurements. Which classes feed relation learning and which the
     classifier is chosen per experiment (``ExperimentConfig``).
     """
-    if n_classes < 2:
-        raise ValidationError(f"need at least 2 classes, got {n_classes}")
-    if n_objects < n_classes:
-        raise ValidationError(
-            f"need n_objects >= n_classes, got {n_objects} < {n_classes}"
-        )
-    if k_domains < 2:
-        raise ValidationError(f"need at least 2 domains, got {k_domains}")
-    if noise < 0:
-        raise ValidationError(f"noise must be nonnegative, got {noise}")
+    seed = _integer(seed, "seed", 0)
+    n_classes = _integer(n_classes, "n_classes", 2)
+    n_objects = _integer(n_objects, "n_objects", n_classes)
+    k_domains = _integer(k_domains, "k_domains", 2)
+    if not 0 <= noise < np.inf:
+        raise ValidationError(f"noise must be finite and nonnegative, got {noise}")
 
     rng = np.random.default_rng(seed)
     labels = np.arange(n_objects) % n_classes

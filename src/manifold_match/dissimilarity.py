@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import IntegrityError, ValidationError
 from .formats import read_matrix, write_matrix
-from .numerics import _real_matrix, mirror_blocks, symmetrize
+from .numerics import _integer, _real_matrix, mirror_blocks, symmetrize
 
 __all__ = [
     "as_dissimilarity",
@@ -88,20 +88,13 @@ def _checked(v):
 
 
 def _check_geodesic(cap, max_hops):
-    """Check a geodesic's settings: integers (not bools) with ``cap >
+    """Check a geodesic's settings: integers by :func:`_integer` with ``cap >
     max_hops >= 1`` and ``cap`` no larger than 2**53, the largest that every
     matrix file, float64 text and twin, holds exactly. None is a setting not
     known (a manifest may record neither), checked only as far as the other
     allows: ``max_hops`` at least 1, ``cap`` at least 2."""
-    def integer(value):
-        return value is None or isinstance(value, (int, np.integer)) and type(value) is not bool
-
-    if not integer(cap) or cap is not None and cap > 2**53:
-        raise ValidationError(f"cap must be an integer no larger than 2**53, got {cap!r}")
-    if not integer(max_hops):
-        raise ValidationError(f"max_hops must be an integer, got {max_hops!r}")
-    hops = 1 if max_hops is None else max_hops
-    if hops < 1 or (cap is not None and cap <= hops):
+    hops = 1 if max_hops is None else _integer(max_hops, "max_hops", 1)
+    if cap is not None and _integer(cap, "cap", 2, 2**53) <= hops:
         raise ValidationError(f"need cap > max_hops >= 1, got cap={cap}, max_hops={max_hops}")
 
 
@@ -168,11 +161,8 @@ def graph_geodesic(edges, n, cap=6, max_hops=4) -> np.ndarray:
     max_hops : int, optional
         Largest path length kept exact.
     """
-    if n <= 0:
-        raise ValidationError(f"vertex count must be positive, got {n}")
-    if cap is None or max_hops is None:
-        raise ValidationError(f"need cap and max_hops, got cap={cap}, max_hops={max_hops}")
-    _check_geodesic(cap, max_hops)
+    n = _integer(n, "vertex count n", 1)
+    _check_geodesic(_integer(cap, "cap", 2), _integer(max_hops, "max_hops", 1))
     e = np.asarray(_edge_list(edges, n, "edges"), dtype=int)
 
     # Symmetric adjacency lists (CSR, sorted by vertex) without self-loops

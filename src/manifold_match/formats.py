@@ -46,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError
+from .numerics import _real_array
 
 __all__ = ["check_fields", "move_matrix", "read_fields", "read_json", "read_lines",
            "read_matrix", "read_records", "write_json", "write_lines", "write_matrix"]
@@ -270,12 +271,12 @@ def _replace(path, mode, fill):
 
 
 def write_matrix(values, path):
-    """Write a non-empty 2-D array as a matrix file (round-trip exact), then
-    its twin. A failed twin write raises with the text in place. Integers
-    are written as floats a block of rows at a time."""
-    values = np.asarray(values)
-    values = values if values.dtype.kind in "ui" else values.astype(float, copy=False)
-    if values.ndim != 2 or 0 in values.shape:
+    """Write a non-empty array that passes ``numerics._real_array`` as a
+    matrix file (round-trip exact), then its twin; any other is refused
+    before anything is written. A failed twin write raises with the text in
+    place. Integers are written as floats a block of rows at a time."""
+    values = _real_array(values, f"{path}: values")
+    if 0 in values.shape:
         raise ValidationError(
             f"{path}: a matrix file holds a 2-D array with rows and columns, "
             f"got shape {values.shape}"

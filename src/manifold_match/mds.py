@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import _real_matrix, eig_sym
+from .numerics import _integer, _real_matrix, eig_sym
 
 __all__ = ["MdsModel", "mds_fit", "mds_out_of_sample", "fidelity_error", "scree"]
 
@@ -82,9 +82,7 @@ def mds_fit(delta, p, *, _overwrite=False) -> MdsModel:
     read-only, so it can be kept and shared as returned.
     """
     d = _real_matrix(delta, "dissimilarities", square=True)
-    n = d.shape[0]
-    if not 1 <= p <= n - 1:
-        raise ValidationError(f"target dimension must satisfy 1 <= p <= n-1, got p={p}, n={n}")
+    p = _integer(p, "target dimension p", 1, d.shape[0] - 1)
 
     # Double-centre the squared dissimilarities in place, in the order
     # -0.5 * (squared - row_mean_i - row_mean_j + grand_mean).

@@ -5,8 +5,8 @@ convention it applies to eigenvector columns (also used by the alignment
 solver), so that downstream embeddings are reproducible run to run on one
 platform; and the one in-place average of a square matrix with its
 transpose, walked one block of rows and their mirror columns at a time,
-which every factorization applies to its matrix first; and
-:func:`_real_matrix`, the one rule for a matrix argument.
+which every factorization applies to its matrix first; and the rules for
+a matrix and an integer argument, :func:`_real_matrix` and :func:`_integer`.
 
 A factorization runs in place on the caller's matrix: LAPACK's ``dsyevd``,
 the routine ``np.linalg.eigh`` calls, is called through the OpenBLAS that
@@ -33,12 +33,12 @@ __all__ = ["eig_sym", "mirror_blocks", "symmetrize"]
 _SYM_ROWS = 64
 
 
-def _real_matrix(values, what, square=False):
-    """``values`` as a 2-D array of finite reals, square if ``square`` is set:
-    signed or unsigned integers keep their type (no copy, always finite),
-    floats become float64. Any other array (complex, bool, string or
-    object), another shape or a NaN or infinity is a ``ValidationError``
-    naming ``what``, a plural noun such as ``"points"``."""
+def _real_array(values, what, square=False):
+    """``values`` as a 2-D array of reals, square if ``square`` is set:
+    signed or unsigned integers keep their type (no copy), floats become
+    float64. Any other array (complex, bool, string or object) or another
+    shape is a ``ValidationError`` naming ``what``, a plural noun such as
+    ``"points"``. A matrix file may hold NaN, so its writer checks no more."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "iuf":
         raise ValidationError(f"{what} are not real numbers: a {arr.dtype} array")
@@ -46,11 +46,29 @@ def _real_matrix(values, what, square=False):
         raise ValidationError(
             f"{what} must be a {'square' if square else '2-D'} matrix, got shape {arr.shape}"
         )
-    if arr.dtype.kind == "f":
-        arr = np.asarray(arr, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"{what} contain non-finite entries")
+    return np.asarray(arr, dtype=float) if arr.dtype.kind == "f" else arr
+
+
+def _real_matrix(values, what, square=False):
+    """:func:`_real_array` of ``values`` if it is finite: the one rule for a matrix argument."""
+    arr = _real_array(values, what, square)
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{what} contain non-finite entries")
     return arr
+
+
+def _integer(value, what, low, high=None):
+    """``value`` as an ``int`` if it is a Python or numpy integer (not a
+    bool) in [``low``, ``high``], or no less than ``low`` if ``high`` is None:
+    the one rule for a count, dimension or index argument, which refuses
+    anything else with a ``ValidationError`` naming ``what`` and the bounds.
+    A JSON field keeps the exact types of ``formats._int`` (no numpy
+    integer), and so does a config built in Python, which shares its converters."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        return int(value)
+    bounds = f"of at least {low}" if high is None else f"in [{low}, {high}]"
+    raise ValidationError(f"{what} must be an integer {bounds}, got {value!r}")
 
 
 def _openblas(symbol):

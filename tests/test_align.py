@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,13 @@ class TestCcaFit:
         rng = np.random.default_rng(88)
         with pytest.raises(ValidationError):
             cca_fit(centered(rng, 10, 3), centered(rng, 10, 4), 4)
+
+    def test_d_above_rows_less_one(self):
+        # Three rows are narrower than their width of 4: d = 3 needs a fourth.
+        rng = np.random.default_rng(90)
+        message = "^shared dimension 3 needs at least 4 rows, got 3$"
+        with pytest.raises(ValidationError, match=message):
+            cca_fit(centered(rng, 3, 4), centered(rng, 3, 4), 3)
 
     def test_row_count_mismatch(self):
         rng = np.random.default_rng(89)
@@ -685,6 +693,29 @@ class TestSerialization:
         edit(out)
         with pytest.raises(FormatError, match=f"^{out}: "):
             load_alignment(out)
+
+    @pytest.mark.parametrize("name, what", [
+        ("U_1.tsv", "view 0 projections"), ("U_2.tsv", "view 1 projections"),
+        ("correlations.tsv", "correlations"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_maps_holding_non_finite_values_are_a_format_error(self, tmp_path, name, what, value):
+        # The text no longer matches its twin, so it is parsed.
+        rng = np.random.default_rng(125)
+        out = tmp_path / "maps"
+        save_alignment(cca_fit(centered(rng, 12, 3), centered(rng, 12, 3), 2), out)
+        path = out / name
+        path.write_text(re.sub(r"^[^\t\n]+", value, path.read_text()))
+        with pytest.raises(FormatError, match=f"^{out}: {what} contain non-finite entries$"):
+            load_alignment(out)
+
+    def test_two_column_correlations_file_names_it(self, tmp_path):
+        rng = np.random.default_rng(126)
+        save_alignment(cca_fit(centered(rng, 12, 3), centered(rng, 12, 3), 2), tmp_path)
+        write_matrix(np.array([[0.9, 0.9], [0.5, 0.5]]), tmp_path / "correlations.tsv")
+        message = f"^{tmp_path / 'correlations.tsv'}: expected one value per line$"
+        with pytest.raises(FormatError, match=message):
+            load_alignment(tmp_path)
 
     def test_correlation_order_validated(self):
         with pytest.raises(ValidationError):

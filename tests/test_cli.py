@@ -383,6 +383,40 @@ class TestPipelineFlow:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {maps_dir}: ")
 
+    def test_maps_holding_nan_are_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(9)
+        e0, e1 = tmp_path / "e0.tsv", tmp_path / "e1.tsv"
+        formats.write_matrix(rng.normal(size=(8, 2)), e0)
+        formats.write_matrix(rng.normal(size=(8, 2)), e1)
+        maps_dir = tmp_path / "maps"
+        assert main(["align", str(e0), str(e1), "--dim", "1", "--out", str(maps_dir)]) == 0
+        u = maps_dir / "U_2.tsv"
+        u.write_text("nan\n" + u.read_text().split("\n", 1)[1])  # its twin goes stale
+        labels = tmp_path / "l.txt"
+        labels.write_text("\n".join(str(i % 2) for i in range(8)) + "\n")
+        capsys.readouterr()
+        code = main([
+            "classify", "--train", str(e1), "--test", str(e0), "--labels", str(labels),
+            "--kappa", "1", "--maps", str(maps_dir),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {maps_dir}: view 1 projections contain non-finite entries\n"
+
+    def test_labels_line_that_is_not_an_integer_names_file_and_line(self, tmp_path, capsys):
+        rng = np.random.default_rng(10)
+        e0, e1 = tmp_path / "e0.tsv", tmp_path / "e1.tsv"
+        formats.write_matrix(rng.normal(size=(4, 2)), e0)
+        formats.write_matrix(rng.normal(size=(4, 2)), e1)
+        labels = tmp_path / "l.txt"
+        labels.write_text("0\n1\nx\n1\n")
+        capsys.readouterr()
+        code = main(["classify", "--train", str(e1), "--test", str(e0), "--labels", str(labels),
+                     "--kappa", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {labels}:3: expected an integer class id, got 'x'\n")
+
     @pytest.mark.parametrize("option", ["--train-view", "--test-view"])
     @pytest.mark.parametrize("view", ["0", "3"])
     def test_view_number_outside_one_to_k_is_data_error(self, tmp_path, capsys, option, view):
@@ -399,7 +433,8 @@ class TestPipelineFlow:
             "--kappa", "1", "--maps", str(maps_dir), option, view,
         ])
         assert code == 2
-        assert capsys.readouterr().err == f"error: {option} {view} out of range 1..2\n"
+        message = f"error: {option} must be an integer in [1, 2], got {view}\n"
+        assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize(
         "views",

@@ -132,6 +132,10 @@ class TestLabeledCorpus:
         with pytest.raises(ValidationError, match="domain 'd' text dissimilarity .*negative"):
             DomainData("d", dissimilarities={"text": -raw})
 
+    def test_duplicate_domain_name_rejected(self):
+        with pytest.raises(IntegrityError, match="^duplicate domain name 'd'$"):
+            LabeledCorpus(("a", "b"), np.array([0, 1]), (DomainData("d"), DomainData("d")))
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(IntegrityError, match="unique"):
             LabeledCorpus(
@@ -663,6 +667,15 @@ class TestLoaderErrors:
         with pytest.raises(IntegrityError, match="zz"):
             load_corpus(tmp_path)
 
+    @pytest.mark.parametrize("line, fields", [("a", 1), ("a\tb\tc", 3)], ids=["one", "three"])
+    def test_edge_line_without_two_fields_names_file_and_line(self, tmp_path, line, fields):
+        save_corpus(small_corpus(), tmp_path)
+        edges = tmp_path / "d0" / "edges.tsv"
+        edges.write_text(edges.read_text() + line + "\n")
+        message = f"^{re.escape(str(edges))}:3: expected two object-id columns, got {fields}$"
+        with pytest.raises(FormatError, match=message):
+            load_corpus(tmp_path)
+
     @pytest.mark.parametrize("ref", [
         {"cap": 6}, 7, {"file": "d0/g.tsv", "cap": "six"}, {"file": "d0/g.tsv", "max_hops": 2.5},
     ])
@@ -678,10 +691,12 @@ class TestLoaderErrors:
         assert "missing or malformed field 'domains[0].dissimilarities.graph" in err
 
     @pytest.mark.parametrize("ref, message", [
-        ({"file": "d0/g.tsv", "cap": -1}, r"need cap > max_hops >= 1, got cap=-1, max_hops=None"),
+        ({"file": "d0/g.tsv", "cap": -1},
+         r"cap must be an integer in \[2, 9007199254740992\], got -1"),
         ({"file": "d0/g.tsv", "cap": 4, "max_hops": 4}, "need cap > max_hops >= 1"),
-        ({"file": "d0/g.tsv", "max_hops": 0}, "need cap > max_hops >= 1"),
-        ({"file": "d0/g.tsv", "cap": 2**53 + 1}, r"cap must be an integer no larger than 2\*\*53"),
+        ({"file": "d0/g.tsv", "max_hops": 0}, "max_hops must be an integer of at least 1, got 0"),
+        ({"file": "d0/g.tsv", "cap": 2**53 + 1},
+         r"cap must be an integer in \[2, 9007199254740992\], got 9007199254740993"),
         ({"file": "d0/g.tsv", "cap": True}, "cap must be an integer"),
     ], ids=["negative-cap", "cap-not-above-max_hops", "zero-max_hops", "cap-above-2**53",
             "bool-cap"])
@@ -696,7 +711,8 @@ class TestLoaderErrors:
     def test_register_refuses_settings_the_loader_rejects(self, tmp_path):
         save_corpus(small_corpus(), tmp_path)
         before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-        with pytest.raises(ValidationError, match="need cap > max_hops >= 1, got cap=-1"):
+        message = r"cap must be an integer in \[2, 9007199254740992\], got -1"
+        with pytest.raises(ValidationError, match=message):
             register_dissimilarity(tmp_path, "d0", "graph", np.zeros((3, 3)), cap=-1)
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
         load_corpus(tmp_path)

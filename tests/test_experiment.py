@@ -162,6 +162,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="overlap"):
             make_config(relation_classes=(0, 1), classifier_classes=(1, 3))
 
+    def test_averaged_view_tag_that_is_a_base_view_rejected(self):
+        with pytest.raises(ConfigError, match="^averaged view tag 'GE' collides with a base view$"):
+            make_config(averaged_views={"GE": ("GF", "TF")}, combinations=("GF->GE",))
+
     def test_duplicate_view_tags(self):
         views = (ViewSpec("GE", "domain0", "graph"), ViewSpec("GE", "domain1", "graph"))
         with pytest.raises(ConfigError, match="malformed field 'views': 'GE' repeats$"):
@@ -287,7 +291,8 @@ class TestConfigValidation:
     def test_geodesic_settings_checked_at_construction(self, cap, max_hops):
         # By graph_geodesic's rule, when the config is made, not once a corpus loads.
         raw = raw_config(cap=cap, max_hops=max_hops)
-        message = r"inline: (cap must be an integer no larger than 2\*\*53|need cap > max_hops)"
+        message = (r"inline: (cap must be an integer in \[2, 9007199254740992\]"
+                   r"|max_hops must be an integer of at least 1|need cap > max_hops)")
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_dict(raw, source="inline")
 
@@ -395,6 +400,22 @@ class TestConfigValidation:
         corpus = synthesize_corpus(11, 60, 2, 3, 0.0)  # classes 0..2 only
         config = make_config()
         with pytest.raises(ConfigError, match="absent"):
+            run_experiment(config, corpus=corpus)
+
+    @pytest.mark.parametrize("counts, overrides, message", [
+        ({0: 1, 1: 30, 3: 29}, {"relation_classes": (0,)}, "only 1 relation-learning objects"),
+        ({0: 30, 1: 1, 2: 29}, {"relation_classes": (0, 2), "classifier_classes": (1,)},
+         "only 1 classifier objects"),
+        ({0: 36, 1: 12, 3: 12}, {"relation_classes": (0,), "kappa": 24},
+         "kappa=24 exceeds the leave-one-out training size 23"),
+    ], ids=["relation", "classifier", "kappa"])
+    def test_too_few_objects_for_a_role(self, counts, overrides, message):
+        # counts: class -> objects, over the 60 objects of one corpus.
+        corpus = synthesize_corpus(11, 60, 2, 5, 0.0)
+        labels = np.repeat(list(counts), list(counts.values()))
+        corpus = LabeledCorpus(corpus.object_ids, labels, corpus.domains)
+        config = make_config(averaged_views={}, combinations=("GF->GE",), **overrides)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             run_experiment(config, corpus=corpus)
 
     def test_view_kind_unavailable(self):
@@ -758,6 +779,14 @@ class TestEmission:
         lines[2] = line
         log.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="replicates.log:3"):
+            reconstruct_report(emitted)
+
+    def test_log_with_another_header_names_file_and_line(self, emitted):
+        log = emitted / "replicates.log"
+        header, records = log.read_text().split("\n", 1)
+        assert header.startswith("method\t")
+        log.write_text(header.replace("method", "approach", 1) + "\n" + records)
+        with pytest.raises(FormatError, match=r"replicates\.log:1: unexpected header$"):
             reconstruct_report(emitted)
 
     @pytest.fixture

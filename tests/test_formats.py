@@ -60,6 +60,22 @@ def test_writer_refuses_what_does_not_read_back(tmp_path, shape):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("values", [
+    np.array([[0, 1 + 2j], [1 + 2j, 0]]),
+    np.array([[True, False], [False, True]]),
+    np.array([["0", "1.5"], ["1.5", "0"]]),
+    np.array([[0.0, 1.5], [1.5, 0.0]], dtype=object),
+], ids=["complex", "bool", "string", "object"])
+@pytest.mark.parametrize("write", [write_matrix, save_dissimilarity_tsv])
+def test_writer_refuses_what_is_not_real_numbers(tmp_path, write, values):
+    # Nothing is cast: complex parts are not dropped, strings not parsed.
+    path = tmp_path / "m.tsv"
+    message = rf"^{re.escape(str(path))}: values are not real numbers: a {values.dtype} array$"
+    with pytest.raises(ValidationError, match=message):
+        write(values, path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_writer_peak_memory_is_bounded(tmp_path):
     # A hop-count geodesic matrix has at most cap + 1 distinct values; its
     # whole-matrix tolist() alone would take about 32 MB.
