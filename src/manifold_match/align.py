@@ -21,6 +21,11 @@ when all views coincide; CCA reports the cosine of its two projected
 views, which differs from the averaged value once ridge > 0 makes the two
 views' energies unequal. A dimension whose eigenvalue is not positive is
 a ConditioningError rather than a fitted dimension.
+
+Arguments keep the toolkit's rules, each checked before any arithmetic:
+every view is a matrix of finite reals with the first view's row count,
+the shared dimension an integer in [1, min(widths, n - 1)], the ridge one
+finite nonnegative real, and points to project have the view's width.
 """
 
 from __future__ import annotations
@@ -31,10 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConditioningError, FormatError, ValidationError
-from .formats import (_at_least, _int, _number, _str, read_fields, read_matrix, write_json,
-                      write_matrix)
+from .formats import _at_least, _int, _number, read_fields, read_matrix, write_json, write_matrix
 from .mds import MdsModel
-from .numerics import _fix_signs, _integer, _real_matrix, eig_sym
+from .numerics import _fix_signs, _integer, _nonnegative, _real_matrix, eig_sym
 
 __all__ = [
     "AlignmentMaps",
@@ -69,6 +73,8 @@ class AlignmentMaps:
     ridge: float
 
     def __post_init__(self):
+        _method(self.method)
+        object.__setattr__(self, "ridge", _nonnegative(self.ridge, "ridge"))
         maps = [_real_matrix(u, f"view {k} projections") for k, u in enumerate(self.projections)]
         shapes = [u.shape for u in maps]
         if len(shapes) < 2 or len({shape[1] for shape in shapes}) != 1 or shapes[0][1] < 1:
@@ -77,10 +83,7 @@ class AlignmentMaps:
             )
         if self.method == "cca" and len(shapes) != 2:
             raise ValidationError(f"cca maps have two projections, got {len(shapes)}")
-        rho = np.asarray(self.correlations)
-        if rho.shape != (shapes[0][1],):
-            raise ValidationError(f"{rho.size} correlations for d={shapes[0][1]} dimensions")
-        rho = _real_matrix(rho[None], "correlations")[0]
+        rho = _real_matrix(np.asarray(self.correlations)[None], "correlations", 1, shapes[0][1])
         if np.any(np.abs(rho) > 1.0 + _DESCENDING_SLACK):
             raise ValidationError("correlations must lie in [-1, 1]")
         if np.any(np.diff(rho) > _DESCENDING_SLACK):
@@ -96,14 +99,15 @@ class AlignmentMaps:
         return self.projections[0].shape[1]
 
 
-def _centered_views(views):
-    centered = []
+def _centered_views(views, d):
+    """The views' coordinates, centered, and the shared dimension ``d``, which
+    is at most each view's width and one less than their common row count."""
+    xs = []
     for k, view in enumerate(views):
-        x = np.asarray(_real_matrix(view, f"view {k} coordinates"), dtype=float)
-        if centered and len(x) != len(centered[0]):
-            raise ValidationError(f"view {k} has {len(x)} rows, expected {len(centered[0])}")
-        centered.append(x - x.mean(axis=0))
-    return centered, len(centered[0])
+        x = _real_matrix(view, f"view {k} coordinates", len(xs[0]) if xs else None)
+        xs.append(np.asarray(x, dtype=float))
+    d = _integer(d, "shared dimension d", 1, min([x.shape[1] for x in xs] + [len(xs[0]) - 1]))
+    return [x - x.mean(axis=0) for x in xs], d
 
 
 def _factor(view, x):
@@ -120,20 +124,12 @@ def _factor(view, x):
 
 
 def _fit(views, d, ridge, method):
-    xs, n = _centered_views(views)
+    xs, d = _centered_views(views, d)
     K = len(xs)
     widths = [x.shape[1] for x in xs]
-    d = _integer(d, "shared dimension d", 1)
-    if d > min(widths):
-        raise ValidationError(
-            f"shared dimension {d} exceeds the narrowest view width {min(widths)}"
-        )
-    if d > n - 1:
-        raise ValidationError(f"shared dimension {d} needs at least {d + 1} rows, got {n}")
     if ridge is None:
         ridge = _DEFAULT_RIDGE_SCALE * sum(float(np.vdot(x, x)) for x in xs) / sum(widths)
-    else:
-        ridge = _ridge(ridge)
+    ridge = _nonnegative(ridge, "ridge")
 
     # Whiten each view by its thin SVD X = U S V^T, dropping singular values
     # at rounding level: with w = (s^2 + ridge)^(1/2), the map u = V w^-1 a
@@ -202,7 +198,7 @@ def _fit(views, d, ridge, method):
     order = np.argsort(-rho, kind="stable")
     rho = rho[order]
     maps = tuple(np.ascontiguousarray(u[:, order]) for u in maps)
-    return AlignmentMaps(maps, rho, method, float(ridge))
+    return AlignmentMaps(maps, rho, method, ridge)
 
 
 def cca_fit(x1, x2, d, ridge=None) -> AlignmentMaps:
@@ -233,13 +229,8 @@ def gcca_fit(views, d, ridge=None) -> AlignmentMaps:
 def project(maps, view_index, points):
     """Project view ``view_index``'s coordinates into the shared space."""
     view_index = _integer(view_index, "view_index", 0, maps.K - 1)
-    x = np.asarray(_real_matrix(points, "points"), dtype=float)
     u = maps.projections[view_index]
-    if x.shape[1] != u.shape[0]:
-        raise ValidationError(
-            f"points have shape {x.shape}, expected (*, {u.shape[0]}) for view {view_index}"
-        )
-    return x @ u
+    return np.asarray(_real_matrix(points, "points", cols=len(u)), dtype=float) @ u
 
 
 def commensurability_error(proj_a, proj_b) -> float:
@@ -249,12 +240,7 @@ def commensurability_error(proj_a, proj_b) -> float:
     projections land.
     """
     a = np.asarray(_real_matrix(proj_a, "proj_a coordinates"), dtype=float)
-    b = np.asarray(_real_matrix(proj_b, "proj_b coordinates"), dtype=float)
-    if a.shape != b.shape:
-        raise ValidationError(
-            f"projections must share one 2-D shape, got {a.shape} and {b.shape}"
-        )
-    diff = a - b
+    diff = a - np.asarray(_real_matrix(proj_b, "proj_b coordinates", *a.shape), dtype=float)
     return float((diff * diff).sum() / a.shape[0])
 
 
@@ -269,25 +255,17 @@ def save_alignment(maps, out_dir):
     write_json(meta, out / "meta.json")
 
 
-def _ridge(ridge):
-    """``ridge`` as a float if it is finite and nonnegative: the rule for an
-    alignment's ridge and for a config's."""
-    if not (np.isfinite(ridge) and ridge >= 0):
-        raise ValidationError(f"ridge must be finite and nonnegative, got {ridge}")
-    return float(ridge)
-
-
 def _method(value):
     """``value`` if it names an alignment method: the rule for a config's
     ``method`` and for the one a run's or an alignment's ``meta.json`` records."""
-    if _str(value) not in ("cca", "gcca"):
+    if type(value) is not str or value not in ("cca", "gcca"):
         raise ValidationError(f"method must be 'cca' or 'gcca', got {value!r}")
     return value
 
 
 # The meta.json fields load_alignment reads, each with its conversion.
 _ALIGNMENT_META = {"K": _int, "method": _method, "d": _at_least(1),
-                   "ridge": lambda ridge: float(_number(ridge))}
+                   "ridge": lambda ridge: _nonnegative(_number(ridge), "ridge")}
 
 
 def load_alignment(in_dir) -> AlignmentMaps:

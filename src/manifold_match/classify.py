@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import _labels
-from .errors import IntegrityError, ValidationError
-from .numerics import _integer, _real_matrix
+from .errors import IntegrityError
+from .numerics import _integer, _real_array, _real_matrix
 
 __all__ = [
     "LabeledEmbedding",
@@ -56,14 +56,8 @@ class LabeledEmbedding:
 
     def __post_init__(self):
         pts = np.asarray(_real_matrix(self.points, "points"), dtype=float)
-        labels = np.asarray(self.labels)
-        if labels.ndim != 1 or labels.shape[0] != pts.shape[0]:
-            raise IntegrityError(
-                f"{labels.shape[0] if labels.ndim == 1 else labels.shape} labels "
-                f"for {pts.shape[0]} points"
-            )
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "labels", _labels(labels))
+        object.__setattr__(self, "labels", _labels(np.asarray(self.labels), len(pts)))
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -140,20 +134,12 @@ def _knn(points, labels, queries, kappa, leave_one_out):
 
 def knn_predict(train, query, kappa) -> int:
     """Majority label among the ``kappa`` nearest training rows."""
-    q = np.asarray(query)
-    if q.shape != (train.points.shape[1],):
-        raise ValidationError(
-            f"query has shape {q.shape}, expected ({train.points.shape[1]},)"
-        )
-    q = np.asarray(_real_matrix(q[None, :], "query coordinates"), dtype=float)
-    return int(_knn(train.points, train.labels, q, kappa, False)[0])
+    q = _real_matrix(np.asarray(query)[None], "query coordinates", cols=train.points.shape[1])
+    return int(_knn(train.points, train.labels, np.asarray(q, dtype=float), kappa, False)[0])
 
 
 def _check_matched(a, b):
-    if a.points.shape != b.points.shape:
-        raise IntegrityError(
-            f"views have mismatched shapes {a.points.shape} and {b.points.shape}"
-        )
+    _real_array(b.points, "the second view's points", *a.points.shape)
     if not np.array_equal(a.labels, b.labels):
         raise IntegrityError("views disagree on labels; rows must be matched objects")
 

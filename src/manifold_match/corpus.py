@@ -33,7 +33,7 @@ from .errors import ConfigError, FormatError, IntegrityError, ValidationError
 from .formats import (_each, _fields, _map, _of, _optional, _str, check_fields, move_matrix,
                       read_fields, read_json, read_matrix, read_records, write_json,
                       write_lines, write_matrix)
-from .numerics import _integer, _real_matrix
+from .numerics import _integer, _nonnegative, _real_array, _real_matrix
 
 __all__ = [
     "DomainData",
@@ -80,11 +80,13 @@ def _object_ids(ids):
     return tuple(ids)
 
 
-def _labels(labels):
+def _labels(labels, n=None):
     """Class labels as a read-only int64 array: the rule that
     :class:`LabeledCorpus` and the manifest keep. A label is an int in
     [0, 2**63), not a bool; a list or tuple is checked item by item, an
-    array by its type (signed or unsigned integers) and range."""
+    array by its type (signed or unsigned integers) and range. Where a
+    count of objects fixes ``n``, labels of a shape other than ``(n,)`` are
+    an ``IntegrityError`` naming their shape and the one expected."""
     top = np.iinfo(np.int64).max
     if isinstance(labels, np.ndarray):
         if labels.dtype.kind not in "iu":
@@ -94,16 +96,10 @@ def _labels(labels):
         bad = [x for x in _of(list, tuple)(labels) if type(x) is not int or not 0 <= x <= top]
     if bad:
         raise ValidationError(f"label {bad[0]!r} is not a nonnegative integer class id")
-    return _frozen_copy(np.asarray(labels, np.int64))
-
-
-def _n_by_n(values, n, what):
-    """``values``, a square matrix, if it is ``n`` x ``n``: the check of a
-    domain's matrix against the corpus's object count."""
-    m = values.shape[0]
-    if m != n:
-        raise IntegrityError(f"{what} is {m}x{m} for {n} objects")
-    return values
+    labels = np.asarray(labels, np.int64)
+    if n is not None and labels.shape != (n,):
+        raise IntegrityError(f"labels have shape {labels.shape}, expected ({n},)")
+    return _frozen_copy(labels)
 
 
 class _Matrices(Mapping):
@@ -125,7 +121,8 @@ class _Matrices(Mapping):
     def __getitem__(self, kind):
         if kind not in self.held:
             path = self.settings[kind][0]
-            self.held[kind] = _n_by_n(load_dissimilarity_tsv(path), self.n, f"{path}: matrix")
+            values = load_dissimilarity_tsv(path)
+            self.held[kind] = _real_array(values, f"{path}: dissimilarities", self.n, self.n)
         return self.held[kind]
 
     def __contains__(self, kind):
@@ -207,10 +204,7 @@ class LabeledCorpus:
             raise IntegrityError("object ids are not unique")
         object.__setattr__(self, "object_ids", ids)
 
-        labels = _labels(self.labels)
-        if labels.shape != (n,):
-            raise IntegrityError(f"{labels.shape} labels for {n} objects")
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _labels(self.labels, n))
 
         if not self.domains:
             raise IntegrityError("corpus has no domains")
@@ -220,15 +214,11 @@ class LabeledCorpus:
                 raise IntegrityError(f"duplicate domain name {domain.name!r}")
             seen.add(domain.name)
             if domain.features is not None:
-                rows = _real_matrix(domain.features, f"domain {domain.name!r} features").shape[0]
-                if rows != n:
-                    raise IntegrityError(
-                        f"domain {domain.name!r} has {rows} feature rows for {n} objects"
-                    )
+                _real_matrix(domain.features, f"domain {domain.name!r} features", n)
             if domain.edges is not None:
                 _edge_list(domain.edges, n, f"domain {domain.name!r} edges")
             for kind, values in domain.dissimilarities.held.items():
-                _n_by_n(values, n, f"domain {domain.name!r} {kind} dissimilarity")
+                _real_array(values, f"domain {domain.name!r} {kind} dissimilarities", n, n)
 
     @property
     def n_total(self) -> int:
@@ -513,8 +503,7 @@ def synthesize_corpus(seed, n_objects, k_domains, n_classes, noise) -> LabeledCo
     n_classes = _integer(n_classes, "n_classes", 2)
     n_objects = _integer(n_objects, "n_objects", n_classes)
     k_domains = _integer(k_domains, "k_domains", 2)
-    if not 0 <= noise < np.inf:
-        raise ValidationError(f"noise must be finite and nonnegative, got {noise}")
+    noise = _nonnegative(noise, "noise")
 
     rng = np.random.default_rng(seed)
     labels = np.arange(n_objects) % n_classes

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .align import _method, _ridge, cca_fit, gcca_fit, project
+from .align import _method, cca_fit, gcca_fit, project
 from .classify import LabeledEmbedding, average_views, loo_cross_view_accuracy
 from .corpus import _name, _view_key, load_corpus
 from .dissimilarity import _check_geodesic, frobenius_prescale
@@ -29,7 +29,7 @@ from .formats import (
     write_json, write_lines,
 )
 from .mds import mds_fit, mds_out_of_sample
-from .numerics import _blas_threads_setter
+from .numerics import _blas_threads_setter, _nonnegative
 
 __all__ = [
     "CANONICAL_SCHEDULE",
@@ -144,8 +144,8 @@ _FIELDS = {
     "averaged_views": _averaged, "method": _method, "regularized": _of(bool),
     "shared_dim": _at_least(1), "kappa": _at_least(1), "replicates": _at_least(1),
     "seed": _at_least(0), "schedule": _optional(_rows), "feature": _name,
-    "ridge": _optional(lambda ridge: _ridge(_number(ridge))), "cap": _int, "max_hops": _int,
-    "bootstrap_samples": _at_least(1),
+    "ridge": _optional(lambda ridge: _nonnegative(_number(ridge), "ridge")),
+    "cap": _int, "max_hops": _int, "bootstrap_samples": _at_least(1),
 }
 _REQUIRED_FIELDS = ("views", "combinations", "relation_classes", "classifier_classes")
 

@@ -17,6 +17,10 @@ command read) has the Gram matrix built in the input's memory, so input and
 fit together hold about 3n^2 floats; hop counts (a geodesic file read from
 its twin) add their own n^2 bytes or so. An out-of-sample call holds one
 (m, n) float64 array for m new points.
+
+Sizes keep the matrix rule too: a new point's row has one dissimilarity
+per training object, and :func:`fidelity_error`'s dissimilarities are n x n
+for an embedding of n rows; a mismatch is an ``IntegrityError``.
 """
 
 from __future__ import annotations
@@ -123,11 +127,7 @@ def mds_out_of_sample(model, delta_new):
     same row projected in a batch.
     """
     arr = np.asarray(delta_new)
-    rows = _real_matrix(np.atleast_2d(arr), "new dissimilarities")
-    if rows.shape[1] != model.n:
-        raise ValidationError(
-            f"expected dissimilarities to {model.n} training objects, got shape {arr.shape}"
-        )
+    rows = _real_matrix(np.atleast_2d(arr), "new dissimilarities", cols=model.n)
     if rows.size and rows.min() < 0:
         raise ValidationError("new dissimilarities must be nonnegative")
 
@@ -151,12 +151,8 @@ def fidelity_error(embedding, delta) -> float:
     within-domain distortion of an embedding.
     """
     x = np.asarray(_real_matrix(embedding, "embedding coordinates"), dtype=float)
-    d = _real_matrix(delta, "dissimilarities", square=True)
-    n = d.shape[0]
-    if x.shape[0] != n:
-        raise ValidationError(
-            f"embedding has {x.shape[0]} rows but dissimilarity matrix is {n}x{n}"
-        )
+    n = len(x)
+    d = _real_matrix(delta, "dissimilarities", n, n)
     if n < 2:
         return 0.0
     # Pairs in row-major upper-triangle order, one row's differences at a

@@ -6,7 +6,10 @@ solver), so that downstream embeddings are reproducible run to run on one
 platform; and the one in-place average of a square matrix with its
 transpose, walked one block of rows and their mirror columns at a time,
 which every factorization applies to its matrix first; and the rules for
-a matrix and an integer argument, :func:`_real_matrix` and :func:`_integer`.
+a matrix, an integer and a real argument, :func:`_real_matrix`,
+:func:`_integer` and :func:`_nonnegative`. The matrix rule also checks the
+row and column counts another argument or structure fixes, so a caller
+states a size once, as the rule's ``rows`` and ``cols``.
 
 A factorization runs in place on the caller's matrix: LAPACK's ``dsyevd``,
 the routine ``np.linalg.eigh`` calls, is called through the OpenBLAS that
@@ -24,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import IntegrityError, ValidationError
 
 __all__ = ["eig_sym", "mirror_blocks", "symmetrize"]
 
@@ -33,12 +36,15 @@ __all__ = ["eig_sym", "mirror_blocks", "symmetrize"]
 _SYM_ROWS = 64
 
 
-def _real_array(values, what, square=False):
+def _real_array(values, what, rows=None, cols=None, *, square=False):
     """``values`` as a 2-D array of reals, square if ``square`` is set:
     signed or unsigned integers keep their type (no copy), floats become
     float64. Any other array (complex, bool, string or object) or another
     shape is a ``ValidationError`` naming ``what``, a plural noun such as
-    ``"points"``. A matrix file may hold NaN, so its writer checks no more."""
+    ``"points"``; a row or column count other than ``rows`` or ``cols``,
+    where another argument or structure fixes one, an ``IntegrityError``
+    naming ``what``, its shape and the shape expected. A matrix file may
+    hold NaN, so its writer checks no more."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "iuf":
         raise ValidationError(f"{what} are not real numbers: a {arr.dtype} array")
@@ -46,12 +52,15 @@ def _real_array(values, what, square=False):
         raise ValidationError(
             f"{what} must be a {'square' if square else '2-D'} matrix, got shape {arr.shape}"
         )
+    if rows not in (None, arr.shape[0]) or cols not in (None, arr.shape[1]):
+        expected = ", ".join("*" if size is None else str(size) for size in (rows, cols))
+        raise IntegrityError(f"{what} have shape {arr.shape}, expected ({expected})")
     return np.asarray(arr, dtype=float) if arr.dtype.kind == "f" else arr
 
 
-def _real_matrix(values, what, square=False):
+def _real_matrix(values, what, rows=None, cols=None, *, square=False):
     """:func:`_real_array` of ``values`` if it is finite: the one rule for a matrix argument."""
-    arr = _real_array(values, what, square)
+    arr = _real_array(values, what, rows, cols, square=square)
     if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
         raise ValidationError(f"{what} contain non-finite entries")
     return arr
@@ -69,6 +78,19 @@ def _integer(value, what, low, high=None):
         return int(value)
     bounds = f"of at least {low}" if high is None else f"in [{low}, {high}]"
     raise ValidationError(f"{what} must be an integer {bounds}, got {value!r}")
+
+
+def _nonnegative(value, what):
+    """``value`` as a float if it is one Python or numpy real (not a bool),
+    finite and nonnegative: the one rule for a real scalar argument (a
+    ridge, a noise level), which refuses anything else with a
+    ``ValidationError`` naming ``what``. A JSON field passes
+    ``formats._number``'s exact types first."""
+    if isinstance(value, (int, float, np.generic)):
+        arr = np.asarray(value)  # a bool is of kind "b", a huge int of "O"
+        if arr.dtype.kind in "iuf" and np.isfinite(arr) and arr >= 0:
+            return float(arr)
+    raise ValidationError(f"{what} must be finite and nonnegative, got {value!r}")
 
 
 def _openblas(symbol):

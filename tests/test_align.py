@@ -158,7 +158,7 @@ class TestCcaFit:
     def test_d_above_rows_less_one(self):
         # Three rows are narrower than their width of 4: d = 3 needs a fourth.
         rng = np.random.default_rng(90)
-        message = "^shared dimension 3 needs at least 4 rows, got 3$"
+        message = r"^shared dimension d must be an integer in \[1, 2\], got 3$"
         with pytest.raises(ValidationError, match=message):
             cca_fit(centered(rng, 3, 4), centered(rng, 3, 4), 3)
 
@@ -247,6 +247,17 @@ class TestSharedSolver:
             cca_fit(x1, x2, 2, ridge=ridge)
         with pytest.raises(ValidationError, match="ridge"):
             gcca_fit([x1, x2, x1], 2, ridge=ridge)
+
+    @pytest.mark.parametrize("fit", [
+        lambda d: cca_fit(np.empty((0, 3)), np.empty((0, 3)), d),
+        lambda d: gcca_fit([np.empty((0, 3))] * 3, d),
+    ], ids=["cca", "gcca"])
+    def test_views_without_rows_are_refused_before_centring(self, fit):
+        # Centring them first warned twice (a mean of no rows, then 0/0),
+        # which the suite's warnings-as-errors turns into a failure.
+        message = r"^shared dimension d must be an integer in \[1, -1\], got 1$"
+        with pytest.raises(ValidationError, match=message):
+            fit(1)
 
     def test_duplicated_column_leaves_correlations_unchanged(self):
         # An exactly rank-deficient view at ridge 0: its zero singular value

@@ -1,10 +1,12 @@
 """Every function that takes a matrix of reals or an edge list keeps one rule.
 
 A matrix argument passes ``numerics._real_matrix`` (a 2-D, finite array of
-integers or floats, square where asked), an edge list
-``dissimilarity._edge_list`` (an (E, 2) array of integers in [0, n)). Each
-public function below is handed one bad array in place of a good one, and
-must refuse it with a ``ValidationError`` naming the argument.
+integers or floats, square where asked, with the row and column counts
+another argument fixes), an edge list ``dissimilarity._edge_list`` (an
+(E, 2) array of integers in [0, n)). Each public function below is handed
+one bad array in place of a good one, and must refuse it with a
+``ValidationError`` naming the argument, an ``IntegrityError`` where only
+its size disagrees.
 """
 
 import ast
@@ -16,9 +18,11 @@ import pytest
 
 import manifold_match
 from manifold_match import (
+    AlignmentMaps,
     DomainData,
     LabeledCorpus,
     LabeledEmbedding,
+    average_views,
     cca_fit,
     commensurability_error,
     cosine_dissimilarity,
@@ -26,12 +30,16 @@ from manifold_match import (
     gcca_fit,
     graph_geodesic,
     knn_predict,
+    load_corpus,
+    loo_cross_view_accuracy,
     mds_fit,
     mds_out_of_sample,
     project,
+    save_corpus,
 )
+from manifold_match.corpus import register_dissimilarity
 from manifold_match.dissimilarity import as_dissimilarity
-from manifold_match.errors import ValidationError
+from manifold_match.errors import IntegrityError, ValidationError
 
 SRC = Path(manifold_match.__file__).parent
 
@@ -116,6 +124,69 @@ def test_a_bad_query_is_refused_naming_it(query):
         knn_predict(TRAIN, query, 1)
 
 
+# name: (call with a matrix or labels of a size that another argument or
+# structure fixes otherwise, the message its error gives).
+SIZE_SITES = {
+    "project": (lambda: project(MAPS, 0, POINTS[:, :2]),
+                r"points have shape \(6, 2\), expected \(\*, 3\)"),
+    "commensurability_error": (lambda: commensurability_error(POINTS, POINTS[:5]),
+                               r"proj_b coordinates have shape \(5, 3\), expected \(6, 3\)"),
+    "cca_fit": (lambda: cca_fit(POINTS, POINTS[:5], 2),
+                r"view 1 coordinates have shape \(5, 3\), expected \(6, \*\)"),
+    "gcca_fit": (lambda: gcca_fit([POINTS, POINTS, POINTS[:4]], 2),
+                 r"view 2 coordinates have shape \(4, 3\), expected \(6, \*\)"),
+    "mds_out_of_sample": (lambda: mds_out_of_sample(MODEL, DELTA[:2, :5]),
+                          r"new dissimilarities have shape \(2, 5\), expected \(\*, 6\)"),
+    "fidelity_error": (lambda: fidelity_error(POINTS[:5], DELTA),
+                       r"dissimilarities have shape \(6, 6\), expected \(5, 5\)"),
+    "LabeledCorpus-features": (
+        lambda: LabeledCorpus(IDS, LABELS, (DomainData("d", features=POINTS[:5]),)),
+        r"domain 'd' features have shape \(5, 3\), expected \(6, \*\)"),
+    "LabeledCorpus-labels": (lambda: LabeledCorpus(IDS, LABELS[:5], (DomainData("d"),)),
+                             r"labels have shape \(5,\), expected \(6,\)"),
+    "LabeledCorpus-dissimilarities": (
+        lambda: LabeledCorpus(
+            IDS, LABELS, (DomainData("d", dissimilarities={"g": DELTA[:5, :5]}),)),
+        r"domain 'd' g dissimilarities have shape \(5, 5\), expected \(6, 6\)"),
+    "LabeledEmbedding": (lambda: LabeledEmbedding(POINTS, LABELS[:5]),
+                         r"labels have shape \(5,\), expected \(6,\)"),
+    "loo_cross_view_accuracy": (
+        lambda: loo_cross_view_accuracy(TRAIN, LabeledEmbedding(POINTS[:, :2], LABELS), 1),
+        r"the second view's points have shape \(6, 2\), expected \(6, 3\)"),
+    "average_views": (lambda: average_views(TRAIN, LabeledEmbedding(POINTS[:5], LABELS[:5])),
+                      r"the second view's points have shape \(5, 3\), expected \(6, 3\)"),
+    "knn_predict": (lambda: knn_predict(TRAIN, POINTS[0, :2], 1),
+                    r"query coordinates have shape \(1, 2\), expected \(\*, 3\)"),
+    "AlignmentMaps": (lambda: AlignmentMaps(MAPS.projections, np.array([0.9]), "cca", 0.0),
+                      r"correlations have shape \(1, 1\), expected \(1, 2\)"),
+}
+
+
+@pytest.mark.parametrize("call, message", SIZE_SITES.values(), ids=SIZE_SITES.keys())
+def test_a_matrix_of_another_size_is_refused_naming_it(call, message):
+    with pytest.raises(IntegrityError, match=f"^{message}$"):
+        call()
+
+
+def test_a_registered_matrix_of_another_size_is_refused_naming_its_file(tmp_path):
+    save_corpus(LabeledCorpus(IDS, LABELS, (DomainData("d", features=POINTS),)), tmp_path)
+    path = register_dissimilarity(tmp_path, "d", "text", DELTA[:5, :5])
+    with pytest.raises(IntegrityError, match=re.escape(
+            f"{path}: dissimilarities have shape (5, 5), expected (6, 6)")):
+        load_corpus(tmp_path).view("d", "text", 6, 4)
+
+
+@pytest.mark.parametrize("call, high", [
+    (lambda d: cca_fit(POINTS, POINTS[:, :2], d), 2),
+    (lambda d: gcca_fit([POINTS[:3], POINTS[:3], POINTS[:3]], d), 2),
+], ids=["narrowest-width", "rows-less-one"])
+def test_the_shared_dimension_is_bounded_by_the_views(call, high):
+    call(high)
+    with pytest.raises(ValidationError,
+                       match=rf"^shared dimension d must be an integer in \[1, {high}\], "):
+        call(high + 1)
+
+
 # test_corpus.py makes these cases of LabeledCorpus's edges, and
 # test_dissimilarity.py graph_geodesic's of an endpoint past n.
 BAD_EDGES = {
@@ -169,6 +240,7 @@ def finiteness_checks():
 
 
 def test_finiteness_is_checked_by_the_two_rules_alone():
-    # A new copy of the matrix rule or of the ridge rule would add a call of
+    # A new copy of the matrix rule or of the real rule would add a call of
     # np.isfinite elsewhere; a site calls the rule instead.
-    assert sorted(set(finiteness_checks())) == [("align", "_ridge"), ("numerics", "_real_matrix")]
+    assert sorted(set(finiteness_checks())) == [("numerics", "_nonnegative"),
+                                                 ("numerics", "_real_matrix")]

@@ -72,7 +72,7 @@ class TestLabeledCorpus:
             LabeledCorpus((), np.array([], dtype=int), (DomainData("d"),))
 
     def test_feature_row_count_mismatch(self):
-        with pytest.raises(IntegrityError, match="feature rows"):
+        with pytest.raises(IntegrityError, match="features have shape"):
             LabeledCorpus(
                 ("a", "b"),
                 np.array([0, 1]),
@@ -113,11 +113,13 @@ class TestLabeledCorpus:
         register_dissimilarity(tmp_path, "d0", "text", np.ones((2, 2)) - np.eye(2))
         corpus = load_corpus(tmp_path)
         with pytest.raises(IntegrityError,
-                           match=r"d0/dissim_text\.tsv: matrix is 2x2 for 3 objects$"):
+                           match=r"d0/dissim_text\.tsv: dissimilarities have shape \(2, 2\), "
+                                 r"expected \(3, 3\)$"):
             corpus.view("d0", "text", 6, 4)
 
     def test_dissimilarity_size_mismatch(self):
-        with pytest.raises(IntegrityError, match="'d' graph dissimilarity is 2x2 for 3"):
+        message = r"'d' graph dissimilarities have shape \(2, 2\), expected \(3, 3\)$"
+        with pytest.raises(IntegrityError, match=message):
             LabeledCorpus(
                 ("a", "b", "c"),
                 np.array([0, 1, 0]),
@@ -640,7 +642,7 @@ class TestLoaderErrors:
             root, lambda m: m["objects"].update(ids=["a", "b", "c", "a"], labels=[0, 1, 0, 0])),
          "object ids are not unique"),
         (lambda root: (root / "d1" / "features.tsv").write_text("1.0\t2.0\n"),
-         "domain 'd1' has 1 feature rows for 3 objects"),
+         r"domain 'd1' features have shape \(1, 2\), expected \(3, \*\)"),
     ], ids=["duplicate_ids", "feature_rows"])
     def test_count_error_names_the_manifest(self, tmp_path, damage, message):
         # The counts are checked once, by LabeledCorpus; a load names the file.
@@ -836,7 +838,7 @@ class TestLoaderErrors:
         features = tmp_path / "d0" / "features.tsv"
         lines = features.read_text().splitlines()
         features.write_text("\n".join(lines[:2]) + "\n")
-        with pytest.raises(IntegrityError, match="feature rows"):
+        with pytest.raises(IntegrityError, match="features have shape"):
             load_corpus(tmp_path)
 
 
